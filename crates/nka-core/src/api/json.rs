@@ -6,6 +6,10 @@
 //! strings, integers, booleans, and `null`. Printing always produces a
 //! single line (no pretty-printing), which is what a JSONL stream wants.
 //!
+//! Arrays and objects nest at most [`MAX_NESTING_DEPTH`] deep (the
+//! workspace-wide request-parser limit); deeper input is a `nesting
+//! too deep` error naming the byte offset, never a stack overflow.
+//!
 //! Numbers are restricted to `i64` integers: every numeric field in the
 //! protocol (truncation lengths, proof sizes, counters, microseconds) is
 //! an integer, and refusing floats keeps round-tripping exact.
@@ -22,6 +26,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
+use nka_syntax::{nesting_too_deep, MAX_NESTING_DEPTH};
 use std::fmt;
 
 /// A JSON value (integer-only numbers; see the [module docs](self)).
@@ -51,7 +56,7 @@ impl Json {
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -98,12 +103,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects enclosing this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_NESTING_DEPTH => {
+            Err(format!("{} at byte {}", nesting_too_deep(), *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -197,7 +206,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -206,7 +215,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -219,7 +228,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -238,7 +247,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -340,6 +349,31 @@ mod tests {
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_and_one_deeper_is_an_error() {
+        // A request object whose annotation nests to exactly the limit
+        // parses on a default-stack (2 MiB) thread.
+        let nested =
+            |n: usize| format!("{{\"expect\":{}{}}}", "[".repeat(n - 1), "]".repeat(n - 1));
+        let src = nested(MAX_NESTING_DEPTH);
+        let parsed =
+            std::thread::spawn(move || Json::parse(&src).map(|v| v.get("expect").is_some()))
+                .join()
+                .expect("parser thread survives");
+        assert_eq!(parsed, Ok(true));
+        let err = Json::parse(&nested(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        let offset = "{\"expect\":".len() + MAX_NESTING_DEPTH - 1;
+        assert!(err.starts_with("nesting too deep"), "{err}");
+        assert!(err.ends_with(&format!("at byte {offset}")), "{err}");
+        // A hostile line fails fast instead of overflowing the stack.
+        let hostile = format!("{{\"op\":{}", "[".repeat(200_000));
+        let err = std::thread::spawn(move || Json::parse(&hostile))
+            .join()
+            .expect("parser thread survives")
+            .unwrap_err();
+        assert!(err.starts_with("nesting too deep"), "{err}");
     }
 
     #[test]

@@ -60,9 +60,15 @@
 //!
 //! Since Expr API v2, expressions are hash-consed `Copy` handles and a
 //! `Session` is `Send + Sync`, so a batch can be sharded across worker
-//! sessions on scoped threads — [`run_batch_parallel`] (surfaced as
-//! `nka batch --jobs N`) answers a query stream in input order with
-//! verdicts identical to the single-session path.
+//! sessions on scoped threads — [`run_batch_parallel`] answers a query
+//! stream in input order with verdicts identical to the single-session
+//! path.
+//!
+//! [`stream`] holds the one request path every surface drives:
+//! [`answer_line`] (decode → run → encode → classify, timed as one
+//! service) and the ordered worker pool [`run_ordered`] behind
+//! `nka batch --jobs N`. [`SessionTotals`] is the one accounting
+//! snapshot they report through.
 //!
 //! # Examples
 //!
@@ -80,7 +86,10 @@
 //! ```
 
 pub mod json;
+pub mod stream;
 pub mod wire;
+
+pub use stream::{answer_line, run_ordered, Answered, LineClass};
 
 use crate::judgment::Judgment;
 use crate::proof::Proof;
@@ -98,7 +107,7 @@ use qsim_linalg::CMatrix;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A typed request against the NKA theory. See the [module docs](self)
@@ -1115,13 +1124,15 @@ pub struct SnapshotStats {
 }
 
 impl SnapshotStats {
-    /// Counter-wise sum, for merging worker sessions; the loaded
-    /// timestamp keeps the first present value (a pool shares one
-    /// snapshot, so they agree).
+    /// Counter-wise sum, for merging worker sessions — except the two
+    /// facts about the loaded file: a pool restores one snapshot into
+    /// every worker, so `restored_entries` takes the maximum (the
+    /// entries loaded from the file, not that times the pool size) and
+    /// the loaded timestamp keeps the first present value.
     #[must_use]
     pub fn merged(&self, other: &SnapshotStats) -> SnapshotStats {
         SnapshotStats {
-            restored_entries: self.restored_entries + other.restored_entries,
+            restored_entries: self.restored_entries.max(other.restored_entries),
             snapshot_hits: self.snapshot_hits + other.snapshot_hits,
             cert_snapshot_hits: self.cert_snapshot_hits + other.cert_snapshot_hits,
             load_warnings: self.load_warnings + other.load_warnings,
@@ -1138,6 +1149,52 @@ impl SnapshotStats {
     #[must_use]
     pub fn is_zero(&self) -> bool {
         *self == SnapshotStats::default()
+    }
+}
+
+/// Every cumulative counter of a [`Session`] in one snapshot
+/// ([`Session::totals`]) — the single accounting type behind every
+/// `--stats` surface. Worker pools fold their sessions' totals with
+/// [`SessionTotals::merged`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SessionTotals {
+    /// Engine counters, including engines since recycled.
+    pub engine: DeciderStats,
+    /// Queries answered ([`Session::queries_run`]).
+    pub queries: u64,
+    /// Tree nodes across queried expressions
+    /// ([`Query::term_stats`] summed over the session's life).
+    pub expr_nodes: u64,
+    /// Distinct interned subterms across queried expressions
+    /// (compare `nka_syntax::interned_expr_count()` for the
+    /// process-wide arena footprint).
+    pub expr_subterms: u64,
+    /// Engine recycles ([`SessionOptions::recycle_after_queries`]).
+    pub engine_recycles: u64,
+    /// Static-analyzer counters ([`Session::analysis_stats`]).
+    pub analysis: AnalysisStats,
+    /// Optimizer counters ([`Session::optimize_stats`]).
+    pub optimize: OptimizeStats,
+    /// Warm-start counters: restored entries, snapshot-tier hits,
+    /// degraded loads, dumps.
+    pub snapshot: SnapshotStats,
+}
+
+impl SessionTotals {
+    /// Counter-wise sum, for folding a worker pool into one report
+    /// (see [`SnapshotStats::merged`] for the one non-sum).
+    #[must_use]
+    pub fn merged(&self, other: &SessionTotals) -> SessionTotals {
+        SessionTotals {
+            engine: self.engine.merged(&other.engine),
+            queries: self.queries + other.queries,
+            expr_nodes: self.expr_nodes + other.expr_nodes,
+            expr_subterms: self.expr_subterms + other.expr_subterms,
+            engine_recycles: self.engine_recycles + other.engine_recycles,
+            analysis: self.analysis.merged(&other.analysis),
+            optimize: self.optimize.merged(&other.optimize),
+            snapshot: self.snapshot.merged(&other.snapshot),
+        }
     }
 }
 
@@ -1213,7 +1270,7 @@ pub struct Session {
     /// Certificate-cache keys restored from a snapshot; a hit on one is
     /// a `cert_snapshot_hit`. Cleared alongside `cert_cache`.
     restored_cert_keys: HashSet<(String, String)>,
-    /// Warm-start counters ([`Session::snapshot_stats`]); cumulative,
+    /// Warm-start counters (the `snapshot` of [`Session::totals`]); cumulative,
     /// surviving engine recycling. `retired_snapshot_hits` folds in the
     /// hit counts of recycled engines (mirroring `retired_stats`).
     snapshot_restored_entries: u64,
@@ -1327,12 +1384,6 @@ impl Session {
         self.retired_stats.merged(&self.engine.stats())
     }
 
-    /// Times this session recycled its engine.
-    #[must_use]
-    pub fn engine_recycles(&self) -> u64 {
-        self.engine_recycles
-    }
-
     /// Cumulative static-analyzer counters over the session's life
     /// (findings per pass, Tier B decide calls, certificate cache
     /// hits). Zero until the first [`Query::Analyze`].
@@ -1378,41 +1429,33 @@ impl Session {
         self.queries_run
     }
 
-    /// Cumulative tree-node count of all expressions queried through
-    /// this session ([`Query::term_stats`] summed over its life).
-    #[must_use]
-    pub fn expr_nodes_seen(&self) -> u64 {
-        self.expr_nodes_seen
-    }
-
-    /// Cumulative per-query distinct-subterm counts over the session's
-    /// life. Compare with [`Session::expr_nodes_seen`] for the sharing
-    /// factor, and with `nka_syntax::interned_expr_count()` for the
-    /// process-wide arena footprint.
-    #[must_use]
-    pub fn expr_subterms_seen(&self) -> u64 {
-        self.expr_subterms_seen
-    }
-
     /// Direct access to the underlying engine, for callers that need
     /// surfaces the query API does not model (e.g. word membership).
     pub fn engine_mut(&mut self) -> &mut Decider {
         &mut self.engine
     }
 
-    /// Cumulative warm-start counters over the session's life: restored
-    /// entries, snapshot-tier hits, degraded loads, dumps. All zero for
-    /// a session that never touched a snapshot.
+    /// Every cumulative counter in one snapshot — what `--stats`
+    /// reports and worker pools merge.
     #[must_use]
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        SnapshotStats {
-            restored_entries: self.snapshot_restored_entries,
-            snapshot_hits: self.retired_snapshot_hits + self.engine.snapshot_hits(),
-            cert_snapshot_hits: self.cert_snapshot_hits,
-            load_warnings: self.snapshot_load_warnings,
-            dumps: self.snapshot_dumps,
-            dump_failures: self.snapshot_dump_failures,
-            loaded_created_unix_secs: self.snapshot_loaded_created,
+    pub fn totals(&self) -> SessionTotals {
+        SessionTotals {
+            engine: self.stats(),
+            queries: self.queries_run,
+            expr_nodes: self.expr_nodes_seen,
+            expr_subterms: self.expr_subterms_seen,
+            engine_recycles: self.engine_recycles,
+            analysis: self.analysis_stats,
+            optimize: self.optimize_stats,
+            snapshot: SnapshotStats {
+                restored_entries: self.snapshot_restored_entries,
+                snapshot_hits: self.retired_snapshot_hits + self.engine.snapshot_hits(),
+                cert_snapshot_hits: self.cert_snapshot_hits,
+                load_warnings: self.snapshot_load_warnings,
+                dumps: self.snapshot_dumps,
+                dump_failures: self.snapshot_dump_failures,
+                loaded_created_unix_secs: self.snapshot_loaded_created,
+            },
         }
     }
 
@@ -1452,8 +1495,9 @@ impl Session {
     }
 
     /// Reads, validates, and restores the snapshot at `path` — the
-    /// boot-time warm-start entry point for single-session consumers
-    /// (`nka batch --snapshot`, stdin serve). On any failure the
+    /// boot-time warm-start entry point for a single embedded session
+    /// (pools load once and call [`Session::load_snapshot`] per
+    /// worker). On any failure the
     /// session stays cold, the load-warning counter moves, and the
     /// typed error is returned for logging. Returns the number of
     /// entries restored.
@@ -1850,7 +1894,10 @@ impl Session {
         let scope = ScratchScope::enter();
         let before = self.engine.stats();
         let mut holds = false;
-        if let (Ok(p), Ok(q)) = (SurfaceProgram::parse(p), SurfaceProgram::parse(q)) {
+        if let (Ok(p), Ok(q)) = (
+            SurfaceProgram::parse_generated(p),
+            SurfaceProgram::parse_generated(q),
+        ) {
             let mut setting = EncoderSetting::new(p.dim());
             if let (Ok(ep), Ok(eq)) = (setting.encode(p.program()), setting.encode(q.program())) {
                 holds = self.engine.decide(&ep, &eq).unwrap_or(false);
@@ -1934,7 +1981,7 @@ impl Session {
                 if certified.len() >= beam {
                     break;
                 }
-                let Ok(parsed) = SurfaceProgram::parse(&cand.rewritten) else {
+                let Ok(parsed) = SurfaceProgram::parse_generated(&cand.rewritten) else {
                     continue;
                 };
                 let Ok(enc) = setting.encode(parsed.program()) else {
@@ -2074,18 +2121,18 @@ fn decision(result: Result<bool, nka_wfa::DecideError>) -> Verdict {
     }
 }
 
-/// Answers a batch of queries on `jobs` worker [`Session`]s running on
-/// scoped threads, returning one [`Response`] per query **in input
-/// order**. This is the engine behind `nka batch --jobs N`.
+/// Answers a batch of queries on `jobs` worker [`Session`]s, returning
+/// one [`Response`] per query **in input order** — the library face of
+/// the worker pool behind `nka batch --jobs N` ([`run_ordered`]).
 ///
-/// Queries are sharded round-robin (query `i` goes to worker
-/// `i % jobs`), so a stream with repeated neighborhoods still spreads
-/// across workers. Each worker owns a private engine built from `opts`
-/// — verdicts are exact and deterministic regardless of cache state, so
-/// the verdict set is identical to a single-session run; only the
-/// per-response `stats_delta` differs (an expression shared *across*
-/// shards compiles once per worker rather than once overall — that is
-/// the throughput trade).
+/// Query `i` goes to worker `i % jobs`, so a stream with repeated
+/// neighborhoods still spreads across workers. Each worker owns a
+/// private engine built from `opts` — verdicts are exact and
+/// deterministic regardless of cache state, so the verdict set is
+/// identical to a single-session run; only the per-response
+/// `stats_delta` differs (an expression shared *across* shards compiles
+/// once per worker rather than once overall — that is the throughput
+/// trade).
 ///
 /// `jobs` is clamped to `1..=queries.len()`; `jobs <= 1` degenerates to
 /// [`Session::run_all`] on the calling thread with no thread overhead.
@@ -2093,156 +2140,15 @@ fn decision(result: Result<bool, nka_wfa::DecideError>) -> Verdict {
 /// term is re-parsed or deep-copied to cross the thread boundary.
 #[must_use]
 pub fn run_batch_parallel(queries: &[Query], opts: &SessionOptions, jobs: usize) -> Vec<Response> {
-    run_batch_parallel_traced(queries, opts, jobs, None).0
-}
-
-/// Worker-level accounting of a parallel batch
-/// ([`run_batch_parallel_traced`]): engine recycles plus every
-/// merged per-subsystem counter block — what `nka batch --jobs N
-/// --stats` reports.
-#[derive(Debug, Clone, Default)]
-pub struct BatchTrace {
-    /// Total engine recycles across all worker sessions
-    /// ([`SessionOptions::recycle_after_queries`]).
-    pub engine_recycles: u64,
-    /// Merged analyzer counters ([`Session::analysis_stats`]).
-    pub analysis: AnalysisStats,
-    /// Merged optimizer counters ([`Session::optimize_stats`]).
-    pub optimize: OptimizeStats,
-    /// Merged warm-start counters ([`Session::snapshot_stats`]).
-    pub snapshot: SnapshotStats,
-}
-
-/// Shared snapshot state for a (possibly chunked, possibly parallel)
-/// batch run — the `batch --jobs N --snapshot FILE` fix. The loaded
-/// snapshot is restored into every worker session at construction, and
-/// each worker exports its warm caches into the one shared builder when
-/// its shard drains (the serve-v2 drain-time merge, reused); the caller
-/// writes the builder once at end of stream, so transient workers no
-/// longer forfeit — or race over — the dump.
-#[derive(Debug)]
-pub struct BatchSnapshot {
-    loaded: Option<LoadedSnapshot>,
-    merge: Mutex<SnapshotBuilder>,
-}
-
-impl BatchSnapshot {
-    /// An empty merge target configured for `opts` (no warm start).
-    #[must_use]
-    pub fn new(opts: &SessionOptions) -> BatchSnapshot {
-        BatchSnapshot {
-            loaded: None,
-            merge: Mutex::new(SnapshotBuilder::new(ConfigGuard::from_options(
-                &opts.decide,
-            ))),
-        }
-    }
-
-    /// Reads and validates the snapshot at `path` for warm-starting
-    /// every worker session. Returns the number of entries available.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]; the batch then starts cold.
-    pub fn load_file(
-        &mut self,
-        path: &Path,
-        opts: &SessionOptions,
-    ) -> Result<usize, SnapshotError> {
-        let snap = snapshot::load(path, &ConfigGuard::from_options(&opts.decide))?;
-        let entries = snap.entry_count();
-        self.loaded = Some(snap);
-        Ok(entries)
-    }
-
-    /// Writes the merged warm state of every drained worker to `path`
-    /// (atomic temp-file + rename). Returns the number of entries
-    /// written (deduplicated across workers and chunks).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] if the file cannot be written.
-    pub fn write_to(&self, path: &Path) -> Result<usize, SnapshotError> {
-        let builder = self.merge.lock().expect("snapshot merge lock poisoned");
-        builder.write_to(path)?;
-        Ok(builder.entry_count())
-    }
-}
-
-/// [`run_batch_parallel`] plus worker-level accounting (the merged
-/// [`BatchTrace`]) and optional snapshot plumbing: with a
-/// [`BatchSnapshot`], every worker session warm-starts from the loaded
-/// entries and exports its caches into the shared builder when its
-/// shard drains. Callers stream the same `BatchSnapshot` through every
-/// chunk and write it once at EOF.
-#[must_use]
-pub fn run_batch_parallel_traced(
-    queries: &[Query],
-    opts: &SessionOptions,
-    jobs: usize,
-    snapshot: Option<&BatchSnapshot>,
-) -> (Vec<Response>, BatchTrace) {
-    let make_session = || {
-        let mut session = Session::with_options(opts.clone());
-        if let Some(snap) = snapshot.and_then(|s| s.loaded.as_ref()) {
-            session.load_snapshot(snap);
-        }
-        session
-    };
-    let drain_session = |session: &mut Session| {
-        if let Some(s) = snapshot {
-            let mut builder = s.merge.lock().expect("snapshot merge lock poisoned");
-            session.export_snapshot_into(&mut builder);
-        }
-        BatchTrace {
-            engine_recycles: session.engine_recycles(),
-            analysis: session.analysis_stats(),
-            optimize: session.optimize_stats(),
-            snapshot: session.snapshot_stats(),
-        }
-    };
     let jobs = jobs.clamp(1, queries.len().max(1));
-    if jobs <= 1 {
-        let mut session = make_session();
-        let responses = session.run_all(queries);
-        let trace = drain_session(&mut session);
-        return (responses, trace);
-    }
-    let mut slots: Vec<Option<Response>> = Vec::new();
-    slots.resize_with(queries.len(), || None);
-    let mut trace = BatchTrace::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut session = make_session();
-                    let answered = queries
-                        .iter()
-                        .enumerate()
-                        .skip(worker)
-                        .step_by(jobs)
-                        .map(|(i, q)| (i, session.run(q)))
-                        .collect::<Vec<(usize, Response)>>();
-                    (answered, drain_session(&mut session))
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (answered, worker_trace) = handle.join().expect("batch worker panicked");
-            trace.engine_recycles += worker_trace.engine_recycles;
-            trace.analysis = trace.analysis.merged(&worker_trace.analysis);
-            trace.optimize = trace.optimize.merged(&worker_trace.optimize);
-            trace.snapshot = trace.snapshot.merged(&worker_trace.snapshot);
-            for (i, resp) in answered {
-                slots[i] = Some(resp);
-            }
-        }
-    });
-    let responses = slots
-        .into_iter()
-        .map(|slot| slot.expect("every query answered exactly once"))
+    let mut sessions: Vec<Session> = (0..jobs)
+        .map(|_| Session::with_options(opts.clone()))
         .collect();
-    (responses, trace)
+    let mut responses = Vec::with_capacity(queries.len());
+    run_ordered(&mut sessions, queries.iter(), Session::run, |resp| {
+        responses.push(resp);
+    });
+    responses
 }
 
 #[cfg(test)]
@@ -2369,12 +2275,12 @@ mod tests {
         let resp = session.run(&Query::nka_eq("p + p", "p").unwrap());
         assert_eq!(resp.expr_nodes, 4);
         assert_eq!(resp.expr_subterms, 2);
-        assert_eq!(session.expr_nodes_seen(), 4);
-        assert_eq!(session.expr_subterms_seen(), 2);
+        assert_eq!(session.totals().expr_nodes, 4);
+        assert_eq!(session.totals().expr_subterms, 2);
         let resp = session.run(&Query::series("q*", 1).unwrap());
         assert_eq!(resp.expr_nodes, 2);
         assert_eq!(resp.expr_subterms, 2);
-        assert_eq!(session.expr_nodes_seen(), 6);
+        assert_eq!(session.totals().expr_nodes, 6);
         assert_eq!(session.queries_run(), 2);
     }
 
@@ -2390,7 +2296,7 @@ mod tests {
         }
         // Limit 2: engines retire before queries 3 and 5.
         assert_eq!(session.queries_run(), 5);
-        assert_eq!(session.engine_recycles(), 2);
+        assert_eq!(session.totals().engine_recycles, 2);
         // Cumulative stats span all engine generations…
         assert_eq!(session.stats().nka_queries, 5);
         // …and each fresh engine recompiled the pair (2 sides × 3 gens).
@@ -2576,19 +2482,19 @@ mod tests {
         let cold_analysis = warm.run(&analyze_q).verdict;
         let exported = warm.save_snapshot(&path).unwrap();
         assert!(exported > 0, "warm session must export entries");
-        assert_eq!(warm.snapshot_stats().dumps, 1);
+        assert_eq!(warm.totals().snapshot.dumps, 1);
 
         // A fresh session restores it and answers every query from the
         // snapshot tier: verdicts identical, zero new compiles, and the
         // tiered counters attribute the hits to the snapshot.
         let mut restored = Session::new();
         let n = restored.load_snapshot_file(&path).unwrap();
-        assert_eq!(n as u64, restored.snapshot_stats().restored_entries);
+        assert_eq!(n as u64, restored.totals().snapshot.restored_entries);
         assert!(n > 0);
         assert_eq!(restored.run(&nka_q).verdict, cold_nka);
         assert_eq!(restored.run(&ka_q).verdict, cold_ka);
         assert_eq!(restored.run(&analyze_q).verdict, cold_analysis);
-        let stats = restored.snapshot_stats();
+        let stats = restored.totals().snapshot;
         assert!(stats.snapshot_hits >= 2, "{stats:?}");
         assert!(stats.cert_snapshot_hits >= 1, "{stats:?}");
         assert_eq!(stats.load_warnings, 0, "{stats:?}");
@@ -2615,7 +2521,7 @@ mod tests {
         let mut mismatched = Session::with_options(mismatched_opts);
         let err = mismatched.load_snapshot_file(&path).unwrap_err();
         assert!(matches!(err, SnapshotError::ConfigMismatch), "{err:?}");
-        let stats = mismatched.snapshot_stats();
+        let stats = mismatched.totals().snapshot;
         assert_eq!(stats.restored_entries, 0, "{stats:?}");
         assert_eq!(stats.load_warnings, 1, "{stats:?}");
 
@@ -2639,8 +2545,8 @@ mod tests {
         for _ in 0..3 {
             let _ = session.run(&q);
         }
-        assert_eq!(session.engine_recycles(), 1);
-        assert_eq!(session.snapshot_stats().dumps, 1);
+        assert_eq!(session.totals().engine_recycles, 1);
+        assert_eq!(session.totals().snapshot.dumps, 1);
         let snap = snapshot::Snapshot::read(&path).unwrap();
         assert!(snap.summary().entry_count() > 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -522,11 +522,7 @@ pub fn encode_response(query: &Query, resp: &Response) -> String {
 /// caret rendering stays on the human surface).
 #[must_use]
 pub fn encode_error(err: &ApiError) -> String {
-    let mut fields = vec![
-        ("v".to_owned(), Json::Int(WIRE_VERSION)),
-        ("verdict".to_owned(), Json::Str("error".to_owned())),
-        ("error".to_owned(), Json::Str(err.to_string())),
-    ];
+    let mut fields = error_fields(err.to_string());
     let field = match err {
         ApiError::Parse { field, .. } | ApiError::ParseProgram { field, .. } => Some(*field),
         ApiError::Malformed(_) => None,
@@ -542,6 +538,38 @@ pub fn encode_error(err: &ApiError) -> String {
         ));
     }
     Json::Obj(fields).to_string()
+}
+
+/// The leading fields of every error line.
+fn error_fields(msg: String) -> Vec<(String, Json)> {
+    vec![
+        ("v".to_owned(), Json::Int(WIRE_VERSION)),
+        ("verdict".to_owned(), Json::Str("error".to_owned())),
+        ("error".to_owned(), Json::Str(msg)),
+    ]
+}
+
+/// The response line of a request-level failure: [`encode_error`] in
+/// JSON mode, `error: <message>` on the human surface.
+#[must_use]
+pub fn render_error(err: &ApiError, json: bool) -> String {
+    if json {
+        encode_error(err)
+    } else {
+        format!("error: {err}")
+    }
+}
+
+/// The response line of a request the socket server shed unread (past
+/// the pending cap, or over the line-byte cap): the error shape of
+/// [`render_error`], `"v":1` included, carrying `msg`.
+#[must_use]
+pub fn encode_shed(msg: String, json: bool) -> String {
+    if json {
+        Json::Obj(error_fields(msg)).to_string()
+    } else {
+        format!("error: {msg}")
+    }
 }
 
 /// The comparison-stable projection of a response line: for JSON lines,

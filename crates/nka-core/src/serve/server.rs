@@ -6,9 +6,9 @@
 //!  accept loop (per listener, TCP / Unix)        worker pool (N threads)
 //!  ───────────────────────────────────────       ───────────────────────
 //!  accept → assign connection to a worker   ┌──▶ worker 0: warm Session
-//!           (round-robin) and spawn a       │       pop job → decode →
-//!           reader thread                   │       run → encode → write
-//!                                           │       to the job's conn
+//!           (round-robin) and spawn a       │       pop job → answer_line
+//!           reader thread                   │       → write to the job's
+//!                                           │       conn
 //!  reader (per connection)                  │
 //!  ──────────────────────                   │    worker 1: warm Session
 //!  read one line (byte-capped) ─────────────┘       …
@@ -34,7 +34,7 @@
 //!   `queue_depth` raw lines.
 //! * **Server-wide hard cap** ([`ServeConfig::max_pending`]): past it,
 //!   requests are answered *in order* with a structured
-//!   `{"verdict":"error","error":"overloaded: …"}` line instead of
+//!   `{"v":1,"verdict":"error","error":"overloaded: …"}` line instead of
 //!   being run — load is shed without breaking the one-line-in /
 //!   one-line-out contract.
 //! * **Per-line byte cap** ([`ServeConfig::max_line_bytes`]): an
@@ -57,10 +57,8 @@
 //! requests are skipped, and every other connection keeps being served.
 
 use super::stats::{OpHistograms, ServeCounters, StatsBlock};
-use crate::api::json::Json;
-use crate::api::{wire, AnalysisStats, OptimizeStats, Session, SessionOptions, SnapshotStats};
+use crate::api::{answer_line, wire, Session, SessionOptions, SessionTotals};
 use crate::snapshot::{self, ConfigGuard, LoadedSnapshot, SnapshotBuilder};
-use nka_wfa::DeciderStats;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -300,6 +298,17 @@ enum RejectReason {
     LineTooLong { cap: usize },
 }
 
+impl RejectReason {
+    fn message(&self) -> String {
+        match self {
+            RejectReason::Overloaded { pending, cap } => format!(
+                "overloaded: {pending} requests pending exceeds the server cap of {cap}; retry later"
+            ),
+            RejectReason::LineTooLong { cap } => format!("request line exceeds the {cap}-byte cap"),
+        }
+    }
+}
+
 /// A unit of work for a worker.
 #[derive(Debug)]
 enum Job {
@@ -326,19 +335,6 @@ impl WorkerQueue {
     }
 }
 
-/// Per-worker published accounting, read by stats snapshots.
-#[derive(Debug, Default, Clone)]
-struct WorkerPub {
-    stats: DeciderStats,
-    expr_nodes: u64,
-    expr_subterms: u64,
-    recycles: u64,
-    queries: u64,
-    analysis: AnalysisStats,
-    optimize: OptimizeStats,
-    snapshot: SnapshotStats,
-}
-
 /// Plain counters of the serve layer (see [`ServeCounters`]).
 #[derive(Debug, Default)]
 struct Counters {
@@ -362,7 +358,8 @@ struct Shared {
     readers_live: AtomicUsize,
     next_worker: AtomicUsize,
     queues: Vec<WorkerQueue>,
-    published: Vec<Mutex<WorkerPub>>,
+    /// Each worker's latest [`Session::totals`], read by stats snapshots.
+    published: Vec<Mutex<SessionTotals>>,
     hists: OpHistograms,
     counters: Counters,
     /// The boot-time snapshot every worker restores from, if one loaded.
@@ -521,34 +518,16 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, sock: Socket, worker: usi
     }
 }
 
-/// Renders a shed request's structured error line.
-fn reject_line(reason: &RejectReason, json: bool) -> String {
-    let msg = match reason {
-        RejectReason::Overloaded { pending, cap } => {
-            format!("overloaded: {pending} requests pending exceeds the server cap of {cap}; retry later")
-        }
-        RejectReason::LineTooLong { cap } => {
-            format!("request line exceeds the {cap}-byte cap")
-        }
-    };
-    if json {
-        Json::Obj(vec![
-            ("verdict".to_owned(), Json::Str("error".to_owned())),
-            ("error".to_owned(), Json::Str(msg)),
-        ])
-        .to_string()
-    } else {
-        format!("error: {msg}")
-    }
-}
-
 /// One worker: a warm [`Session`] answering its queue until drain
 /// completes (drain + empty queue + no readers left anywhere).
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
+    let publish = |session: &Session| {
+        *shared.published[index].lock().unwrap() = session.totals();
+    };
     let mut session = Session::with_options(shared.cfg.session.clone());
     if let Some(snap) = &shared.snapshot {
         session.load_snapshot(snap);
-        publish_worker(shared, index, &session);
+        publish(&session);
     }
     loop {
         let job = {
@@ -572,7 +551,19 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         let Some(job) = job else { break };
         match job {
             Job::Run { conn, line } => {
-                handle_request(shared, &mut session, index, &conn, &line);
+                // Blank and comment lines are consumed with no response.
+                if let Some(answered) = answer_line(&mut session, &line, shared.cfg.json) {
+                    match &answered.outcome {
+                        Ok((query, _)) => shared.hists.record(query.kind(), answered.service),
+                        Err(_) => {
+                            shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    conn.write_line(&answered.line, shared);
+                    if answered.outcome.is_ok() {
+                        publish(&session);
+                    }
+                }
                 shared.pending_total.fetch_sub(1, Ordering::SeqCst);
                 conn.window.release();
             }
@@ -582,7 +573,10 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     RejectReason::LineTooLong { .. } => &shared.counters.rejected_line_bytes,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                conn.write_line(&reject_line(&reason, shared.cfg.json), shared);
+                conn.write_line(
+                    &wire::encode_shed(reason.message(), shared.cfg.json),
+                    shared,
+                );
                 shared.pending_total.fetch_sub(1, Ordering::SeqCst);
                 conn.window.release();
             }
@@ -607,56 +601,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     if let Some(builder) = shared.snapshot_merge.lock().unwrap().as_mut() {
         session.export_snapshot_into(builder);
     }
-    publish_worker(shared, index, &session);
-}
-
-/// Decodes, runs, answers, and accounts one request line.
-fn handle_request(
-    shared: &Arc<Shared>,
-    session: &mut Session,
-    index: usize,
-    conn: &Arc<Conn>,
-    line: &str,
-) {
-    let start = Instant::now();
-    match wire::decode_request(line) {
-        Ok(None) => {} // blank / comment: consumed, no response owed
-        Ok(Some(query)) => {
-            let resp = session.run(&query);
-            let rendered = if shared.cfg.json {
-                wire::encode_response(&query, &resp)
-            } else {
-                wire::encode_response_text(&query, &resp)
-            };
-            // Service time = decode + run + encode; the write is the
-            // client's pace, not the server's.
-            shared.hists.record(query.kind(), start.elapsed());
-            conn.write_line(&rendered, shared);
-            publish_worker(shared, index, session);
-        }
-        Err(err) => {
-            shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
-            let rendered = if shared.cfg.json {
-                wire::encode_error(&err)
-            } else {
-                format!("error: {err}")
-            };
-            conn.write_line(&rendered, shared);
-        }
-    }
-}
-
-/// Publishes a worker's cumulative session accounting for snapshots.
-fn publish_worker(shared: &Shared, index: usize, session: &Session) {
-    let mut slot = shared.published[index].lock().unwrap();
-    slot.stats = session.stats();
-    slot.expr_nodes = session.expr_nodes_seen();
-    slot.expr_subterms = session.expr_subterms_seen();
-    slot.recycles = session.engine_recycles();
-    slot.queries = session.queries_run();
-    slot.analysis = session.analysis_stats();
-    slot.optimize = session.optimize_stats();
-    slot.snapshot = session.snapshot_stats();
+    publish(&session);
 }
 
 /// The accept loop of one TCP listener.
@@ -773,52 +718,33 @@ impl ServerHandle {
     #[must_use]
     pub fn stats_block(&self) -> StatsBlock {
         let shared = &self.shared;
-        let mut engine = DeciderStats::default();
-        let mut expr_nodes = 0;
-        let mut expr_subterms = 0;
-        let mut recycles = 0;
-        let mut analysis = AnalysisStats::default();
-        let mut optimize = OptimizeStats::default();
-        let mut snapshot = SnapshotStats::default();
-        let mut worker_recycles = Vec::with_capacity(shared.published.len());
-        let mut worker_queries = Vec::with_capacity(shared.published.len());
-        for slot in &shared.published {
-            let w = slot.lock().unwrap().clone();
-            engine = engine.merged(&w.stats);
-            expr_nodes += w.expr_nodes;
-            expr_subterms += w.expr_subterms;
-            recycles += w.recycles;
-            analysis = analysis.merged(&w.analysis);
-            optimize = optimize.merged(&w.optimize);
-            snapshot = snapshot.merged(&w.snapshot);
-            worker_recycles.push(w.recycles);
-            worker_queries.push(w.queries);
-        }
-        snapshot.load_warnings += shared.snapshot_load_warnings.load(Ordering::Relaxed);
+        let workers: Vec<SessionTotals> = shared
+            .published
+            .iter()
+            .map(|slot| slot.lock().unwrap().clone())
+            .collect();
+        let mut totals = workers
+            .iter()
+            .fold(SessionTotals::default(), |acc, w| acc.merged(w));
+        totals.snapshot.load_warnings += shared.snapshot_load_warnings.load(Ordering::Relaxed);
         let c = &shared.counters;
-        StatsBlock {
-            engine,
-            expr_nodes,
-            expr_subterms,
-            engine_recycles: recycles,
-            queries: shared.hists.total(),
-            elapsed: shared.started.elapsed(),
-            ops: shared.hists.snapshot(),
-            analysis,
-            optimize,
-            snapshot,
-            serve: Some(ServeCounters {
-                connections_opened: c.connections_opened.load(Ordering::Relaxed),
-                connections_closed: c.connections_closed.load(Ordering::Relaxed),
-                rejected_overload: c.rejected_overload.load(Ordering::Relaxed),
-                rejected_line_bytes: c.rejected_line_bytes.load(Ordering::Relaxed),
-                wire_errors: c.wire_errors.load(Ordering::Relaxed),
-                dropped_mid_response: c.dropped_mid_response.load(Ordering::Relaxed),
-                pending_now: shared.pending_total.load(Ordering::SeqCst) as u64,
-                worker_recycles,
-                worker_queries,
-            }),
-        }
+        let serve = ServeCounters {
+            connections_opened: c.connections_opened.load(Ordering::Relaxed),
+            connections_closed: c.connections_closed.load(Ordering::Relaxed),
+            rejected_overload: c.rejected_overload.load(Ordering::Relaxed),
+            rejected_line_bytes: c.rejected_line_bytes.load(Ordering::Relaxed),
+            wire_errors: c.wire_errors.load(Ordering::Relaxed),
+            dropped_mid_response: c.dropped_mid_response.load(Ordering::Relaxed),
+            pending_now: shared.pending_total.load(Ordering::SeqCst) as u64,
+            worker_recycles: workers.iter().map(|w| w.engine_recycles).collect(),
+            worker_queries: workers.iter().map(|w| w.queries).collect(),
+        };
+        StatsBlock::new(
+            totals,
+            shared.hists.snapshot(),
+            shared.started.elapsed(),
+            Some(serve),
+        )
     }
 }
 
@@ -887,7 +813,7 @@ impl Server {
             next_worker: AtomicUsize::new(0),
             queues: (0..cfg.workers).map(|_| WorkerQueue::default()).collect(),
             published: (0..cfg.workers)
-                .map(|_| Mutex::new(WorkerPub::default()))
+                .map(|_| Mutex::new(SessionTotals::default()))
                 .collect(),
             hists: OpHistograms::new(),
             counters: Counters::default(),
@@ -1058,8 +984,8 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert!(
-            line.contains("\"error\"") && line.contains("64-byte cap"),
-            "{line}"
+            line.starts_with(r#"{"v":1,"verdict":"error","#) && line.contains("64-byte cap"),
+            "shed lines carry the wire version like every error line: {line}"
         );
         line.clear();
         reader.read_line(&mut line).unwrap();
@@ -1114,8 +1040,8 @@ mod tests {
         assert_eq!(server.join(), 0);
         let block = handle.stats_block();
         assert_eq!(block.queries, 2);
-        assert_eq!(block.optimize.queries, 1);
-        assert_eq!(block.optimize.steps_applied, 1);
+        assert_eq!(block.totals.optimize.queries, 1);
+        assert_eq!(block.totals.optimize.steps_applied, 1);
         assert_eq!(block.ops.op(QueryKind::Optimize).count(), 1);
     }
 

@@ -20,7 +20,7 @@
 use super::histogram::{fmt_ns, HistogramSnapshot, LatencyHistogram};
 use crate::api::json::Json;
 use crate::api::wire::WIRE_VERSION;
-use crate::api::{AnalysisStats, OptimizeStats, QueryKind, SnapshotStats};
+use crate::api::{QueryKind, SessionTotals};
 use nka_qprog::analysis::{PASS_NAMES, RULE_METADATA};
 use nka_wfa::DeciderStats;
 use std::time::Duration;
@@ -147,39 +147,43 @@ pub struct ServeCounters {
     pub worker_queries: Vec<u64>,
 }
 
-/// Everything one `--stats` report contains. Build it, then call
-/// [`StatsBlock::render_human`] or [`StatsBlock::to_json`].
+/// Everything one `--stats` report contains. Build it with
+/// [`StatsBlock::new`], then call [`StatsBlock::render_human`] or
+/// [`StatsBlock::to_json`].
 #[derive(Debug, Clone)]
 pub struct StatsBlock {
-    /// Cumulative engine counters for the stream.
-    pub engine: DeciderStats,
-    /// Total tree nodes across queried expressions.
-    pub expr_nodes: u64,
-    /// Distinct interned subterms across queried expressions.
-    pub expr_subterms: u64,
-    /// Engine recycles across the stream's sessions.
-    pub engine_recycles: u64,
+    /// Cumulative counters of every session that answered the stream:
+    /// engine, term sizes, recycles, analyzer, optimizer, snapshot.
+    pub totals: SessionTotals,
     /// Queries answered (histogram total; includes every op).
     pub queries: u64,
     /// Wall-clock covered by the report.
     pub elapsed: Duration,
     /// Per-op latency snapshots.
     pub ops: OpSnapshots,
-    /// Static-analyzer counters (findings per pass, Tier B decides,
-    /// certificate cache hits); all-zero until the first `analyze`.
-    pub analysis: AnalysisStats,
-    /// Optimizer counters (steps per rule, refuted candidates,
-    /// fixpoints vs budget bails, certification cache traffic);
-    /// all-zero until the first `optimize`.
-    pub optimize: OptimizeStats,
-    /// Warm-start counters (restored entries, snapshot-tier hits,
-    /// dumps, load warnings); all-zero when no snapshot was involved.
-    pub snapshot: SnapshotStats,
     /// Socket-server section, if the stream was served over sockets.
     pub serve: Option<ServeCounters>,
 }
 
 impl StatsBlock {
+    /// The report of a stream answered by sessions whose merged
+    /// accounting is `totals`, with latencies `ops`, over `elapsed`.
+    #[must_use]
+    pub fn new(
+        totals: SessionTotals,
+        ops: OpSnapshots,
+        elapsed: Duration,
+        serve: Option<ServeCounters>,
+    ) -> StatsBlock {
+        StatsBlock {
+            totals,
+            queries: ops.total(),
+            elapsed,
+            ops,
+            serve,
+        }
+    }
+
     /// Queries per second over the report's wall-clock window.
     #[must_use]
     pub fn qps(&self) -> f64 {
@@ -198,7 +202,8 @@ impl StatsBlock {
     /// when serving sockets, a `serve stats:` line.
     #[must_use]
     pub fn render_human(&self) -> String {
-        let s = &self.engine;
+        let t = &self.totals;
+        let s = &t.engine;
         let mut out = format!(
             "engine stats: {} NKA + {} KA queries, {} verdict hits, {} compiles ({} cached), {} determinizations ({} cached)\n",
             s.nka_queries,
@@ -215,8 +220,8 @@ impl StatsBlock {
         ));
         out.push_str(&format!(
             "expr stats: {} tree nodes over {} distinct subterms queried; {} expressions interned process-wide\n",
-            self.expr_nodes,
-            self.expr_subterms,
+            t.expr_nodes,
+            t.expr_subterms,
             nka_syntax::interned_expr_count(),
         ));
         out.push_str(&format!(
@@ -226,7 +231,7 @@ impl StatsBlock {
             nka_syntax::scratch_live_nodes(),
             nka_syntax::scratch_retired_total(),
             nka_syntax::scratch_epoch(),
-            self.engine_recycles,
+            t.engine_recycles,
         ));
         out.push_str(&format!(
             "latency stats: {} queries in {:.2}s ({:.1} q/s)\n",
@@ -249,43 +254,43 @@ impl StatsBlock {
                 fmt_ns(h.mean_ns()),
             ));
         }
-        if !self.analysis.is_zero() {
+        if !t.analysis.is_zero() {
             let per_pass: Vec<String> = PASS_NAMES
                 .iter()
-                .zip(self.analysis.findings_by_pass)
+                .zip(t.analysis.findings_by_pass)
                 .filter(|(_, n)| *n > 0)
                 .map(|(pass, n)| format!("{pass}:{n}"))
                 .collect();
             out.push_str(&format!(
                 "analysis stats: {} findings [{}], {} Tier B decides, {} certificate cache hits\n",
-                self.analysis.findings_total(),
+                t.analysis.findings_total(),
                 per_pass.join(" "),
-                self.analysis.tier_b_decides,
-                self.analysis.cert_cache_hits,
+                t.analysis.tier_b_decides,
+                t.analysis.cert_cache_hits,
             ));
         }
-        if !self.optimize.is_zero() {
+        if !t.optimize.is_zero() {
             let per_rule: Vec<String> = RULE_METADATA
                 .iter()
-                .zip(self.optimize.steps_by_rule)
+                .zip(t.optimize.steps_by_rule)
                 .filter(|(_, n)| *n > 0)
                 .map(|(meta, n)| format!("{}:{n}", meta.name))
                 .collect();
             out.push_str(&format!(
                 "optimize stats: {} queries, {} steps [{}], {} refuted, {} fixpoints, {} budget bails, {} cycle breaks, {} engine decides, {} certificate cache hits\n",
-                self.optimize.queries,
-                self.optimize.steps_applied,
+                t.optimize.queries,
+                t.optimize.steps_applied,
                 per_rule.join(" "),
-                self.optimize.candidates_refuted,
-                self.optimize.fixpoints,
-                self.optimize.budget_bails,
-                self.optimize.cycle_breaks,
-                self.optimize.engine_decides,
-                self.optimize.cert_cache_hits,
+                t.optimize.candidates_refuted,
+                t.optimize.fixpoints,
+                t.optimize.budget_bails,
+                t.optimize.cycle_breaks,
+                t.optimize.engine_decides,
+                t.optimize.cert_cache_hits,
             ));
         }
-        if !self.snapshot.is_zero() {
-            let sn = &self.snapshot;
+        if !t.snapshot.is_zero() {
+            let sn = &t.snapshot;
             let age = sn.loaded_created_unix_secs.map_or_else(
                 || "-".to_owned(),
                 |created| {
@@ -344,6 +349,7 @@ impl StatsBlock {
     /// sockets.
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let t = &self.totals;
         let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
         let mut fields = vec![
             ("v".to_owned(), Json::Int(WIRE_VERSION)),
@@ -356,19 +362,19 @@ impl StatsBlock {
                 "qps".to_owned(),
                 Json::Int((self.qps().round() as i64).max(0)),
             ),
-            ("engine".to_owned(), decider_stats_json(&self.engine)),
+            ("engine".to_owned(), decider_stats_json(&t.engine)),
             (
                 "expr".to_owned(),
                 Json::Obj(vec![
-                    ("nodes".to_owned(), int(self.expr_nodes)),
-                    ("subterms".to_owned(), int(self.expr_subterms)),
+                    ("nodes".to_owned(), int(t.expr_nodes)),
+                    ("subterms".to_owned(), int(t.expr_subterms)),
                     (
                         "interned".to_owned(),
                         int(nka_syntax::interned_expr_count() as u64),
                     ),
                 ]),
             ),
-            ("arena".to_owned(), arena_stats_json(self.engine_recycles)),
+            ("arena".to_owned(), arena_stats_json(t.engine_recycles)),
         ];
         let mut ops = Vec::new();
         for kind in OPS {
@@ -402,58 +408,52 @@ impl StatsBlock {
                     Json::Obj(
                         PASS_NAMES
                             .iter()
-                            .zip(self.analysis.findings_by_pass)
+                            .zip(t.analysis.findings_by_pass)
                             .map(|(pass, n)| ((*pass).to_owned(), int(n)))
                             .collect(),
                     ),
                 ),
                 (
                     "findings_total".to_owned(),
-                    int(self.analysis.findings_total()),
+                    int(t.analysis.findings_total()),
                 ),
-                (
-                    "tier_b_decides".to_owned(),
-                    int(self.analysis.tier_b_decides),
-                ),
+                ("tier_b_decides".to_owned(), int(t.analysis.tier_b_decides)),
                 (
                     "cert_cache_hits".to_owned(),
-                    int(self.analysis.cert_cache_hits),
+                    int(t.analysis.cert_cache_hits),
                 ),
             ]),
         ));
         fields.push((
             "optimize".to_owned(),
             Json::Obj(vec![
-                ("queries".to_owned(), int(self.optimize.queries)),
-                ("steps_applied".to_owned(), int(self.optimize.steps_applied)),
+                ("queries".to_owned(), int(t.optimize.queries)),
+                ("steps_applied".to_owned(), int(t.optimize.steps_applied)),
                 (
                     "steps".to_owned(),
                     Json::Obj(
                         RULE_METADATA
                             .iter()
-                            .zip(self.optimize.steps_by_rule)
+                            .zip(t.optimize.steps_by_rule)
                             .map(|(meta, n)| (meta.name.to_owned(), int(n)))
                             .collect(),
                     ),
                 ),
                 (
                     "candidates_refuted".to_owned(),
-                    int(self.optimize.candidates_refuted),
+                    int(t.optimize.candidates_refuted),
                 ),
-                ("fixpoints".to_owned(), int(self.optimize.fixpoints)),
-                ("budget_bails".to_owned(), int(self.optimize.budget_bails)),
-                ("cycle_breaks".to_owned(), int(self.optimize.cycle_breaks)),
-                (
-                    "engine_decides".to_owned(),
-                    int(self.optimize.engine_decides),
-                ),
+                ("fixpoints".to_owned(), int(t.optimize.fixpoints)),
+                ("budget_bails".to_owned(), int(t.optimize.budget_bails)),
+                ("cycle_breaks".to_owned(), int(t.optimize.cycle_breaks)),
+                ("engine_decides".to_owned(), int(t.optimize.engine_decides)),
                 (
                     "cert_cache_hits".to_owned(),
-                    int(self.optimize.cert_cache_hits),
+                    int(t.optimize.cert_cache_hits),
                 ),
             ]),
         ));
-        let sn = &self.snapshot;
+        let sn = &t.snapshot;
         fields.push((
             "snapshot".to_owned(),
             Json::Obj(vec![
@@ -571,7 +571,7 @@ mod tests {
         hists.record(QueryKind::NkaEq, Duration::from_micros(3));
         hists.record(QueryKind::NkaEq, Duration::from_micros(5));
         hists.record(QueryKind::ProgEq, Duration::from_millis(2));
-        StatsBlock {
+        let totals = SessionTotals {
             engine: DeciderStats {
                 nka_queries: 3,
                 starfree_hits: 1,
@@ -580,14 +580,9 @@ mod tests {
             expr_nodes: 10,
             expr_subterms: 7,
             engine_recycles: 2,
-            queries: hists.total(),
-            elapsed: Duration::from_secs(1),
-            ops: hists.snapshot(),
-            analysis: AnalysisStats::default(),
-            optimize: OptimizeStats::default(),
-            snapshot: SnapshotStats::default(),
-            serve,
-        }
+            ..SessionTotals::default()
+        };
+        StatsBlock::new(totals, hists.snapshot(), Duration::from_secs(1), serve)
     }
 
     #[test]
@@ -660,11 +655,11 @@ mod tests {
         // With warm-start activity the human line appears and the JSON
         // reports a numeric age.
         let mut warm = sample_block(None);
-        warm.snapshot.restored_entries = 9;
-        warm.snapshot.snapshot_hits = 4;
-        warm.snapshot.cert_snapshot_hits = 2;
-        warm.snapshot.dumps = 1;
-        warm.snapshot.loaded_created_unix_secs = Some(crate::snapshot::now_unix_secs());
+        warm.totals.snapshot.restored_entries = 9;
+        warm.totals.snapshot.snapshot_hits = 4;
+        warm.totals.snapshot.cert_snapshot_hits = 2;
+        warm.totals.snapshot.dumps = 1;
+        warm.totals.snapshot.loaded_created_unix_secs = Some(crate::snapshot::now_unix_secs());
         let text = warm.render_human();
         assert!(
             text.contains("snapshot stats: 9 entries restored"),
@@ -705,10 +700,10 @@ mod tests {
         );
         // Non-zero counters: human line lists only the active passes.
         let mut busy = sample_block(None);
-        busy.analysis.tier_b_decides = 4;
-        busy.analysis.cert_cache_hits = 1;
-        busy.analysis.findings_by_pass[0] = 2; // unused_qubit
-        busy.analysis.findings_by_pass[5] = 1; // dead_branch
+        busy.totals.analysis.tier_b_decides = 4;
+        busy.totals.analysis.cert_cache_hits = 1;
+        busy.totals.analysis.findings_by_pass[0] = 2; // unused_qubit
+        busy.totals.analysis.findings_by_pass[5] = 1; // dead_branch
         let text = busy.render_human();
         assert!(
             text.contains(
@@ -738,16 +733,16 @@ mod tests {
         );
         // Non-zero counters: human line lists only the rules that fired.
         let mut busy = sample_block(None);
-        busy.optimize.queries = 2;
-        busy.optimize.steps_applied = 3;
+        busy.totals.optimize.queries = 2;
+        busy.totals.optimize.steps_applied = 3;
         let abort_sink = nka_qprog::optimize::rule_index("abort-sink").unwrap();
         let dead_branch = nka_qprog::optimize::rule_index("dead-branch").unwrap();
-        busy.optimize.steps_by_rule[abort_sink] = 2;
-        busy.optimize.steps_by_rule[dead_branch] = 1;
-        busy.optimize.candidates_refuted = 1;
-        busy.optimize.fixpoints = 2;
-        busy.optimize.engine_decides = 5;
-        busy.optimize.cert_cache_hits = 2;
+        busy.totals.optimize.steps_by_rule[abort_sink] = 2;
+        busy.totals.optimize.steps_by_rule[dead_branch] = 1;
+        busy.totals.optimize.candidates_refuted = 1;
+        busy.totals.optimize.fixpoints = 2;
+        busy.totals.optimize.engine_decides = 5;
+        busy.totals.optimize.cert_cache_hits = 2;
         let text = busy.render_human();
         assert!(
             text.contains(

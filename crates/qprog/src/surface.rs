@@ -20,6 +20,11 @@
 //! GATE    := h | x | y | z | s | t | cnot | cz | swap
 //! ```
 //!
+//! Blocks nest at most [`nka_syntax::MAX_NESTING_DEPTH`] deep; a
+//! deeper `{` is a `nesting too deep` error spanning it
+//! ([`SurfaceProgram::parse_generated`] lifts the limit for sources
+//! the library rewrote itself).
+//!
 //! `if`/`while` measure one qubit in the computational basis; outcome 1
 //! selects the `if` branch / continues the loop, outcome 0 selects
 //! `else` / exits — exactly the paper's `while M[q̄] = 1 do P done`.
@@ -64,6 +69,7 @@
 //! ```
 
 use crate::program::Program;
+use nka_syntax::{nesting_too_deep, MAX_NESTING_DEPTH};
 use qsim_linalg::{CMatrix, Complex};
 use qsim_quantum::{gates, Measurement, RegisterSpace, Superoperator};
 use std::fmt;
@@ -225,8 +231,25 @@ impl SurfaceProgram {
     /// A span-bearing [`ParseProgError`] on any lexical, syntactic, or
     /// arity/range error (unknown gate, out-of-range qubit, …).
     pub fn parse(src: &str) -> Result<SurfaceProgram, ParseProgError> {
+        SurfaceProgram::parse_nested(src, MAX_NESTING_DEPTH)
+    }
+
+    /// Parses a program the library generated from an already parsed
+    /// one (an optimizer rewrite, a certificate pair): no nesting
+    /// limit, since a rewrite such as loop peeling may nest one block
+    /// deeper than its input. Never use it on request input.
+    ///
+    /// # Errors
+    ///
+    /// As [`SurfaceProgram::parse`], minus the nesting limit.
+    pub fn parse_generated(src: &str) -> Result<SurfaceProgram, ParseProgError> {
+        SurfaceProgram::parse_nested(src, usize::MAX)
+    }
+
+    fn parse_nested(src: &str, max_depth: usize) -> Result<SurfaceProgram, ParseProgError> {
         let tokens = tokenize(src)?;
         let mut p = Parser::new(tokens, src.len());
+        p.max_depth = max_depth;
         let (qubits, header_span, ast) = p.parse_program()?;
         let space = qubit_space(qubits);
         let prog = lower_seq(&space, qubits, &ast);
@@ -470,6 +493,9 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     input_len: usize,
+    /// Blocks currently open, and how many may be.
+    depth: usize,
+    max_depth: usize,
 }
 
 impl Parser {
@@ -478,6 +504,8 @@ impl Parser {
             tokens,
             pos: 0,
             input_len,
+            depth: 0,
+            max_depth: MAX_NESTING_DEPTH,
         }
     }
 
@@ -617,8 +645,13 @@ impl Parser {
 
     /// `block := '{' seq? '}'`
     fn parse_block(&mut self, qubits: usize) -> Result<Vec<Stmt>, ParseProgError> {
+        if self.depth >= self.max_depth && self.peek() == Some(&Token::LBrace) {
+            return Err(self.err_here(nesting_too_deep()));
+        }
         self.expect(&Token::LBrace, "'{'")?;
+        self.depth += 1;
         let body = self.parse_seq(qubits, true)?;
+        self.depth -= 1;
         self.expect(&Token::RBrace, "'}'")?;
         Ok(body)
     }
@@ -1043,6 +1076,28 @@ mod tests {
                 targets: vec![0, 1],
             }
         );
+    }
+
+    #[test]
+    fn block_nesting_at_the_limit_parses_and_one_deeper_is_a_spanned_error() {
+        let nested = |n: usize| format!("qubits 1; {}h q0{}", "if q0 { ".repeat(n), " }".repeat(n));
+        // At the limit: parses on a default-stack (2 MiB) thread.
+        let src = nested(MAX_NESTING_DEPTH);
+        let parsed = std::thread::spawn(move || SurfaceProgram::parse(&src).map(|p| p.ast().len()))
+            .join()
+            .expect("parser thread survives");
+        assert_eq!(parsed, Ok(1));
+        let src = nested(MAX_NESTING_DEPTH + 1);
+        let err = SurfaceProgram::parse(&src).unwrap_err();
+        assert!(err.message().starts_with("nesting too deep"), "{err}");
+        let brace = "qubits 1; ".len() + "if q0 { ".len() * MAX_NESTING_DEPTH + "if q0 ".len();
+        assert_eq!(
+            err.span(),
+            (brace, brace + 1),
+            "the first '{{' past the limit"
+        );
+        // Library-generated sources are not limited.
+        assert!(SurfaceProgram::parse_generated(&src).is_ok());
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub use expr::{
     scratch_live_nodes, scratch_retired_total, Expr, ExprId, ExprNode, ScratchScope,
 };
 pub use generator::{random_expr, ExprGenConfig};
-pub use parser::{render_caret, ParseExprError};
+pub use parser::{nesting_too_deep, render_caret, ParseExprError, MAX_NESTING_DEPTH};
 pub use symbol::Symbol;
 pub use word::Word;

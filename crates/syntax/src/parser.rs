@@ -9,6 +9,15 @@
 //! base   := '0' | '1' | ident | '(' expr ')'
 //! ident  := [a-zA-Z_][a-zA-Z0-9_']*
 //! ```
+//!
+//! Nesting is bounded by [`MAX_NESTING_DEPTH`]: at most that many open
+//! parentheses at any point (they bound the parser's own recursion),
+//! and at most that many stars stacked on one operand (each postfix
+//! `*` is one level; parentheses do not add to it, so the printed form
+//! of a parsed term, which parenthesizes nested stars, parses again).
+//! Deeper input is a `nesting too deep` error spanning the offending
+//! token. Terms built through the [`Expr`] constructors are not
+//! limited.
 
 use crate::{Expr, Symbol};
 use std::fmt;
@@ -84,6 +93,19 @@ pub fn render_caret(src: &str, start: usize, end: usize, msg: &str) -> String {
         pad = " ".repeat(col),
         carets = "^".repeat(width),
     )
+}
+
+/// The nesting limit shared by every request parser in the workspace:
+/// this expression parser, the quantum surface language, and the wire
+/// layer's JSON reader. Input at the limit parses and answers on a
+/// default 2 MiB thread stack; one level deeper is a structured
+/// `nesting too deep` error rather than a stack overflow.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
+/// The message of every nesting-limit error.
+#[must_use]
+pub fn nesting_too_deep() -> String {
+    format!("nesting too deep (the limit is {MAX_NESTING_DEPTH} levels)")
 }
 
 impl fmt::Display for ParseExprError {
@@ -169,6 +191,8 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     input_len: usize,
+    /// Parentheses currently open.
+    open_parens: usize,
 }
 
 impl Parser {
@@ -191,46 +215,60 @@ impl Parser {
         t
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseExprError> {
-        let mut acc = self.parse_term()?;
+    /// Each parse step returns the term and its star level: the most
+    /// stars stacked on any operand inside it.
+    fn parse_expr(&mut self) -> Result<(Expr, usize), ParseExprError> {
+        let (mut acc, mut level) = self.parse_term()?;
         while self.peek() == Some(&Token::Plus) {
             self.bump();
-            let rhs = self.parse_term()?;
+            let (rhs, rhs_level) = self.parse_term()?;
             acc = acc.add(&rhs);
+            level = level.max(rhs_level);
         }
-        Ok(acc)
+        Ok((acc, level))
     }
 
-    fn parse_term(&mut self) -> Result<Expr, ParseExprError> {
-        let mut acc = self.parse_factor()?;
+    fn parse_term(&mut self) -> Result<(Expr, usize), ParseExprError> {
+        let (mut acc, mut level) = self.parse_factor()?;
         loop {
             match self.peek() {
                 Some(Token::Zero | Token::One | Token::Ident(_) | Token::LParen) => {
-                    let rhs = self.parse_factor()?;
+                    let (rhs, rhs_level) = self.parse_factor()?;
                     acc = acc.mul(&rhs);
+                    level = level.max(rhs_level);
                 }
-                _ => return Ok(acc),
+                _ => return Ok((acc, level)),
             }
         }
     }
 
-    fn parse_factor(&mut self) -> Result<Expr, ParseExprError> {
-        let mut base = self.parse_base()?;
+    fn parse_factor(&mut self) -> Result<(Expr, usize), ParseExprError> {
+        let (mut base, mut level) = self.parse_base()?;
         while self.peek() == Some(&Token::Star) {
+            if level >= MAX_NESTING_DEPTH {
+                let (start, end) = self.here();
+                return Err(ParseExprError::new(nesting_too_deep(), start, end));
+            }
             self.bump();
             base = base.star();
+            level += 1;
         }
-        Ok(base)
+        Ok((base, level))
     }
 
-    fn parse_base(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_base(&mut self) -> Result<(Expr, usize), ParseExprError> {
         let (at, at_end) = self.here();
         match self.bump() {
-            Some(Token::Zero) => Ok(Expr::zero()),
-            Some(Token::One) => Ok(Expr::one()),
-            Some(Token::Ident(name)) => Ok(Expr::atom(Symbol::intern(&name))),
+            Some(Token::Zero) => Ok((Expr::zero(), 0)),
+            Some(Token::One) => Ok((Expr::one(), 0)),
+            Some(Token::Ident(name)) => Ok((Expr::atom(Symbol::intern(&name)), 0)),
             Some(Token::LParen) => {
+                if self.open_parens >= MAX_NESTING_DEPTH {
+                    return Err(ParseExprError::new(nesting_too_deep(), at, at_end));
+                }
+                self.open_parens += 1;
                 let inner = self.parse_expr()?;
+                self.open_parens -= 1;
                 let (close, close_end) = self.here();
                 match self.bump() {
                     Some(Token::RParen) => Ok(inner),
@@ -260,8 +298,9 @@ impl FromStr for Expr {
             tokens,
             pos: 0,
             input_len: s.len(),
+            open_parens: 0,
         };
-        let expr = parser.parse_expr()?;
+        let (expr, _) = parser.parse_expr()?;
         if parser.pos != parser.tokens.len() {
             let (start, end) = parser.here();
             return Err(ParseExprError::new("trailing input", start, end));
@@ -372,6 +411,47 @@ mod tests {
         assert!("".parse::<Expr>().is_err());
         assert!("a + ".parse::<Expr>().is_err());
         assert!("*".parse::<Expr>().is_err());
+    }
+
+    /// Parses `src` on a freshly spawned default-stack (2 MiB) thread,
+    /// the stack a serve worker answers on.
+    fn parse_on_default_stack(src: String) -> Result<Expr, ParseExprError> {
+        std::thread::spawn(move || src.parse::<Expr>())
+            .join()
+            .expect("parser thread survives")
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_and_one_deeper_is_a_spanned_error() {
+        let d = MAX_NESTING_DEPTH;
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        let stars = |n: usize| format!("a{}", "*".repeat(n));
+        assert_eq!(
+            parse_on_default_stack(parens(d)).unwrap(),
+            Expr::atom_str("a")
+        );
+        let starred = parse_on_default_stack(stars(d)).unwrap();
+        // The printed form parenthesizes nested stars and parses back.
+        assert_eq!(
+            parse_on_default_stack(starred.to_string()).unwrap(),
+            starred
+        );
+
+        let err = parse_on_default_stack(parens(d + 1)).unwrap_err();
+        assert!(err.message().starts_with("nesting too deep"), "{err}");
+        assert_eq!(err.span(), (d, d + 1), "the first '(' past the limit");
+        let err = parse_on_default_stack(stars(d + 1)).unwrap_err();
+        assert!(err.message().starts_with("nesting too deep"), "{err}");
+        assert_eq!(err.span(), (d + 1, d + 2), "the first '*' past the limit");
+        // Stars inside parentheses still stack on one operand.
+        let err = "((a*)*)"
+            .replace("a*", &stars(d))
+            .parse::<Expr>()
+            .unwrap_err();
+        assert!(err.message().starts_with("nesting too deep"), "{err}");
+        // Hostile sizes fail fast instead of overflowing the stack.
+        assert!(parse_on_default_stack(stars(100_000)).is_err());
+        assert!(parse_on_default_stack(parens(8000)).is_err());
     }
 
     #[test]

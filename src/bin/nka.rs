@@ -64,12 +64,14 @@
 //! latency histograms (p50/p99/p999 + queries/sec) to stderr at exit;
 //! with `--json` the report is one machine-readable JSON object instead
 //! (same counters, plus the raw log-spaced histogram buckets — see
-//! [`nka_core::serve::stats::StatsBlock`]). `--jobs N` (batch only) shards the stream across `N`
-//! parallel worker sessions ([`run_batch_parallel_traced`]); verdicts, output
-//! order, and exit codes are identical to `--jobs 1`. The parallel path
-//! reads and answers the stream in bounded chunks, so it works on live
-//! pipelines in O(chunk) memory (each chunk's responses flush before
-//! the next chunk is read; `--jobs 1` remains fully line-by-line).
+//! [`nka_core::serve::stats::StatsBlock`]). Every surface answers a
+//! line through the one handler [`answer_line`] — a one-shot's
+//! arguments become one request line — so the histograms record the
+//! same service time (decode + run + encode) everywhere. `--jobs N`
+//! (batch only) answers the stream on `N` warm worker sessions
+//! ([`run_ordered`]) fed over bounded channels, so it streams live
+//! pipelines in bounded memory; verdicts, output order, and exit codes
+//! are identical to `--jobs 1`.
 //!
 //! Memory governance (`serve`/`batch`): `--max-queries-per-worker N`
 //! recycles a worker session's engine caches after `N` queries, and
@@ -106,17 +108,17 @@
 
 use nka_core::api::json::Json;
 use nka_core::api::{
-    run_batch_parallel_traced, wire, AnalysisStats, ApiError, BatchSnapshot, OptimizeStats, Query,
-    Session, SessionOptions, SnapshotStats, Verdict, DEFAULT_OPTIMIZE_BEAM,
-    DEFAULT_OPTIMIZE_MAX_STEPS,
+    answer_line, run_ordered, wire, Answered, ApiError, LineClass, Query, Session, SessionOptions,
+    SessionTotals, Verdict, DEFAULT_OPTIMIZE_BEAM, DEFAULT_OPTIMIZE_MAX_STEPS,
 };
 use nka_core::serve::{ListenAddr, OpHistograms, ServeConfig, Server, StatsBlock};
-use nka_core::snapshot::Snapshot;
+use nka_core::snapshot::{self, ConfigGuard, Snapshot, SnapshotBuilder, SnapshotError};
 use nka_core::Judgment;
-use nka_wfa::DeciderStats;
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// `println!` that tolerates a closed stdout (`nka … | head` must exit
@@ -139,58 +141,11 @@ const EXIT_NO: u8 = 1;
 const EXIT_USAGE: u8 = 2;
 const EXIT_BUDGET: u8 = 3;
 
-const USAGE: &str = "usage:\n  nka [--budget N] [--stats] [--json] decide '<expr>' '<expr>'\n  nka [--budget N] [--stats] [--json] ka '<expr>' '<expr>'\n  nka [--json] series '<expr>' [max-len]\n  nka [--budget N] [--json] prove '<lhs>' '<rhs>' ['l = r'…]\n  nka [--budget N] [--stats] [--json] prog-eq '<prog>' '<prog>'\n  nka [--stats] [--json] hoare '<effect>' '<prog>' '<effect>'\n  nka [--budget N] [--stats] [--json] analyze '<prog>' [pass…]\n  nka [--budget N] [--stats] [--json] [--max-steps N] [--beam N]\n      optimize '<prog>' [rule…]\n  nka [--budget N] [--stats] [--json] [--jobs N] [--max-queries-per-worker N]\n      [--snapshot FILE] batch [FILE]   (FILE or '-' = stdin)\n  nka [--budget N] [--stats] [--json] [--max-queries-per-worker N]\n      [--max-arena-nodes N] [--snapshot FILE] serve\n  nka … serve --listen ADDR [--listen ADDR…] [--workers N] [--queue-depth N]\n      [--max-pending N] [--max-line-bytes N] [--stats-interval SECS]\n  nka snapshot dump FILE [CORPUS]   (run CORPUS or stdin, dump warm caches)\n  nka [--json] snapshot inspect FILE\n  nka snapshot verify FILE\n  nka encode-demo\n\nprog-eq decides Enc(p) = Enc(q) for two quantum while-programs (one\nshared encoder setting, Definition 4.4); hoare checks the triple\n{pre} prog {post} via wlp and reports the Theorem 7.8 encoding.\nanalyze lints a program: Tier A passes (unused_qubit, unreachable_code,\nself_inverse_pair, constant_guard, metrics) are purely syntactic;\nTier B passes (dead_branch, redundant_fragment, peephole) are decided\nby the engine and every finding carries a replayable prog-eq\ncertificate. Naming passes after the program restricts the run.\noptimize applies what analyze reports, then re-analyzes to fixpoint:\ngreedy rule application over the catalog (dead-branch, branch-fusion,\ngate-fusion, dead-loop, loop-peeling, double-reset, double-measure,\nabort-sink, uncompute) — every applied step is certified prog-eq by\nthe engine before it lands (refuted candidates are counted, never\napplied), and the result carries the step trace plus a final\nreplayable certificate. Naming rules after the program restricts the\ncatalog (and arms the growing peel direction for 'loop-peeling');\n--max-steps caps the fixpoint iteration (default 32), --beam bounds\nhow many certified candidates are weighed per step (default 1).\nPrograms: 'qubits N; h q0; cnot q0 q1; if q0 {…} else {…}; while q0 {…}'\n(gates: h x y z s t cnot cz swap; also init qK, skip, abort).\nEffects: sums of scaled projectors, e.g. 'I', '0.5 I', 'ket(01)', 'q0=1'.\n\nbatch/serve read one request per line: either JSONL\n  {\"op\":\"nka_eq\",\"lhs\":\"(p q)* p\",\"rhs\":\"p (q p)*\"}\n  (ops: nka_eq, ka_eq, series [expr, max_len], prove [lhs, rhs, hyps],\n   prog_eq [p, q], hoare [pre, prog, post], analyze [prog, passes],\n   optimize [prog, rules, max_steps, beam])\nor the shorthand 'e = f'; '#' comments and blank lines are skipped.\n--jobs N shards a batch across N parallel worker sessions in bounded\nchunks; verdicts, output order, and exit codes are identical to\n--jobs 1. --max-queries-per-worker N recycles a session's engine\ncaches every N queries (memory backstop; verdicts unchanged);\nserve --max-arena-nodes N exits 3 once the process-wide resident\nexpression arena exceeds N nodes, so a supervisor can restart it.\n\n--snapshot FILE warm-starts batch/serve from a verdict-cache snapshot\nand re-dumps it on exit (and on every engine recycle): decided\nverdicts, star-free word multisets, and analyzer certificates survive\nrestarts. A missing file is a cold first boot; a corrupt, truncated,\nor config-mismatched file degrades to a cold start with a warning —\nnever to a wrong answer. With batch --jobs N every worker warm-starts\nfrom the loaded entries and the dump is their deduplicated union. 'nka\nsnapshot dump|inspect|verify' create and examine snapshot files\noffline.\n\nserve --listen ADDR starts the concurrent socket server instead of the\nstdin loop: ADDR is 'host:port' (TCP; repeatable) or 'unix:/path'.\n--workers N sizes the pool of warm sessions (default: CPU count, max 8);\n--queue-depth N bounds each connection's in-flight window (backpressure:\nthe server stops reading a connection whose window is full, default 64);\n--max-pending N is the server-wide hard cap past which requests are\nanswered with a structured 'overloaded' error (default 1024);\n--max-line-bytes N rejects longer request lines (default 1 MiB);\n--stats-interval SECS prints a --stats snapshot to stderr periodically.\nSIGTERM/SIGINT (and --max-arena-nodes) drain gracefully: stop accepting,\nanswer every request already read, then exit (0 for signals, 3 for the\narena cap). nka-loadgen replays corpora against the server and diffs\nevery response against a sequential in-process session.\n\nexit codes: 0 holds/proved, 1 does not hold/no proof, 2 usage or parse\nerror, 3 budget exceeded; analyze: 0 clean or info-only findings,\n1 any warning-severity finding; optimize: 0 (the result is always\ncertified — rewritten or returned unchanged), 3 only on setup failure;\nbatch: 0 all answered, 2 any malformed\nline, else 3 any budget-exhausted query; serve: 0 at end of input or\nafter a signal-initiated drain, 3 if --max-arena-nodes tripped";
+const USAGE: &str = "usage:\n  nka [--budget N] [--stats] [--json] decide '<expr>' '<expr>'\n  nka [--budget N] [--stats] [--json] ka '<expr>' '<expr>'\n  nka [--json] series '<expr>' [max-len]\n  nka [--budget N] [--json] prove '<lhs>' '<rhs>' ['l = r'…]\n  nka [--budget N] [--stats] [--json] prog-eq '<prog>' '<prog>'\n  nka [--stats] [--json] hoare '<effect>' '<prog>' '<effect>'\n  nka [--budget N] [--stats] [--json] analyze '<prog>' [pass…]\n  nka [--budget N] [--stats] [--json] [--max-steps N] [--beam N]\n      optimize '<prog>' [rule…]\n  nka [--budget N] [--stats] [--json] [--jobs N] [--max-queries-per-worker N]\n      [--snapshot FILE] batch [FILE]   (FILE or '-' = stdin)\n  nka [--budget N] [--stats] [--json] [--max-queries-per-worker N]\n      [--max-arena-nodes N] [--snapshot FILE] serve\n  nka … serve --listen ADDR [--listen ADDR…] [--workers N] [--queue-depth N]\n      [--max-pending N] [--max-line-bytes N] [--stats-interval SECS]\n  nka snapshot dump FILE [CORPUS]   (run CORPUS or stdin, dump warm caches)\n  nka [--json] snapshot inspect FILE\n  nka snapshot verify FILE\n  nka encode-demo\n\nprog-eq decides Enc(p) = Enc(q) for two quantum while-programs (one\nshared encoder setting, Definition 4.4); hoare checks the triple\n{pre} prog {post} via wlp and reports the Theorem 7.8 encoding.\nanalyze lints a program: Tier A passes (unused_qubit, unreachable_code,\nself_inverse_pair, constant_guard, metrics) are purely syntactic;\nTier B passes (dead_branch, redundant_fragment, peephole) are decided\nby the engine and every finding carries a replayable prog-eq\ncertificate. Naming passes after the program restricts the run.\noptimize applies what analyze reports, then re-analyzes to fixpoint:\ngreedy rule application over the catalog (dead-branch, branch-fusion,\ngate-fusion, dead-loop, loop-peeling, double-reset, double-measure,\nabort-sink, uncompute) — every applied step is certified prog-eq by\nthe engine before it lands (refuted candidates are counted, never\napplied), and the result carries the step trace plus a final\nreplayable certificate. Naming rules after the program restricts the\ncatalog (and arms the growing peel direction for 'loop-peeling');\n--max-steps caps the fixpoint iteration (default 32), --beam bounds\nhow many certified candidates are weighed per step (default 1).\nPrograms: 'qubits N; h q0; cnot q0 q1; if q0 {…} else {…}; while q0 {…}'\n(gates: h x y z s t cnot cz swap; also init qK, skip, abort).\nEffects: sums of scaled projectors, e.g. 'I', '0.5 I', 'ket(01)', 'q0=1'.\n\nbatch/serve read one request per line: either JSONL\n  {\"op\":\"nka_eq\",\"lhs\":\"(p q)* p\",\"rhs\":\"p (q p)*\"}\n  (ops: nka_eq, ka_eq, series [expr, max_len], prove [lhs, rhs, hyps],\n   prog_eq [p, q], hoare [pre, prog, post], analyze [prog, passes],\n   optimize [prog, rules, max_steps, beam])\nor the shorthand 'e = f'; '#' comments and blank lines are skipped;\na line that is not valid UTF-8 gets a structured error like any\nmalformed line, and nesting deeper than 256 levels (parentheses,\nstacked stars, blocks, JSON arrays) is a 'nesting too deep' error.\n--jobs N answers a batch on N warm worker sessions, streaming (output\nin input order as it is ready); verdicts, output order, and exit codes\nare identical to --jobs 1. --max-queries-per-worker N recycles a\nsession's engine caches every N queries (memory backstop; verdicts\nunchanged); serve --max-arena-nodes N exits 3 once the\nprocess-wide resident expression arena exceeds N nodes, so a\nsupervisor can restart it.\n\n--snapshot FILE warm-starts batch/serve from a verdict-cache snapshot\nand re-dumps it on exit (and on every engine recycle): decided\nverdicts, star-free word multisets, and analyzer certificates survive\nrestarts. A missing file is a cold first boot; a corrupt, truncated,\nor config-mismatched file degrades to a cold start with a warning —\nnever to a wrong answer. With batch --jobs N every worker warm-starts\nfrom the loaded entries and the dump is their deduplicated union. 'nka\nsnapshot dump|inspect|verify' create and examine snapshot files\noffline.\n\nserve --listen ADDR starts the concurrent socket server instead of the\nstdin loop: ADDR is 'host:port' (TCP; repeatable) or 'unix:/path'.\n--workers N sizes the pool of warm sessions (default: CPU count, max 8);\n--queue-depth N bounds each connection's in-flight window (backpressure:\nthe server stops reading a connection whose window is full, default 64);\n--max-pending N is the server-wide hard cap past which requests are\nanswered with a structured 'overloaded' error (default 1024);\n--max-line-bytes N rejects longer request lines (default 1 MiB);\n--stats-interval SECS prints a --stats snapshot to stderr periodically.\nSIGTERM/SIGINT (and --max-arena-nodes) drain gracefully: stop accepting,\nanswer every request already read, then exit (0 for signals, 3 for the\narena cap). nka-loadgen replays corpora against the server and diffs\nevery response against a sequential in-process session.\n\nexit codes: 0 holds/proved, 1 does not hold/no proof, 2 usage or parse\nerror, 3 budget exceeded; analyze: 0 clean or info-only findings,\n1 any warning-severity finding; optimize: 0 (the result is always\ncertified — rewritten or returned unchanged), 3 only on setup failure;\nbatch: 0 all answered, 2 any malformed\nline, else 3 any budget-exhausted query; serve: 0 at end of input or\nafter a signal-initiated drain, 3 if --max-arena-nodes tripped";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
     ExitCode::from(EXIT_USAGE)
-}
-
-/// What `--stats` aggregates while a stream runs: engine counters plus
-/// the Expr API v2 term-size accounting, from whichever sessions
-/// answered it. Rendered at exit through [`StatsBlock`] (human text or,
-/// with `--json`, one JSON object).
-struct StatsReport {
-    stats: DeciderStats,
-    expr_nodes: u64,
-    expr_subterms: u64,
-    engine_recycles: u64,
-    analysis: AnalysisStats,
-    optimize: OptimizeStats,
-    snapshot: SnapshotStats,
-}
-
-impl StatsReport {
-    fn of_session(session: &Session) -> StatsReport {
-        StatsReport {
-            stats: session.stats(),
-            expr_nodes: session.expr_nodes_seen(),
-            expr_subterms: session.expr_subterms_seen(),
-            engine_recycles: session.engine_recycles(),
-            analysis: session.analysis_stats(),
-            optimize: session.optimize_stats(),
-            snapshot: session.snapshot_stats(),
-        }
-    }
-
-    /// Pairs the engine aggregates with the CLI's latency histograms
-    /// into the renderable report.
-    fn into_block(self, elapsed: Duration, hists: &OpHistograms) -> StatsBlock {
-        let ops = hists.snapshot();
-        StatsBlock {
-            engine: self.stats,
-            expr_nodes: self.expr_nodes,
-            expr_subterms: self.expr_subterms,
-            engine_recycles: self.engine_recycles,
-            queries: ops.total(),
-            elapsed,
-            ops,
-            analysis: self.analysis,
-            optimize: self.optimize,
-            snapshot: self.snapshot,
-            serve: None,
-        }
-    }
 }
 
 /// Prints the `--stats` report to stderr in the selected format.
@@ -202,242 +157,152 @@ fn print_stats(block: &StatsBlock, json: bool) {
     }
 }
 
-fn main() -> ExitCode {
-    let mut budget: usize = 100_000;
-    let mut stats = false;
-    let mut json = false;
-    let mut jobs: usize = 1;
-    let mut max_queries_per_worker: Option<u64> = None;
-    let mut max_arena_nodes: Option<usize> = None;
-    let mut listen: Vec<ListenAddr> = Vec::new();
-    let mut workers: Option<usize> = None;
-    let mut queue_depth: Option<usize> = None;
-    let mut max_pending: Option<usize> = None;
-    let mut max_line_bytes: Option<usize> = None;
-    let mut stats_interval: Option<Duration> = None;
-    let mut snapshot_path: Option<PathBuf> = None;
-    let mut max_steps: Option<usize> = None;
-    let mut beam: Option<usize> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--listen" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--listen needs an address ('host:port' or 'unix:/path')");
-                    return usage();
-                };
-                listen.push(ListenAddr::parse(&value));
-            }
-            "--workers" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--workers needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => workers = Some(n),
-                    _ => {
-                        eprintln!("--workers needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--queue-depth" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--queue-depth needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => queue_depth = Some(n),
-                    _ => {
-                        eprintln!("--queue-depth needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--max-pending" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--max-pending needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => max_pending = Some(n),
-                    _ => {
-                        eprintln!("--max-pending needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--max-line-bytes" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--max-line-bytes needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => max_line_bytes = Some(n),
-                    _ => {
-                        eprintln!("--max-line-bytes needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--stats-interval" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--stats-interval needs a value in seconds");
-                    return usage();
-                };
-                match value.parse::<f64>() {
-                    Ok(secs) if secs > 0.0 && secs.is_finite() => {
-                        stats_interval = Some(Duration::from_secs_f64(secs));
-                    }
-                    _ => {
-                        eprintln!(
-                            "--stats-interval needs a positive number of seconds, got {value:?}"
-                        );
-                        return usage();
-                    }
-                }
-            }
-            "--budget" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--budget needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => budget = n,
-                    _ => {
-                        eprintln!("--budget needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--jobs" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--jobs needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => jobs = n,
-                    _ => {
-                        eprintln!("--jobs needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--max-queries-per-worker" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--max-queries-per-worker needs a value");
-                    return usage();
-                };
-                match value.parse::<u64>() {
-                    Ok(n) if n > 0 => max_queries_per_worker = Some(n),
-                    _ => {
-                        eprintln!(
-                            "--max-queries-per-worker needs a positive integer, got {value:?}"
-                        );
-                        return usage();
-                    }
-                }
-            }
-            "--max-arena-nodes" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--max-arena-nodes needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => max_arena_nodes = Some(n),
-                    _ => {
-                        eprintln!("--max-arena-nodes needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--snapshot" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--snapshot needs a file path");
-                    return usage();
-                };
-                snapshot_path = Some(PathBuf::from(value));
-            }
-            "--max-steps" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--max-steps needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => max_steps = Some(n),
-                    _ => {
-                        eprintln!("--max-steps needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--beam" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--beam needs a value");
-                    return usage();
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => beam = Some(n),
-                    _ => {
-                        eprintln!("--beam needs a positive integer, got {value:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--stats" => stats = true,
-            "--json" => json = true,
-            "--help" | "-h" => {
-                // An explicit help request is a success, not a usage error.
-                out!("{USAGE}");
-                return ExitCode::from(EXIT_OK);
-            }
-            _ => rest.push(arg),
+/// The value of a flag that takes a positive integer, or the usage
+/// error saying why it is missing or invalid.
+fn positive<T: FromStr + PartialOrd + Default>(
+    flag: &str,
+    value: Option<String>,
+) -> Result<T, ExitCode> {
+    let Some(value) = value else {
+        eprintln!("{flag} needs a value");
+        return Err(usage());
+    };
+    match value.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(n),
+        _ => {
+            eprintln!("{flag} needs a positive integer, got {value:?}");
+            Err(usage())
         }
     }
+}
 
-    let command = rest.first().map(String::as_str);
-    if jobs > 1 && command != Some("batch") {
-        eprintln!("--jobs only applies to batch");
-        return usage();
-    }
-    if max_queries_per_worker.is_some() && !matches!(command, Some("batch") | Some("serve")) {
-        eprintln!("--max-queries-per-worker only applies to batch and serve");
-        return usage();
-    }
-    if max_arena_nodes.is_some() && command != Some("serve") {
-        eprintln!("--max-arena-nodes only applies to serve");
-        return usage();
-    }
-    if !listen.is_empty() && command != Some("serve") {
-        eprintln!("--listen only applies to serve");
-        return usage();
-    }
-    if snapshot_path.is_some() && !matches!(command, Some("batch") | Some("serve")) {
-        eprintln!("--snapshot only applies to batch and serve (see 'nka snapshot dump')");
-        return usage();
-    }
-    if (max_steps.is_some() || beam.is_some()) && command != Some("optimize") {
-        eprintln!("--max-steps/--beam only apply to optimize");
-        return usage();
-    }
-    if listen.is_empty()
-        && (workers.is_some()
-            || queue_depth.is_some()
-            || max_pending.is_some()
-            || max_line_bytes.is_some()
-            || stats_interval.is_some())
-    {
-        eprintln!(
-            "--workers/--queue-depth/--max-pending/--max-line-bytes/--stats-interval only apply to serve --listen"
-        );
-        return usage();
-    }
+/// The parsed command line.
+#[derive(Default)]
+struct Cli {
+    budget: Option<usize>,
+    stats: bool,
+    json: bool,
+    jobs: Option<usize>,
+    max_queries_per_worker: Option<u64>,
+    max_arena_nodes: Option<usize>,
+    listen: Vec<ListenAddr>,
+    workers: Option<usize>,
+    queue_depth: Option<usize>,
+    max_pending: Option<usize>,
+    max_line_bytes: Option<usize>,
+    stats_interval: Option<Duration>,
+    snapshot_path: Option<PathBuf>,
+    max_steps: Option<usize>,
+    beam: Option<usize>,
+    rest: Vec<String>,
+}
 
+impl Cli {
+    /// Parses the arguments (flags may come before or after the
+    /// subcommand) and checks which flags apply to which subcommand.
+    /// `Err` carries the exit code to leave with: usage errors, and
+    /// `--help`.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Cli, ExitCode> {
+        let mut cli = Cli::default();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--listen" => {
+                    let Some(value) = args.next() else {
+                        eprintln!("--listen needs an address ('host:port' or 'unix:/path')");
+                        return Err(usage());
+                    };
+                    cli.listen.push(ListenAddr::parse(&value));
+                }
+                "--workers" => cli.workers = Some(positive(&arg, args.next())?),
+                "--queue-depth" => cli.queue_depth = Some(positive(&arg, args.next())?),
+                "--max-pending" => cli.max_pending = Some(positive(&arg, args.next())?),
+                "--max-line-bytes" => cli.max_line_bytes = Some(positive(&arg, args.next())?),
+                "--stats-interval" => {
+                    let Some(value) = args.next() else {
+                        eprintln!("--stats-interval needs a value in seconds");
+                        return Err(usage());
+                    };
+                    match value.parse::<f64>() {
+                        Ok(secs) if secs > 0.0 && secs.is_finite() => {
+                            cli.stats_interval = Some(Duration::from_secs_f64(secs));
+                        }
+                        _ => {
+                            eprintln!(
+                                "--stats-interval needs a positive number of seconds, got {value:?}"
+                            );
+                            return Err(usage());
+                        }
+                    }
+                }
+                "--budget" => cli.budget = Some(positive(&arg, args.next())?),
+                "--jobs" => cli.jobs = Some(positive(&arg, args.next())?),
+                "--max-queries-per-worker" => {
+                    cli.max_queries_per_worker = Some(positive(&arg, args.next())?);
+                }
+                "--max-arena-nodes" => cli.max_arena_nodes = Some(positive(&arg, args.next())?),
+                "--snapshot" => {
+                    let Some(value) = args.next() else {
+                        eprintln!("--snapshot needs a file path");
+                        return Err(usage());
+                    };
+                    cli.snapshot_path = Some(PathBuf::from(value));
+                }
+                "--max-steps" => cli.max_steps = Some(positive(&arg, args.next())?),
+                "--beam" => cli.beam = Some(positive(&arg, args.next())?),
+                "--stats" => cli.stats = true,
+                "--json" => cli.json = true,
+                "--help" | "-h" => {
+                    // An explicit help request is a success, not a usage error.
+                    out!("{USAGE}");
+                    return Err(ExitCode::from(EXIT_OK));
+                }
+                _ => cli.rest.push(arg),
+            }
+        }
+
+        let command = cli.rest.first().map(String::as_str);
+        let misplaced = if cli.jobs.unwrap_or(1) > 1 && command != Some("batch") {
+            Some("--jobs only applies to batch")
+        } else if cli.max_queries_per_worker.is_some()
+            && !matches!(command, Some("batch") | Some("serve"))
+        {
+            Some("--max-queries-per-worker only applies to batch and serve")
+        } else if cli.max_arena_nodes.is_some() && command != Some("serve") {
+            Some("--max-arena-nodes only applies to serve")
+        } else if !cli.listen.is_empty() && command != Some("serve") {
+            Some("--listen only applies to serve")
+        } else if cli.snapshot_path.is_some() && !matches!(command, Some("batch") | Some("serve")) {
+            Some("--snapshot only applies to batch and serve (see 'nka snapshot dump')")
+        } else if (cli.max_steps.is_some() || cli.beam.is_some()) && command != Some("optimize") {
+            Some("--max-steps/--beam only apply to optimize")
+        } else if cli.listen.is_empty()
+            && (cli.workers.is_some()
+                || cli.queue_depth.is_some()
+                || cli.max_pending.is_some()
+                || cli.max_line_bytes.is_some()
+                || cli.stats_interval.is_some())
+        {
+            Some("--workers/--queue-depth/--max-pending/--max-line-bytes/--stats-interval only apply to serve --listen")
+        } else {
+            None
+        };
+        if let Some(msg) = misplaced {
+            eprintln!("{msg}");
+            return Err(usage());
+        }
+        Ok(cli)
+    }
+}
+
+fn main() -> ExitCode {
+    let cli = match Cli::parse(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(code) => return code,
+    };
     let opts = match SessionOptions::builder()
-        .max_dfa_states(budget)
-        .recycle_after_queries(max_queries_per_worker)
-        .snapshot_path(snapshot_path.clone())
+        .max_dfa_states(cli.budget.unwrap_or(100_000))
+        .recycle_after_queries(cli.max_queries_per_worker)
+        .snapshot_path(cli.snapshot_path.clone())
         .build()
     {
         Ok(opts) => opts,
@@ -446,157 +311,110 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let mut session = Session::with_options(opts.clone());
-    // Warm-start batch / the stdin serve loop (the socket server loads
-    // its own copy in `Server::bind`, and the parallel batch path
-    // manages its own shared `BatchSnapshot`). A missing file is a
-    // normal first boot; a bad one degrades to cold with a plain-text
-    // warning.
-    let parallel_batch = command == Some("batch") && jobs > 1;
-    if let (Some(path), true) = (&snapshot_path, listen.is_empty() && !parallel_batch) {
-        if path.exists() {
-            match session.load_snapshot_file(path) {
-                Ok(n) => eprintln!("snapshot: restored {n} entries from {}", path.display()),
-                Err(err) => eprintln!(
-                    "warning: snapshot {} not restored ({err}); starting cold",
-                    path.display()
-                ),
-            }
-        }
-    }
-    // Per-op latency histograms behind `--stats`; every path records
-    // into them (the socket server keeps its own inside the pool).
+    let json = cli.json;
+    let rest = &cli.rest;
+    // Per-op latency histograms behind `--stats`, recorded by every
+    // path (the socket server keeps its own inside the pool).
     let hists = OpHistograms::new();
     let started = Instant::now();
-    // The parallel batch path runs on worker sessions, not `session`;
-    // it reports its aggregated stats here. The socket server reports
-    // a complete block of its own (including the serve counters).
-    let mut report: Option<StatsReport> = None;
-    let mut server_block: Option<StatsBlock> = None;
-    let code = match command {
-        Some("serve") if rest.len() == 1 && !listen.is_empty() => {
+    // What `--stats` reports: the answering sessions' totals, or the
+    // socket server's own block.
+    let mut totals = SessionTotals::default();
+    let mut block: Option<StatsBlock> = None;
+    let code = match rest.first().map(String::as_str) {
+        Some("serve") if rest.len() == 1 && !cli.listen.is_empty() => {
+            let defaults = ServeConfig::default();
             let cfg = ServeConfig {
                 session: opts.clone(),
-                workers: workers.unwrap_or_else(|| ServeConfig::default().workers),
-                queue_depth: queue_depth.unwrap_or_else(|| ServeConfig::default().queue_depth),
-                max_pending: max_pending.unwrap_or_else(|| ServeConfig::default().max_pending),
-                max_line_bytes: max_line_bytes
-                    .unwrap_or_else(|| ServeConfig::default().max_line_bytes),
-                max_arena_nodes,
+                workers: cli.workers.unwrap_or(defaults.workers),
+                queue_depth: cli.queue_depth.unwrap_or(defaults.queue_depth),
+                max_pending: cli.max_pending.unwrap_or(defaults.max_pending),
+                max_line_bytes: cli.max_line_bytes.unwrap_or(defaults.max_line_bytes),
+                max_arena_nodes: cli.max_arena_nodes,
                 json,
-                snapshot_path: snapshot_path.clone(),
-                ..ServeConfig::default()
+                snapshot_path: cli.snapshot_path.clone(),
+                ..defaults
             };
-            serve_socket(cfg, &listen, stats_interval, json, &mut server_block)
+            serve_socket(cfg, &cli.listen, cli.stats_interval, json, &mut block)
         }
-        Some("decide") if rest.len() == 3 => one_shot(
-            &mut session,
-            json,
-            &hists,
-            Query::nka_eq(&rest[1], &rest[2]),
-        ),
-        Some("ka") if rest.len() == 3 => {
-            one_shot(&mut session, json, &hists, Query::ka_eq(&rest[1], &rest[2]))
-        }
-        Some("series") if rest.len() >= 2 => {
-            let max_len = match rest.get(2) {
-                None => nka_core::api::DEFAULT_SERIES_MAX_LEN,
-                Some(raw) => match raw.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("max-len must be a non-negative integer, got {raw:?}");
-                        return usage();
-                    }
-                },
+        Some(cmd @ ("batch" | "serve"))
+            if rest.len() <= 2 && (cmd == "batch" || rest.len() == 1) =>
+        {
+            let Some(reader) = open_source(rest.get(1).map(String::as_str)) else {
+                return ExitCode::from(EXIT_USAGE);
             };
-            one_shot(&mut session, json, &hists, Query::series(&rest[1], max_len))
+            let mut sink = Sink {
+                live: cmd == "serve",
+                arena_cap: cli.max_arena_nodes,
+                ..Sink::new(json, &hists)
+            };
+            let jobs = cli.jobs.unwrap_or(1);
+            let (code, totals) =
+                stream_with_snapshot(&opts, jobs, cli.snapshot_path.as_deref(), reader, &mut sink);
+            block = Some(StatsBlock::new(
+                totals,
+                hists.snapshot(),
+                started.elapsed(),
+                None,
+            ));
+            code
         }
-        Some("prove") if rest.len() >= 3 => one_shot(
-            &mut session,
-            json,
-            &hists,
-            Query::prove(&rest[1], &rest[2], &rest[3..]),
-        ),
-        Some("prog-eq") if rest.len() == 3 => one_shot(
-            &mut session,
-            json,
-            &hists,
-            Query::prog_eq(&rest[1], &rest[2]),
-        ),
-        Some("hoare") if rest.len() == 4 => one_shot(
-            &mut session,
-            json,
-            &hists,
-            Query::hoare(&rest[1], &rest[2], &rest[3]),
-        ),
-        Some("analyze") if rest.len() >= 2 => one_shot(
-            &mut session,
-            json,
-            &hists,
-            Query::analyze(&rest[1], &rest[2..]),
-        ),
-        Some("optimize") if rest.len() >= 2 => one_shot(
-            &mut session,
-            json,
-            &hists,
-            Query::optimize(
-                &rest[1],
-                &rest[2..],
-                max_steps.unwrap_or(DEFAULT_OPTIMIZE_MAX_STEPS),
-                beam.unwrap_or(DEFAULT_OPTIMIZE_BEAM),
-            ),
-        ),
-        Some("batch") if rest.len() <= 2 && jobs <= 1 => {
-            batch(&mut session, json, &hists, rest.get(1).map(String::as_str))
-        }
-        Some("batch") if rest.len() <= 2 => batch_parallel(
-            &opts,
-            json,
-            &hists,
-            jobs,
-            rest.get(1).map(String::as_str),
-            snapshot_path.as_deref(),
-            &mut report,
-        ),
-        Some("serve") if rest.len() == 1 => serve(&mut session, json, &hists, max_arena_nodes),
         Some("snapshot") => return snapshot_cmd(&rest[1..], &opts, json),
         Some("encode-demo") => encode_demo(),
-        _ => return usage(),
-    };
-    // Graceful-exit dump for the single-session paths (batch and the
-    // stdin serve loop) — the socket server re-dumps in `Server::join`,
-    // and the parallel batch path writes its merged `BatchSnapshot`
-    // inside `batch_parallel`.
-    if let (Some(path), true) = (&snapshot_path, listen.is_empty() && !parallel_batch) {
-        match session.save_snapshot(path) {
-            Ok(n) => eprintln!("snapshot: dumped {n} entries to {}", path.display()),
-            Err(err) => eprintln!("warning: snapshot dump to {} failed: {err}", path.display()),
+        _ => {
+            let Some(query) = one_shot_query(&cli) else {
+                return usage();
+            };
+            let mut session = Session::with_options(opts.clone());
+            let code = one_shot(&mut session, json, &hists, query);
+            totals = session.totals();
+            code
         }
-    }
-    if stats {
-        let block = match server_block {
-            Some(block) => block,
-            None => report
-                .unwrap_or_else(|| StatsReport::of_session(&session))
-                .into_block(started.elapsed(), &hists),
-        };
+    };
+    if cli.stats {
+        let block = block
+            .unwrap_or_else(|| StatsBlock::new(totals, hists.snapshot(), started.elapsed(), None));
         print_stats(&block, json);
     }
     code
 }
 
-/// Exit code for one answered query. Positive verdicts (holds /
-/// proved / series / an equivalent program pair / a valid triple) exit
-/// 0, negative ones 1, resource exhaustion 3.
-fn verdict_exit(verdict: &Verdict) -> u8 {
-    match verdict {
-        Verdict::BudgetExhausted { .. } => EXIT_BUDGET,
-        v if v.is_positive() => EXIT_OK,
-        _ => EXIT_NO,
-    }
+/// The query a one-shot subcommand's arguments spell; `None` (a usage
+/// error) for an unknown subcommand, a wrong argument count, or a bad
+/// series length.
+fn one_shot_query(cli: &Cli) -> Option<Result<Query, ApiError>> {
+    let [cmd, first, args @ ..] = cli.rest.as_slice() else {
+        return None;
+    };
+    Some(match (cmd.as_str(), args) {
+        ("decide", [rhs]) => Query::nka_eq(first, rhs),
+        ("ka", [rhs]) => Query::ka_eq(first, rhs),
+        ("series", []) => Query::series(first, nka_core::api::DEFAULT_SERIES_MAX_LEN),
+        ("series", [raw, ..]) => match raw.parse::<usize>() {
+            Ok(max_len) => Query::series(first, max_len),
+            Err(_) => {
+                eprintln!("max-len must be a non-negative integer, got {raw:?}");
+                return None;
+            }
+        },
+        ("prove", [rhs, hyps @ ..]) => Query::prove(first, rhs, hyps),
+        ("prog-eq", [q]) => Query::prog_eq(first, q),
+        ("hoare", [prog, post]) => Query::hoare(first, prog, post),
+        ("analyze", passes) => Query::analyze(first, passes),
+        ("optimize", rules) => Query::optimize(
+            first,
+            rules,
+            cli.max_steps.unwrap_or(DEFAULT_OPTIMIZE_MAX_STEPS),
+            cli.beam.unwrap_or(DEFAULT_OPTIMIZE_BEAM),
+        ),
+        _ => return None,
+    })
 }
 
-/// Runs one CLI-argument query through the session and renders it.
+/// Runs one CLI-argument query: the arguments become one request line,
+/// answered through [`answer_line`] like every wire line, then
+/// rendered (human mode adds per-finding carets, the optimizer's step
+/// trace, a series term per line, or the checked proof).
 fn one_shot(
     session: &mut Session,
     json: bool,
@@ -610,12 +428,20 @@ fn one_shot(
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    let resp = session.run(&query);
-    hists.record(query.kind(), resp.elapsed);
+    let answered = answer_line(session, &wire::encode_request(&query), json)
+        .expect("an encoded request is never blank");
+    let (query, resp) = match &answered.outcome {
+        Ok(pair) => pair,
+        Err(err) => {
+            eprintln!("{}", err.render());
+            return ExitCode::from(EXIT_USAGE);
+        }
+    };
+    hists.record(query.kind(), answered.service);
     if json {
-        out!("{}", wire::encode_response(&query, &resp));
+        out!("{}", answered.line);
     } else if let (Query::Series { expr, .. }, Verdict::Series { max_len, terms }) =
-        (&query, &resp.verdict)
+        (query, &resp.verdict)
     {
         // The wire rendering is one line per response; interactively a
         // term per line reads better.
@@ -627,12 +453,12 @@ fn one_shot(
             out!("  (the zero series)");
         }
     } else if let (Query::Analyze { prog, .. }, Verdict::Analysis { findings }) =
-        (&query, &resp.verdict)
+        (query, &resp.verdict)
     {
         // The wire rendering is one summary line; interactively each
         // finding gets its caret on the program source, plus the
         // replayable certificate for the Tier B (engine-backed) ones.
-        out!("{}", wire::encode_response_text(&query, &resp));
+        out!("{}", answered.line);
         for finding in findings {
             out!();
             out!("{} [{}]", finding.severity, finding.pass);
@@ -666,13 +492,13 @@ fn one_shot(
             note,
             ..
         },
-    ) = (&query, &resp.verdict)
+    ) = (query, &resp.verdict)
     {
         // The wire rendering is one summary line; interactively the
         // before/after pair plus the full engine-certified step trace
         // (every step names its catalog rule and paper citation) reads
         // better, and the final certificate is printed replay-ready.
-        out!("{}", wire::encode_response_text(&query, &resp));
+        out!("{}", answered.line);
         out!();
         out!("before: {}", prog.source());
         out!("after:  {optimized}");
@@ -700,12 +526,12 @@ fn one_shot(
             certificate.expect
         );
     } else {
-        out!("{}", wire::encode_response_text(&query, &resp));
+        out!("{}", answered.line);
         if let Verdict::BudgetExhausted { .. } = resp.verdict {
             eprintln!("hint: retry with a larger --budget");
         }
         // The full proof rendering stays a human-surface extra.
-        if let (Query::Prove { hyps, .. }, Some(proof)) = (&query, &resp.proof) {
+        if let (Query::Prove { hyps, .. }, Some(proof)) = (query, &resp.proof) {
             let judgments: Vec<Judgment> = hyps.iter().map(|(l, r)| Judgment::Eq(*l, *r)).collect();
             match proof.check(&judgments) {
                 Ok(_) => match nka_core::render::render(proof, &judgments) {
@@ -719,305 +545,236 @@ fn one_shot(
             }
         }
     }
-    ExitCode::from(verdict_exit(&resp.verdict))
+    ExitCode::from(answered.class.exit_code())
 }
 
-/// Emits one answered query as an output line. The sequential and
-/// parallel batch paths are contractually required to produce identical
-/// output (the CI `--jobs 4` diff enforces it), so both go through
-/// here.
-fn emit_response(query: &Query, resp: &nka_core::api::Response, json: bool) {
-    if json {
-        out!("{}", wire::encode_response(query, resp));
-    } else {
-        out!("{}", wire::encode_response_text(query, resp));
-    }
-}
-
-/// Emits one request-level error: an output line plus the caret
-/// rendering on stderr. Shared by both batch paths for the same
-/// reason as [`emit_response`].
-fn emit_error(err: &ApiError, json: bool) {
-    if json {
-        out!("{}", wire::encode_error(err));
-    } else {
-        out!("error: {err}");
-    }
-    eprintln!("{}", err.render());
-}
-
-/// Handles one wire line for `batch`/`serve`; returns its exit class.
-fn run_line(session: &mut Session, json: bool, hists: &OpHistograms, line: &str) -> Option<u8> {
-    match wire::decode_request(line) {
-        Ok(None) => None, // blank / comment
-        Ok(Some(query)) => {
-            let resp = session.run(&query);
-            hists.record(query.kind(), resp.elapsed);
-            emit_response(&query, &resp, json);
-            Some(verdict_exit(&resp.verdict))
-        }
-        Err(err) => {
-            emit_error(&err, json);
-            Some(EXIT_USAGE)
-        }
-    }
-}
-
-/// Folds per-line exit classes into the batch exit code: malformed input
-/// dominates, then budget exhaustion; verdicts themselves are data, not
-/// failures.
-fn fold_exit(acc: u8, line_code: u8) -> u8 {
-    match (acc, line_code) {
-        (EXIT_USAGE, _) | (_, EXIT_USAGE) => EXIT_USAGE,
-        (EXIT_BUDGET, _) | (_, EXIT_BUDGET) => EXIT_BUDGET,
-        _ => EXIT_OK,
-    }
-}
-
-/// `nka batch [FILE]`: the whole stream shares this one warm session, so
-/// repeated expressions and queries amortize to cache hits.
-fn batch(
-    session: &mut Session,
-    json: bool,
-    hists: &OpHistograms,
-    source: Option<&str>,
-) -> ExitCode {
-    let reader: Box<dyn BufRead> = match source {
-        None | Some("-") => Box::new(std::io::stdin().lock()),
+/// Opens a stream source: a file, or stdin for `None` / `-`.
+fn open_source(source: Option<&str>) -> Option<Box<dyn BufRead>> {
+    match source {
+        None | Some("-") => Some(Box::new(std::io::stdin().lock())),
         Some(path) => match std::fs::File::open(path) {
-            Ok(file) => Box::new(std::io::BufReader::new(file)),
+            Ok(file) => Some(Box::new(std::io::BufReader::new(file))),
             Err(err) => {
                 eprintln!("cannot open {path:?}: {err}");
-                return ExitCode::from(EXIT_USAGE);
+                None
             }
         },
-    };
-    let mut code = EXIT_OK;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = match line {
-            Ok(line) => line,
-            Err(err) => {
-                eprintln!("read error on line {}: {err}", lineno + 1);
-                return ExitCode::from(EXIT_USAGE);
-            }
-        };
-        if let Some(line_code) = run_line(session, json, hists, &line) {
-            if line_code == EXIT_USAGE {
-                eprintln!("  (line {})", lineno + 1);
-            }
-            code = fold_exit(code, line_code);
-        }
     }
-    ExitCode::from(code)
 }
 
-/// One decoded input line of a parallel batch: skippable, an index into
-/// the chunk's query/response vectors, or a malformed line kept in
-/// place so output order and exit codes match the sequential path.
-enum BatchLine {
-    Skip,
-    Query(usize),
-    Error(usize, ApiError),
+/// The lines of `reader`, numbered from 1 and decoded lossily, the way
+/// the socket reader reads: a line that is not valid UTF-8 still gets
+/// its structured error answer instead of ending the stream. Stops at
+/// the first real read error, which it leaves in `error`.
+fn numbered_lines<'a>(
+    mut reader: Box<dyn BufRead>,
+    error: &'a mut Option<String>,
+) -> impl Iterator<Item = (usize, String)> + 'a {
+    let mut buf = Vec::new();
+    let mut lineno = 0;
+    std::iter::from_fn(move || {
+        buf.clear();
+        lineno += 1;
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => None,
+            Ok(_) => {
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                }
+                Some((lineno, String::from_utf8_lossy(&buf).into_owned()))
+            }
+            Err(err) => {
+                *error = Some(format!("read error on line {lineno}: {err}"));
+                None
+            }
+        }
+    })
 }
 
-/// Input lines a parallel batch reads and answers per chunk. Bounds the
-/// memory of `--jobs N` to O(chunk) and gives live pipelines output at
-/// chunk granularity (PR 3's parallel path buffered the entire stream
-/// to EOF — the documented limitation this fixes). Large enough that
-/// each chunk amortizes its worker threads' spawn cost.
-const PARALLEL_CHUNK_LINES: usize = 256;
-
-/// `nka batch --jobs N`: read the stream in chunks of
-/// [`PARALLEL_CHUNK_LINES`], shard each chunk's well-formed queries
-/// across `N` worker sessions ([`run_batch_parallel_traced`]), and emit one
-/// output line per input line in input order before reading the next
-/// chunk — byte-for-byte the same verdicts and exit code as the
-/// sequential path, with only the per-response `stats`/`micros` fields
-/// reflecting the sharded execution. (Worker caches reset per chunk;
-/// verdicts are cache-independent, so only throughput varies.) A
-/// mid-stream read error matches the sequential path too: the lines
-/// read before it are still answered and printed, then the error
-/// reports and the exit is `2`.
-///
-/// `--snapshot FILE` combines with `--jobs N` through a shared
-/// [`BatchSnapshot`]: every chunk's workers warm-start from the loaded
-/// entries and drain their caches into one merge builder (the serve-v2
-/// drain-time merge), and the deduplicated union is written once at end
-/// of stream — transient workers no longer forfeit or race over the
-/// dump.
-#[allow(clippy::too_many_lines)]
-fn batch_parallel(
-    opts: &SessionOptions,
+/// Where a stream's answers go: stdout (unless `snapshot dump`), the
+/// latency histograms, stderr carets for malformed lines, and the
+/// folded exit code.
+struct Sink<'a> {
     json: bool,
-    hists: &OpHistograms,
-    jobs: usize,
-    source: Option<&str>,
-    snapshot_path: Option<&std::path::Path>,
-    report: &mut Option<StatsReport>,
-) -> ExitCode {
-    let reader: Box<dyn BufRead> = match source {
-        None | Some("-") => Box::new(std::io::stdin().lock()),
-        Some(path) => match std::fs::File::open(path) {
-            Ok(file) => Box::new(std::io::BufReader::new(file)),
-            Err(err) => {
-                eprintln!("cannot open {path:?}: {err}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-    };
-    let mut batch_snap = snapshot_path.map(|_| BatchSnapshot::new(opts));
-    if let (Some(path), Some(snap)) = (snapshot_path, batch_snap.as_mut()) {
-        if path.exists() {
-            match snap.load_file(path, opts) {
-                Ok(n) => eprintln!("snapshot: restored {n} entries from {}", path.display()),
-                Err(err) => eprintln!(
-                    "warning: snapshot {} not restored ({err}); starting cold",
-                    path.display()
-                ),
-            }
+    /// Print response lines (`snapshot dump` discards them).
+    print: bool,
+    /// The stdin `serve` loop: stop quietly once stdout is gone, and
+    /// stop with exit `3` once the resident arena passes `arena_cap`.
+    live: bool,
+    arena_cap: Option<usize>,
+    hists: &'a OpHistograms,
+    code: u8,
+    arena_tripped: bool,
+}
+
+impl<'a> Sink<'a> {
+    /// A sink that prints every answer, for `batch`.
+    fn new(json: bool, hists: &'a OpHistograms) -> Sink<'a> {
+        Sink {
+            json,
+            print: true,
+            live: false,
+            arena_cap: None,
+            hists,
+            code: EXIT_OK,
+            arena_tripped: false,
         }
     }
-    let mut agg = StatsReport {
-        stats: DeciderStats::default(),
-        expr_nodes: 0,
-        expr_subterms: 0,
-        engine_recycles: 0,
-        analysis: AnalysisStats::default(),
-        optimize: OptimizeStats::default(),
-        snapshot: SnapshotStats::default(),
-    };
-    let mut code = EXIT_OK;
-    let mut read_error: Option<String> = None;
-    let mut lineno = 0usize;
 
-    let mut lines: Vec<BatchLine> = Vec::new();
-    let mut queries: Vec<Query> = Vec::new();
-    let mut input = reader.lines();
-    loop {
-        // Fill one chunk (or stop early on EOF / read error).
-        lines.clear();
-        queries.clear();
-        while lines.len() < PARALLEL_CHUNK_LINES {
-            lineno += 1;
-            match input.next() {
-                None => break,
-                Some(Ok(line)) => {
-                    let decoded = match wire::decode_request(&line) {
-                        Ok(None) => BatchLine::Skip,
-                        Ok(Some(query)) => {
-                            queries.push(query);
-                            BatchLine::Query(queries.len() - 1)
-                        }
-                        Err(err) => BatchLine::Error(lineno, err),
-                    };
-                    lines.push(decoded);
-                }
-                Some(Err(err)) => {
-                    // Like the sequential path, the lines already read
-                    // are still answered; the error reports after them.
-                    read_error = Some(format!("read error on line {lineno}: {err}"));
-                    break;
-                }
+    /// Takes the answer (if any) to line `lineno`; `false` stops the
+    /// stream.
+    fn emit(&mut self, lineno: usize, answered: Option<Answered>) -> bool {
+        if let Some(answered) = answered {
+            if self.print {
+                out!("{}", answered.line);
             }
-        }
-        if lines.is_empty() {
-            break;
-        }
-
-        // Answer and flush this chunk before reading the next.
-        let (responses, trace) =
-            run_batch_parallel_traced(&queries, opts, jobs, batch_snap.as_ref());
-        agg.engine_recycles += trace.engine_recycles;
-        agg.analysis = agg.analysis.merged(&trace.analysis);
-        agg.optimize = agg.optimize.merged(&trace.optimize);
-        agg.snapshot = agg.snapshot.merged(&trace.snapshot);
-        for decoded in &lines {
-            match decoded {
-                BatchLine::Skip => {}
-                BatchLine::Query(i) => {
-                    let (query, resp) = (&queries[*i], &responses[*i]);
-                    hists.record(query.kind(), resp.elapsed);
-                    emit_response(query, resp, json);
-                    agg.stats = agg.stats.merged(&resp.stats_delta);
-                    agg.expr_nodes += resp.expr_nodes;
-                    agg.expr_subterms += resp.expr_subterms;
-                    code = fold_exit(code, verdict_exit(&resp.verdict));
-                }
-                BatchLine::Error(lineno, err) => {
-                    emit_error(err, json);
+            match &answered.outcome {
+                Ok((query, _)) => self.hists.record(query.kind(), answered.service),
+                Err(err) => {
+                    eprintln!("{}", err.render());
                     eprintln!("  (line {lineno})");
-                    code = fold_exit(code, EXIT_USAGE);
                 }
             }
+            self.code = answered.class.fold(self.code);
         }
-        let _ = std::io::stdout().flush();
-        if read_error.is_some() {
-            break;
+        if !self.live {
+            return true;
         }
-    }
-
-    // One merged dump at end of stream (satellite to the per-chunk
-    // drain-time exports above).
-    if let (Some(path), Some(snap)) = (snapshot_path, batch_snap.as_ref()) {
-        match snap.write_to(path) {
-            Ok(n) => {
-                agg.snapshot.dumps += 1;
-                eprintln!("snapshot: dumped {n} entries to {}", path.display());
-            }
-            Err(err) => {
-                agg.snapshot.dump_failures += 1;
-                eprintln!("warning: snapshot dump to {} failed: {err}", path.display());
-            }
-        }
-    }
-    *report = Some(agg);
-    if let Some(msg) = read_error {
-        eprintln!("{msg}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    ExitCode::from(code)
-}
-
-/// `nka serve`: request/response loop for driving from another process —
-/// one response line per request line, flushed immediately. With
-/// `--max-arena-nodes N`, the loop stops with exit code `3` once the
-/// process-wide resident expression arena exceeds `N` nodes: recycling
-/// the *process* is the only way to shed persistent-arena growth, so a
-/// supervisor is expected to restart it (engine caches recycle
-/// in-process via `--max-queries-per-worker` long before this trips).
-fn serve(
-    session: &mut Session,
-    json: bool,
-    hists: &OpHistograms,
-    max_arena_nodes: Option<usize>,
-) -> ExitCode {
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        run_line(session, json, hists, &line);
         if std::io::stdout().flush().is_err() {
-            break; // downstream went away; exit quietly
+            return false; // downstream went away; exit quietly
         }
-        if let Some(cap) = max_arena_nodes {
+        if let Some(cap) = self.arena_cap {
             let resident = nka_syntax::arena_resident_nodes();
             if resident > cap {
                 eprintln!(
                     "arena cap exceeded: {resident} resident expression nodes > \
                      --max-arena-nodes {cap}; exiting for worker recycling"
                 );
-                return ExitCode::from(EXIT_BUDGET);
+                self.arena_tripped = true;
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The one stream loop behind `batch` (with or without `--jobs`), the
+/// stdin `serve` loop, and `snapshot dump`: every line of `reader` is
+/// answered on `sessions` — inline for one, on warm workers for more —
+/// and handed to `sink` in input order. A read error stops the stream
+/// after the lines before it are answered, and counts as a malformed
+/// line.
+fn stream(sessions: &mut [Session], reader: Box<dyn BufRead>, sink: &mut Sink<'_>) {
+    let json = sink.json;
+    let stop = AtomicBool::new(false);
+    let mut read_error = None;
+    let lines =
+        numbered_lines(reader, &mut read_error).take_while(|_| !stop.load(Ordering::Relaxed));
+    run_ordered(
+        sessions,
+        lines,
+        |session, (lineno, line)| (lineno, answer_line(session, &line, json)),
+        |(lineno, answered)| {
+            if !sink.emit(lineno, answered) {
+                stop.store(true, Ordering::Relaxed);
+            }
+        },
+    );
+    if let Some(msg) = read_error {
+        eprintln!("{msg}");
+        sink.code = LineClass::Malformed.fold(sink.code);
+    }
+}
+
+/// `batch` / stdin `serve` on `jobs` warm sessions, with the
+/// `--snapshot FILE` round trip: the file is loaded once and restored
+/// into every session (a missing file is a normal first boot; a bad one
+/// degrades to cold with a counted warning), and the sessions' merged
+/// caches are dumped back at end of stream. Returns the exit code and
+/// the stream's accounting.
+fn stream_with_snapshot(
+    opts: &SessionOptions,
+    jobs: usize,
+    snapshot_path: Option<&Path>,
+    reader: Box<dyn BufRead>,
+    sink: &mut Sink<'_>,
+) -> (ExitCode, SessionTotals) {
+    let mut sessions: Vec<Session> = (0..jobs)
+        .map(|_| Session::with_options(opts.clone()))
+        .collect();
+    let mut load_warnings = 0;
+    if let Some(path) = snapshot_path.filter(|path| path.exists()) {
+        match snapshot::load(path, &ConfigGuard::from_options(&opts.decide)) {
+            Ok(snap) => {
+                for session in &mut sessions {
+                    session.load_snapshot(&snap);
+                }
+                eprintln!(
+                    "snapshot: restored {} entries from {}",
+                    snap.entry_count(),
+                    path.display()
+                );
+            }
+            Err(err) => {
+                load_warnings = 1;
+                eprintln!(
+                    "warning: snapshot {} not restored ({err}); starting cold",
+                    path.display()
+                );
             }
         }
     }
-    ExitCode::from(EXIT_OK)
+    stream(&mut sessions, reader, sink);
+    let mut totals = sessions
+        .iter()
+        .fold(SessionTotals::default(), |acc, s| acc.merged(&s.totals()));
+    totals.snapshot.load_warnings += load_warnings;
+    if let Some(path) = snapshot_path {
+        match dump_sessions(&sessions, opts, path) {
+            Ok(n) => {
+                totals.snapshot.dumps += 1;
+                eprintln!("snapshot: dumped {n} entries to {}", path.display());
+            }
+            Err(err) => {
+                totals.snapshot.dump_failures += 1;
+                eprintln!("warning: snapshot dump to {} failed: {err}", path.display());
+            }
+        }
+    }
+    let code = if sink.arena_tripped {
+        EXIT_BUDGET
+    } else if sink.live {
+        EXIT_OK
+    } else {
+        sink.code
+    };
+    (ExitCode::from(code), totals)
+}
+
+/// Writes the merged warm caches of `sessions` to `path` (deduplicated
+/// across sessions; atomic temp-file + rename). Returns the number of
+/// entries written.
+fn dump_sessions(
+    sessions: &[Session],
+    opts: &SessionOptions,
+    path: &Path,
+) -> Result<usize, SnapshotError> {
+    let mut builder = SnapshotBuilder::new(ConfigGuard::from_options(&opts.decide));
+    for session in sessions {
+        session.export_snapshot_into(&mut builder);
+    }
+    builder.write_to(path)?;
+    Ok(builder.entry_count())
 }
 
 /// `nka snapshot dump|inspect|verify`: the offline surface of the
 /// snapshot format ([`nka_core::snapshot`]).
 ///
 /// * `dump FILE [CORPUS]` — run CORPUS (JSONL / `e = f` lines; `-` or
-///   absent = stdin) on a warm session, discard the responses, and
-///   write the resulting caches to FILE.
+///   absent = stdin) on a warm session through the batch stream loop,
+///   discard the responses, and write the resulting caches to FILE.
+///   Exits like `batch` (`2` if any line was malformed), or `2` if the
+///   file cannot be written.
 /// * `inspect FILE` — print the header and entry counts (one JSON
 ///   object with `--json`).
 /// * `verify FILE` — fully validate magic, version, checksum, and
@@ -1025,36 +782,20 @@ fn serve(
 fn snapshot_cmd(args: &[String], opts: &SessionOptions, json: bool) -> ExitCode {
     match args {
         [cmd, file, corpus @ ..] if cmd == "dump" && corpus.len() <= 1 => {
-            let source = corpus.first().map(String::as_str);
-            let reader: Box<dyn BufRead> = match source {
-                None | Some("-") => Box::new(std::io::stdin().lock()),
-                Some(path) => match std::fs::File::open(path) {
-                    Ok(file) => Box::new(std::io::BufReader::new(file)),
-                    Err(err) => {
-                        eprintln!("cannot open {path:?}: {err}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                },
+            let Some(reader) = open_source(corpus.first().map(String::as_str)) else {
+                return ExitCode::from(EXIT_USAGE);
             };
-            let mut session = Session::with_options(opts.clone());
-            for (lineno, line) in reader.lines().enumerate() {
-                let Ok(line) = line else { break };
-                match wire::decode_request(&line) {
-                    Ok(None) => {}
-                    Ok(Some(query)) => {
-                        let _ = session.run(&query);
-                    }
-                    Err(err) => {
-                        eprintln!("{}", err.render());
-                        eprintln!("  (line {})", lineno + 1);
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                }
-            }
-            match session.save_snapshot(PathBuf::from(file).as_path()) {
+            let hists = OpHistograms::new();
+            let mut sink = Sink {
+                print: false,
+                ..Sink::new(json, &hists)
+            };
+            let mut sessions = [Session::with_options(opts.clone())];
+            stream(&mut sessions, reader, &mut sink);
+            match dump_sessions(&sessions, opts, Path::new(file)) {
                 Ok(n) => {
                     out!("snapshot: dumped {n} entries to {file}");
-                    ExitCode::from(EXIT_OK)
+                    ExitCode::from(sink.code)
                 }
                 Err(err) => {
                     eprintln!("snapshot dump to {file} failed: {err}");
@@ -1202,7 +943,7 @@ fn serve_socket(
     listen: &[ListenAddr],
     stats_interval: Option<Duration>,
     json: bool,
-    server_block: &mut Option<StatsBlock>,
+    block: &mut Option<StatsBlock>,
 ) -> ExitCode {
     sig::install();
     let server = match Server::bind(cfg, listen) {
@@ -1262,7 +1003,7 @@ fn serve_socket(
     if let Some(note) = handle.drain_note() {
         eprintln!("drained: {note}");
     }
-    *server_block = Some(handle.stats_block());
+    *block = Some(handle.stats_block());
     ExitCode::from(code)
 }
 

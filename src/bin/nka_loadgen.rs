@@ -29,7 +29,7 @@
 //! Exit codes: `0` every response matched, `1` any diff, `2` usage /
 //! connect / IO error.
 
-use nka_core::api::{wire, Session};
+use nka_core::api::{answer_line, wire, Session};
 use nka_core::serve::{fmt_ns, HistogramSnapshot, LatencyHistogram, ListenAddr};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -209,28 +209,13 @@ fn main() -> ExitCode {
             }
         };
         for line in content.lines() {
-            let rendered = match wire::decode_request(line) {
-                Ok(None) => continue, // blank/comment: no response owed
-                Ok(Some(query)) => {
-                    let resp = session.run(&query);
-                    if json {
-                        wire::encode_response(&query, &resp)
-                    } else {
-                        wire::encode_response_text(&query, &resp)
-                    }
-                }
-                Err(err) => {
-                    if json {
-                        wire::encode_error(&err)
-                    } else {
-                        format!("error: {err}")
-                    }
-                }
-            };
-            items.push(Item {
-                request: line.to_owned(),
-                expected: wire::stable_response_projection(&rendered),
-            });
+            // Blank/comment lines are owed no response.
+            if let Some(answered) = answer_line(&mut session, line, json) {
+                items.push(Item {
+                    request: line.to_owned(),
+                    expected: wire::stable_response_projection(&answered.line),
+                });
+            }
         }
     }
     if items.is_empty() {

@@ -7,7 +7,7 @@
 //! interleaving — so these tests hammer them from many threads and
 //! check the totals exactly.
 
-use nka_quantum::api::{run_batch_parallel_traced, Query, SessionOptions, Verdict};
+use nka_quantum::api::{run_ordered, Query, Session, SessionTotals, Verdict};
 use nka_quantum::serve::stats::OPS;
 use nka_quantum::serve::OpHistograms;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -132,9 +132,18 @@ fn parallel_analyze_batches_conserve_findings_and_tier_b_checks() {
     assert_eq!(queries.len(), 32);
 
     for jobs in [1, 2, 4, 8] {
-        let (responses, trace) =
-            run_batch_parallel_traced(&queries, &SessionOptions::default(), jobs, None);
-        let stats = trace.analysis;
+        // The worker pool behind `batch --jobs N`: warm sessions for the
+        // whole stream, answers in input order, accounting merged from
+        // the sessions' totals afterwards.
+        let mut sessions: Vec<Session> = (0..jobs).map(|_| Session::new()).collect();
+        let mut responses = Vec::new();
+        run_ordered(&mut sessions, queries.iter(), Session::run, |resp| {
+            responses.push(resp);
+        });
+        let stats = sessions
+            .iter()
+            .fold(SessionTotals::default(), |acc, s| acc.merged(&s.totals()))
+            .analysis;
         assert_eq!(responses.len(), 32);
         let mut findings_seen = 0u64;
         for resp in &responses {

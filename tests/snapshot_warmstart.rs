@@ -10,6 +10,7 @@
 
 use nka_quantum::api::json::Json;
 use nka_quantum::api::wire;
+use nka_quantum::serve::{ListenAddr, ServeConfig, Server};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -154,10 +155,9 @@ fn warm_restart_replays_analyze_corpus_with_certificate_hits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `batch --jobs N --snapshot FILE` (previously rejected as "parallel
-/// workers are transient"): every chunk's workers warm-start from the
-/// loaded entries and drain their caches into one shared merge builder,
-/// written once at end of stream. The dumped file must `snapshot
+/// `batch --jobs N --snapshot FILE`: every worker session warm-starts
+/// from the loaded entries, and their caches are merged into one dump
+/// at end of stream. The dumped file must `snapshot
 /// verify`, and a fresh parallel replay must hit the restored caches —
 /// on the optimizer corpus, so optimizer-final `prog_eq` verdicts are
 /// shown to ride the existing verdict/cert caches across a restart.
@@ -166,7 +166,7 @@ fn parallel_batch_merges_worker_snapshots_and_replays_warm() {
     let dir = temp_dir("jobs");
     let snap = dir.join("warm.nkasnap");
 
-    // Cold parallel pass: 4 workers per chunk, one merged dump.
+    // Cold parallel pass: 4 workers, one merged dump.
     let cold = run_batch_jobs(OPTIMIZE, Some(&snap), Some(4));
     assert_eq!(cold.code, Some(0), "{}", cold.stderr);
     assert!(snap.exists(), "parallel batch must write the merged dump");
@@ -382,5 +382,72 @@ fn serve_stdin_boots_warm_from_a_snapshot() {
             "response lines lead with the wire version: {line}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `snapshot.restored_entries` counts one load of the file — the
+/// entries it holds — however many sessions the file is restored into:
+/// sequential `batch`, `batch --jobs N` over a stream far longer than
+/// one worker backlog, and the socket server's worker pool.
+#[test]
+fn restored_entries_count_the_file_once_on_every_pool_shape() {
+    let dir = temp_dir("restored");
+    let seed = dir.join("seed.nkasnap");
+    let seeded = run_batch(QPROG, Some(&seed));
+    assert_eq!(seeded.code, Some(0), "{}", seeded.stderr);
+    let inspect = Command::new(env!("CARGO_BIN_EXE_nka"))
+        .args(["--json", "snapshot", "inspect"])
+        .arg(&seed)
+        .output()
+        .expect("nka snapshot inspect runs");
+    let entries = Json::parse(String::from_utf8_lossy(&inspect.stdout).trim())
+        .expect("inspect --json parses")
+        .get("entries")
+        .and_then(Json::as_i64)
+        .expect("entry count");
+    assert!(entries > 0);
+
+    // 600+ request lines: the corpus, repeated.
+    let corpus = std::fs::read_to_string(QPROG).expect("corpus readable");
+    let long = dir.join("long.jsonl");
+    std::fs::write(&long, corpus.repeat(600 / corpus.lines().count() + 1)).expect("write stream");
+    let long = long.to_str().expect("UTF-8 path");
+
+    // Each run re-dumps its file, so each starts from a fresh copy.
+    for jobs in [None, Some(2), Some(4)] {
+        let snap = dir.join(format!("run-{jobs:?}.nkasnap"));
+        std::fs::copy(&seed, &snap).expect("copy seed snapshot");
+        let run = run_batch_jobs(long, Some(&snap), jobs);
+        assert_eq!(run.code, Some(0), "jobs={jobs:?}: {}", run.stderr);
+        assert!(
+            run.stderr
+                .contains(&format!("snapshot: restored {entries} entries")),
+            "{}",
+            run.stderr
+        );
+        assert_eq!(
+            run.snapshot_stat("restored_entries"),
+            entries,
+            "jobs={jobs:?}: {}",
+            run.stderr
+        );
+    }
+
+    let server = Server::bind(
+        ServeConfig {
+            workers: 3,
+            snapshot_path: Some(seed.clone()),
+            ..ServeConfig::default()
+        },
+        &[ListenAddr::Tcp("127.0.0.1:0".to_owned())],
+    )
+    .expect("bind");
+    let handle = server.handle();
+    handle.begin_drain(0, "counted");
+    assert_eq!(server.join(), 0);
+    assert_eq!(
+        handle.stats_block().totals.snapshot.restored_entries,
+        u64::try_from(entries).unwrap()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
