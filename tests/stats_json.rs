@@ -212,3 +212,228 @@ fn quantum_ops_get_their_own_histograms() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Byte-level stats pin.
+//
+// Every counter the `--stats` surfaces report — the `--stats --json`
+// object, every response line's per-response `stats` object, the
+// certificate `stats` inside analyze/optimize answers, and the human
+// `--stats` lines — is compared byte-for-byte, key order included,
+// against committed expected files under `tests/data/stats_pin/`. Only
+// wall-clock and process-wide arena values are masked, by key:
+// response `micros`; `elapsed_micros` and `qps`; the timing fields and
+// `buckets` under `ops.*`; `arena.*` except `engine_recycles`;
+// `expr.interned`; `snapshot.age_secs`. Runs are sequential, so every
+// counter is deterministic.
+//
+// To regenerate the expected files after an intended surface change,
+// run with `NKA_BLESS_STATS_PIN=1`.
+
+const PIN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/stats_pin");
+const ANALYZE_FILE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/analyze_20.jsonl");
+const OPTIMIZE_FILE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/optimize_20.jsonl");
+
+const MASK: &str = "*";
+
+/// Whether the value at `path` (object keys from the root) is masked.
+fn masked_key(path: &[&str]) -> bool {
+    match path {
+        ["micros" | "elapsed_micros" | "qps"] => true,
+        ["ops", _, "mean_ns" | "p50_ns" | "p99_ns" | "p999_ns" | "buckets"] => true,
+        ["arena", key] => *key != "engine_recycles",
+        ["expr", "interned"] | ["snapshot", "age_secs"] => true,
+        _ => false,
+    }
+}
+
+/// `value` with every masked key's value replaced by [`MASK`] (a
+/// `null` stays `null`, so "no snapshot loaded" is still pinned).
+fn mask_json(value: Json, path: &mut Vec<String>) -> Json {
+    match value {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .map(|(key, v)| {
+                    path.push(key.clone());
+                    let keys: Vec<&str> = path.iter().map(String::as_str).collect();
+                    let v = if masked_key(&keys) && v != Json::Null {
+                        Json::Str(MASK.to_owned())
+                    } else {
+                        mask_json(v, path)
+                    };
+                    path.pop();
+                    (key, v)
+                })
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+fn mask_json_line(line: &str) -> String {
+    let value = Json::parse(line).unwrap_or_else(|err| panic!("{err}: {line}"));
+    mask_json(value, &mut Vec::new()).to_string()
+}
+
+/// Replaces every run of ASCII digits in `s` with [`MASK`].
+fn mask_digits(s: &str) -> String {
+    let mut out = String::new();
+    let mut in_digits = false;
+    for c in s.chars() {
+        if c.is_ascii_digit() {
+            if !in_digits {
+                out.push_str(MASK);
+            }
+            in_digits = true;
+        } else {
+            out.push(c);
+            in_digits = false;
+        }
+    }
+    out
+}
+
+/// The human `--stats` lines of `stderr` (other stderr notes, such as
+/// the snapshot load/dump messages naming a path, are skipped), with
+/// the latency figures, the process-wide arena figures and the
+/// snapshot age masked.
+fn mask_human(stderr: &str) -> String {
+    let mut out = String::new();
+    for line in stderr.lines() {
+        let masked = if let Some(rest) = line.strip_prefix("latency stats: ") {
+            let queries = rest.split(" in ").next().unwrap_or(rest);
+            format!("latency stats: {queries} in {MASK}")
+        } else if line.starts_with("  ") {
+            match line.split_once(" p50=") {
+                Some((head, _)) => format!("{head} p50={MASK}"),
+                None => line.to_owned(),
+            }
+        } else if line.starts_with("expr stats: ") {
+            let (head, tail) = line
+                .split_once("; ")
+                .expect("expr stats line has two parts");
+            format!("{head}; {}", mask_digits(tail))
+        } else if line.starts_with("arena stats: ") {
+            let (head, recycles) = line
+                .rsplit_once(", ")
+                .expect("arena stats line ends with the recycle count");
+            format!("{}, {recycles}", mask_digits(head))
+        } else if line.starts_with("snapshot stats: ") {
+            match (line.find("(age "), line.find("), ")) {
+                (Some(start), Some(end)) if start < end => {
+                    format!("{}(age {MASK}{}", &line[..start], &line[end..])
+                }
+                _ => line.to_owned(),
+            }
+        } else if line.contains(" stats: ") {
+            line.to_owned()
+        } else {
+            continue;
+        };
+        out.push_str(&masked);
+        out.push('\n');
+    }
+    out
+}
+
+/// Runs `nka <args>`, feeding `stdin`, and returns (stdout, stderr).
+fn run_nka(args: &[&str], stdin: &str) -> (String, String) {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nka"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("nka runs");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("stdin accepted");
+    let output = child.wait_with_output().expect("nka exits");
+    assert!(
+        output.status.success(),
+        "nka {args:?} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    (
+        String::from_utf8(output.stdout).expect("stdout is UTF-8"),
+        String::from_utf8(output.stderr).expect("stderr is UTF-8"),
+    )
+}
+
+/// The masked pin of one `--json --stats` run: every response line,
+/// then the stats object.
+fn json_pin(stdout: &str, stderr: &str) -> String {
+    let mut out = String::new();
+    for line in stdout.lines() {
+        out.push_str(&mask_json_line(line));
+        out.push('\n');
+    }
+    let stats: Vec<&str> = stderr.lines().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(stats.len(), 1, "one stats object expected:\n{stderr}");
+    out.push_str("--- stats ---\n");
+    out.push_str(&mask_json_line(stats[0]));
+    out.push('\n');
+    out
+}
+
+fn check_pin(name: &str, actual: &str) {
+    let path = std::path::Path::new(PIN_DIR).join(name);
+    if std::env::var_os("NKA_BLESS_STATS_PIN").is_some() {
+        std::fs::create_dir_all(PIN_DIR).expect("pin directory");
+        std::fs::write(&path, actual).expect("pin written");
+        return;
+    }
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|err| panic!("{}: {err}", path.display()));
+    if expected != actual {
+        let first = expected
+            .lines()
+            .zip(actual.lines())
+            .position(|(e, a)| e != a)
+            .unwrap_or_else(|| expected.lines().count().min(actual.lines().count()));
+        panic!(
+            "{name}: stats pin differs at line {}:\nexpected: {}\nactual:   {}",
+            first + 1,
+            expected.lines().nth(first).unwrap_or("<end>"),
+            actual.lines().nth(first).unwrap_or("<end>"),
+        );
+    }
+}
+
+#[test]
+fn stats_pin_golden_corpora() {
+    for (name, file) in [
+        ("batch_50", BATCH_FILE),
+        ("qprog_25", QPROG_FILE),
+        ("analyze_20", ANALYZE_FILE),
+        ("optimize_20", OPTIMIZE_FILE),
+    ] {
+        let (stdout, stderr) = run_nka(&["--json", "--stats", "batch", file], "");
+        check_pin(&format!("{name}.json.pin"), &json_pin(&stdout, &stderr));
+        let (_, stderr) = run_nka(&["--stats", "batch", file], "");
+        check_pin(&format!("{name}.human.pin"), &mask_human(&stderr));
+    }
+}
+
+#[test]
+fn stats_pin_snapshot_warm_restart() {
+    let snap = std::env::temp_dir().join(format!("nka-stats-pin-{}.nkasnap", std::process::id()));
+    let _ = std::fs::remove_file(&snap);
+    let snap_arg = snap.to_str().expect("UTF-8 temp path").to_owned();
+    let corpus = std::fs::read_to_string(QPROG_FILE).unwrap()
+        + &std::fs::read_to_string(ANALYZE_FILE).unwrap();
+    let json_args = ["--json", "--stats", "--snapshot", &snap_arg, "batch"];
+    let (stdout, stderr) = run_nka(&json_args, &corpus);
+    check_pin("snapshot_cold.json.pin", &json_pin(&stdout, &stderr));
+    let (stdout, stderr) = run_nka(&json_args, &corpus);
+    check_pin("snapshot_warm.json.pin", &json_pin(&stdout, &stderr));
+    let (_, stderr) = run_nka(&["--stats", "--snapshot", &snap_arg, "batch"], &corpus);
+    check_pin("snapshot_warm.human.pin", &mask_human(&stderr));
+    let _ = std::fs::remove_file(&snap);
+}
