@@ -1,14 +1,13 @@
 //! DECIDE-SCALE — Remark 2.1: the equational theory of NKA is decidable.
-//! Measures the decision procedure across expression sizes, plus two
-//! ablations from DESIGN.md §6: the unsound `f64` zeroness arm, and the
-//! truncated-series semi-oracle (refutation-complete only).
+//! Measures the decision procedure across expression sizes, plus the
+//! truncated-series semi-oracle ablation (refutation-complete only).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nka_bench::random_exprs;
 use nka_core::api::{Query, Session, SessionOptions, Verdict};
 use nka_series::eval;
 use nka_syntax::Symbol;
-use nka_wfa::decide::{decide_eq_with, DecideOptions};
+use nka_wfa::decide::DecideOptions;
 use nka_wfa::ka::{ka_equiv, saturate};
 use nka_wfa::Decider;
 use std::hint::black_box;
@@ -74,24 +73,6 @@ fn bench_decide(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("decide/f64_ablation");
-    group.sample_size(10);
-    let opts = DecideOptions {
-        float_ablation: true,
-        ..DecideOptions::default()
-    };
-    for size in [10usize, 20, 40] {
-        let exprs = random_exprs(8, size, 0xD5C1DE + size as u64);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &exprs, |b, exprs| {
-            b.iter(|| {
-                for pair in exprs.chunks(2) {
-                    let _ = decide_eq_with(black_box(&pair[0]), black_box(&pair[1]), &opts);
-                }
-            });
-        });
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("decide/series_truncation_ablation");
     group.sample_size(10);
     for size in [10usize, 20, 40] {
@@ -143,7 +124,7 @@ fn bench_decide(c: &mut Criterion) {
             for (pipeline, starfree_max_words) in [("fast", 8192usize), ("generic", 0)] {
                 let options = || {
                     SessionOptions::builder()
-                        .decide(nka_wfa::decide::DecideOptions {
+                        .decide(DecideOptions {
                             starfree_max_words,
                             ..DecideOptions::default()
                         })

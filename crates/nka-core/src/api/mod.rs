@@ -994,207 +994,147 @@ pub struct MemoryStats {
     pub queries_run: u64,
 }
 
-/// Cumulative counters of the static analyzer ([`Query::Analyze`])
-/// over a session's life — the `analyze` slice of `nka --stats` and
-/// the serve v2 stats block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalysisStats {
-    /// Findings emitted, bucketed by [`analysis::PASS_NAMES`] index.
-    pub findings_by_pass: [u64; analysis::PASS_NAMES.len()],
-    /// Tier B `prog_eq`/zeroness decisions actually run on the engine
-    /// (certificate-cache misses).
-    pub tier_b_decides: u64,
-    /// Tier B checks answered from the session's certificate cache
-    /// without touching the engine.
-    pub cert_cache_hits: u64,
+impl MemoryStats {
+    /// The process arena's figures now, with the given session figures.
+    /// Each arena counter is read once and the resident figure is their
+    /// sum, so the snapshot is internally consistent even while other
+    /// threads intern or retire concurrently.
+    #[must_use]
+    pub fn capture(engine_recycles: u64, queries_run: u64) -> MemoryStats {
+        let arena_persistent_nodes = nka_syntax::interned_expr_count();
+        let scratch_live_nodes = nka_syntax::scratch_live_nodes();
+        MemoryStats {
+            arena_persistent_nodes,
+            scratch_live_nodes,
+            arena_resident_nodes: arena_persistent_nodes + scratch_live_nodes,
+            scratch_retired_total: nka_syntax::scratch_retired_total(),
+            scratch_scopes_retired: nka_syntax::scratch_epoch(),
+            engine_recycles,
+            queries_run,
+        }
+    }
+}
+
+nka_syntax::counter_table! {
+    /// Cumulative counters of the static analyzer ([`Query::Analyze`])
+    /// over a session's life — the `analyze` slice of `nka --stats` and
+    /// the serve v2 stats block.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AnalysisStats {
+        /// Findings emitted, bucketed by [`analysis::PASS_NAMES`] index.
+        pub findings_by_pass: [u64; analysis::PASS_NAMES.len()],
+        /// Tier B `prog_eq`/zeroness decisions actually run on the engine
+        /// (certificate-cache misses).
+        pub tier_b_decides: u64,
+        /// Tier B checks answered from the session's certificate cache
+        /// without touching the engine.
+        pub cert_cache_hits: u64,
+    }
 }
 
 impl AnalysisStats {
-    /// Counter-wise sum, for merging worker sessions.
-    #[must_use]
-    pub fn merged(&self, other: &AnalysisStats) -> AnalysisStats {
-        let mut findings_by_pass = self.findings_by_pass;
-        for (acc, x) in findings_by_pass.iter_mut().zip(other.findings_by_pass) {
-            *acc += x;
-        }
-        AnalysisStats {
-            findings_by_pass,
-            tier_b_decides: self.tier_b_decides + other.tier_b_decides,
-            cert_cache_hits: self.cert_cache_hits + other.cert_cache_hits,
-        }
-    }
-
     /// Total findings across all passes.
     #[must_use]
     pub fn findings_total(&self) -> u64 {
         self.findings_by_pass.iter().sum()
     }
+}
 
-    /// Whether every counter is zero (no analyze traffic yet).
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == AnalysisStats::default()
+nka_syntax::counter_table! {
+    /// Cumulative counters of the optimizer ([`Query::Optimize`]) over a
+    /// session's life — the `optimize` slice of `nka --stats` and the
+    /// serve v2 stats block.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OptimizeStats {
+        /// Optimize queries answered.
+        pub queries: u64,
+        /// Rewrite steps applied (each one engine-certified).
+        pub steps_applied: u64,
+        /// Applied steps bucketed by
+        /// [`nka_qprog::analysis::RULE_METADATA`] index.
+        pub steps_by_rule: [u64; optimize::RULE_COUNT],
+        /// Candidates the engine refuted — mostly hypothesis-bearing
+        /// (advisory) catalog rules the free-symbol algebra cannot
+        /// discharge (Theorem 4.5 is one-way).
+        pub candidates_refuted: u64,
+        /// Runs that terminated at a genuine fixpoint (no candidate left).
+        pub fixpoints: u64,
+        /// Runs that bailed on the step budget instead (cycling rule
+        /// filters, or `--max-steps` set below the fixpoint distance).
+        pub budget_bails: u64,
+        /// Candidates skipped because their encoding was already visited
+        /// this run — the seen-set that keeps cycling rule pairs finite.
+        pub cycle_breaks: u64,
+        /// Candidate/final certifications actually run on the engine
+        /// (certificate-cache misses).
+        pub engine_decides: u64,
+        /// Certifications answered from the session's certificate cache
+        /// without touching the engine.
+        pub cert_cache_hits: u64,
     }
 }
 
-/// Cumulative counters of the optimizer ([`Query::Optimize`]) over a
-/// session's life — the `optimize` slice of `nka --stats` and the
-/// serve v2 stats block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptimizeStats {
-    /// Optimize queries answered.
-    pub queries: u64,
-    /// Rewrite steps applied (each one engine-certified).
-    pub steps_applied: u64,
-    /// Applied steps bucketed by
-    /// [`nka_qprog::analysis::RULE_METADATA`] index.
-    pub steps_by_rule: [u64; optimize::RULE_COUNT],
-    /// Candidates the engine refuted — mostly hypothesis-bearing
-    /// (advisory) catalog rules the free-symbol algebra cannot
-    /// discharge (Theorem 4.5 is one-way).
-    pub candidates_refuted: u64,
-    /// Runs that terminated at a genuine fixpoint (no candidate left).
-    pub fixpoints: u64,
-    /// Runs that bailed on the step budget instead (cycling rule
-    /// filters, or `--max-steps` set below the fixpoint distance).
-    pub budget_bails: u64,
-    /// Candidates skipped because their encoding was already visited
-    /// this run — the seen-set that keeps cycling rule pairs finite.
-    pub cycle_breaks: u64,
-    /// Candidate/final certifications actually run on the engine
-    /// (certificate-cache misses).
-    pub engine_decides: u64,
-    /// Certifications answered from the session's certificate cache
-    /// without touching the engine.
-    pub cert_cache_hits: u64,
-}
-
-impl OptimizeStats {
-    /// Counter-wise sum, for merging worker sessions.
-    #[must_use]
-    pub fn merged(&self, other: &OptimizeStats) -> OptimizeStats {
-        let mut steps_by_rule = self.steps_by_rule;
-        for (acc, x) in steps_by_rule.iter_mut().zip(other.steps_by_rule) {
-            *acc += x;
-        }
-        OptimizeStats {
-            queries: self.queries + other.queries,
-            steps_applied: self.steps_applied + other.steps_applied,
-            steps_by_rule,
-            candidates_refuted: self.candidates_refuted + other.candidates_refuted,
-            fixpoints: self.fixpoints + other.fixpoints,
-            budget_bails: self.budget_bails + other.budget_bails,
-            cycle_breaks: self.cycle_breaks + other.cycle_breaks,
-            engine_decides: self.engine_decides + other.engine_decides,
-            cert_cache_hits: self.cert_cache_hits + other.cert_cache_hits,
-        }
-    }
-
-    /// Whether every counter is zero (no optimize traffic yet).
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == OptimizeStats::default()
+nka_syntax::counter_table! {
+    /// Cumulative warm-start counters of a session — the `snapshot` slice
+    /// of `nka --stats` and the serve v2 stats block. Together with the
+    /// engine's ordinary `answer_hits` these expose the tiered lookup:
+    /// an in-process hit is an `answer_hit` that is *not* a
+    /// `snapshot_hit`; a snapshot hit is both; everything else recomputes.
+    ///
+    /// Two fields are facts about the loaded file rather than counts: a
+    /// pool restores one snapshot into every worker, so merging takes
+    /// the maximum of `restored_entries` (the entries loaded from the
+    /// file, not that times the pool size) and keeps the first present
+    /// `loaded_created_unix_secs`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SnapshotStats {
+        /// Cache entries restored into this session from loaded snapshots
+        /// (verdicts + multisets + certificates).
+        pub restored_entries: u64 => nka_syntax::counters::max,
+        /// Engine verdict-cache hits served by a restored entry.
+        pub snapshot_hits: u64,
+        /// Analyzer certificate-cache hits served by a restored entry.
+        pub cert_snapshot_hits: u64,
+        /// Snapshot loads that degraded to cold start (corrupt, stale,
+        /// version-mismatched, or config-mismatched files).
+        pub load_warnings: u64,
+        /// Successful snapshot dumps performed by this session.
+        pub dumps: u64,
+        /// Snapshot dumps that failed (I/O); the session keeps serving.
+        pub dump_failures: u64,
+        /// Creation time (unix seconds) of the most recently loaded
+        /// snapshot, for age reporting; `None` if nothing was restored.
+        pub loaded_created_unix_secs: Option<u64>,
     }
 }
 
-/// Cumulative warm-start counters of a session — the `snapshot` slice
-/// of `nka --stats` and the serve v2 stats block. Together with the
-/// engine's ordinary `answer_hits` these expose the tiered lookup:
-/// an in-process hit is an `answer_hit` that is *not* a
-/// `snapshot_hit`; a snapshot hit is both; everything else recomputes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Cache entries restored into this session from loaded snapshots
-    /// (verdicts + multisets + certificates).
-    pub restored_entries: u64,
-    /// Engine verdict-cache hits served by a restored entry.
-    pub snapshot_hits: u64,
-    /// Analyzer certificate-cache hits served by a restored entry.
-    pub cert_snapshot_hits: u64,
-    /// Snapshot loads that degraded to cold start (corrupt, stale,
-    /// version-mismatched, or config-mismatched files).
-    pub load_warnings: u64,
-    /// Successful snapshot dumps performed by this session.
-    pub dumps: u64,
-    /// Snapshot dumps that failed (I/O); the session keeps serving.
-    pub dump_failures: u64,
-    /// Creation time (unix seconds) of the most recently loaded
-    /// snapshot, for age reporting; `None` if nothing was restored.
-    pub loaded_created_unix_secs: Option<u64>,
-}
-
-impl SnapshotStats {
-    /// Counter-wise sum, for merging worker sessions — except the two
-    /// facts about the loaded file: a pool restores one snapshot into
-    /// every worker, so `restored_entries` takes the maximum (the
-    /// entries loaded from the file, not that times the pool size) and
-    /// the loaded timestamp keeps the first present value.
-    #[must_use]
-    pub fn merged(&self, other: &SnapshotStats) -> SnapshotStats {
-        SnapshotStats {
-            restored_entries: self.restored_entries.max(other.restored_entries),
-            snapshot_hits: self.snapshot_hits + other.snapshot_hits,
-            cert_snapshot_hits: self.cert_snapshot_hits + other.cert_snapshot_hits,
-            load_warnings: self.load_warnings + other.load_warnings,
-            dumps: self.dumps + other.dumps,
-            dump_failures: self.dump_failures + other.dump_failures,
-            loaded_created_unix_secs: self
-                .loaded_created_unix_secs
-                .or(other.loaded_created_unix_secs),
-        }
-    }
-
-    /// Whether every counter is zero (no snapshot activity yet) — the
-    /// stats surfaces omit the section entirely in that case.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == SnapshotStats::default()
-    }
-}
-
-/// Every cumulative counter of a [`Session`] in one snapshot
-/// ([`Session::totals`]) — the single accounting type behind every
-/// `--stats` surface. Worker pools fold their sessions' totals with
-/// [`SessionTotals::merged`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SessionTotals {
-    /// Engine counters, including engines since recycled.
-    pub engine: DeciderStats,
-    /// Queries answered ([`Session::queries_run`]).
-    pub queries: u64,
-    /// Tree nodes across queried expressions
-    /// ([`Query::term_stats`] summed over the session's life).
-    pub expr_nodes: u64,
-    /// Distinct interned subterms across queried expressions
-    /// (compare `nka_syntax::interned_expr_count()` for the
-    /// process-wide arena footprint).
-    pub expr_subterms: u64,
-    /// Engine recycles ([`SessionOptions::recycle_after_queries`]).
-    pub engine_recycles: u64,
-    /// Static-analyzer counters ([`Session::analysis_stats`]).
-    pub analysis: AnalysisStats,
-    /// Optimizer counters ([`Session::optimize_stats`]).
-    pub optimize: OptimizeStats,
-    /// Warm-start counters: restored entries, snapshot-tier hits,
-    /// degraded loads, dumps.
-    pub snapshot: SnapshotStats,
-}
-
-impl SessionTotals {
-    /// Counter-wise sum, for folding a worker pool into one report
-    /// (see [`SnapshotStats::merged`] for the one non-sum).
-    #[must_use]
-    pub fn merged(&self, other: &SessionTotals) -> SessionTotals {
-        SessionTotals {
-            engine: self.engine.merged(&other.engine),
-            queries: self.queries + other.queries,
-            expr_nodes: self.expr_nodes + other.expr_nodes,
-            expr_subterms: self.expr_subterms + other.expr_subterms,
-            engine_recycles: self.engine_recycles + other.engine_recycles,
-            analysis: self.analysis.merged(&other.analysis),
-            optimize: self.optimize.merged(&other.optimize),
-            snapshot: self.snapshot.merged(&other.snapshot),
-        }
+nka_syntax::counter_table! {
+    /// Every cumulative counter of a [`Session`] in one snapshot
+    /// ([`Session::totals`]) — the single accounting type behind every
+    /// `--stats` surface. Worker pools fold their sessions' totals with
+    /// `merged`, which merges each section by its own table.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct SessionTotals {
+        /// Engine counters, including engines since recycled.
+        pub engine: DeciderStats,
+        /// Queries answered ([`Session::queries_run`]).
+        pub queries: u64,
+        /// Tree nodes across queried expressions
+        /// ([`Query::term_stats`] summed over the session's life).
+        pub expr_nodes: u64,
+        /// Distinct interned subterms across queried expressions
+        /// (compare `nka_syntax::interned_expr_count()` for the
+        /// process-wide arena footprint).
+        pub expr_subterms: u64,
+        /// Engine recycles ([`SessionOptions::recycle_after_queries`]).
+        pub engine_recycles: u64,
+        /// Static-analyzer counters ([`Session::analysis_stats`]).
+        pub analysis: AnalysisStats,
+        /// Optimizer counters ([`Session::optimize_stats`]).
+        pub optimize: OptimizeStats,
+        /// Warm-start counters: restored entries, snapshot-tier hits,
+        /// degraded loads, dumps.
+        pub snapshot: SnapshotStats,
     }
 }
 
@@ -1270,17 +1210,11 @@ pub struct Session {
     /// Certificate-cache keys restored from a snapshot; a hit on one is
     /// a `cert_snapshot_hit`. Cleared alongside `cert_cache`.
     restored_cert_keys: HashSet<(String, String)>,
-    /// Warm-start counters (the `snapshot` of [`Session::totals`]); cumulative,
-    /// surviving engine recycling. `retired_snapshot_hits` folds in the
-    /// hit counts of recycled engines (mirroring `retired_stats`).
-    snapshot_restored_entries: u64,
-    retired_snapshot_hits: u64,
-    cert_snapshot_hits: u64,
-    snapshot_load_warnings: u64,
-    snapshot_dumps: u64,
-    snapshot_dump_failures: u64,
-    /// Creation time of the most recently loaded snapshot.
-    snapshot_loaded_created: Option<u64>,
+    /// Warm-start counters (the `snapshot` of [`Session::totals`]);
+    /// cumulative, surviving engine recycling. Its `snapshot_hits` holds
+    /// the hits of recycled engines only (mirroring `retired_stats`);
+    /// [`Session::totals`] adds the live engine's.
+    snapshot: SnapshotStats,
 }
 
 /// The root-id key of [`Session::run`]'s term-stats memo. Equality /
@@ -1407,20 +1341,7 @@ impl Session {
     /// `nka --stats` and the CI memory-soak gate.
     #[must_use]
     pub fn memory_stats(&self) -> MemoryStats {
-        // Capture each counter once and derive the sum from the
-        // captured values, so the snapshot is internally consistent
-        // even while other threads intern or retire concurrently.
-        let arena_persistent_nodes = nka_syntax::interned_expr_count();
-        let scratch_live_nodes = nka_syntax::scratch_live_nodes();
-        MemoryStats {
-            arena_persistent_nodes,
-            scratch_live_nodes,
-            arena_resident_nodes: arena_persistent_nodes + scratch_live_nodes,
-            scratch_retired_total: nka_syntax::scratch_retired_total(),
-            scratch_scopes_retired: nka_syntax::scratch_epoch(),
-            engine_recycles: self.engine_recycles,
-            queries_run: self.queries_run,
-        }
+        MemoryStats::capture(self.engine_recycles, self.queries_run)
     }
 
     /// Number of queries answered by this session.
@@ -1448,13 +1369,8 @@ impl Session {
             analysis: self.analysis_stats,
             optimize: self.optimize_stats,
             snapshot: SnapshotStats {
-                restored_entries: self.snapshot_restored_entries,
-                snapshot_hits: self.retired_snapshot_hits + self.engine.snapshot_hits(),
-                cert_snapshot_hits: self.cert_snapshot_hits,
-                load_warnings: self.snapshot_load_warnings,
-                dumps: self.snapshot_dumps,
-                dump_failures: self.snapshot_dump_failures,
-                loaded_created_unix_secs: self.snapshot_loaded_created,
+                snapshot_hits: self.snapshot.snapshot_hits + self.engine.snapshot_hits(),
+                ..self.snapshot
             },
         }
     }
@@ -1467,7 +1383,7 @@ impl Session {
     /// wrong answer. Returns the number of entries restored.
     pub fn load_snapshot(&mut self, snap: &LoadedSnapshot) -> usize {
         if snap.config != ConfigGuard::from_options(&self.opts.decide) {
-            self.snapshot_load_warnings += 1;
+            self.snapshot.load_warnings += 1;
             return 0;
         }
         let mut restored = 0usize;
@@ -1489,8 +1405,8 @@ impl Session {
             self.cert_cache.insert(key, (cert.holds, cert.stats));
             restored += 1;
         }
-        self.snapshot_restored_entries += restored as u64;
-        self.snapshot_loaded_created = Some(snap.created_unix_secs);
+        self.snapshot.restored_entries += restored as u64;
+        self.snapshot.loaded_created_unix_secs = Some(snap.created_unix_secs);
         restored
     }
 
@@ -1510,7 +1426,7 @@ impl Session {
         match snapshot::load(path, &ConfigGuard::from_options(&self.opts.decide)) {
             Ok(snap) => Ok(self.load_snapshot(&snap)),
             Err(err) => {
-                self.snapshot_load_warnings += 1;
+                self.snapshot.load_warnings += 1;
                 Err(err)
             }
         }
@@ -1557,11 +1473,11 @@ impl Session {
         let entries = builder.entry_count();
         match builder.write_to(path) {
             Ok(()) => {
-                self.snapshot_dumps += 1;
+                self.snapshot.dumps += 1;
                 Ok(entries)
             }
             Err(err) => {
-                self.snapshot_dump_failures += 1;
+                self.snapshot.dump_failures += 1;
                 Err(err)
             }
         }
@@ -1626,7 +1542,7 @@ impl Session {
             let _ = self.save_snapshot(&path);
         }
         self.retired_stats = self.retired_stats.merged(&self.engine.stats());
-        self.retired_snapshot_hits += self.engine.snapshot_hits();
+        self.snapshot.snapshot_hits += self.engine.snapshot_hits();
         self.engine = Decider::with_options(self.opts.decide.clone());
         self.term_stats_cache.clear();
         self.term_stats_scratch_keys = 0;
@@ -1869,7 +1785,7 @@ impl Session {
                 .restored_cert_keys
                 .contains(&(p.to_owned(), q.to_owned()))
             {
-                self.cert_snapshot_hits += 1;
+                self.snapshot.cert_snapshot_hits += 1;
             }
             return (hit.0, hit.1, true);
         }
@@ -2155,6 +2071,34 @@ pub fn run_batch_parallel(queries: &[Query], opts: &SessionOptions, jobs: usize)
 mod tests {
     use super::*;
 
+    /// Set in the child process [`in_own_process`] starts.
+    const OWN_PROCESS: &str = "NKA_CORE_TEST_IN_OWN_PROCESS";
+
+    /// For tests that assert exact process-wide arena counts, which
+    /// sibling tests interning on other threads would disturb: re-runs
+    /// the test `name` (of this module) alone in a child process of this
+    /// test binary and returns `false` once it passed there; returns
+    /// `true` inside that child, where the body should run.
+    fn in_own_process(name: &str) -> bool {
+        if std::env::var_os(OWN_PROCESS).is_some() {
+            return true;
+        }
+        let module = module_path!().split_once("::").map_or("", |(_, m)| m);
+        let test = format!("{module}::{name}");
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([test.as_str(), "--exact", "--test-threads=1"])
+            .env(OWN_PROCESS, "1")
+            .output()
+            .expect("the test binary re-runs itself");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{test} in its own process:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        false
+    }
+
     #[test]
     fn nka_and_ka_verdicts_disagree_on_idempotence() {
         let mut session = Session::new();
@@ -2372,6 +2316,9 @@ mod tests {
 
     #[test]
     fn prog_eq_scratch_is_reclaimed_and_equal_encodings_promote() {
+        if !in_own_process("prog_eq_scratch_is_reclaimed_and_equal_encodings_promote") {
+            return;
+        }
         let mut session = Session::new();
         // Distinct refuted comparisons leave no persistent footprint.
         let refuted = Query::prog_eq(
@@ -2513,7 +2460,7 @@ mod tests {
         // snapshot wholesale — cold, one warning, no wrong answers.
         let mismatched_opts = SessionOptions::builder()
             .decide(DecideOptions {
-                float_ablation: true,
+                starfree_max_words: DecideOptions::default().starfree_max_words + 1,
                 ..DecideOptions::default()
             })
             .build()
@@ -2722,6 +2669,9 @@ mod tests {
 
     #[test]
     fn analyze_uses_certificate_cache_and_never_promotes() {
+        if !in_own_process("analyze_uses_certificate_cache_and_never_promotes") {
+            return;
+        }
         let mut session = Session::new();
         // Refuted redundant-fragment check only (no while/abort): the
         // one Tier B decide is a cache miss, the repeat a cache hit.
@@ -2770,7 +2720,6 @@ mod tests {
                 // construction (the fast path would answer it without
                 // consuming DFA budget).
                 starfree_max_words: 0,
-                ..DecideOptions::default()
             },
             ..SessionOptions::default()
         };

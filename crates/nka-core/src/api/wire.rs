@@ -46,7 +46,7 @@ use super::{
 };
 #[cfg(doc)]
 use super::{QueryKind, Session};
-use crate::serve::stats::decider_stats_json;
+use crate::serve::stats::counter_entries;
 use nka_syntax::Word;
 
 /// The wire protocol version, emitted as `"v"` on every response line
@@ -376,20 +376,7 @@ fn certificate_json(cert: &nka_qprog::Certificate) -> Json {
         ),
         (
             "stats".to_owned(),
-            Json::Obj(vec![
-                (
-                    "starfree_hits".to_owned(),
-                    Json::Int(i64::try_from(cert.stats.starfree_hits).unwrap_or(i64::MAX)),
-                ),
-                (
-                    "prefix_hits".to_owned(),
-                    Json::Int(i64::try_from(cert.stats.prefix_hits).unwrap_or(i64::MAX)),
-                ),
-                (
-                    "fastpath_fallbacks".to_owned(),
-                    Json::Int(i64::try_from(cert.stats.fastpath_fallbacks).unwrap_or(i64::MAX)),
-                ),
-            ]),
+            Json::Obj(counter_entries(&cert.stats.fields())),
         ),
     ])
 }
@@ -509,7 +496,10 @@ pub fn encode_response(query: &Query, resp: &Response) -> String {
         "expr_subterms".to_owned(),
         Json::Int(i64::try_from(resp.expr_subterms).unwrap_or(i64::MAX)),
     ));
-    fields.push(("stats".to_owned(), decider_stats_json(&resp.stats_delta)));
+    fields.push((
+        "stats".to_owned(),
+        Json::Obj(counter_entries(&resp.stats_delta.fields())),
+    ));
     fields.push((
         "micros".to_owned(),
         Json::Int(i64::try_from(resp.elapsed.as_micros()).unwrap_or(i64::MAX)),

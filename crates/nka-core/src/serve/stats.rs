@@ -9,7 +9,7 @@
 //!   one-shot CLI, `batch` (sequential and `--jobs N`), the stdin
 //!   `serve` loop, and every worker of the socket server.
 //! * [`StatsBlock`] — the full `--stats` report: engine counters
-//!   ([`DeciderStats`], including the tiered-equivalence
+//!   ([`nka_wfa::DeciderStats`], including the tiered-equivalence
 //!   `starfree_hits`/`prefix_hits`/`fastpath_fallbacks`), term-size
 //!   accounting, process-arena figures, throughput, the per-op
 //!   histograms, and (for the socket server) the [`ServeCounters`]
@@ -20,9 +20,8 @@
 use super::histogram::{fmt_ns, HistogramSnapshot, LatencyHistogram};
 use crate::api::json::Json;
 use crate::api::wire::WIRE_VERSION;
-use crate::api::{QueryKind, SessionTotals};
+use crate::api::{MemoryStats, QueryKind, SessionTotals};
 use nka_qprog::analysis::{PASS_NAMES, RULE_METADATA};
-use nka_wfa::DeciderStats;
 use std::time::Duration;
 
 /// Every wire op, in the order stats are reported.
@@ -119,32 +118,34 @@ impl OpSnapshots {
     }
 }
 
-/// Socket-server counters, present in the stats report only when the
-/// query stream came over `serve --listen`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeCounters {
-    /// Connections accepted over the server's life.
-    pub connections_opened: u64,
-    /// Connections fully closed (reader gone, queue drained).
-    pub connections_closed: u64,
-    /// Requests answered with a structured `overloaded` error because
-    /// the server-wide pending hard cap was exceeded.
-    pub rejected_overload: u64,
-    /// Requests answered with a structured error because one line
-    /// exceeded the per-line byte hard cap.
-    pub rejected_line_bytes: u64,
-    /// Malformed request lines answered with structured errors.
-    pub wire_errors: u64,
-    /// Connections dropped mid-response (client went away; EPIPE et
-    /// al.). Each costs only its own connection, never the process.
-    pub dropped_mid_response: u64,
-    /// Requests currently queued or running (point-in-time).
-    pub pending_now: u64,
-    /// Engine recycles per worker (`--max-queries-per-worker`), indexed
-    /// by worker id.
-    pub worker_recycles: Vec<u64>,
-    /// Queries answered per worker, indexed by worker id.
-    pub worker_queries: Vec<u64>,
+nka_syntax::counter_table! {
+    /// Socket-server counters, present in the stats report only when the
+    /// query stream came over `serve --listen`.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ServeCounters {
+        /// Connections accepted over the server's life.
+        pub connections_opened: u64,
+        /// Connections fully closed (reader gone, queue drained).
+        pub connections_closed: u64,
+        /// Requests currently queued or running (point-in-time).
+        pub pending_now: u64,
+        /// Requests answered with a structured `overloaded` error because
+        /// the server-wide pending hard cap was exceeded.
+        pub rejected_overload: u64,
+        /// Requests answered with a structured error because one line
+        /// exceeded the per-line byte hard cap.
+        pub rejected_line_bytes: u64,
+        /// Malformed request lines answered with structured errors.
+        pub wire_errors: u64,
+        /// Connections dropped mid-response (client went away; EPIPE et
+        /// al.). Each costs only its own connection, never the process.
+        pub dropped_mid_response: u64,
+        /// Engine recycles per worker (`--max-queries-per-worker`), indexed
+        /// by worker id.
+        pub worker_recycles: Vec<u64>,
+        /// Queries answered per worker, indexed by worker id.
+        pub worker_queries: Vec<u64>,
+    }
 }
 
 /// Everything one `--stats` report contains. Build it with
@@ -155,6 +156,11 @@ pub struct StatsBlock {
     /// Cumulative counters of every session that answered the stream:
     /// engine, term sizes, recycles, analyzer, optimizer, snapshot.
     pub totals: SessionTotals,
+    /// The process arena's figures, read once when the block was built
+    /// so both renderings agree with each other and with themselves
+    /// (`arena_resident_nodes` is the sum of the other two even while
+    /// other threads intern).
+    pub memory: MemoryStats,
     /// Queries answered (histogram total; includes every op).
     pub queries: u64,
     /// Wall-clock covered by the report.
@@ -176,6 +182,7 @@ impl StatsBlock {
         serve: Option<ServeCounters>,
     ) -> StatsBlock {
         StatsBlock {
+            memory: MemoryStats::capture(totals.engine_recycles, totals.queries),
             totals,
             queries: ops.total(),
             elapsed,
@@ -204,6 +211,7 @@ impl StatsBlock {
     pub fn render_human(&self) -> String {
         let t = &self.totals;
         let s = &t.engine;
+        let m = &self.memory;
         let mut out = format!(
             "engine stats: {} NKA + {} KA queries, {} verdict hits, {} compiles ({} cached), {} determinizations ({} cached)\n",
             s.nka_queries,
@@ -222,15 +230,15 @@ impl StatsBlock {
             "expr stats: {} tree nodes over {} distinct subterms queried; {} expressions interned process-wide\n",
             t.expr_nodes,
             t.expr_subterms,
-            nka_syntax::interned_expr_count(),
+            m.arena_persistent_nodes,
         ));
         out.push_str(&format!(
             "arena stats: {} resident nodes ({} persistent + {} live scratch), {} scratch retired over {} scopes, {} engine recycles\n",
-            nka_syntax::arena_resident_nodes(),
-            nka_syntax::interned_expr_count(),
-            nka_syntax::scratch_live_nodes(),
-            nka_syntax::scratch_retired_total(),
-            nka_syntax::scratch_epoch(),
+            m.arena_resident_nodes,
+            m.arena_persistent_nodes,
+            m.scratch_live_nodes,
+            m.scratch_retired_total,
+            m.scratch_scopes_retired,
             t.engine_recycles,
         ));
         out.push_str(&format!(
@@ -341,16 +349,18 @@ impl StatsBlock {
     /// The machine-readable rendering: one JSON object (`--stats
     /// --json` emits it as a single line on stderr). Field names are
     /// part of the wire contract and covered by a parse test:
-    /// `engine.*` (the [`DeciderStats`] counters, including
+    /// `engine.*` (the [`nka_wfa::DeciderStats`] counters, including
     /// `starfree_hits`/`prefix_hits`/`fastpath_fallbacks`), `expr.*`,
     /// `arena.*`, `queries`/`elapsed_micros`/`qps`, `ops.<op>` with
     /// `count`/`mean_ns`/`p50_ns`/`p99_ns`/`p999_ns` and log-bucketed
-    /// `buckets: [[lower_ns, count], …]`, and `serve.*` when serving
-    /// sockets.
+    /// `buckets: [[lower_ns, count], …]`, the `analysis`, `optimize` and
+    /// `snapshot` counter sections, and `serve.*` when serving sockets.
+    /// Every counter section renders its table's `fields()` through
+    /// [`counter_entries`].
     #[must_use]
     pub fn to_json(&self) -> Json {
         let t = &self.totals;
-        let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
+        let m = &self.memory;
         let mut fields = vec![
             ("v".to_owned(), Json::Int(WIRE_VERSION)),
             ("queries".to_owned(), int(self.queries)),
@@ -362,19 +372,35 @@ impl StatsBlock {
                 "qps".to_owned(),
                 Json::Int((self.qps().round() as i64).max(0)),
             ),
-            ("engine".to_owned(), decider_stats_json(&t.engine)),
+            (
+                "engine".to_owned(),
+                Json::Obj(counter_entries(&t.engine.fields())),
+            ),
             (
                 "expr".to_owned(),
                 Json::Obj(vec![
                     ("nodes".to_owned(), int(t.expr_nodes)),
                     ("subterms".to_owned(), int(t.expr_subterms)),
-                    (
-                        "interned".to_owned(),
-                        int(nka_syntax::interned_expr_count() as u64),
-                    ),
+                    ("interned".to_owned(), int(m.arena_persistent_nodes as u64)),
                 ]),
             ),
-            ("arena".to_owned(), arena_stats_json(t.engine_recycles)),
+            (
+                "arena".to_owned(),
+                Json::Obj(vec![
+                    (
+                        "resident_nodes".to_owned(),
+                        int(m.arena_resident_nodes as u64),
+                    ),
+                    (
+                        "persistent_nodes".to_owned(),
+                        int(m.arena_persistent_nodes as u64),
+                    ),
+                    ("scratch_live".to_owned(), int(m.scratch_live_nodes as u64)),
+                    ("scratch_retired".to_owned(), int(m.scratch_retired_total)),
+                    ("scratch_epochs".to_owned(), int(m.scratch_scopes_retired)),
+                    ("engine_recycles".to_owned(), int(t.engine_recycles)),
+                ]),
+            ),
         ];
         let mut ops = Vec::new();
         for kind in OPS {
@@ -400,171 +426,93 @@ impl StatsBlock {
             ));
         }
         fields.push(("ops".to_owned(), Json::Obj(ops)));
-        fields.push((
-            "analysis".to_owned(),
-            Json::Obj(vec![
-                (
-                    "findings".to_owned(),
-                    Json::Obj(
-                        PASS_NAMES
-                            .iter()
-                            .zip(t.analysis.findings_by_pass)
-                            .map(|(pass, n)| ((*pass).to_owned(), int(n)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "findings_total".to_owned(),
-                    int(t.analysis.findings_total()),
-                ),
-                ("tier_b_decides".to_owned(), int(t.analysis.tier_b_decides)),
-                (
-                    "cert_cache_hits".to_owned(),
-                    int(t.analysis.cert_cache_hits),
-                ),
-            ]),
-        ));
-        fields.push((
-            "optimize".to_owned(),
-            Json::Obj(vec![
-                ("queries".to_owned(), int(t.optimize.queries)),
-                ("steps_applied".to_owned(), int(t.optimize.steps_applied)),
-                (
-                    "steps".to_owned(),
-                    Json::Obj(
-                        RULE_METADATA
-                            .iter()
-                            .zip(t.optimize.steps_by_rule)
-                            .map(|(meta, n)| (meta.name.to_owned(), int(n)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "candidates_refuted".to_owned(),
-                    int(t.optimize.candidates_refuted),
-                ),
-                ("fixpoints".to_owned(), int(t.optimize.fixpoints)),
-                ("budget_bails".to_owned(), int(t.optimize.budget_bails)),
-                ("cycle_breaks".to_owned(), int(t.optimize.cycle_breaks)),
-                ("engine_decides".to_owned(), int(t.optimize.engine_decides)),
-                (
-                    "cert_cache_hits".to_owned(),
-                    int(t.optimize.cert_cache_hits),
-                ),
-            ]),
-        ));
+
+        let findings = PASS_NAMES.iter().copied();
+        let mut analysis = vec![
+            (
+                "findings".to_owned(),
+                labelled(findings, &t.analysis.findings_by_pass),
+            ),
+            (
+                "findings_total".to_owned(),
+                int(t.analysis.findings_total()),
+            ),
+        ];
+        analysis.extend(counter_entries(&t.analysis.fields()));
+        fields.push(("analysis".to_owned(), Json::Obj(analysis)));
+
+        // `steps_by_rule` is declared third in `OptimizeStats`, so its
+        // `steps` object sits between the first two counters and the rest.
+        let mut optimize = counter_entries(&t.optimize.fields());
+        let rules = RULE_METADATA.iter().map(|meta| meta.name);
+        optimize.insert(
+            2,
+            (
+                "steps".to_owned(),
+                labelled(rules, &t.optimize.steps_by_rule),
+            ),
+        );
+        fields.push(("optimize".to_owned(), Json::Obj(optimize)));
+
         let sn = &t.snapshot;
-        fields.push((
-            "snapshot".to_owned(),
-            Json::Obj(vec![
-                ("restored_entries".to_owned(), int(sn.restored_entries)),
-                ("snapshot_hits".to_owned(), int(sn.snapshot_hits)),
-                ("cert_snapshot_hits".to_owned(), int(sn.cert_snapshot_hits)),
-                ("load_warnings".to_owned(), int(sn.load_warnings)),
-                ("dumps".to_owned(), int(sn.dumps)),
-                ("dump_failures".to_owned(), int(sn.dump_failures)),
-                (
-                    "age_secs".to_owned(),
-                    sn.loaded_created_unix_secs.map_or(Json::Null, |created| {
-                        int(crate::snapshot::now_unix_secs().saturating_sub(created))
-                    }),
-                ),
-            ]),
+        let mut snapshot = counter_entries(&sn.fields());
+        snapshot.push((
+            "age_secs".to_owned(),
+            sn.loaded_created_unix_secs.map_or(Json::Null, |created| {
+                int(crate::snapshot::now_unix_secs().saturating_sub(created))
+            }),
         ));
+        fields.push(("snapshot".to_owned(), Json::Obj(snapshot)));
+
         if let Some(serve) = &self.serve {
-            fields.push((
-                "serve".to_owned(),
-                Json::Obj(vec![
-                    (
-                        "connections_opened".to_owned(),
-                        int(serve.connections_opened),
-                    ),
-                    (
-                        "connections_closed".to_owned(),
-                        int(serve.connections_closed),
-                    ),
-                    ("pending_now".to_owned(), int(serve.pending_now)),
-                    ("rejected_overload".to_owned(), int(serve.rejected_overload)),
-                    (
-                        "rejected_line_bytes".to_owned(),
-                        int(serve.rejected_line_bytes),
-                    ),
-                    ("wire_errors".to_owned(), int(serve.wire_errors)),
-                    (
-                        "dropped_mid_response".to_owned(),
-                        int(serve.dropped_mid_response),
-                    ),
-                    (
-                        "worker_recycles".to_owned(),
-                        Json::Arr(serve.worker_recycles.iter().map(|&n| int(n)).collect()),
-                    ),
-                    (
-                        "worker_queries".to_owned(),
-                        Json::Arr(serve.worker_queries.iter().map(|&n| int(n)).collect()),
-                    ),
-                ]),
+            let per_worker = |ns: &[u64]| Json::Arr(ns.iter().map(|&n| int(n)).collect());
+            let mut section = counter_entries(&serve.fields());
+            section.push((
+                "worker_recycles".to_owned(),
+                per_worker(&serve.worker_recycles),
             ));
+            section.push((
+                "worker_queries".to_owned(),
+                per_worker(&serve.worker_queries),
+            ));
+            fields.push(("serve".to_owned(), Json::Obj(section)));
         }
         Json::Obj(fields)
     }
 }
 
-/// The [`DeciderStats`] counters as a JSON object — shared between the
-/// per-response `stats` field of the wire format and the `--stats
-/// --json` report.
-#[must_use]
-pub fn decider_stats_json(stats: &DeciderStats) -> Json {
-    let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
-    Json::Obj(vec![
-        ("nka_queries".to_owned(), int(stats.nka_queries)),
-        ("ka_queries".to_owned(), int(stats.ka_queries)),
-        ("answer_hits".to_owned(), int(stats.answer_hits)),
-        ("compile_hits".to_owned(), int(stats.compile_hits)),
-        ("compile_misses".to_owned(), int(stats.compile_misses)),
-        ("dfa_hits".to_owned(), int(stats.dfa_hits)),
-        ("dfa_misses".to_owned(), int(stats.dfa_misses)),
-        ("starfree_hits".to_owned(), int(stats.starfree_hits)),
-        ("prefix_hits".to_owned(), int(stats.prefix_hits)),
-        (
-            "fastpath_fallbacks".to_owned(),
-            int(stats.fastpath_fallbacks),
-        ),
-    ])
+/// A count as a JSON integer (saturating at `i64::MAX`).
+fn int(n: u64) -> Json {
+    Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
 }
 
-/// The process-arena lifecycle figures as a JSON object (the JSON form
-/// of the `arena stats:` line).
+/// One counter section as JSON object entries: the `(name, value)`
+/// pairs of a counter table's `fields()`, in order. The one rendering
+/// behind every response's `stats` object, certificate `stats`, and the
+/// counter sections of `--stats --json`.
 #[must_use]
-pub fn arena_stats_json(engine_recycles: u64) -> Json {
-    let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
-    Json::Obj(vec![
-        (
-            "resident_nodes".to_owned(),
-            int(nka_syntax::arena_resident_nodes() as u64),
-        ),
-        (
-            "persistent_nodes".to_owned(),
-            int(nka_syntax::interned_expr_count() as u64),
-        ),
-        (
-            "scratch_live".to_owned(),
-            int(nka_syntax::scratch_live_nodes() as u64),
-        ),
-        (
-            "scratch_retired".to_owned(),
-            int(nka_syntax::scratch_retired_total()),
-        ),
-        (
-            "scratch_epochs".to_owned(),
-            int(nka_syntax::scratch_epoch()),
-        ),
-        ("engine_recycles".to_owned(), int(engine_recycles)),
-    ])
+pub fn counter_entries(fields: &[(&'static str, u64)]) -> Vec<(String, Json)> {
+    fields
+        .iter()
+        .map(|&(name, n)| (name.to_owned(), int(n)))
+        .collect()
+}
+
+/// Bucketed counters as a JSON object keyed by their labels (pass or
+/// rule names), every label present.
+fn labelled<'a>(labels: impl Iterator<Item = &'a str>, counts: &[u64]) -> Json {
+    Json::Obj(
+        labels
+            .zip(counts)
+            .map(|(label, &n)| (label.to_owned(), int(n)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nka_wfa::DeciderStats;
 
     fn sample_block(serve: Option<ServeCounters>) -> StatsBlock {
         let hists = OpHistograms::new();
@@ -673,6 +621,135 @@ mod tests {
             Some(4)
         );
         assert!(snapshot.get("age_secs").and_then(Json::as_i64).is_some());
+    }
+
+    /// The keys of object `value`, minus `extra` (the labelled arrays
+    /// and derived values a section adds to its table's fields).
+    fn keys_without(value: &Json, extra: &[&str]) -> Vec<String> {
+        let Json::Obj(fields) = value else {
+            panic!("not an object: {value}")
+        };
+        fields
+            .iter()
+            .map(|(key, _)| key.clone())
+            .filter(|key| !extra.contains(&key.as_str()))
+            .collect()
+    }
+
+    fn names(fields: &[(&'static str, u64)]) -> Vec<String> {
+        fields.iter().map(|(name, _)| (*name).to_owned()).collect()
+    }
+
+    #[test]
+    fn every_counter_section_renders_its_table_fields_in_order() {
+        use crate::api::{wire, AnalysisStats, OptimizeStats, Query, Session, SnapshotStats};
+        use nka_qprog::CertificateStats;
+        let block = sample_block(Some(ServeCounters::default()));
+        let value = Json::parse(&block.to_json().to_string()).unwrap();
+        let section = |name: &str, extra: &[&str]| keys_without(value.get(name).unwrap(), extra);
+        assert_eq!(
+            section("engine", &[]),
+            names(&DeciderStats::default().fields())
+        );
+        assert_eq!(
+            section("analysis", &["findings", "findings_total"]),
+            names(&AnalysisStats::default().fields())
+        );
+        assert_eq!(
+            section("optimize", &["steps"]),
+            names(&OptimizeStats::default().fields())
+        );
+        assert_eq!(
+            section("snapshot", &["age_secs"]),
+            names(&SnapshotStats::default().fields())
+        );
+        assert_eq!(
+            section("serve", &["worker_recycles", "worker_queries"]),
+            names(&ServeCounters::default().fields())
+        );
+        // The per-response `stats` object and a certificate's `stats`.
+        let mut session = Session::new();
+        let query = Query::analyze::<&str>("qubits 1; abort; h q0", &[]).unwrap();
+        let line = wire::encode_response(&query, &session.run(&query));
+        let response = Json::parse(&line).unwrap();
+        assert_eq!(
+            keys_without(response.get("stats").unwrap(), &[]),
+            names(&DeciderStats::default().fields())
+        );
+        let certificate = response
+            .get("findings")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .find_map(|finding| finding.get("certificate"))
+            .expect("abort-sink is certified");
+        assert_eq!(
+            keys_without(certificate.get("stats").unwrap(), &[]),
+            names(&CertificateStats::default().fields())
+        );
+    }
+
+    /// `(resident, persistent, scratch_live, interned)` as one human
+    /// rendering reports them.
+    fn human_arena_figures(text: &str) -> [u64; 4] {
+        let numbers = |line: &str| -> Vec<u64> {
+            line.split(|c: char| !c.is_ascii_digit())
+                .filter(|s| !s.is_empty())
+                .map(|s| s.parse().unwrap())
+                .collect()
+        };
+        let arena = text
+            .lines()
+            .find(|l| l.starts_with("arena stats:"))
+            .unwrap();
+        let expr = text.lines().find(|l| l.starts_with("expr stats:")).unwrap();
+        let a = numbers(arena);
+        [a[0], a[1], a[2], numbers(expr)[2]]
+    }
+
+    #[test]
+    fn arena_figures_are_read_once_per_report() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Bounded, so a failing assertion below cannot leave
+                // the scope waiting on this thread forever.
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) && i < 200_000 {
+                    let atom = nka_syntax::Expr::atom(nka_syntax::Symbol::intern(&format!(
+                        "stats_arena_race_{i}"
+                    )));
+                    let _scope = nka_syntax::ScratchScope::enter();
+                    let _ = atom.mul(&atom).star();
+                    i += 1;
+                }
+            });
+            for _ in 0..200 {
+                let block = sample_block(None);
+                let json = Json::parse(&block.to_json().to_string()).unwrap();
+                let figure = |section: &str, key: &str| {
+                    json.get(section)
+                        .and_then(|v| v.get(key))
+                        .and_then(Json::as_i64)
+                        .unwrap()
+                };
+                assert_eq!(
+                    figure("arena", "resident_nodes"),
+                    figure("arena", "persistent_nodes") + figure("arena", "scratch_live")
+                );
+                assert_eq!(
+                    figure("expr", "interned"),
+                    figure("arena", "persistent_nodes")
+                );
+                let [resident, persistent, scratch, interned] =
+                    human_arena_figures(&block.render_human());
+                assert_eq!(resident, persistent + scratch);
+                assert_eq!(interned, persistent);
+                assert_eq!(persistent, block.memory.arena_persistent_nodes as u64);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

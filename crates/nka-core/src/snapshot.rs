@@ -17,7 +17,7 @@
 //!
 //! | section   | contents                                                       |
 //! |-----------|----------------------------------------------------------------|
-//! | header    | creation time (unix secs), config guard (`float_ablation`, `starfree_max_words`) |
+//! | header    | creation time (unix secs), config guard (`starfree_max_words`) |
 //! | symbols   | count + length-prefixed UTF-8 names                            |
 //! | exprs     | count + tagged nodes in post-order (children precede parents; child indices must be smaller than the node's own index) |
 //! | verdicts  | NKA then KA: count + `(lhs idx, rhs idx, verdict)` triples     |
@@ -47,26 +47,29 @@ use nka_wfa::DecideOptions;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
+
+/// Numbers [`SnapshotBuilder::write_to`]'s temp files within this process.
+static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The 8-byte file magic every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"NKASNAP.";
 
 /// The current snapshot format version. Bump on any layout change; a
-/// reader seeing an unknown version degrades to cold start.
-pub const VERSION: u32 = 1;
+/// reader seeing an unknown version degrades to cold start. Version 2
+/// dropped the header's zeroness-arithmetic flag byte.
+pub const VERSION: u32 = 2;
 
 /// The subset of [`DecideOptions`] that affects what cached entries
 /// *mean*. A snapshot written under one guard must not be restored into
-/// an engine running under a different one: `float_ablation` changes the
-/// zeroness arithmetic and `starfree_max_words` changes which multisets
-/// were admissible. (`max_dfa_states` is a resource budget only — it can
-/// differ freely, so it is deliberately not part of the guard.)
+/// an engine running under a different one: `starfree_max_words`
+/// changes which multisets were admissible. (`max_dfa_states` is a
+/// resource budget only — it can differ freely, so it is deliberately
+/// not part of the guard.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigGuard {
-    /// Whether the unsound `f64` zeroness ablation was active.
-    pub float_ablation: bool,
     /// The star-free fast-path word budget the entries were computed under.
     pub starfree_max_words: u64,
 }
@@ -76,7 +79,6 @@ impl ConfigGuard {
     #[must_use]
     pub fn from_options(opts: &DecideOptions) -> ConfigGuard {
         ConfigGuard {
-            float_ablation: opts.float_ablation,
             starfree_max_words: opts.starfree_max_words as u64,
         }
     }
@@ -340,7 +342,6 @@ impl SnapshotBuilder {
     pub fn encode(&self, created_unix_secs: u64) -> Vec<u8> {
         let mut body = Vec::new();
         push_u64(&mut body, created_unix_secs);
-        body.push(u8::from(self.config.float_ablation));
         push_u64(&mut body, self.config.starfree_max_words);
         push_u32(&mut body, self.symbols.len() as u32);
         for name in &self.symbols {
@@ -410,8 +411,10 @@ impl SnapshotBuilder {
 
     /// Writes the snapshot to `path` atomically (temp file + rename in
     /// the same directory), stamped with the current wall-clock time.
-    /// Concurrent writers race benignly: last rename wins, and readers
-    /// always see a complete file.
+    /// Every write gets its own temp file (pid plus a process-wide
+    /// sequence number), so concurrent writers — the workers of one
+    /// pool dumping on recycle, or several processes — race benignly:
+    /// last rename wins, and readers always see a complete file.
     ///
     /// # Errors
     ///
@@ -424,7 +427,8 @@ impl SnapshotBuilder {
             .unwrap_or(0);
         let bytes = self.encode(created);
         let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
+        let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".tmp.{}.{seq}", std::process::id()));
         let tmp = std::path::PathBuf::from(tmp);
         std::fs::write(&tmp, &bytes)?;
         match std::fs::rename(&tmp, path) {
@@ -518,11 +522,6 @@ impl Snapshot {
             pos: 0,
         };
         let created_unix_secs = cur.u64()?;
-        let float_ablation = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("config flag out of range")),
-        };
         let starfree_max_words = cur.u64()?;
         let symbol_count = cur.u32()? as usize;
         let mut symbols = Vec::new();
@@ -633,10 +632,7 @@ impl Snapshot {
         }
         Ok(Snapshot {
             created_unix_secs,
-            config: ConfigGuard {
-                float_ablation,
-                starfree_max_words,
-            },
+            config: ConfigGuard { starfree_max_words },
             symbols,
             nodes,
             nka,
@@ -1007,8 +1003,7 @@ mod tests {
         let snap = Snapshot::decode(&bytes).unwrap();
         assert_eq!(snap.config, guard());
         let other = ConfigGuard {
-            float_ablation: true,
-            ..guard()
+            starfree_max_words: guard().starfree_max_words + 1,
         };
         // Via the one-step loader.
         let dir = std::env::temp_dir().join(format!("nka-snap-test-{}", std::process::id()));
@@ -1038,12 +1033,42 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_writers_to_one_path_never_tear_it() {
+        let dir = std::env::temp_dir().join(format!("nka-snap-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.snap");
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let path = &path;
+                s.spawn(move || {
+                    for i in 0..50 {
+                        // A distinct builder per write, so two torn
+                        // images could not checksum alike.
+                        let mut b = sample_builder();
+                        let cert = (t * 50 + i).to_string();
+                        b.add_cert(&cert, &cert, true, CertificateStats::default());
+                        b.write_to(path).unwrap();
+                    }
+                });
+            }
+        });
+        let snap = Snapshot::read(&path).expect("the last rename left a valid file");
+        assert_eq!(snap.summary().certs, 2);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn malformed_indices_are_rejected() {
         // Hand-craft a body whose expr table violates the post-order
         // child constraint: node 0 is a Star of node 0.
         let mut body = Vec::new();
         push_u64(&mut body, 0); // created
-        body.push(0); // float_ablation
         push_u64(&mut body, 8192); // starfree_max_words
         push_u32(&mut body, 0); // no symbols
         push_u32(&mut body, 1); // one node

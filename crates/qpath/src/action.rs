@@ -197,7 +197,7 @@ impl Action {
 /// Derivation: `ψ` keeps finite weight iff `supp E†(ψψ*) ⊆ W`, which for
 /// PSD arguments is `⟨ψ|E(P_V)|ψ⟩ = 0`; and for `B` supported on `W`,
 /// `tr(ρᵢ B) = tr(P_W ρᵢ P_W B)`, so the compressed image of the finite
-/// part is exactly `E(A)` compressed (DESIGN.md §3).
+/// part is exactly `E(A)` compressed (Definition 3.7, Section 3.2).
 fn apply_lifted(e: &Superoperator, x: &ExtPosOp) -> ExtPosOp {
     let pv = x.divergence().projector();
     let image_div = e.apply(&pv);

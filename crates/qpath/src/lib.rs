@@ -16,8 +16,8 @@
 //! `m(φ) = sup_J tr(S_J φ)` on PSD `φ`, the paper's relation `≲` holds iff
 //! `m_ρ ≤ m_σ` pointwise (a Dini-type compactness argument on the density
 //! simplex bridges the quantifier orders), and `m` is exactly
-//! `φ ↦ tr(Aφ)` for `supp φ ⊆ V⊥`, `∞` otherwise. See `DESIGN.md` §3 for
-//! the full argument.
+//! `φ ↦ tr(Aφ)` for `supp φ ⊆ V⊥`, `∞` otherwise (the order of
+//! Definition 3.3 on the extended positive operators of Section 3.2).
 //!
 //! # Actions
 //!

@@ -102,17 +102,19 @@ impl fmt::Display for Severity {
     }
 }
 
-/// The engine-attribution slice of a certificate: which tiered-
-/// equivalence counters the deciding query moved, copied from the
-/// engine's stats delta by the API layer when the check is decided.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CertificateStats {
-    /// Star-free word-multiset tier answered the query.
-    pub starfree_hits: u64,
-    /// Prefix-normalization tier answered the query.
-    pub prefix_hits: u64,
-    /// Both tiers declined; the generic automata pipeline ran.
-    pub fastpath_fallbacks: u64,
+nka_syntax::counter_table! {
+    /// The engine-attribution slice of a certificate: which tiered-
+    /// equivalence counters the deciding query moved, copied from the
+    /// engine's stats delta by the API layer when the check is decided.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CertificateStats {
+        /// Star-free word-multiset tier answered the query.
+        pub starfree_hits: u64,
+        /// Prefix-normalization tier answered the query.
+        pub prefix_hits: u64,
+        /// Both tiers declined; the generic automata pipeline ran.
+        pub fastpath_fallbacks: u64,
+    }
 }
 
 /// A replayable certificate: the exact `prog_eq` query whose `holds`

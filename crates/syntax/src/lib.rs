@@ -12,6 +12,8 @@
 //! by juxtaposition, as written in the paper), a precedence-aware
 //! pretty-printer, [`Word`]s over Σ, and a random expression generator
 //! used by the test suites and benchmarks of the downstream crates.
+//! It also hosts [`counter_table!`], the one declaration of every stats
+//! struct the downstream crates report (see [`counters`]).
 //!
 //! # Examples
 //!
@@ -25,6 +27,7 @@
 //! # Ok::<(), nka_syntax::ParseExprError>(())
 //! ```
 
+pub mod counters;
 mod expr;
 mod generator;
 mod parser;

@@ -39,9 +39,6 @@ impl From<DeterminizeOverflow> for DecideError {
 pub struct DecideOptions {
     /// State budget for each subset construction (default 100 000).
     pub max_dfa_states: usize,
-    /// Use the unsound `f64` zeroness check instead of exact rationals.
-    /// Benchmark-ablation only; see `DESIGN.md`.
-    pub float_ablation: bool,
     /// Entry budget for the star-free fast path (`crate::starfree`):
     /// a star-free query whose word multisets would exceed this many
     /// distinct words per map falls back to the generic automaton
@@ -55,7 +52,6 @@ impl Default for DecideOptions {
     fn default() -> Self {
         DecideOptions {
             max_dfa_states: 100_000,
-            float_ablation: false,
             starfree_max_words: 8192,
         }
     }

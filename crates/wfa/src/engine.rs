@@ -58,7 +58,7 @@ use crate::ka::support_nfa;
 use crate::nfa::Dfa;
 use crate::starfree::{self, PrefixOutcome, WordMultiset};
 use crate::thompson::thompson;
-use crate::zeroness::{is_zero_series, is_zero_series_f64, restrict_to_language};
+use crate::zeroness::{is_zero_series, restrict_to_language};
 use nka_semiring::{BigRational, ExtNat};
 use nka_syntax::{Expr, ExprId, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -83,77 +83,37 @@ impl Compiled {
 /// [`ExprId`] to form the `Copy` DFA-cache keys.
 type AlphabetId = u32;
 
-/// Cache-effectiveness counters, exposed for tests, logging, and the CLI's
-/// `--stats` output. All counters are cumulative over the engine's life.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeciderStats {
-    /// NKA queries answered (including cache hits).
-    pub nka_queries: u64,
-    /// KA (language-equivalence) queries answered (including cache hits).
-    pub ka_queries: u64,
-    /// Queries answered directly from the verdict cache.
-    pub answer_hits: u64,
-    /// Expression compilations served from the automaton cache.
-    pub compile_hits: u64,
-    /// Expressions compiled fresh (Thompson + ε-elimination).
-    pub compile_misses: u64,
-    /// Determinizations served from the DFA cache.
-    pub dfa_hits: u64,
-    /// Subset constructions actually run.
-    pub dfa_misses: u64,
-    /// NKA queries answered by the tier-1 star-free multiset evaluator
-    /// (finite word-multiset comparison; no automaton was built).
-    pub starfree_hits: u64,
-    /// NKA queries answered by tier-2 prefix normalization (zero-series
-    /// sides, full factor cancellation, or a divergent atom head).
-    pub prefix_hits: u64,
-    /// Star-free queries that exceeded the multiset budget (or
-    /// overflowed `u64`) and fell back to the generic pipeline.
-    pub fastpath_fallbacks: u64,
-}
-
-impl DeciderStats {
-    /// The counter-wise difference `self - earlier`; counters are
-    /// monotone, so with two snapshots of the same engine this is the
-    /// activity attributable to the queries in between. Saturates at
-    /// zero if the snapshots are swapped.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &DeciderStats) -> DeciderStats {
-        DeciderStats {
-            nka_queries: self.nka_queries.saturating_sub(earlier.nka_queries),
-            ka_queries: self.ka_queries.saturating_sub(earlier.ka_queries),
-            answer_hits: self.answer_hits.saturating_sub(earlier.answer_hits),
-            compile_hits: self.compile_hits.saturating_sub(earlier.compile_hits),
-            compile_misses: self.compile_misses.saturating_sub(earlier.compile_misses),
-            dfa_hits: self.dfa_hits.saturating_sub(earlier.dfa_hits),
-            dfa_misses: self.dfa_misses.saturating_sub(earlier.dfa_misses),
-            starfree_hits: self.starfree_hits.saturating_sub(earlier.starfree_hits),
-            prefix_hits: self.prefix_hits.saturating_sub(earlier.prefix_hits),
-            fastpath_fallbacks: self
-                .fastpath_fallbacks
-                .saturating_sub(earlier.fastpath_fallbacks),
-        }
-    }
-
-    /// The counter-wise sum `self + other` (saturating) — for
-    /// aggregating per-query deltas or per-worker totals, e.g. across
-    /// the workers of a parallel batch.
-    #[must_use]
-    pub fn merged(&self, other: &DeciderStats) -> DeciderStats {
-        DeciderStats {
-            nka_queries: self.nka_queries.saturating_add(other.nka_queries),
-            ka_queries: self.ka_queries.saturating_add(other.ka_queries),
-            answer_hits: self.answer_hits.saturating_add(other.answer_hits),
-            compile_hits: self.compile_hits.saturating_add(other.compile_hits),
-            compile_misses: self.compile_misses.saturating_add(other.compile_misses),
-            dfa_hits: self.dfa_hits.saturating_add(other.dfa_hits),
-            dfa_misses: self.dfa_misses.saturating_add(other.dfa_misses),
-            starfree_hits: self.starfree_hits.saturating_add(other.starfree_hits),
-            prefix_hits: self.prefix_hits.saturating_add(other.prefix_hits),
-            fastpath_fallbacks: self
-                .fastpath_fallbacks
-                .saturating_add(other.fastpath_fallbacks),
-        }
+nka_syntax::counter_table! {
+    /// Cache-effectiveness counters, exposed for tests, logging, and the
+    /// CLI's `--stats` output. All counters are cumulative over the
+    /// engine's life; `delta_since` between two snapshots of one engine
+    /// is the activity of the queries in between, and `merged` folds
+    /// per-query deltas or per-worker totals.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DeciderStats {
+        /// NKA queries answered (including cache hits).
+        pub nka_queries: u64,
+        /// KA (language-equivalence) queries answered (including cache hits).
+        pub ka_queries: u64,
+        /// Queries answered directly from the verdict cache.
+        pub answer_hits: u64,
+        /// Expression compilations served from the automaton cache.
+        pub compile_hits: u64,
+        /// Expressions compiled fresh (Thompson + ε-elimination).
+        pub compile_misses: u64,
+        /// Determinizations served from the DFA cache.
+        pub dfa_hits: u64,
+        /// Subset constructions actually run.
+        pub dfa_misses: u64,
+        /// NKA queries answered by the tier-1 star-free multiset evaluator
+        /// (finite word-multiset comparison; no automaton was built).
+        pub starfree_hits: u64,
+        /// NKA queries answered by tier-2 prefix normalization (zero-series
+        /// sides, full factor cancellation, or a divergent atom head).
+        pub prefix_hits: u64,
+        /// Star-free queries that exceeded the multiset budget (or
+        /// overflowed `u64`) and fell back to the generic pipeline.
+        pub fastpath_fallbacks: u64,
     }
 }
 
@@ -402,11 +362,7 @@ impl Decider {
         let cf = self.compile(f);
         let diff = ce.rational().difference(cf.rational(), |w| -w.clone());
         let restricted = restrict_to_language(&diff, &de.complement());
-        Ok(if self.opts.float_ablation {
-            is_zero_series_f64(&restricted, 1e-9)
-        } else {
-            is_zero_series(&restricted)
-        })
+        Ok(is_zero_series(&restricted))
     }
 
     /// Decides `⊢KA e = f`, i.e. language equivalence of the supports
@@ -722,7 +678,6 @@ mod tests {
         let mut engine = Decider::with_options(DecideOptions {
             max_dfa_states: 0,
             starfree_max_words: 0,
-            ..DecideOptions::default()
         });
         for (l, r) in [("1", "1"), ("0", "0"), ("a", "a"), ("p q", "p q")] {
             let err = engine.decide(&e(l), &e(r)).unwrap_err();
@@ -941,16 +896,6 @@ mod tests {
         assert!(engine.ka_equiv(&l, &r).unwrap());
         assert!(!engine.decide(&l, &r).unwrap());
         assert_eq!(engine.stats().answer_hits, 2);
-    }
-
-    #[test]
-    fn float_ablation_option_is_honoured() {
-        let mut engine = Decider::with_options(DecideOptions {
-            float_ablation: true,
-            ..DecideOptions::default()
-        });
-        assert!(engine.decide(&e("(p q)* p"), &e("p (q p)*")).unwrap());
-        assert!(!engine.decide(&e("p + p"), &e("p")).unwrap());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! (its dimension is bounded by the state count), so zeroness is decided in
 //! polynomial time — with **exact rational arithmetic**, since the pivots
 //! produced by Gaussian elimination on exponentially large path weights
-//! overflow any fixed-precision representation. (`zeroness_f64` exists
-//! solely as the unsound-ablation arm of the `decide_scaling` benchmark.)
+//! overflow any fixed-precision representation.
 
 use crate::automaton::Wfa;
 use crate::matrix::dot;
@@ -75,69 +74,6 @@ pub fn is_zero_series(wfa: &Wfa<BigRational>) -> bool {
         }
         basis.push((pivot, v));
         debug_assert!(basis.len() <= n, "basis larger than state count");
-    }
-    true
-}
-
-/// `f64` variant of [`is_zero_series`] with a tolerance — **unsound**, kept
-/// only as a benchmark ablation demonstrating why exact arithmetic is
-/// required (see `DESIGN.md` §6 and the `decide_scaling` bench).
-pub fn is_zero_series_f64(wfa: &Wfa<BigRational>, tol: f64) -> bool {
-    let n = wfa.state_count();
-    let symbols: Vec<Symbol> = wfa.symbols().collect();
-    let initial: Vec<f64> = wfa.initial().iter().map(BigRational::to_f64).collect();
-    let finals: Vec<f64> = wfa
-        .final_weights()
-        .iter()
-        .map(BigRational::to_f64)
-        .collect();
-    let mats: Vec<Vec<Vec<f64>>> = symbols
-        .iter()
-        .map(|&s| {
-            let m = wfa.transition(s).expect("listed symbol has a matrix");
-            (0..n)
-                .map(|i| (0..n).map(|j| m[(i, j)].to_f64()).collect())
-                .collect()
-        })
-        .collect();
-
-    let mut basis: Vec<(usize, Vec<f64>)> = Vec::new();
-    let mut worklist = vec![initial];
-    while let Some(mut v) = worklist.pop() {
-        for (pivot, row) in &basis {
-            let factor = v[*pivot];
-            if factor.abs() > 0.0 {
-                for (x, r) in v.iter_mut().zip(row) {
-                    *x -= factor * r;
-                }
-            }
-        }
-        let Some(pivot) = v.iter().position(|x| x.abs() > tol) else {
-            continue;
-        };
-        let acc: f64 = v.iter().zip(&finals).map(|(a, b)| a * b).sum();
-        if acc.abs() > tol {
-            return false;
-        }
-        let inv = 1.0 / v[pivot];
-        for x in v.iter_mut() {
-            *x *= inv;
-        }
-        for m in &mats {
-            let mut next = vec![0.0; n];
-            for (i, &vi) in v.iter().enumerate() {
-                if vi != 0.0 {
-                    for j in 0..n {
-                        next[j] += vi * m[i][j];
-                    }
-                }
-            }
-            worklist.push(next);
-        }
-        basis.push((pivot, v));
-        if basis.len() > n {
-            break;
-        }
     }
     true
 }
@@ -242,13 +178,5 @@ mod tests {
         let ab_word = Word::from_symbols([Symbol::intern("a"), Symbol::intern("b")]);
         assert_eq!(restricted.coefficient(&b_word), BigRational::from(1u64));
         assert_eq!(restricted.coefficient(&ab_word), BigRational::zero());
-    }
-
-    #[test]
-    fn f64_ablation_agrees_on_easy_cases() {
-        let l = rational_wfa("(a b)* a");
-        let r = rational_wfa("a (b a)*");
-        let diff = l.difference(&r, |w| -w.clone());
-        assert!(is_zero_series_f64(&diff, 1e-9));
     }
 }

@@ -817,10 +817,6 @@ fn snapshot_cmd(args: &[String], opts: &SessionOptions, json: bool) -> ExitCode 
                                 Json::Int(i64::try_from(s.created_unix_secs).unwrap_or(i64::MAX)),
                             ),
                             (
-                                "float_ablation".to_owned(),
-                                Json::Bool(s.config.float_ablation),
-                            ),
-                            (
                                 "starfree_max_words".to_owned(),
                                 Json::Int(
                                     i64::try_from(s.config.starfree_max_words).unwrap_or(i64::MAX),
@@ -839,11 +835,7 @@ fn snapshot_cmd(args: &[String], opts: &SessionOptions, json: bool) -> ExitCode 
                     let age =
                         nka_core::snapshot::now_unix_secs().saturating_sub(s.created_unix_secs);
                     out!("snapshot v{} ({file}), written {age}s ago", s.version);
-                    out!(
-                        "config: float_ablation={}, starfree_max_words={}",
-                        s.config.float_ablation,
-                        s.config.starfree_max_words
-                    );
+                    out!("config: starfree_max_words={}", s.config.starfree_max_words);
                     out!(
                         "entries: {} ({} NKA + {} KA verdicts, {} multisets, {} certs) over {} exprs / {} symbols",
                         s.entry_count(),

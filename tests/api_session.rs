@@ -97,7 +97,6 @@ fn zero_budget_session_reports_budget_exhaustion_not_success() {
                 // (the star-free fast path would otherwise answer it
                 // exactly without any DFA states).
                 starfree_max_words: 0,
-                ..DecideOptions::default()
             })
             .build()
             .unwrap(),

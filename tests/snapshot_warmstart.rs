@@ -10,6 +10,7 @@
 
 use nka_quantum::api::json::Json;
 use nka_quantum::api::wire;
+use nka_quantum::nka::snapshot;
 use nka_quantum::serve::{ListenAddr, ServeConfig, Server};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -238,10 +239,19 @@ fn corrupt_snapshots_degrade_to_cold_starts_not_wrong_answers() {
     flipped[HEADER_LEN + 4] ^= 0x40;
     let mut future = good.clone();
     future[8..12].copy_from_slice(&99u32.to_le_bytes());
-    let cases: [(&str, Vec<u8>); 4] = [
+    // A well-formed version-1 file: its header still carried the
+    // zeroness-arithmetic flag byte after the creation time.
+    let mut v1_body = good[HEADER_LEN..].to_vec();
+    v1_body.insert(8, 0);
+    let mut version1 = good[..8].to_vec();
+    version1.extend_from_slice(&1u32.to_le_bytes());
+    version1.extend_from_slice(&snapshot::fnv1a64(&v1_body).to_le_bytes());
+    version1.extend_from_slice(&v1_body);
+    let cases: [(&str, Vec<u8>); 5] = [
         ("truncated", truncated),
         ("bit-flipped", flipped),
         ("version-bumped", future),
+        ("version-1", version1),
         ("zero-length", Vec::new()),
     ];
 
@@ -313,7 +323,10 @@ fn snapshot_subcommands_dump_inspect_and_verify() {
     assert_eq!(inspect.status.code(), Some(0));
     let value = Json::parse(String::from_utf8(inspect.stdout).expect("UTF-8").trim())
         .expect("inspect --json is one JSON object");
-    assert_eq!(value.get("v").and_then(Json::as_i64), Some(1));
+    assert_eq!(
+        value.get("v").and_then(Json::as_i64),
+        Some(i64::from(snapshot::VERSION))
+    );
     assert!(value.get("entries").and_then(Json::as_i64) > Some(0));
     assert!(value.get("nka_verdicts").and_then(Json::as_i64).is_some());
     assert!(value.get("certs").and_then(Json::as_i64).is_some());
