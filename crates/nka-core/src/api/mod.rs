@@ -888,7 +888,7 @@ impl SessionOptionsBuilder {
         self
     }
 
-    /// Subset-construction state budget
+    /// State budget of each subset construction and restriction product
     /// ([`DecideOptions::max_dfa_states`]).
     #[must_use]
     pub fn max_dfa_states(mut self, max_dfa_states: usize) -> Self {

@@ -72,6 +72,23 @@ impl ExtNat {
         }
     }
 
+    /// `self + rhs`, or `None` if a finite sum exceeds `u64::MAX`.
+    pub fn checked_add(self, rhs: ExtNat) -> Option<ExtNat> {
+        match (self, rhs) {
+            (ExtNat::Fin(a), ExtNat::Fin(b)) => a.checked_add(b).map(ExtNat::Fin),
+            _ => Some(ExtNat::Inf),
+        }
+    }
+
+    /// `self · rhs`, or `None` if a finite product exceeds `u64::MAX`.
+    pub fn checked_mul(self, rhs: ExtNat) -> Option<ExtNat> {
+        match (self, rhs) {
+            (ExtNat::Fin(0), _) | (_, ExtNat::Fin(0)) => Some(ExtNat::Fin(0)),
+            (ExtNat::Fin(a), ExtNat::Fin(b)) => a.checked_mul(b).map(ExtNat::Fin),
+            _ => Some(ExtNat::Inf),
+        }
+    }
+
     /// Saturating conversion for display/statistics; `∞` maps to `u64::MAX`.
     pub fn to_saturating_u64(self) -> u64 {
         match self {
@@ -119,12 +136,7 @@ impl Ord for ExtNat {
 impl Add for ExtNat {
     type Output = ExtNat;
     fn add(self, rhs: ExtNat) -> ExtNat {
-        match (self, rhs) {
-            (ExtNat::Fin(a), ExtNat::Fin(b)) => {
-                ExtNat::Fin(a.checked_add(b).expect("ExtNat addition overflow"))
-            }
-            _ => ExtNat::Inf,
-        }
+        self.checked_add(rhs).expect("ExtNat addition overflow")
     }
 }
 
@@ -137,13 +149,8 @@ impl AddAssign for ExtNat {
 impl Mul for ExtNat {
     type Output = ExtNat;
     fn mul(self, rhs: ExtNat) -> ExtNat {
-        match (self, rhs) {
-            (ExtNat::Fin(0), _) | (_, ExtNat::Fin(0)) => ExtNat::Fin(0),
-            (ExtNat::Fin(a), ExtNat::Fin(b)) => {
-                ExtNat::Fin(a.checked_mul(b).expect("ExtNat multiplication overflow"))
-            }
-            _ => ExtNat::Inf,
-        }
+        self.checked_mul(rhs)
+            .expect("ExtNat multiplication overflow")
     }
 }
 

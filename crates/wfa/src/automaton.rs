@@ -1,14 +1,14 @@
 //! ε-free weighted automata.
 
-use crate::matrix::{dot, SMatrix};
+use crate::matrix::{dot, SparseMatrix};
 use crate::nfa::Nfa;
 use nka_semiring::{BigRational, ExtNat, Semiring};
 use nka_syntax::{Symbol, Word};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An ε-free weighted finite automaton over a semiring `S`: an initial row
-/// vector, a final column vector, and one transition matrix per symbol
-/// (symbols without a matrix have the zero matrix).
+/// vector, a final column vector, and one sparse transition matrix per
+/// symbol (symbols without a matrix have the zero matrix).
 ///
 /// The recognized series is `w ↦ ι^T · M_{w₁} ⋯ M_{wₖ} · φ`.
 ///
@@ -30,7 +30,7 @@ pub struct Wfa<S> {
     state_count: usize,
     initial: Vec<S>,
     final_weights: Vec<S>,
-    transitions: BTreeMap<Symbol, SMatrix<S>>,
+    transitions: BTreeMap<Symbol, SparseMatrix<S>>,
 }
 
 impl<S: Semiring> Wfa<S> {
@@ -43,7 +43,7 @@ impl<S: Semiring> Wfa<S> {
         state_count: usize,
         initial: Vec<S>,
         final_weights: Vec<S>,
-        transitions: BTreeMap<Symbol, SMatrix<S>>,
+        transitions: BTreeMap<Symbol, SparseMatrix<S>>,
     ) -> Self {
         assert_eq!(initial.len(), state_count);
         assert_eq!(final_weights.len(), state_count);
@@ -75,7 +75,7 @@ impl<S: Semiring> Wfa<S> {
     }
 
     /// The transition matrix of `sym`, if any edge carries it.
-    pub fn transition(&self, sym: Symbol) -> Option<&SMatrix<S>> {
+    pub fn transition(&self, sym: Symbol) -> Option<&SparseMatrix<S>> {
         self.transitions.get(&sym)
     }
 
@@ -106,31 +106,25 @@ impl<S: Semiring> Wfa<S> {
         initial.extend(other.initial.iter().cloned());
         let mut final_weights = self.final_weights.clone();
         final_weights.extend(other.final_weights.iter().map(&negate));
-        let mut symbols: Vec<Symbol> = self.transitions.keys().copied().collect();
-        for s in other.transitions.keys() {
-            if !symbols.contains(s) {
-                symbols.push(*s);
-            }
-        }
-        let mut transitions = BTreeMap::new();
-        for sym in symbols {
-            let mut m = SMatrix::zeros(n, n);
-            if let Some(a) = self.transitions.get(&sym) {
-                for i in 0..self.state_count {
-                    for j in 0..self.state_count {
-                        m[(i, j)] = a[(i, j)].clone();
+        let symbols: BTreeSet<Symbol> = self
+            .transitions
+            .keys()
+            .chain(other.transitions.keys())
+            .copied()
+            .collect();
+        let transitions = symbols
+            .into_iter()
+            .map(|sym| {
+                let mut m = SparseMatrix::new(n);
+                for (part, offset) in [(self, 0), (other, self.state_count)] {
+                    for i in 0..part.state_count {
+                        let row = part.transitions.get(&sym).map_or(&[][..], |a| a.row(i));
+                        m.push_row(row.iter().map(|(j, w)| (offset + j, w.clone())));
                     }
                 }
-            }
-            if let Some(b) = other.transitions.get(&sym) {
-                for i in 0..other.state_count {
-                    for j in 0..other.state_count {
-                        m[(self.state_count + i, self.state_count + j)] = b[(i, j)].clone();
-                    }
-                }
-            }
-            transitions.insert(sym, m);
-        }
+                (sym, m)
+            })
+            .collect();
         Wfa::new(n, initial, final_weights, transitions)
     }
 }
@@ -164,18 +158,11 @@ impl Wfa<ExtNat> {
             }
         }
         for (&sym, m) in &self.transitions {
-            for i in 0..n {
-                for j in 0..n {
-                    let w = m[(i, j)];
-                    if w.is_zero() {
-                        continue;
-                    }
-                    let inf = w.is_infinite();
-                    // Unflagged source: flag becomes (inf).
-                    nfa.add_transition(2 * i, sym, 2 * j + usize::from(inf));
-                    // Flagged source stays flagged.
-                    nfa.add_transition(2 * i + 1, sym, 2 * j + 1);
-                }
+            for (i, j, w) in m.entries() {
+                // Unflagged source: flag becomes (inf).
+                nfa.add_transition(2 * i, sym, 2 * j + usize::from(w.is_infinite()));
+                // Flagged source stays flagged.
+                nfa.add_transition(2 * i + 1, sym, 2 * j + 1);
             }
         }
         nfa
@@ -197,7 +184,7 @@ impl Wfa<ExtNat> {
         let transitions = self
             .transitions
             .iter()
-            .map(|(&sym, m)| (sym, m.map(conv)))
+            .map(|(&sym, m)| (sym, m.map_nonzero(conv)))
             .collect();
         Wfa::new(self.state_count, initial, final_weights, transitions)
     }

@@ -12,17 +12,48 @@ use std::fmt;
 /// Error raised by [`decide_eq`] when a resource bound is exceeded.
 ///
 /// The equational theory of NKA is PSPACE-hard (Remark 2.1): subset
-/// construction on the ∞-support can blow up exponentially. The procedure
-/// is exact whenever it answers; this error reports that it ran out of its
-/// state budget instead.
+/// construction on the ∞-support can blow up exponentially, and so can
+/// the restriction product of the finite part. The procedure is exact
+/// whenever it answers; this error reports that it ran out of its state
+/// budget, or that a finite path count outgrew `u64`, instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecideError {
-    overflow: DeterminizeOverflow,
+    cause: Cause,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Cause {
+    Determinize(DeterminizeOverflow),
+    Product { max_states: usize },
+    CountOverflow,
+}
+
+impl DecideError {
+    /// The restriction product needed more than `max_states` states.
+    pub(crate) fn product_overflow(max_states: usize) -> DecideError {
+        DecideError {
+            cause: Cause::Product { max_states },
+        }
+    }
+
+    /// A finite path count of ε-elimination exceeded `u64::MAX`.
+    pub(crate) fn count_overflow() -> DecideError {
+        DecideError {
+            cause: Cause::CountOverflow,
+        }
+    }
 }
 
 impl fmt::Display for DecideError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NKA decision procedure out of budget: {}", self.overflow)
+        write!(f, "NKA decision procedure out of budget: ")?;
+        match &self.cause {
+            Cause::Determinize(overflow) => write!(f, "{overflow}"),
+            Cause::Product { max_states } => {
+                write!(f, "restriction product exceeded {max_states} states")
+            }
+            Cause::CountOverflow => write!(f, "a finite path count overflowed u64"),
+        }
     }
 }
 
@@ -30,14 +61,17 @@ impl std::error::Error for DecideError {}
 
 impl From<DeterminizeOverflow> for DecideError {
     fn from(overflow: DeterminizeOverflow) -> Self {
-        DecideError { overflow }
+        DecideError {
+            cause: Cause::Determinize(overflow),
+        }
     }
 }
 
 /// Options for [`decide_eq_with`].
 #[derive(Debug, Clone)]
 pub struct DecideOptions {
-    /// State budget for each subset construction (default 100 000).
+    /// State budget for each subset construction, and for the
+    /// restriction product of the finite-part check (default 100 000).
     pub max_dfa_states: usize,
     /// Entry budget for the star-free fast path (`crate::starfree`):
     /// a star-free query whose word multisets would exceed this many
@@ -61,8 +95,9 @@ impl Default for DecideOptions {
 ///
 /// # Errors
 ///
-/// Returns [`DecideError`] if the subset construction exceeds the default
-/// state budget; use [`decide_eq_with`] to raise it.
+/// Returns [`DecideError`] if a subset construction or the restriction
+/// product exceeds the default state budget; use [`decide_eq_with`] to
+/// raise it.
 ///
 /// # Examples
 ///
@@ -88,8 +123,8 @@ pub fn decide_eq(e: &Expr, f: &Expr) -> Result<bool, DecideError> {
 ///
 /// # Errors
 ///
-/// Returns [`DecideError`] if a subset construction exceeds
-/// `opts.max_dfa_states`.
+/// Returns [`DecideError`] if a subset construction or the restriction
+/// product exceeds `opts.max_dfa_states`.
 pub fn decide_eq_with(e: &Expr, f: &Expr, opts: &DecideOptions) -> Result<bool, DecideError> {
     Decider::with_options(opts.clone()).decide(e, f)
 }

@@ -58,7 +58,7 @@ use crate::ka::support_nfa;
 use crate::nfa::Dfa;
 use crate::starfree::{self, PrefixOutcome, WordMultiset};
 use crate::thompson::thompson;
-use crate::zeroness::{is_zero_series, restrict_to_language};
+use crate::zeroness::{is_zero_series, restrict_within};
 use nka_semiring::{BigRational, ExtNat};
 use nka_syntax::{Expr, ExprId, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -197,7 +197,8 @@ impl Decider {
         }
     }
 
-    /// An engine with the given subset-construction state budget.
+    /// An engine with the given state budget for each subset
+    /// construction and restriction product.
     #[must_use]
     pub fn with_budget(max_dfa_states: usize) -> Decider {
         Decider::with_options(DecideOptions {
@@ -279,8 +280,9 @@ impl Decider {
     ///
     /// # Errors
     ///
-    /// Returns [`DecideError`] if a subset construction exceeds the
-    /// engine's state budget. Errors are not cached; retrying the same
+    /// Returns [`DecideError`] if a subset construction or the restriction
+    /// product exceeds the engine's state budget, or a finite path count
+    /// overflows `u64`. Errors are not cached; retrying the same
     /// query on an engine with a larger budget starts from whatever
     /// intermediates did fit.
     pub fn decide(&mut self, e: &Expr, f: &Expr) -> Result<bool, DecideError> {
@@ -358,10 +360,11 @@ impl Decider {
             return Ok(false);
         }
         // Step 2: the finite parts must agree outside the ∞-support.
-        let ce = self.compile(e);
-        let cf = self.compile(f);
+        let ce = self.compile(e)?;
+        let cf = self.compile(f)?;
         let diff = ce.rational().difference(cf.rational(), |w| -w.clone());
-        let restricted = restrict_to_language(&diff, &de.complement());
+        let outside_support = |s| !de.is_accepting(s);
+        let restricted = restrict_within(&diff, &de, outside_support, self.opts.max_dfa_states)?;
         Ok(is_zero_series(&restricted))
     }
 
@@ -507,13 +510,13 @@ impl Decider {
     }
 
     /// The compiled ε-free automaton of `e`, memoized.
-    fn compile(&mut self, e: &Expr) -> Arc<Compiled> {
+    fn compile(&mut self, e: &Expr) -> Result<Arc<Compiled>, DecideError> {
         if let Some(hit) = self.exprs.get(&e.id()) {
             self.stats.compile_hits += 1;
-            return Arc::clone(hit);
+            return Ok(Arc::clone(hit));
         }
         self.stats.compile_misses += 1;
-        let wfa = thompson(e).eliminate_epsilon();
+        let wfa = thompson(e).eliminate_epsilon_checked()?;
         let compiled = Arc::new(Compiled {
             wfa,
             rational: OnceLock::new(),
@@ -522,7 +525,7 @@ impl Decider {
             self.note_scratch_key();
         }
         self.exprs.insert(e.id(), Arc::clone(&compiled));
-        compiled
+        Ok(compiled)
     }
 
     /// The dense id of `alphabet` in this engine's alphabet table. The
@@ -543,7 +546,7 @@ impl Decider {
             self.stats.dfa_hits += 1;
             return Ok(Arc::clone(hit));
         }
-        let compiled = self.compile(e);
+        let compiled = self.compile(e)?;
         self.stats.dfa_misses += 1;
         let dfa = Arc::new(
             compiled
@@ -565,7 +568,7 @@ impl Decider {
             self.stats.dfa_hits += 1;
             return Ok(Arc::clone(hit));
         }
-        let compiled = self.compile(e);
+        let compiled = self.compile(e)?;
         self.stats.dfa_misses += 1;
         let dfa =
             Arc::new(support_nfa(&compiled.wfa).determinize(alphabet, self.opts.max_dfa_states)?);
@@ -666,6 +669,36 @@ mod tests {
         // The engine stays usable, and a bigger budget succeeds.
         let mut engine = Decider::with_budget(100_000);
         assert!(!engine.decide(&e("1* a"), &e("1* a a")).unwrap());
+    }
+
+    #[test]
+    fn restriction_product_over_budget_is_an_error_not_a_panic() {
+        let (l, r) = (e("(a + b)* a a"), e("(a + b)* b a"));
+        let alphabet = shared_alphabet(&l, &r);
+        let dfa_states = |x: &Expr| {
+            let wfa = thompson(x).eliminate_epsilon();
+            let dfa = wfa.infinity_support().determinize(&alphabet, 100).unwrap();
+            dfa.state_count()
+        };
+        let budget = dfa_states(&l).max(dfa_states(&r));
+        // Both ∞-support DFAs fit the budget; the product does not.
+        let err = Decider::with_budget(budget).decide(&l, &r).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("restriction product exceeded {budget} states")),
+            "{err}"
+        );
+        assert!(!Decider::new().decide(&l, &r).unwrap());
+    }
+
+    #[test]
+    fn path_count_overflow_is_an_error_not_a_panic() {
+        let doubled = vec!["(1 + 1)"; 64].join(" ");
+        let err = Decider::new().decide(&e(&doubled), &e("1")).unwrap_err();
+        assert!(err.to_string().contains("overflowed u64"), "{err}");
+        let starred = format!("{} a*", vec!["(1 + 1)"; 70].join(" "));
+        assert!(Decider::new().decide(&e(&starred), &e("a*")).is_err());
+        assert!(Decider::new().ka_equiv(&e(&starred), &e("a*")).is_err());
     }
 
     #[test]

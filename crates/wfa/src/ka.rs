@@ -68,15 +68,10 @@ pub fn support_nfa(wfa: &Wfa<ExtNat>) -> Nfa {
             nfa.add_accepting(q);
         }
     }
-    let symbols: Vec<Symbol> = wfa.symbols().collect();
-    for sym in symbols {
+    for sym in wfa.symbols() {
         let m = wfa.transition(sym).expect("symbol listed by symbols()");
-        for i in 0..n {
-            for j in 0..n {
-                if !m[(i, j)].is_zero() {
-                    nfa.add_transition(i, sym, j);
-                }
-            }
+        for (i, j, _) in m.entries() {
+            nfa.add_transition(i, sym, j);
         }
     }
     nfa
@@ -87,13 +82,13 @@ pub fn support_nfa(wfa: &Wfa<ExtNat>) -> Nfa {
 /// # Errors
 ///
 /// Returns [`DecideError`] if the subset construction exceeds
-/// `max_dfa_states`.
+/// `max_dfa_states`, or if a finite path count overflows `u64`.
 pub fn support_dfa(
     e: &Expr,
     alphabet: &[Symbol],
     max_dfa_states: usize,
 ) -> Result<Dfa, DecideError> {
-    let wfa = thompson(e).eliminate_epsilon();
+    let wfa = thompson(e).eliminate_epsilon_checked()?;
     Ok(support_nfa(&wfa).determinize(alphabet, max_dfa_states)?)
 }
 

@@ -9,7 +9,9 @@
 //!    this is where non-idempotence lives).
 //! 2. **ε-elimination** ([`EpsWfa::eliminate_epsilon`]): Kleene's all-pairs
 //!    algebraic-path algorithm computes the star of the ε-matrix using the
-//!    `N̄` scalar star (`0* = 1`, `n* = ∞`), producing an ε-free [`Wfa`].
+//!    `N̄` scalar star (`0* = 1`, `n* = ∞`), producing an ε-free [`Wfa`]
+//!    whose per-symbol transitions are stored as sparse rows. A finite
+//!    path count past `u64` is an error, never a silent `∞`.
 //! 3. **∞-support** ([`Wfa::infinity_support`]): the words with coefficient
 //!    `∞` form a regular language (a word has finitely many accepting paths
 //!    in an ε-free automaton, so its coefficient is `∞` iff some accepting
@@ -18,7 +20,12 @@
 //!    edges removed, the automaton is N-weighted and embeds in Q; the
 //!    difference automaton is restricted to the complement of the ∞-support
 //!    and tested for zeroness with the forward-basis (Tzeng/Schützenberger)
-//!    algorithm over **exact rationals**.
+//!    algorithm over **exact rationals**. The restriction product is built
+//!    on the fly: a breadth-first search creates a (difference state, DFA
+//!    state) pair only when a non-zero edge reaches it and the DFA can
+//!    still accept from it, so only reachable pairs exist, each counted
+//!    against the state budget. The basis pass multiplies sparse basis
+//!    rows by the sparse transition rows.
 //!
 //! **Star-free** pairs — loop-free program encodings — never reach this
 //! pipeline: their series have finite support and finite coefficients, so

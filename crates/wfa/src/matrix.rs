@@ -1,29 +1,21 @@
-//! Dense matrices and vectors over an arbitrary semiring.
+//! Matrices and vectors over an arbitrary semiring.
 //!
-//! Automata transition weights are stored as small dense matrices; the
-//! decision procedure only ever handles a few hundred states, so dense
-//! representation is both simplest and fastest here.
+//! Automaton transitions are stored as [`SparseMatrix`]: per row, the
+//! non-zero `(column, weight)` entries. Thompson automata have a handful
+//! of non-zero entries per row, and the restriction product of the
+//! decision procedure reaches only a small fraction of its `n·d` state
+//! pairs, so every pass over a transition matrix — series coefficients,
+//! support NFAs, the difference and restriction automata, the zeroness
+//! basis — costs time in its non-zero entries, not in `n²`.
+//!
+//! The dense [`SMatrix`] is only the workspace of ε-elimination, whose
+//! all-pairs closure fills in by construction.
 
 use nka_semiring::Semiring;
 
-/// A dense `rows × cols` matrix over a semiring.
-///
-/// # Examples
-///
-/// ```
-/// use nka_wfa::matrix::SMatrix;
-/// use nka_semiring::ExtNat;
-///
-/// let id = SMatrix::<ExtNat>::identity(2);
-/// let m = SMatrix::from_rows(vec![
-///     vec![ExtNat::from(1u64), ExtNat::from(2u64)],
-///     vec![ExtNat::from(0u64), ExtNat::from(1u64)],
-/// ]);
-/// assert_eq!(id.mul(&m), m);
-/// ```
+/// A dense `rows × cols` matrix over a semiring: the ε-closure workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SMatrix<S> {
-    rows: usize,
     cols: usize,
     data: Vec<S>,
 }
@@ -32,44 +24,101 @@ impl<S: Semiring> SMatrix<S> {
     /// The `rows × cols` zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         SMatrix {
-            rows,
             cols,
             data: vec![S::zero(); rows * cols],
         }
     }
 
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = SMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = S::one();
+    /// Row `i` as a slice.
+    pub fn row(&self, i: usize) -> &[S] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+}
+
+impl<S> std::ops::Index<(usize, usize)> for SMatrix<S> {
+    type Output = S;
+    fn index(&self, (i, j): (usize, usize)) -> &S {
+        &self.data[i * self.cols + j]
+    }
+}
+
+impl<S> std::ops::IndexMut<(usize, usize)> for SMatrix<S> {
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut S {
+        &mut self.data[i * self.cols + j]
+    }
+}
+
+/// A sparse matrix over a semiring in compressed-row form: each row holds
+/// its non-zero entries as `(column, weight)` pairs, sorted by column.
+/// Zero weights are never stored, and indexing an absent entry yields
+/// zero.
+///
+/// Rows are appended in order with [`SparseMatrix::push_row`], which is
+/// how every producer in this crate builds them: ε-elimination row by
+/// row, and the restriction product in the order its breadth-first
+/// search discovers states.
+///
+/// # Examples
+///
+/// ```
+/// use nka_wfa::matrix::SparseMatrix;
+/// use nka_semiring::ExtNat;
+///
+/// let mut m = SparseMatrix::new(3);
+/// m.push_row([(2, ExtNat::from(5u64)), (0, ExtNat::from(0u64))]);
+/// m.push_row([]);
+/// assert_eq!(m.rows(), 2);
+/// assert_eq!(m[(0, 2)], ExtNat::from(5u64));
+/// assert_eq!(m[(0, 0)], ExtNat::from(0u64)); // zeros are not stored
+/// assert_eq!(m.row(0).len(), 1);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseMatrix<S> {
+    cols: usize,
+    /// Row `i` is `entries[row_starts[i]..row_starts[i + 1]]`.
+    row_starts: Vec<usize>,
+    entries: Vec<(usize, S)>,
+    /// The zero that [`Index`](std::ops::Index) lends for absent entries.
+    zero: S,
+}
+
+impl<S: Semiring> SparseMatrix<S> {
+    /// A matrix with `cols` columns and no rows yet.
+    pub fn new(cols: usize) -> Self {
+        SparseMatrix {
+            cols,
+            row_starts: vec![0],
+            entries: Vec::new(),
+            zero: S::zero(),
         }
-        m
     }
 
-    /// Builds a matrix from row vectors.
+    /// Appends a row given by `(column, weight)` entries in any order.
+    /// Zero weights are dropped.
     ///
     /// # Panics
     ///
-    /// Panics if the rows have unequal lengths.
-    pub fn from_rows(rows: Vec<Vec<S>>) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend(row);
-        }
-        SMatrix {
-            rows: r,
-            cols: c,
-            data,
-        }
+    /// Panics if a column is out of range or appears twice.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = (usize, S)>) {
+        let start = self.entries.len();
+        self.entries
+            .extend(row.into_iter().filter(|(_, w)| !w.is_zero()));
+        let new = &mut self.entries[start..];
+        new.sort_unstable_by_key(|&(j, _)| j);
+        assert!(
+            new.windows(2).all(|p| p[0].0 < p[1].0),
+            "duplicate column in a sparse row"
+        );
+        assert!(
+            new.last().is_none_or(|&(j, _)| j < self.cols),
+            "column out of range"
+        );
+        self.row_starts.push(self.entries.len());
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.row_starts.len() - 1
     }
 
     /// Number of columns.
@@ -77,90 +126,54 @@ impl<S: Semiring> SMatrix<S> {
         self.cols
     }
 
-    /// Entrywise sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn add(&self, other: &Self) -> Self {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.add(b))
-            .collect();
-        SMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
+    /// The non-zero entries of row `i`, sorted by column.
+    pub fn row(&self, i: usize) -> &[(usize, S)] {
+        &self.entries[self.row_starts[i]..self.row_starts[i + 1]]
     }
 
-    /// Matrix product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn mul(&self, other: &Self) -> Self {
-        assert_eq!(self.cols, other.rows, "dimension mismatch in mul");
-        let mut out: SMatrix<S> = SMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = &self[(i, k)];
-                if a.is_zero() {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    let prod = a.mul(&other[(k, j)]);
-                    out[(i, j)] = out[(i, j)].add(&prod);
-                }
-            }
+    /// Every non-zero entry as `(row, column, weight)`, row by row.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, usize, &S)> + '_ {
+        (0..self.rows()).flat_map(move |i| self.row(i).iter().map(move |(j, w)| (i, *j, w)))
+    }
+
+    /// The matrix with `f` applied to every non-zero entry; entries that
+    /// `f` maps to zero are dropped.
+    pub fn map_nonzero<T: Semiring>(&self, f: impl Fn(&S) -> T) -> SparseMatrix<T> {
+        let mut out = SparseMatrix::new(self.cols);
+        for i in 0..self.rows() {
+            out.push_row(self.row(i).iter().map(|(j, w)| (*j, f(w))));
         }
         out
     }
 
-    /// Row vector × matrix.
+    /// Row vector × matrix, visiting only the non-zero entries of `vec`
+    /// and of the matrix.
     ///
     /// # Panics
     ///
     /// Panics if `vec.len() != self.rows()`.
     pub fn vec_mul(&self, vec: &[S]) -> Vec<S> {
-        assert_eq!(vec.len(), self.rows, "dimension mismatch in vec_mul");
+        assert_eq!(vec.len(), self.rows(), "dimension mismatch in vec_mul");
         let mut out = vec![S::zero(); self.cols];
         for (i, v) in vec.iter().enumerate() {
             if v.is_zero() {
                 continue;
             }
-            for j in 0..self.cols {
-                out[j] = out[j].add(&v.mul(&self[(i, j)]));
+            for (j, w) in self.row(i) {
+                out[*j] = out[*j].add(&v.mul(w));
             }
         }
         out
     }
+}
 
-    /// Matrix × column vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vec.len() != self.cols()`.
-    pub fn mul_vec(&self, vec: &[S]) -> Vec<S> {
-        assert_eq!(vec.len(), self.cols, "dimension mismatch in mul_vec");
-        let mut out = vec![S::zero(); self.rows];
-        for i in 0..self.rows {
-            for (j, v) in vec.iter().enumerate() {
-                out[i] = out[i].add(&self[(i, j)].mul(v));
-            }
-        }
-        out
-    }
-
-    /// Applies `f` to every entry, producing a matrix over another semiring.
-    pub fn map<T: Semiring>(&self, f: impl Fn(&S) -> T) -> SMatrix<T> {
-        SMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(f).collect(),
+impl<S> std::ops::Index<(usize, usize)> for SparseMatrix<S> {
+    type Output = S;
+    fn index(&self, (i, j): (usize, usize)) -> &S {
+        let row = &self.entries[self.row_starts[i]..self.row_starts[i + 1]];
+        match row.binary_search_by_key(&j, |&(c, _)| c) {
+            Ok(k) => &row[k].1,
+            Err(_) => &self.zero,
         }
     }
 }
@@ -177,78 +190,75 @@ pub fn dot<S: Semiring>(a: &[S], b: &[S]) -> S {
         .fold(S::zero(), |acc, (x, y)| acc.add(&x.mul(y)))
 }
 
-impl<S> std::ops::Index<(usize, usize)> for SMatrix<S> {
-    type Output = S;
-    fn index(&self, (i, j): (usize, usize)) -> &S {
-        &self.data[i * self.cols + j]
-    }
-}
-
-impl<S> std::ops::IndexMut<(usize, usize)> for SMatrix<S> {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut S {
-        &mut self.data[i * self.cols + j]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nka_semiring::{BigRational, ExtNat};
 
-    fn m2(a: u64, b: u64, c: u64, d: u64) -> SMatrix<ExtNat> {
-        SMatrix::from_rows(vec![
-            vec![ExtNat::from(a), ExtNat::from(b)],
-            vec![ExtNat::from(c), ExtNat::from(d)],
-        ])
+    fn n(x: u64) -> ExtNat {
+        ExtNat::from(x)
+    }
+
+    /// The sparse form of the dense 2×2 matrix `[[a, b], [c, d]]`.
+    fn m2(a: u64, b: u64, c: u64, d: u64) -> SparseMatrix<ExtNat> {
+        let mut m = SparseMatrix::new(2);
+        m.push_row([(0, n(a)), (1, n(b))]);
+        m.push_row([(1, n(d)), (0, n(c))]);
+        m
     }
 
     #[test]
-    fn identity_is_neutral() {
+    fn rows_are_sorted_and_zero_free() {
+        let m = m2(0, 2, 3, 0);
+        assert_eq!(m.row(0), &[(1, n(2))]);
+        assert_eq!(m.row(1), &[(0, n(3))]);
+        assert_eq!(m[(0, 0)], n(0));
+        assert_eq!(m[(1, 0)], n(3));
+        let entries: Vec<_> = m.entries().map(|(i, j, w)| (i, j, *w)).collect();
+        assert_eq!(entries, [(0, 1, n(2)), (1, 0, n(3))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate column")]
+    fn duplicate_columns_are_rejected() {
+        SparseMatrix::new(2).push_row([(1, n(1)), (1, n(2))]);
+    }
+
+    #[test]
+    fn vector_product() {
         let m = m2(1, 2, 3, 4);
-        let id = SMatrix::<ExtNat>::identity(2);
-        assert_eq!(id.mul(&m), m);
-        assert_eq!(m.mul(&id), m);
-    }
-
-    #[test]
-    fn multiplication() {
-        let a = m2(1, 2, 0, 1);
-        let b = m2(3, 0, 1, 1);
-        let prod = a.mul(&b);
-        assert_eq!(prod, m2(5, 2, 1, 1));
-    }
-
-    #[test]
-    fn vector_products_agree() {
-        let m = m2(1, 2, 3, 4);
-        let v = vec![ExtNat::from(1u64), ExtNat::from(1u64)];
-        assert_eq!(m.vec_mul(&v), vec![ExtNat::from(4u64), ExtNat::from(6u64)]);
-        assert_eq!(m.mul_vec(&v), vec![ExtNat::from(3u64), ExtNat::from(7u64)]);
+        assert_eq!(m.vec_mul(&[n(1), n(1)]), [n(4), n(6)]);
     }
 
     #[test]
     fn infinity_propagates_but_zero_annihilates() {
-        let inf = ExtNat::INFINITY;
-        let m = SMatrix::from_rows(vec![
-            vec![inf, ExtNat::from(0u64)],
-            vec![ExtNat::from(0u64), ExtNat::from(1u64)],
-        ]);
-        let v = vec![ExtNat::from(0u64), ExtNat::from(5u64)];
+        let mut m = SparseMatrix::new(2);
+        m.push_row([(0, ExtNat::INFINITY)]);
+        m.push_row([(1, n(1))]);
         // ∞·0 = 0 keeps the first coordinate clean.
-        assert_eq!(m.vec_mul(&v), vec![ExtNat::from(0u64), ExtNat::from(5u64)]);
+        assert_eq!(m.vec_mul(&[n(0), n(5)]), [n(0), n(5)]);
     }
 
     #[test]
-    fn map_changes_semiring() {
+    fn map_nonzero_changes_semiring_and_drops_zeros() {
         let m = m2(2, 0, 1, 3);
-        let q = m.map(|x| BigRational::from(x.finite().unwrap()));
+        let q = m.map_nonzero(|x| match x.finite() {
+            Some(1) | None => BigRational::zero(),
+            Some(v) => BigRational::from(v),
+        });
         assert_eq!(q[(1, 1)], BigRational::from(3u64));
+        assert_eq!(q.row(1).len(), 1, "the weight mapped to zero is gone");
+    }
+
+    #[test]
+    fn dense_workspace_rows() {
+        let mut m = SMatrix::<ExtNat>::zeros(2, 3);
+        m[(1, 2)] = n(7);
+        assert_eq!(m.row(1), [n(0), n(0), n(7)]);
     }
 
     #[test]
     fn dot_product() {
-        let a = vec![ExtNat::from(2u64), ExtNat::from(3u64)];
-        let b = vec![ExtNat::from(4u64), ExtNat::from(5u64)];
-        assert_eq!(dot(&a, &b), ExtNat::from(23u64));
+        assert_eq!(dot(&[n(2), n(3)], &[n(4), n(5)]), n(23));
     }
 }

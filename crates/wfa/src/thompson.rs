@@ -10,7 +10,8 @@
 //! what distinguishes NKA from KA: `1 + 1` has *two* ε-runs.
 
 use crate::automaton::Wfa;
-use crate::matrix::SMatrix;
+use crate::decide::DecideError;
+use crate::matrix::{SMatrix, SparseMatrix};
 use nka_semiring::{ExtNat, Semiring, StarSemiring};
 use nka_syntax::{Expr, ExprNode, Symbol};
 use std::collections::BTreeMap;
@@ -42,58 +43,97 @@ impl EpsWfa {
 
     /// Eliminates ε-transitions, producing an equivalent ε-free [`Wfa`].
     ///
-    /// Computes the star `E*` of the ε-weight matrix with Kleene's all-pairs
-    /// algebraic-path algorithm (Floyd–Warshall shape, scalar star of `N̄`
-    /// at the pivot). ε-cycles of weight ≥ 1 correctly produce `∞` entries,
-    /// which is how expressions like `1*` acquire infinite coefficients.
+    /// The panicking form of [`EpsWfa::eliminate_epsilon_checked`].
     ///
     /// # Panics
     ///
-    /// Panics if a *finite* ε-path count overflows `u64` (requires ~2⁶⁴
-    /// parallel ε-paths; unreachable for expressions of any realistic size).
+    /// Panics if a *finite* path count overflows `u64`, e.g. the 2⁶⁴
+    /// ε-paths of `(1 + 1)` multiplied by itself 64 times.
     pub fn eliminate_epsilon(&self) -> Wfa<ExtNat> {
+        self.eliminate_epsilon_checked()
+            .expect("ExtNat path count overflow in ε-elimination")
+    }
+
+    /// Eliminates ε-transitions, producing an equivalent ε-free [`Wfa`].
+    ///
+    /// Computes the star `E*` of the ε-weight matrix with Kleene's all-pairs
+    /// algebraic-path algorithm (Floyd–Warshall shape, scalar star of `N̄`
+    /// at the pivot) in a dense workspace. ε-cycles of weight ≥ 1 correctly
+    /// produce `∞` entries, which is how expressions like `1*` acquire
+    /// infinite coefficients. Each symbol's matrix `M_a · E*` is then
+    /// stored sparse: row `i` is the sum of the closure rows of the
+    /// `a`-successors of `i`, non-zero entries only.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecideError`] if a *finite* path count overflows `u64`
+    /// (conflating it with `∞` would make the decision procedure unsound).
+    pub fn eliminate_epsilon_checked(&self) -> Result<Wfa<ExtNat>, DecideError> {
+        let add = |a: ExtNat, b: ExtNat| a.checked_add(b).ok_or_else(DecideError::count_overflow);
+        let mul = |a: ExtNat, b: ExtNat| a.checked_mul(b).ok_or_else(DecideError::count_overflow);
+        let one = ExtNat::one_const();
         let n = self.state_count;
         // W[i][j] accumulates the weight of all nonempty ε-paths i→j whose
         // intermediate states are among those already pivoted.
         let mut w = SMatrix::<ExtNat>::zeros(n, n);
         for &(i, j) in &self.eps_edges {
-            w[(i, j)] += ExtNat::from(1u64);
+            w[(i, j)] = add(w[(i, j)], one)?;
         }
         for k in 0..n {
             let skk = w[(k, k)].star();
-            let row_k: Vec<ExtNat> = (0..n).map(|j| w[(k, j)]).collect();
-            let col_k: Vec<ExtNat> = (0..n).map(|i| w[(i, k)]).collect();
+            let row_k: Vec<(usize, ExtNat)> = (0..n)
+                .map(|j| (j, w[(k, j)]))
+                .filter(|(_, x)| !x.is_zero())
+                .collect();
             for i in 0..n {
-                if col_k[i].is_zero() {
+                // Row i is updated only here, so w[(i, k)] is still the
+                // value from before this pivot.
+                let left = mul(w[(i, k)], skk)?;
+                if left.is_zero() {
                     continue;
                 }
-                let left = col_k[i] * skk;
-                for j in 0..n {
-                    w[(i, j)] += left * row_k[j];
+                for &(j, x) in &row_k {
+                    w[(i, j)] = add(w[(i, j)], mul(left, x)?)?;
                 }
             }
         }
         // closure = E* = I + W
         let mut closure = w;
         for i in 0..n {
-            closure[(i, i)] += ExtNat::from(1u64);
+            closure[(i, i)] = add(closure[(i, i)], one)?;
         }
 
         // Initial row: ι^T E*  (ι = unit at start).
-        let initial: Vec<ExtNat> = (0..n).map(|j| closure[(self.start, j)]).collect();
+        let initial = closure.row(self.start).to_vec();
         // Final column: unit at accept.
         let mut final_weights = vec![ExtNat::zero_const(); n];
-        final_weights[self.accept] = ExtNat::from(1u64);
+        final_weights[self.accept] = one;
 
-        // Per-symbol matrices: M'_a = M_a · E*.
-        let mut raw: BTreeMap<Symbol, SMatrix<ExtNat>> = BTreeMap::new();
-        for &(i, a, j) in &self.sym_edges {
-            let m = raw.entry(a).or_insert_with(|| SMatrix::zeros(n, n));
-            m[(i, j)] += ExtNat::from(1u64);
+        // Per-symbol matrices M'_a = M_a · E*, built row by row.
+        let mut edges = self.sym_edges.clone();
+        edges.sort_unstable_by_key(|&(i, a, j)| (a, i, j));
+        let mut transitions = BTreeMap::new();
+        for by_symbol in edges.chunk_by(|x, y| x.1 == y.1) {
+            let mut m = SparseMatrix::new(n);
+            for from_i in by_symbol.chunk_by(|x, y| x.0 == y.0) {
+                while m.rows() < from_i[0].0 {
+                    m.push_row([]);
+                }
+                let mut row = vec![ExtNat::zero_const(); n];
+                for &(_, _, j) in from_i {
+                    for (acc, &x) in row.iter_mut().zip(closure.row(j)) {
+                        *acc = add(*acc, x)?;
+                    }
+                }
+                m.push_row(row.into_iter().enumerate());
+            }
+            while m.rows() < n {
+                m.push_row([]);
+            }
+            transitions.insert(by_symbol[0].1, m);
         }
-        let transitions = raw.into_iter().map(|(a, m)| (a, m.mul(&closure))).collect();
 
-        Wfa::new(n, initial, final_weights, transitions)
+        Ok(Wfa::new(n, initial, final_weights, transitions))
     }
 }
 

@@ -57,9 +57,10 @@
 //! nka encode-demo                      encode a sample quantum program
 //! ```
 //!
-//! `--budget N` caps every subset construction at `N` DFA states
-//! (default 100 000) and `--stats` prints the engine's cache counters,
-//! per-stream expression-size accounting, the arena lifecycle footprint
+//! `--budget N` caps every subset construction and restriction product
+//! at `N` states (default 100 000) and `--stats` prints the engine's
+//! cache counters, per-stream expression-size accounting, the arena
+//! lifecycle footprint
 //! (persistent vs scratch nodes, reclamation totals), and per-op
 //! latency histograms (p50/p99/p999 + queries/sec) to stderr at exit;
 //! with `--json` the report is one machine-readable JSON object instead

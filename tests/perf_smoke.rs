@@ -6,10 +6,15 @@
 //! rather than just slowing CI down.
 //!
 //! The bound is generous against the bench median (~60 µs in release,
-//! `decide/prog_eq_loop_free/equal_fast/14`) and far below the generic
-//! pipeline (~340 ms), so it separates the two tiers cleanly without
-//! being flaky on loaded CI runners. Under the debug profile the bound
-//! is scaled up; the release run in CI is the gating one.
+//! `decide/prog_eq_loop_free/equal_fast/14`), so it catches a fast path
+//! that silently stopped answering without being flaky on loaded CI
+//! runners. Under the debug profile the bound is scaled up; the release
+//! run in CI is the gating one.
+//!
+//! The generic pipeline has its own gate: a two-qubit one-loop pair and
+//! its one-step unrolling, which only the automaton path can decide,
+//! must hold in under 20 ms (about 1 ms in release on a 2-core x86-64
+//! container; the dense product it replaced took ~94 ms).
 
 use nka_quantum::{Query, Session, Verdict};
 use std::time::{Duration, Instant};
@@ -94,5 +99,47 @@ fn fourteen_gate_loop_free_equal_pair_is_fast_path_and_fast() {
     assert!(
         elapsed < bound,
         "14-gate loop-free equal pair took {elapsed:?} (bound {bound:?})"
+    );
+}
+
+/// The generic-path gate: a looped pair cannot take the star-free tiers,
+/// so this times Thompson + ε-elimination, the ∞-support DFAs, the
+/// restriction product and the zeroness pass on a fresh session.
+#[test]
+fn one_loop_unrolling_decides_on_the_generic_path_under_twenty_millis() {
+    let body = "cnot q0 q1; h q0; t q1";
+    let p = format!("qubits 2; h q0; while q0 {{ {body} }}");
+    let q = format!("qubits 2; h q0; if q0 {{ {body}; while q0 {{ {body} }} }} else {{ }}");
+    let query = Query::prog_eq(&p, &q).expect("well-formed");
+    let mut session = Session::new();
+
+    let start = Instant::now();
+    let resp = session.run(&query);
+    let elapsed = start.elapsed();
+
+    assert!(
+        matches!(resp.verdict, Verdict::ProgEq { holds: true, .. }),
+        "expected the one-step unrolling to hold, got {:?}",
+        resp.verdict
+    );
+    let delta = resp.stats_delta;
+    assert_eq!(
+        delta.starfree_hits + delta.prefix_hits,
+        0,
+        "a looped pair was answered by a star-free tier: {delta:?}"
+    );
+    assert!(
+        delta.dfa_misses > 0,
+        "no subset construction ran, so the generic path was not timed: {delta:?}"
+    );
+
+    let bound = if cfg!(debug_assertions) {
+        Duration::from_millis(400)
+    } else {
+        Duration::from_millis(20)
+    };
+    assert!(
+        elapsed < bound,
+        "one-loop unrolling pair took {elapsed:?} on the generic path (bound {bound:?})"
     );
 }

@@ -1,7 +1,9 @@
 //! Every surface answers a line through the one handler, so every
 //! surface must answer alike: the four golden corpora plus a file of
 //! hostile lines (invalid UTF-8, over-deep nesting in each request
-//! parser, a 300 KB line, an unknown key, blank and comment lines) go
+//! parser, a 300 KB line, an unknown key, blank and comment lines,
+//! queries whose restriction product or path counts used to exhaust
+//! memory or overflow) go
 //! through `batch`, `batch --jobs 4`, the stdin `serve` loop with
 //! worker recycling, `serve --listen`, and `snapshot dump` (exit status
 //! only). The stable projections (`wire::stable_response_projection`)
@@ -40,8 +42,24 @@ fn nested_ifs(depth: usize) -> String {
     )
 }
 
-/// The hostile stream: every crash the request parsers used to have,
-/// each followed by lines that must still be answered.
+/// A `prog_eq` of `depth` nested `while` loops against itself plus `skip`.
+fn nested_whiles(depth: usize) -> String {
+    let p = format!(
+        "qubits 1; {}h q0{}",
+        "while q0 { ".repeat(depth),
+        " }".repeat(depth)
+    );
+    format!("{{\"op\":\"prog_eq\",\"p\":\"{p}\",\"q\":\"{p}; skip\"}}")
+}
+
+/// `count` factors of `(1 + 1)`: 2^count ε-paths, past `u64` from 64 on.
+fn doubled(count: usize) -> String {
+    vec!["(1 + 1)"; count].join(" ")
+}
+
+/// The hostile stream: every crash the request parsers and the decision
+/// kernel used to have, each followed by lines that must still be
+/// answered.
 fn hostile_lines() -> Vec<u8> {
     let mut out = Vec::new();
     let mut line = |bytes: &[u8]| {
@@ -68,6 +86,21 @@ fn hostile_lines() -> Vec<u8> {
     line(format!("{{\"op\":\"nope\",\"pad\":\"{}\"}}", "x".repeat(300_000)).as_bytes());
     line(br#"{"op":"nka_eq","lhs":"a","rhs":"a","lsh":"b"}"#);
     line(b"   ");
+    // Within the nesting limit, but the dense restriction product asked
+    // for ~1 TB, or 3.8 GB and more for the nested loops.
+    let d = MAX_NESTING_DEPTH;
+    line(format!("{}a b){}* = a*", "(".repeat(d), " b)".repeat(d - 1)).as_bytes());
+    line(nested_whiles(12).as_bytes());
+    line(nested_whiles(32).as_bytes());
+    // A finite path count past `u64` in ε-elimination.
+    line(
+        format!(
+            "{{\"op\":\"nka_eq\",\"lhs\":\"{}\",\"rhs\":\"1\"}}",
+            doubled(64)
+        )
+        .as_bytes(),
+    );
+    line(format!("{} a* = a*", doubled(70)).as_bytes());
     line(b"1 + p p* = p*");
     out
 }
@@ -245,6 +278,31 @@ fn every_surface_answers_every_line_alike() {
                 histogram_count(&run.stats()),
                 answered_lines(run),
                 "{name} on {surface}: the op histograms count the answered lines"
+            );
+        }
+        if name == "hostile" {
+            let verdicts: Vec<String> = batch
+                .stdout
+                .lines()
+                .map(|line| {
+                    let json = Json::parse(line).expect("a JSON response");
+                    json.get("verdict")
+                        .and_then(Json::as_str)
+                        .unwrap_or("")
+                        .to_owned()
+                })
+                .collect();
+            let kernel = &verdicts[verdicts.len() - 6..verdicts.len() - 1];
+            assert_eq!(
+                kernel,
+                [
+                    "refuted",
+                    "holds",
+                    "holds",
+                    "budget_exhausted",
+                    "budget_exhausted"
+                ],
+                "the decision-kernel lines get structured verdicts"
             );
         }
         assert_eq!(dump.code, Some(expected_exit), "{name}: {}", dump.stderr);
