@@ -203,11 +203,14 @@ impl Superoperator {
     /// Functional equality on a spanning set of inputs, within `tol`.
     ///
     /// Two Kraus decompositions can look completely different and still
-    /// denote the same map; this compares the Liouville matrices.
+    /// denote the same map; this compares the Liouville matrices, unless
+    /// the Kraus lists are identical. That is the common case — the
+    /// encoder re-binding a gate name to the same gate — and it skips
+    /// building two `d² × d²` matrices (64 KiB each at three qubits).
     pub fn approx_eq(&self, other: &Superoperator, tol: f64) -> bool {
         self.dim_in == other.dim_in
             && self.dim_out == other.dim_out
-            && self.liouville().approx_eq(&other.liouville(), tol)
+            && (self.kraus == other.kraus || self.liouville().approx_eq(&other.liouville(), tol))
     }
 
     /// Reconstructs a Kraus form from a Liouville matrix (row-major
