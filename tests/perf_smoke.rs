@@ -5,7 +5,7 @@
 //! so a silently disabled or regressed fast path fails this test
 //! rather than just slowing CI down.
 //!
-//! The bound is generous against the bench median (~60 µs in release,
+//! The bound is generous against the bench median (~20 µs in release,
 //! `decide/prog_eq_loop_free/equal_fast/14`), so it catches a fast path
 //! that silently stopped answering without being flaky on loaded CI
 //! runners. Under the debug profile the bound is scaled up; the release
@@ -14,7 +14,7 @@
 //! The generic pipeline has its own gate: a two-qubit one-loop pair and
 //! its one-step unrolling, which only the automaton path can decide,
 //! must hold in under 20 ms (about 1 ms in release on a 2-core x86-64
-//! container; the dense product it replaced took ~94 ms).
+//! container; the dense product it replaced took 90–130 ms).
 
 use nka_quantum::{Query, Session, Verdict};
 use std::time::{Duration, Instant};

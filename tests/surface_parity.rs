@@ -2,14 +2,14 @@
 //! surface must answer alike: the four golden corpora plus a file of
 //! hostile lines (invalid UTF-8, over-deep nesting in each request
 //! parser, a 300 KB line, an unknown key, blank and comment lines,
-//! queries whose restriction product or path counts used to exhaust
-//! memory or overflow) go
-//! through `batch`, `batch --jobs 4`, the stdin `serve` loop with
-//! worker recycling, `serve --listen`, and `snapshot dump` (exit status
-//! only). The stable projections (`wire::stable_response_projection`)
-//! must be identical, with one response per request line, the exit
-//! codes must match each surface family's contract, and the `--stats
-//! --json` per-op histograms must count exactly the answered lines.
+//! queries whose restriction product used to exhaust memory or whose
+//! path counts overflow `u64`) go through `batch`, `batch --jobs 4`,
+//! the stdin `serve` loop with worker recycling, `serve --listen`, and
+//! `snapshot dump` (exit status only). The stable projections
+//! (`wire::stable_response_projection`) must be identical, with one
+//! response per request line, the exit codes must match each surface
+//! family's contract, and the `--stats --json` per-op histograms must
+//! count exactly the answered lines.
 
 use nka_quantum::api::json::Json;
 use nka_quantum::api::{answer_line, wire, LineClass, Session};
