@@ -8,6 +8,7 @@
 //! (little-endian), with schoolbook multiplication and Knuth Algorithm D
 //! division — ample for automata with a few hundred states.
 
+use crate::Semiring;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -336,11 +337,58 @@ impl BigInt {
             Some(top) => 64 * self.mag.len() - top.leading_zeros() as usize,
         }
     }
+
+    /// The residue of `self` modulo `m`, in `0..m` (also for negative
+    /// values).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nka_semiring::BigInt;
+    /// assert_eq!(BigInt::from(-7i64).rem_euclid_u64(5), 3);
+    /// let big = &BigInt::from(1u64 << 63) * &BigInt::from(6u64);
+    /// assert_eq!(big.rem_euclid_u64(7), 6);
+    /// ```
+    pub fn rem_euclid_u64(&self, m: u64) -> u64 {
+        assert!(m != 0, "BigInt residue modulo zero");
+        let r = self.mag.iter().rev().fold(0u64, |r, &limb| {
+            (((u128::from(r) << 64) | u128::from(limb)) % u128::from(m)) as u64
+        });
+        if self.sign < 0 && r != 0 {
+            m - r
+        } else {
+            r
+        }
+    }
 }
 
 impl Default for BigInt {
     fn default() -> Self {
         BigInt::new()
+    }
+}
+
+/// The ring `Z`: the weights of an automaton whose denominators were
+/// cleared before its zeroness test.
+impl Semiring for BigInt {
+    fn zero() -> Self {
+        BigInt::new()
+    }
+    fn one() -> Self {
+        BigInt::from(1u64)
+    }
+    fn add(&self, other: &Self) -> Self {
+        self + other
+    }
+    fn mul(&self, other: &Self) -> Self {
+        self * other
+    }
+    fn is_zero(&self) -> bool {
+        BigInt::is_zero(self)
     }
 }
 

@@ -77,3 +77,37 @@ impl std::fmt::Display for Boolean {
         write!(f, "{}", if self.0 { "1" } else { "0" })
     }
 }
+
+/// The ring `Z` on `i128`: finite `N̄` path counts (each below `2^64`)
+/// with the subtracted side's final weights negated, the weights of the
+/// decision procedure's difference automaton.
+///
+/// # Panics
+///
+/// Like [`ExtNat`], addition and multiplication panic on overflow
+/// rather than wrap: a wrapped coefficient would be a wrong one.
+///
+/// # Examples
+///
+/// ```
+/// use nka_semiring::Semiring;
+/// assert_eq!(3i128.mul(&-2), -6);
+/// assert!(Semiring::is_zero(&(5i128.add(&-5))));
+/// ```
+impl Semiring for i128 {
+    fn zero() -> Self {
+        0
+    }
+    fn one() -> Self {
+        1
+    }
+    fn add(&self, other: &Self) -> Self {
+        self.checked_add(*other).expect("i128 weight overflow")
+    }
+    fn mul(&self, other: &Self) -> Self {
+        self.checked_mul(*other).expect("i128 weight overflow")
+    }
+    fn is_zero(&self) -> bool {
+        *self == 0
+    }
+}

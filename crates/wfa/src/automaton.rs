@@ -97,7 +97,7 @@ impl<S: Semiring> Wfa<S> {
     }
 
     /// The disjoint union with `other`, with `other`'s final weights mapped
-    /// through `negate`. Over a ring (e.g. [`BigRational`]) with
+    /// through `negate`. Over a ring (e.g. `i128` or [`BigRational`]) with
     /// `negate = -1`, the result recognizes the *difference* of the two
     /// series; its zeroness is then tested by [`crate::zeroness`].
     pub fn difference(&self, other: &Wfa<S>, negate: impl Fn(&S) -> S) -> Wfa<S> {
@@ -168,17 +168,17 @@ impl Wfa<ExtNat> {
         nfa
     }
 
-    /// The finite (rational) part: all `∞` weights replaced by zero and the
-    /// remaining natural-number weights embedded into Q.
+    /// The finite part: all `∞` weights replaced by zero and the
+    /// remaining natural-number weights embedded into `T`.
     ///
     /// On any word *outside* the ∞-support this recognizes exactly the same
     /// (finite) coefficient: a path through an `∞` weight on such a word
     /// must also cross a zero weight, so it contributed nothing anyway.
-    pub fn rational_part(&self) -> Wfa<BigRational> {
-        let conv = |w: &ExtNat| match w.finite() {
-            Some(n) => BigRational::from(n),
-            None => BigRational::zero(),
-        };
+    /// The decision engine embeds into `i128`, whose difference
+    /// automaton goes to the modular zeroness kernel with no rational
+    /// arithmetic.
+    pub fn finite_part<T: Semiring + From<u64>>(&self) -> Wfa<T> {
+        let conv = |w: &ExtNat| T::from(w.finite().unwrap_or(0));
         let initial = self.initial.iter().map(conv).collect();
         let final_weights = self.final_weights.iter().map(conv).collect();
         let transitions = self
@@ -187,6 +187,11 @@ impl Wfa<ExtNat> {
             .map(|(&sym, m)| (sym, m.map_nonzero(conv)))
             .collect();
         Wfa::new(self.state_count, initial, final_weights, transitions)
+    }
+
+    /// The finite part embedded into Q ([`Wfa::finite_part`]).
+    pub fn rational_part(&self) -> Wfa<BigRational> {
+        self.finite_part()
     }
 }
 

@@ -8,8 +8,7 @@
 //! ([`DecideOptions`]) and memoizes every expensive intermediate across
 //! queries:
 //!
-//! * compiled ε-free automata (Thompson + ε-elimination) per expression,
-//!   together with their rational parts;
+//! * compiled ε-free automata (Thompson + ε-elimination) per expression;
 //! * determinized ∞-support and support DFAs per (expression, alphabet);
 //! * final verdicts per unordered query pair.
 //!
@@ -58,26 +57,14 @@ use crate::ka::support_nfa;
 use crate::nfa::Dfa;
 use crate::starfree::{self, PrefixOutcome, WordMultiset};
 use crate::thompson::thompson;
-use crate::zeroness::{is_zero_series, restrict_within};
-use nka_semiring::{BigRational, ExtNat};
+use crate::zeroness::{is_zero_integer, restrict_within};
+use nka_semiring::ExtNat;
 use nka_syntax::{Expr, ExprId, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// An expression compiled down to its ε-free weighted automaton. The
-/// rational (finite-part) embedding is computed lazily: KA queries and NKA
-/// queries refuted at the ∞-support step never need it.
-#[derive(Debug)]
-struct Compiled {
-    wfa: Wfa<ExtNat>,
-    rational: OnceLock<Wfa<BigRational>>,
-}
-
-impl Compiled {
-    fn rational(&self) -> &Wfa<BigRational> {
-        self.rational.get_or_init(|| self.wfa.rational_part())
-    }
-}
+/// An expression compiled down to its ε-free weighted automaton.
+type Compiled = Wfa<ExtNat>;
 
 /// A per-engine dense id for an interned (sorted) alphabet; pairs with
 /// [`ExprId`] to form the `Copy` DFA-cache keys.
@@ -349,7 +336,7 @@ impl Decider {
     }
 
     /// The generic automaton pipeline (Thompson → ε-elimination →
-    /// ∞-support DFAs → exact rational zeroness), shared by every query
+    /// ∞-support DFAs → exact modular zeroness), shared by every query
     /// the fast path does not answer.
     fn decide_generic(&mut self, e: &Expr, f: &Expr) -> Result<bool, DecideError> {
         let alphabet = shared_alphabet(e, f);
@@ -362,10 +349,13 @@ impl Decider {
         // Step 2: the finite parts must agree outside the ∞-support.
         let ce = self.compile(e)?;
         let cf = self.compile(f)?;
-        let diff = ce.rational().difference(cf.rational(), |w| -w.clone());
+        // Path counts with the right side's final weights negated.
+        let diff = ce
+            .finite_part::<i128>()
+            .difference(&cf.finite_part(), |w| -w);
         let outside_support = |s| !de.is_accepting(s);
         let restricted = restrict_within(&diff, &de, outside_support, self.opts.max_dfa_states)?;
-        Ok(is_zero_series(&restricted))
+        Ok(is_zero_integer(&restricted))
     }
 
     /// Decides `⊢KA e = f`, i.e. language equivalence of the supports
@@ -516,11 +506,7 @@ impl Decider {
             return Ok(Arc::clone(hit));
         }
         self.stats.compile_misses += 1;
-        let wfa = thompson(e).eliminate_epsilon_checked()?;
-        let compiled = Arc::new(Compiled {
-            wfa,
-            rational: OnceLock::new(),
-        });
+        let compiled = Arc::new(thompson(e).eliminate_epsilon_checked()?);
         if e.id().is_scratch() {
             self.note_scratch_key();
         }
@@ -550,7 +536,6 @@ impl Decider {
         self.stats.dfa_misses += 1;
         let dfa = Arc::new(
             compiled
-                .wfa
                 .infinity_support()
                 .determinize(alphabet, self.opts.max_dfa_states)?,
         );
@@ -570,8 +555,7 @@ impl Decider {
         }
         let compiled = self.compile(e)?;
         self.stats.dfa_misses += 1;
-        let dfa =
-            Arc::new(support_nfa(&compiled.wfa).determinize(alphabet, self.opts.max_dfa_states)?);
+        let dfa = Arc::new(support_nfa(&compiled).determinize(alphabet, self.opts.max_dfa_states)?);
         if key.0.is_scratch() {
             self.note_scratch_key();
         }

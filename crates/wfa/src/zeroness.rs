@@ -1,15 +1,44 @@
-//! Zeroness of Q-weighted automata (Tzeng / Schützenberger forward basis),
-//! and the restriction of an automaton to a regular language.
+//! Zeroness of integer- and rational-weighted automata (Tzeng /
+//! Schützenberger forward basis, run modulo primes), and the restriction
+//! of an automaton to a regular language.
 //!
-//! A Q-weighted automaton recognizes the zero series iff the final vector is
+//! An automaton recognizes the zero series iff the final vector is
 //! orthogonal to the *reachable row space* `span{ ι^T·M_w : w ∈ Σ* }`. The
 //! forward-basis algorithm computes that span in at most `n` extensions
-//! (its dimension is bounded by the state count), so zeroness is decided in
-//! polynomial time — with **exact rational arithmetic**, since the pivots
-//! produced by Gaussian elimination on exponentially large path weights
-//! overflow any fixed-precision representation. Basis rows are kept
-//! sparse, and each extension multiplies one of them by a sparse
-//! transition matrix, so the pass costs time in non-zero entries.
+//! (its dimension is bounded by the state count `n`), so zeroness is
+//! decided in polynomial time. Basis rows are kept sparse, and each
+//! extension multiplies one of them by a sparse transition matrix, so
+//! the pass costs time in non-zero entries.
+//!
+//! # Exact multi-modular zeroness
+//!
+//! The decision procedure needs zeroness only of the restricted
+//! difference automaton, whose weights are integers: finite `N̄` path
+//! counts, with the subtracted side's final weights negated. Its series
+//! is `Z`-valued, and the basis runs over the fields `F_p` with machine
+//! words instead of over `Q` with big integers. This is deterministic
+//! and exact, not a randomized identity test:
+//!
+//! * a `Z`-series that is zero is zero modulo every prime;
+//! * a non-zero one has a non-zero coefficient on some word of length
+//!   `< n` (the forward spaces of words of length `≤ k` stop growing by
+//!   `k = n − 1`), and that coefficient's magnitude is at most
+//!   `B = ‖ι‖₁ · R^(n−1) · ‖φ‖∞`, where `R` (at least 1) is the largest
+//!   absolute row sum of any transition matrix;
+//! * so once `∏ pᵢ > B`, a coefficient divisible by every `pᵢ` is zero,
+//!   and the series is zero over `Q` iff it is zero over every `F_pᵢ`.
+//!
+//! The bit length of `B` is computed in integers. The primes are the
+//! largest ones below `2^61`: a `const` table covers bounds of up to
+//! 3840 bits, and further primes are found downward by deterministic
+//! Miller–Rabin and memoized for the process. The kernel answers *not
+//! zero* at the first prime that finds a non-zero coefficient, and
+//! *zero* only after all of them. Rational weights (the public
+//! [`is_zero_series`]) first have their denominators cleared: `ι`, `φ`
+//! and each `M_a` are scaled by the LCM of their own denominators, which
+//! multiplies every word's coefficient by a non-zero constant.
+//!
+//! # Restriction
 //!
 //! The decision procedure tests zeroness only outside the ∞-support, on
 //! the product of the difference automaton with a DFA. That product is
@@ -22,52 +51,408 @@
 
 use crate::automaton::Wfa;
 use crate::decide::DecideError;
-use crate::matrix::{dot, SparseMatrix};
+use crate::matrix::SparseMatrix;
 use crate::nfa::Dfa;
-use nka_semiring::BigRational;
+use nka_semiring::{BigInt, BigRational, Semiring};
 use nka_syntax::Symbol;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::{Mutex, PoisonError};
 
-/// A basis row: its pivot column and its non-zero entries, sorted by
-/// column, with weight 1 at the pivot.
-type BasisRow = (usize, Vec<(usize, BigRational)>);
+/// An exact integer weight, as the modular kernel reads it: through its
+/// residues, and through its magnitude for the coefficient bound.
+pub(crate) trait IntegerWeight: Semiring {
+    /// The residue of `self` modulo the prime `p`, in `0..p`.
+    fn residue(&self, p: u64) -> u64;
+    /// `|self|`, if it fits in a `u128`.
+    fn magnitude(&self) -> Option<u128>;
+    /// The bit length of `|self|`: `|self| < 2^bit_len`.
+    fn bit_len(&self) -> u64;
+}
 
-/// Reduces `v` against the row-echelon `basis` in place; returns the pivot
-/// column if a non-zero residual remains.
-fn reduce(v: &mut [BigRational], basis: &[BasisRow]) -> Option<usize> {
-    for (pivot, row) in basis {
-        if !v[*pivot].is_zero() {
-            let factor = v[*pivot].clone();
-            for (j, r) in row {
-                v[*j] -= &(&factor * r);
+impl IntegerWeight for i128 {
+    fn residue(&self, p: u64) -> u64 {
+        match u64::try_from(*self) {
+            Ok(x) if x < p => x,
+            _ => self.rem_euclid(i128::from(p)) as u64,
+        }
+    }
+    fn magnitude(&self) -> Option<u128> {
+        Some(self.unsigned_abs())
+    }
+    fn bit_len(&self) -> u64 {
+        u64::from(u128::BITS - self.unsigned_abs().leading_zeros())
+    }
+}
+
+impl IntegerWeight for BigInt {
+    fn residue(&self, p: u64) -> u64 {
+        self.rem_euclid_u64(p)
+    }
+    fn magnitude(&self) -> Option<u128> {
+        self.to_i128().map(i128::unsigned_abs)
+    }
+    fn bit_len(&self) -> u64 {
+        BigInt::bit_len(self) as u64
+    }
+}
+
+/// The least `b` with `x ≤ 2^b`.
+fn ceil_log2(x: u128) -> u64 {
+    if x <= 1 {
+        0
+    } else {
+        u64::from(u128::BITS - (x - 1).leading_zeros())
+    }
+}
+
+/// The least `b` with `Σ |w| ≤ 2^b` over `weights` (0 for an empty or
+/// all-zero list): exact while the sum fits in a `u128`, otherwise from
+/// the bit lengths, since `Σ |w| < count · 2^max_bit_len`.
+fn log2_norm<'a, W: IntegerWeight + 'a>(weights: impl IntoIterator<Item = &'a W>) -> u64 {
+    let (mut sum, mut count, mut bits) = (Some(0u128), 0u128, 0);
+    for w in weights {
+        sum = sum.zip(w.magnitude()).and_then(|(s, m)| s.checked_add(m));
+        count += 1;
+        bits = bits.max(w.bit_len());
+    }
+    sum.map_or(bits + ceil_log2(count), ceil_log2)
+}
+
+/// An upper bound on the bit length of `B = ‖ι‖₁ · R^(n−1) · ‖φ‖∞`
+/// (see the [module docs](self)): every coefficient of a word shorter
+/// than the state count has magnitude at most `2^bound_bits`.
+fn bound_bits<W: IntegerWeight>(wfa: &Wfa<W>) -> u64 {
+    let row_sums = wfa
+        .symbols()
+        .filter_map(|sym| wfa.transition(sym))
+        .flat_map(|m| (0..m.rows()).map(move |i| log2_norm(m.row(i).iter().map(|(_, w)| w))))
+        .max()
+        .unwrap_or(0);
+    let final_max = wfa
+        .final_weights()
+        .iter()
+        .map(|w| log2_norm([w]))
+        .max()
+        .unwrap_or(0);
+    let steps = wfa.state_count().saturating_sub(1) as u64;
+    log2_norm(wfa.initial())
+        .saturating_add(steps.saturating_mul(row_sums))
+        .saturating_add(final_max)
+}
+
+/// Offsets `c` of the 64 largest primes `2^61 − c`, largest prime
+/// first. Each prime exceeds `2^60`, so `k` of them cover a bound of
+/// `60·k` bits.
+const PRIME_OFFSETS: [u64; 64] = [
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819, 829, 843, 859, 939,
+    985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425, 1489, 1525, 1533, 1543, 1609, 1621,
+    1669, 1741, 1753, 1813, 1845, 1849, 1855, 1863, 1869, 1909, 1921, 1923, 1945, 1959, 2023, 2083,
+    2115, 2133, 2185, 2371, 2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605,
+];
+
+/// Bits of the bound that each prime covers.
+const BITS_PER_PRIME: u64 = 60;
+
+/// Offsets stay below `2^20`: more than 20 000 primes, and the range in
+/// which [`Field::reduce`]'s two folds suffice.
+const MAX_OFFSET: u64 = 1 << 20;
+
+/// The offset of the `i`-th largest prime below `2^61`. Past the table,
+/// primes are found downward by Miller–Rabin and memoized for the
+/// process.
+fn prime_offset(i: usize) -> u64 {
+    if let Some(&c) = PRIME_OFFSETS.get(i) {
+        return c;
+    }
+    static MORE: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let mut more = MORE.lock().unwrap_or_else(PoisonError::into_inner);
+    while more.len() <= i - PRIME_OFFSETS.len() {
+        let mut c = more.last().unwrap_or(&PRIME_OFFSETS[63]) + 2;
+        while !is_prime((1 << 61) - c) {
+            c += 2;
+        }
+        assert!(
+            c < MAX_OFFSET,
+            "zeroness bound needs more primes than exist near 2^61"
+        );
+        more.push(c);
+    }
+    more[i - PRIME_OFFSETS.len()]
+}
+
+/// `a · b mod m` for any `m`.
+fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+    (u128::from(a) * u128::from(b) % u128::from(m)) as u64
+}
+
+/// Deterministic Miller–Rabin: these twelve bases decide every `u64`.
+fn is_prime(n: u64) -> bool {
+    const BASES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+    if n < 2 {
+        return false;
+    }
+    if let Some(&b) = BASES.iter().find(|&&b| n % b == 0) {
+        return n == b;
+    }
+    let s = (n - 1).trailing_zeros();
+    let d = (n - 1) >> s;
+    BASES.iter().all(|&a| {
+        let mut x = (0..64 - d.leading_zeros()).rev().fold(1, |x, bit| {
+            let x = mul_mod(x, x, n);
+            if d >> bit & 1 == 1 {
+                mul_mod(x, a, n)
+            } else {
+                x
+            }
+        });
+        if x == 1 || x == n - 1 {
+            return true;
+        }
+        (1..s).any(|_| {
+            x = mul_mod(x, x, n);
+            x == n - 1
+        })
+    })
+}
+
+/// Arithmetic in `F_p` for a prime `p = 2^61 − c` with `c < 2^20`.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    p: u64,
+    c: u64,
+}
+
+impl Field {
+    fn new(c: u64) -> Field {
+        Field {
+            p: (1 << 61) - c,
+            c,
+        }
+    }
+
+    /// `x mod p` for `x < 2^122`, using `2^61 ≡ c`: two folds leave less
+    /// than `2p`.
+    fn reduce(self, x: u128) -> u64 {
+        const MASK: u128 = (1 << 61) - 1;
+        let fold = |x: u128| (x & MASK) + (x >> 61) * u128::from(self.c);
+        let y = fold(fold(x)) as u64;
+        if y >= self.p {
+            y - self.p
+        } else {
+            y
+        }
+    }
+
+    fn mul(self, a: u64, b: u64) -> u64 {
+        self.reduce(u128::from(a) * u128::from(b))
+    }
+
+    fn add(self, a: u64, b: u64) -> u64 {
+        let s = a + b;
+        if s >= self.p {
+            s - self.p
+        } else {
+            s
+        }
+    }
+
+    fn neg(self, a: u64) -> u64 {
+        if a == 0 {
+            0
+        } else {
+            self.p - a
+        }
+    }
+
+    /// `a^(p−2) = a⁻¹` for `a ≠ 0` (Fermat).
+    fn inv(self, a: u64) -> u64 {
+        let e = self.p - 2;
+        (0..64 - e.leading_zeros()).rev().fold(1, |x, bit| {
+            let x = self.mul(x, x);
+            if e >> bit & 1 == 1 {
+                self.mul(x, a)
+            } else {
+                x
+            }
+        })
+    }
+}
+
+/// An automaton's weights reduced modulo one prime.
+struct Residues {
+    initial: Vec<(usize, u64)>,
+    final_weights: Vec<u64>,
+    /// Per symbol, rows of non-zero `(column, residue)` entries.
+    transitions: Vec<Vec<Vec<(usize, u64)>>>,
+}
+
+impl Residues {
+    fn of<W: IntegerWeight>(wfa: &Wfa<W>, p: u64) -> Residues {
+        let reduce_row = |row: &[(usize, W)]| -> Vec<(usize, u64)> {
+            row.iter()
+                .map(|(j, w)| (*j, w.residue(p)))
+                .filter(|&(_, x)| x != 0)
+                .collect()
+        };
+        let initial: Vec<(usize, W)> = wfa.initial().iter().cloned().enumerate().collect();
+        Residues {
+            initial: reduce_row(&initial),
+            final_weights: wfa.final_weights().iter().map(|w| w.residue(p)).collect(),
+            transitions: wfa
+                .symbols()
+                .filter_map(|sym| wfa.transition(sym))
+                .map(|m| (0..m.rows()).map(|i| reduce_row(m.row(i))).collect())
+                .collect(),
+        }
+    }
+}
+
+/// A dense vector over `F_p` that remembers its touched coordinates in
+/// a min-heap, so reducing it against the basis visits columns left to
+/// right and costs time in non-zero entries.
+struct Accumulator {
+    values: Vec<u64>,
+    queued: Vec<bool>,
+    heap: BinaryHeap<Reverse<usize>>,
+}
+
+impl Accumulator {
+    fn new(n: usize) -> Accumulator {
+        Accumulator {
+            values: vec![0; n],
+            queued: vec![false; n],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn add(&mut self, f: Field, j: usize, x: u64) {
+        self.values[j] = f.add(self.values[j], x);
+        if !self.queued[j] {
+            self.queued[j] = true;
+            self.heap.push(Reverse(j));
+        }
+    }
+
+    /// Empties the vector into its residual against the echelon `basis`
+    /// (each row zero left of its pivot, which comes first with weight
+    /// 1; `pivot_row[c]` is the row with pivot `c`). Returns the
+    /// residual's non-zero entries in column order, if any remain.
+    fn reduce(
+        &mut self,
+        f: Field,
+        basis: &[Vec<(usize, u64)>],
+        pivot_row: &[usize],
+    ) -> Option<Vec<(usize, u64)>> {
+        let mut residual = Vec::new();
+        while let Some(Reverse(c)) = self.heap.pop() {
+            self.queued[c] = false;
+            let x = std::mem::take(&mut self.values[c]);
+            if x == 0 {
+                continue;
+            }
+            match basis.get(pivot_row[c]) {
+                // The row's other entries lie right of `c`, so the scan
+                // never revisits a column it has passed.
+                Some(row) => {
+                    for &(j, w) in &row[1..] {
+                        self.add(f, j, f.neg(f.mul(x, w)));
+                    }
+                }
+                None => residual.push((c, x)),
+            }
+        }
+        (!residual.is_empty()).then_some(residual)
+    }
+}
+
+/// The forward basis over `F_p`: whether every coefficient of the
+/// series is divisible by `p`.
+fn is_zero_mod(r: &Residues, f: Field) -> bool {
+    let n = r.final_weights.len();
+    let mut acc = Accumulator::new(n);
+    let mut basis: Vec<Vec<(usize, u64)>> = Vec::new();
+    let mut pivot_row = vec![usize::MAX; n];
+    // Extensions still to reduce, as (basis row, symbol) pairs: the
+    // product is formed only when it is popped.
+    let mut pending: Vec<(usize, usize)> = Vec::new();
+    for &(q, x) in &r.initial {
+        acc.add(f, q, x);
+    }
+    loop {
+        if let Some(mut row) = acc.reduce(f, &basis, &pivot_row) {
+            let coefficient = row
+                .iter()
+                .fold(0, |s, &(j, x)| f.add(s, f.mul(x, r.final_weights[j])));
+            if coefficient != 0 {
+                return false;
+            }
+            let inv = f.inv(row[0].1);
+            for (_, x) in &mut row {
+                *x = f.mul(*x, inv);
+            }
+            pivot_row[row[0].0] = basis.len();
+            basis.push(row);
+            debug_assert!(basis.len() <= n, "basis larger than state count");
+            pending.extend((0..r.transitions.len()).map(|m| (basis.len() - 1, m)));
+        }
+        let Some((b, m)) = pending.pop() else {
+            return true;
+        };
+        for &(i, x) in &basis[b] {
+            for &(j, w) in &r.transitions[m][i] {
+                acc.add(f, j, f.mul(x, w));
             }
         }
     }
-    v.iter().position(|x| !x.is_zero())
 }
 
-/// The non-zero entries of `v`, scaled so that the pivot entry is 1.
-fn normalize(v: &[BigRational], pivot: usize) -> Vec<(usize, BigRational)> {
-    let inv = v[pivot].recip();
-    v.iter()
-        .enumerate()
-        .filter(|(_, x)| !x.is_zero())
-        .map(|(j, x)| (j, x * &inv))
-        .collect()
+/// Decides whether the integer-weighted `wfa` recognizes the zero
+/// series: the forward basis modulo each of the primes that cover
+/// [`bound_bits`], stopping at the first that finds a non-zero
+/// coefficient (see the [module docs](self)).
+pub(crate) fn is_zero_integer<W: IntegerWeight>(wfa: &Wfa<W>) -> bool {
+    let primes = bound_bits(wfa).div_ceil(BITS_PER_PRIME).max(1);
+    (0..primes as usize).all(|i| {
+        let f = Field::new(prime_offset(i));
+        is_zero_mod(&Residues::of(wfa, f.p), f)
+    })
 }
 
-/// The sparse row vector `v` times `m`, as a dense vector.
-fn sparse_vec_mul(v: &[(usize, BigRational)], m: &SparseMatrix<BigRational>) -> Vec<BigRational> {
-    let mut out = vec![BigRational::zero(); m.cols()];
-    for (i, x) in v {
-        for (j, w) in m.row(*i) {
-            out[*j] += &(x * w);
-        }
+/// `wfa` with `ι`, `φ` and each `M_a` scaled by the LCM of their own
+/// denominators: integer weights, and every word's coefficient
+/// multiplied by a non-zero constant, so zeroness is unchanged.
+fn clear_denominators(wfa: &Wfa<BigRational>) -> Wfa<BigInt> {
+    fn lcm<'a>(weights: impl IntoIterator<Item = &'a BigRational>) -> BigInt {
+        weights.into_iter().fold(BigInt::from(1u64), |l, w| {
+            let d = w.denom();
+            &l.div_rem(&l.gcd(d)).0 * d
+        })
     }
-    out
+    let scale = |w: &BigRational, l: &BigInt| w.numer() * &l.div_rem(w.denom()).0;
+    let scaled = |ws: &[BigRational]| -> Vec<BigInt> {
+        let l = lcm(ws);
+        ws.iter().map(|w| scale(w, &l)).collect()
+    };
+    let transitions = wfa
+        .symbols()
+        .filter_map(|sym| Some((sym, wfa.transition(sym)?)))
+        .map(|(sym, m)| {
+            let l = lcm(m.entries().map(|(_, _, w)| w));
+            (sym, m.map_nonzero(|w| scale(w, &l)))
+        })
+        .collect();
+    Wfa::new(
+        wfa.state_count(),
+        scaled(wfa.initial()),
+        scaled(wfa.final_weights()),
+        transitions,
+    )
 }
 
-/// Decides whether `wfa` recognizes the identically-zero series.
+/// Decides whether `wfa` recognizes the identically-zero series, exactly:
+/// denominators are cleared and the integer automaton goes through the
+/// multi-modular kernel (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -86,32 +471,7 @@ fn sparse_vec_mul(v: &[(usize, BigRational)], m: &SparseMatrix<BigRational>) -> 
 /// # Ok::<(), nka_syntax::ParseExprError>(())
 /// ```
 pub fn is_zero_series(wfa: &Wfa<BigRational>) -> bool {
-    let matrices: Vec<&SparseMatrix<BigRational>> = wfa
-        .symbols()
-        .filter_map(|sym| wfa.transition(sym))
-        .collect();
-    let mut basis: Vec<BasisRow> = Vec::new();
-    // Extensions still to reduce, as (basis row, matrix) pairs: the
-    // product is formed only when it is popped.
-    let mut pending: Vec<(usize, usize)> = Vec::new();
-    let mut next = Some(wfa.initial().to_vec());
-    while let Some(mut v) = next {
-        if let Some(pivot) = reduce(&mut v, &basis) {
-            if !dot(&v, wfa.final_weights()).is_zero() {
-                return false;
-            }
-            basis.push((pivot, normalize(&v, pivot)));
-            debug_assert!(
-                basis.len() <= wfa.state_count(),
-                "basis larger than state count"
-            );
-            pending.extend((0..matrices.len()).map(|m| (basis.len() - 1, m)));
-        }
-        next = pending
-            .pop()
-            .map(|(row, m)| sparse_vec_mul(&basis[row].1, matrices[m]));
-    }
-    true
+    is_zero_integer(&clear_denominators(wfa))
 }
 
 /// Restricts `wfa` to the language of `dfa`: the product automaton
@@ -137,15 +497,15 @@ pub fn restrict_to_language(wfa: &Wfa<BigRational>, dfa: &Dfa) -> Wfa<BigRationa
 ///
 /// Returns [`DecideError`] if the product needs more than `max_states`
 /// states.
-pub(crate) fn restrict_within(
-    wfa: &Wfa<BigRational>,
+pub(crate) fn restrict_within<S: Semiring>(
+    wfa: &Wfa<S>,
     dfa: &Dfa,
     accepting: impl Fn(usize) -> bool,
     max_states: usize,
-) -> Result<Wfa<BigRational>, DecideError> {
+) -> Result<Wfa<S>, DecideError> {
     // Symbols the DFA's alphabet lacks have no product edges: words
     // using them are not in L(dfa).
-    let moves: Vec<(Symbol, usize, &SparseMatrix<BigRational>)> = wfa
+    let moves: Vec<(Symbol, usize, &SparseMatrix<S>)> = wfa
         .symbols()
         .filter_map(|sym| {
             let ai = dfa.alphabet().iter().position(|&s| s == sym)?;
@@ -171,7 +531,7 @@ pub(crate) fn restrict_within(
     }
     // Breadth-first: state k is expanded k-th, so each symbol's rows are
     // produced in state order.
-    let mut rows: Vec<Vec<Vec<(usize, BigRational)>>> = vec![Vec::new(); moves.len()];
+    let mut rows: Vec<Vec<Vec<(usize, S)>>> = vec![Vec::new(); moves.len()];
     let mut next = 0;
     while let Some(&(q, s)) = product.pairs.get(next) {
         for (&(_, ai, m), rows) in moves.iter().zip(&mut rows) {
@@ -188,7 +548,7 @@ pub(crate) fn restrict_within(
     }
 
     let k = product.pairs.len();
-    initial.resize(k, BigRational::zero());
+    initial.resize(k, S::zero());
     let final_weights = product
         .pairs
         .iter()
@@ -196,11 +556,11 @@ pub(crate) fn restrict_within(
             if accepting(s) {
                 wfa.final_weights()[q].clone()
             } else {
-                BigRational::zero()
+                S::zero()
             }
         })
         .collect();
-    let transitions: BTreeMap<Symbol, SparseMatrix<BigRational>> = moves
+    let transitions: BTreeMap<Symbol, SparseMatrix<S>> = moves
         .iter()
         .zip(rows)
         .map(|(&(sym, _, _), rows)| {
@@ -371,6 +731,84 @@ mod dense_reference {
     }
 }
 
+/// The exact `BigRational` forward basis the modular kernel replaced,
+/// kept as a test oracle.
+#[cfg(test)]
+mod rational_reference {
+    use crate::automaton::Wfa;
+    use crate::matrix::{dot, SparseMatrix};
+    use nka_semiring::BigRational;
+
+    /// A basis row: its pivot column and its non-zero entries, sorted by
+    /// column, with weight 1 at the pivot.
+    type BasisRow = (usize, Vec<(usize, BigRational)>);
+
+    /// Reduces `v` against the row-echelon `basis` in place; returns the
+    /// pivot column if a non-zero residual remains.
+    fn reduce(v: &mut [BigRational], basis: &[BasisRow]) -> Option<usize> {
+        for (pivot, row) in basis {
+            if !v[*pivot].is_zero() {
+                let factor = v[*pivot].clone();
+                for (j, r) in row {
+                    v[*j] -= &(&factor * r);
+                }
+            }
+        }
+        v.iter().position(|x| !x.is_zero())
+    }
+
+    /// The non-zero entries of `v`, scaled so that the pivot entry is 1.
+    fn normalize(v: &[BigRational], pivot: usize) -> Vec<(usize, BigRational)> {
+        let inv = v[pivot].recip();
+        v.iter()
+            .enumerate()
+            .filter(|(_, x)| !x.is_zero())
+            .map(|(j, x)| (j, x * &inv))
+            .collect()
+    }
+
+    /// The sparse row vector `v` times `m`, as a dense vector.
+    fn sparse_vec_mul(
+        v: &[(usize, BigRational)],
+        m: &SparseMatrix<BigRational>,
+    ) -> Vec<BigRational> {
+        let mut out = vec![BigRational::zero(); m.cols()];
+        for (i, x) in v {
+            for (j, w) in m.row(*i) {
+                out[*j] += &(x * w);
+            }
+        }
+        out
+    }
+
+    pub(super) fn is_zero_series(wfa: &Wfa<BigRational>) -> bool {
+        let matrices: Vec<&SparseMatrix<BigRational>> = wfa
+            .symbols()
+            .filter_map(|sym| wfa.transition(sym))
+            .collect();
+        let mut basis: Vec<BasisRow> = Vec::new();
+        let mut pending: Vec<(usize, usize)> = Vec::new();
+        let mut next = Some(wfa.initial().to_vec());
+        while let Some(mut v) = next {
+            if let Some(pivot) = reduce(&mut v, &basis) {
+                if !dot(&v, wfa.final_weights()).is_zero() {
+                    return false;
+                }
+                basis.push((pivot, normalize(&v, pivot)));
+                assert!(
+                    basis.len() <= wfa.state_count(),
+                    "basis larger than state count"
+                );
+                pending.extend((0..matrices.len()).map(|m| (basis.len() - 1, m)));
+            }
+            next = pending
+                .pop()
+                .map(|(row, m)| sparse_vec_mul(&basis[row].1, matrices[m]));
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +940,214 @@ mod tests {
                 let word = Word::from_symbols(word);
                 prop_assert_eq!(sparse.coefficient(&word), expected.clone(), "{} vs {}", e, f);
                 prop_assert_eq!(negated.coefficient(&word), expected, "{} vs {}", e, f);
+            }
+        }
+    }
+
+    /// The `i`-th prime of the kernel.
+    fn prime(i: usize) -> u64 {
+        Field::new(prime_offset(i)).p
+    }
+
+    /// One state whose only coefficient, on the empty word, is `c`.
+    fn constant<W: Semiring>(c: W) -> Wfa<W> {
+        Wfa::new(1, vec![W::one()], vec![c], BTreeMap::new())
+    }
+
+    /// Two states whose only coefficient, on the word `a`, is `x · y`.
+    fn product_on_a<W: Semiring>(x: W, y: W) -> Wfa<W> {
+        let mut m = SparseMatrix::new(2);
+        m.push_row([(1, y)]);
+        m.push_row([]);
+        let transitions = BTreeMap::from([(Symbol::intern("a"), m)]);
+        Wfa::new(
+            2,
+            vec![x, W::zero()],
+            vec![W::zero(), W::one()],
+            transitions,
+        )
+    }
+
+    #[test]
+    fn the_prime_table_lists_the_largest_primes_below_2_61() {
+        let table: Vec<u64> = (1..=PRIME_OFFSETS[63])
+            .filter(|&c| is_prime((1 << 61) - c))
+            .collect();
+        assert_eq!(table, PRIME_OFFSETS);
+        // The Miller–Rabin continuation picks up where the table stops.
+        let next = prime_offset(64);
+        assert!(next > PRIME_OFFSETS[63] && is_prime((1 << 61) - next));
+        assert!(((PRIME_OFFSETS[63] + 1)..next).all(|c| !is_prime((1 << 61) - c)));
+        assert_eq!(prime_offset(65), prime_offset(65), "memoized");
+        assert!(prime(63) > 1 << BITS_PER_PRIME);
+    }
+
+    #[test]
+    fn field_arithmetic_matches_u128_remainders() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for c in [PRIME_OFFSETS[0], PRIME_OFFSETS[63], prime_offset(70)] {
+            let f = Field::new(c);
+            for _ in 0..1000 {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (a, b) = ((seed >> 3) % f.p, seed.rotate_left(29) % f.p);
+                assert_eq!(f.mul(a, b), mul_mod(a, b, f.p));
+                assert_eq!(
+                    f.add(a, b),
+                    ((u128::from(a) + u128::from(b)) % u128::from(f.p)) as u64
+                );
+                if a != 0 {
+                    assert_eq!(f.mul(a, f.inv(a)), 1);
+                }
+            }
+            assert_eq!(f.reduce(u128::from(f.p - 1) * u128::from(f.p - 1)), 1);
+        }
+    }
+
+    #[test]
+    fn a_coefficient_divisible_by_the_first_primes_is_still_refuted() {
+        let (p1, p2) = (i128::from(prime(0)), i128::from(prime(1)));
+        // 61 bits need two primes: p₁ sees zero, p₂ does not.
+        assert!(!is_zero_integer(&constant(p1)));
+        assert!(!is_zero_integer(&constant(-p1)));
+        // 122 bits need three.
+        assert!(!is_zero_integer(&constant(p1 * p2)));
+        assert!(!is_zero_integer(&product_on_a(p1, p2)));
+        assert!(is_zero_integer(&constant(0i128)));
+        assert!(is_zero_integer(&product_on_a(p1, 0)));
+        // The same automata through the public rational entry point.
+        let q = |x: i128| BigRational::from(BigInt::from(x));
+        assert!(!is_zero_series(&constant(q(p1))));
+        assert!(!is_zero_series(&product_on_a(q(p1), q(p2))));
+        assert!(!is_zero_series(&product_on_a(q(p1 * p2), q(p1 * p2))));
+        assert!(is_zero_series(&product_on_a(q(p1 * p2), q(0))));
+    }
+
+    #[test]
+    fn rational_weights_clear_their_denominators() {
+        let r = |n: i64, d: i64| BigRational::new(n.into(), d.into());
+        // ι = (1/2, 1/2), M_a = diag(2/3, 2/3), φ = (1/3, −1/3): every
+        // coefficient cancels, though no weight is an integer.
+        let automaton = |phi1: BigRational| {
+            let mut m = SparseMatrix::new(2);
+            m.push_row([(0, r(2, 3))]);
+            m.push_row([(1, r(2, 3))]);
+            let transitions = BTreeMap::from([(Symbol::intern("a"), m)]);
+            Wfa::new(2, vec![r(1, 2), r(1, 2)], vec![r(1, 3), phi1], transitions)
+        };
+        for (phi1, zero) in [(r(-1, 3), true), (r(-1, 5), false), (r(-2, 6), true)] {
+            let wfa = automaton(phi1);
+            assert_eq!(is_zero_series(&wfa), zero);
+            assert_eq!(rational_reference::is_zero_series(&wfa), zero);
+        }
+    }
+
+    /// A deterministic stream of test numbers.
+    fn next(seed: &mut u64) -> u64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *seed >> 33
+    }
+
+    /// A random automaton over {a, b} with weights from `weight`.
+    fn random_wfa<W: Semiring>(
+        seed: &mut u64,
+        states: usize,
+        mut weight: impl FnMut(&mut u64) -> W,
+    ) -> Wfa<W> {
+        let mut sparse = |seed: &mut u64| {
+            if next(seed) % 3 == 0 {
+                W::zero()
+            } else {
+                weight(seed)
+            }
+        };
+        let initial = (0..states).map(|_| sparse(seed)).collect();
+        let final_weights = (0..states).map(|_| sparse(seed)).collect();
+        let transitions = ["a", "b"]
+            .iter()
+            .map(|name| {
+                let mut m = SparseMatrix::new(states);
+                for _ in 0..states {
+                    let row: Vec<_> = (0..states).map(|j| (j, sparse(seed))).collect();
+                    m.push_row(row);
+                }
+                (Symbol::intern(name), m)
+            })
+            .collect();
+        Wfa::new(states, initial, final_weights, transitions)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The modular kernel agrees with the `BigRational` oracle on the
+        /// engine's integer product and on the public rational one, for
+        /// random starred pairs restricted to the ∞-support and to its
+        /// complement.
+        #[test]
+        fn modular_kernel_matches_the_rational_oracle(seed in any::<u64>(), shape in 0u8..3) {
+            let alphabet = vec![Symbol::intern("a"), Symbol::intern("b")];
+            let config = ExprGenConfig::new(alphabet.clone()).with_target_size(7);
+            let mut seed = seed;
+            let (e, f) = (random_expr(&config, &mut seed), random_expr(&config, &mut seed));
+            // Unequal pairs, and two kinds of equal ones.
+            let (e, f): (Expr, Expr) = match shape {
+                0 => (e, f),
+                1 => (format!("{e} + {f}").parse().unwrap(), format!("{f} + {e}").parse().unwrap()),
+                _ => (format!("({e}) ({f})*").parse().unwrap(), format!("({e}) (1 + ({f})* ({f}))").parse().unwrap()),
+            };
+            let (we, wf) = (thompson(&e).eliminate_epsilon(), thompson(&f).eliminate_epsilon());
+            let integer = we.finite_part::<i128>().difference(&wf.finite_part(), |w| -w);
+            let rational = we.rational_part().difference(&wf.rational_part(), |w| -w.clone());
+            let support = we.infinity_support().determinize(&alphabet, 10_000).unwrap();
+            for dfa in [support.complement(), support] {
+                let expected = rational_reference::is_zero_series(&restrict_to_language(&rational, &dfa));
+                let restricted = restrict_within(&integer, &dfa, |s| dfa.is_accepting(s), usize::MAX).unwrap();
+                prop_assert_eq!(is_zero_integer(&restricted), expected, "{} vs {}", e, f);
+                prop_assert_eq!(is_zero_series(&restrict_to_language(&rational, &dfa)), expected, "{} vs {}", e, f);
+                if shape != 0 {
+                    prop_assert!(expected, "{} vs {}", e, f);
+                }
+            }
+        }
+
+        /// Random rational automata, and their differences with
+        /// themselves and with a perturbed copy, agree with the oracle.
+        #[test]
+        fn rational_automata_match_the_oracle(seed in any::<u64>(), states in 1usize..5) {
+            let mut seed = seed;
+            let mut weight = |seed: &mut u64| {
+                let num = next(seed) as i64 % 7 - 3;
+                BigRational::new(num.into(), (next(seed) as i64 % 4 + 1).into())
+            };
+            let wfa = random_wfa(&mut seed, states, &mut weight);
+            let other = random_wfa(&mut seed, states, &mut weight);
+            for candidate in [
+                wfa.clone(),
+                wfa.difference(&wfa, |w| -w.clone()),
+                wfa.difference(&other, |w| -w.clone()),
+            ] {
+                prop_assert_eq!(is_zero_series(&candidate), rational_reference::is_zero_series(&candidate));
+            }
+        }
+
+        /// Every coefficient of a word shorter than the state count is
+        /// within the kernel's bound.
+        #[test]
+        fn coefficients_stay_within_the_bound(seed in any::<u64>(), states in 1usize..5, big in any::<bool>()) {
+            let mut seed = seed;
+            let range = if big { 1 << 20 } else { 4 };
+            let wfa = random_wfa(&mut seed, states, |seed| {
+                next(seed) as i128 % (2 * range + 1) - range
+            });
+            let bits = bound_bits(&wfa);
+            let alphabet = [Symbol::intern("a"), Symbol::intern("b")];
+            for word in words_up_to(&alphabet, states - 1) {
+                let coefficient = wfa.coefficient(&Word::from_symbols(word)).unsigned_abs();
+                prop_assert!(bits >= 127 || coefficient <= 1u128 << bits, "{} > 2^{}", coefficient, bits);
             }
         }
     }

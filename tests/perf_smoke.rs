@@ -11,10 +11,15 @@
 //! runners. Under the debug profile the bound is scaled up; the release
 //! run in CI is the gating one.
 //!
-//! The generic pipeline has its own gate: a two-qubit one-loop pair and
-//! its one-step unrolling, which only the automaton path can decide,
-//! must hold in under 20 ms (about 1 ms in release on a 2-core x86-64
-//! container; the dense product it replaced took 90–130 ms).
+//! The generic pipeline has two gates, on pairs only the automaton path
+//! can decide. A two-qubit one-loop pair and its one-step unrolling must
+//! hold in under 20 ms (about 1 ms in release on a 2-core x86-64
+//! container; the dense product it replaced took 90–130 ms). A wide
+//! pair — five qubits, four loop nests of depth four side by side,
+//! against the unrolling of every innermost loop — must hold in under
+//! 80 ms (about 16 ms in release on the same container; with the exact
+//! `BigRational` zeroness pass that the modular kernel replaced it took
+//! about 150 ms).
 
 use nka_quantum::{Query, Session, Verdict};
 use std::time::{Duration, Instant};
@@ -141,5 +146,89 @@ fn one_loop_unrolling_decides_on_the_generic_path_under_twenty_millis() {
     assert!(
         elapsed < bound,
         "one-loop unrolling pair took {elapsed:?} on the generic path (bound {bound:?})"
+    );
+}
+
+/// Five qubits; a gate, four depth-four `while` nests side by side with
+/// two gates per level, and a gate. The `k`-th loop measures qubit
+/// `k mod 5`, and every gate occurrence is a distinct (gate, targets)
+/// pair, dealt in a fixed order. With `unroll`, every innermost loop
+/// `while q {B}` becomes `if q {B; while q {B}} else {}`.
+fn wide_nest(unroll: bool) -> String {
+    let one = ["h", "x", "y", "z", "s", "t"];
+    let two = ["cnot", "cz", "swap"];
+    let mut gates: Vec<String> = one
+        .iter()
+        .flat_map(|g| (0..5).map(move |q| format!("{g} q{q}")))
+        .collect();
+    for g in two {
+        for a in 0..5 {
+            gates.extend((0..5).filter(|&b| b != a).map(|b| format!("{g} q{a} q{b}")));
+        }
+    }
+    let mut dealt = (0..gates.len()).map(|i| gates[(7 * i + 3) % gates.len()].clone());
+    let mut take = |n: usize| dealt.by_ref().take(n).collect::<Vec<_>>();
+    let mut k = 0;
+    let mut parts = take(1);
+    for _ in 0..4 {
+        // Levels outermost first; the innermost closes the nest.
+        let levels: Vec<(usize, String)> = (0..4)
+            .map(|_| {
+                k += 1;
+                ((k - 1) % 5, take(2).join("; "))
+            })
+            .collect();
+        let (q, body) = &levels[3];
+        let mut nest = if unroll {
+            format!("if q{q} {{ {body}; while q{q} {{ {body} }} }} else {{ }}")
+        } else {
+            format!("while q{q} {{ {body} }}")
+        };
+        for (q, body) in levels[..3].iter().rev() {
+            nest = format!("while q{q} {{ {body}; {nest} }}");
+        }
+        parts.push(nest);
+    }
+    parts.extend(take(1));
+    format!("qubits 5; {}", parts.join("; "))
+}
+
+/// The wide generic-path gate: the pair's restriction product has
+/// hundreds of states, so this times the zeroness kernel at a size
+/// where it dominates the query.
+#[test]
+fn wide_loop_nest_unrolling_decides_on_the_generic_path_under_80_millis() {
+    let query = Query::prog_eq(&wide_nest(false), &wide_nest(true)).expect("well-formed");
+    let mut session = Session::new();
+
+    let start = Instant::now();
+    let resp = session.run(&query);
+    let elapsed = start.elapsed();
+    println!("wide loop-nest pair: {elapsed:?}");
+
+    assert!(
+        matches!(resp.verdict, Verdict::ProgEq { holds: true, .. }),
+        "expected the innermost unrolling to hold, got {:?}",
+        resp.verdict
+    );
+    let delta = resp.stats_delta;
+    assert_eq!(
+        delta.starfree_hits + delta.prefix_hits,
+        0,
+        "a looped pair was answered by a star-free tier: {delta:?}"
+    );
+    assert!(
+        delta.dfa_misses > 0,
+        "no subset construction ran, so the generic path was not timed: {delta:?}"
+    );
+
+    let bound = if cfg!(debug_assertions) {
+        Duration::from_millis(1500)
+    } else {
+        Duration::from_millis(80)
+    };
+    assert!(
+        elapsed < bound,
+        "wide loop-nest pair took {elapsed:?} on the generic path (bound {bound:?})"
     );
 }
