@@ -733,6 +733,9 @@ pub enum ApiError {
     /// A malformed wire-level request: bad JSON, unknown `op`, missing
     /// or ill-typed key, hypothesis without `=`, …
     Malformed(String),
+    /// Answering the request panicked. Carries the panic message; the
+    /// session that ran it was rebuilt (see [`answer_line`]).
+    Internal(String),
 }
 
 impl ApiError {
@@ -754,6 +757,7 @@ impl ApiError {
                 )
             }
             ApiError::Malformed(msg) => format!("malformed request: {msg}"),
+            ApiError::Internal(msg) => format!("internal error: {msg}"),
         }
     }
 
@@ -764,7 +768,7 @@ impl ApiError {
         match self {
             ApiError::Parse { err, .. } => Some(err.span()),
             ApiError::ParseProgram { err, .. } => Some(err.span()),
-            ApiError::Malformed(_) => None,
+            ApiError::Malformed(_) | ApiError::Internal(_) => None,
         }
     }
 }
@@ -779,6 +783,7 @@ impl fmt::Display for ApiError {
                 write!(f, "parse error in {field} {src:?}: {err}")
             }
             ApiError::Malformed(msg) => write!(f, "malformed request: {msg}"),
+            ApiError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -788,7 +793,7 @@ impl std::error::Error for ApiError {
         match self {
             ApiError::Parse { err, .. } => Some(err),
             ApiError::ParseProgram { err, .. } => Some(err),
-            ApiError::Malformed(_) => None,
+            ApiError::Malformed(_) | ApiError::Internal(_) => None,
         }
     }
 }
@@ -1541,6 +1546,15 @@ impl Session {
         if let Some(path) = self.opts.snapshot_path.clone() {
             let _ = self.save_snapshot(&path);
         }
+        self.retire_engine();
+    }
+
+    /// Replaces the engine with a fresh one and clears every cache,
+    /// folding the old engine's counters into the retired totals and
+    /// counting an engine recycle. Options and cumulative accounting
+    /// survive. Besides recycling, [`answer_line`] calls this after a
+    /// query panicked, since the caches may then be mid-update.
+    pub(crate) fn retire_engine(&mut self) {
         self.retired_stats = self.retired_stats.merged(&self.engine.stats());
         self.snapshot.snapshot_hits += self.engine.snapshot_hits();
         self.engine = Decider::with_options(self.opts.decide.clone());

@@ -10,6 +10,7 @@
 //! once, here.
 
 use super::{wire, ApiError, Query, Response, Session, Verdict};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -24,6 +25,9 @@ pub enum LineClass {
     Malformed,
     /// The engine ran out of budget answering it.
     Budget,
+    /// Answering it panicked: the line got an `internal error` and the
+    /// session was rebuilt.
+    Internal,
 }
 
 impl LineClass {
@@ -33,18 +37,18 @@ impl LineClass {
         match self {
             LineClass::Ok => 0,
             LineClass::No => 1,
-            LineClass::Malformed => 2,
+            LineClass::Malformed | LineClass::Internal => 2,
             LineClass::Budget => 3,
         }
     }
 
     /// Folds a line into a stream's exit code (start from `0`):
-    /// malformed input dominates, then budget exhaustion; verdicts
-    /// themselves are data, not failures.
+    /// malformed input (or an internal error) dominates, then budget
+    /// exhaustion; verdicts themselves are data, not failures.
     #[must_use]
     pub fn fold(self, code: u8) -> u8 {
         match (code, self) {
-            (2, _) | (_, LineClass::Malformed) => 2,
+            (2, _) | (_, LineClass::Malformed | LineClass::Internal) => 2,
             (3, _) | (_, LineClass::Budget) => 3,
             _ => 0,
         }
@@ -71,23 +75,34 @@ pub struct Answered {
 /// (or error) line as JSON (`json`) or human text, classify it, and
 /// time the whole service. `None` for blank and `#` comment lines, which
 /// are owed no response.
+///
+/// A panic while running or rendering the query costs only that line:
+/// it is answered with a structured `internal error`
+/// ([`ApiError::Internal`], [`LineClass::Internal`]), and the session,
+/// whose caches may be mid-update, is rebuilt with
+/// [`Session::retire_engine`].
 pub fn answer_line(session: &mut Session, line: &str, json: bool) -> Option<Answered> {
     let start = Instant::now();
     let (line, class, outcome) = match wire::decode_request(line) {
         Ok(None) => return None,
         Ok(Some(query)) => {
-            let resp = session.run(&query);
-            let line = if json {
-                wire::encode_response(&query, &resp)
-            } else {
-                wire::encode_response_text(&query, &resp)
-            };
-            let class = match resp.verdict {
-                Verdict::BudgetExhausted { .. } => LineClass::Budget,
-                ref v if v.is_positive() => LineClass::Ok,
-                _ => LineClass::No,
-            };
-            (line, class, Ok((query, resp)))
+            match panic::catch_unwind(AssertUnwindSafe(|| run_query(session, &query, json))) {
+                Ok((line, class, resp)) => (line, class, Ok((query, resp))),
+                Err(payload) => {
+                    session.retire_engine();
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "panic while answering the request".to_owned());
+                    let err = ApiError::Internal(msg);
+                    (
+                        wire::render_error(&err, json),
+                        LineClass::Internal,
+                        Err(err),
+                    )
+                }
+            }
         }
         Err(err) => (
             wire::render_error(&err, json),
@@ -101,6 +116,24 @@ pub fn answer_line(session: &mut Session, line: &str, json: bool) -> Option<Answ
         service: start.elapsed(),
         outcome,
     })
+}
+
+/// Runs `query` on `session` and renders and classifies its response.
+fn run_query(session: &mut Session, query: &Query, json: bool) -> (String, LineClass, Response) {
+    #[cfg(test)]
+    tests::maybe_inject_panic(query);
+    let resp = session.run(query);
+    let line = if json {
+        wire::encode_response(query, &resp)
+    } else {
+        wire::encode_response_text(query, &resp)
+    };
+    let class = match resp.verdict {
+        Verdict::BudgetExhausted { .. } => LineClass::Budget,
+        ref v if v.is_positive() => LineClass::Ok,
+        _ => LineClass::No,
+    };
+    (line, class, resp)
 }
 
 /// Items a worker may have queued, and outputs it may have waiting,
@@ -171,8 +204,48 @@ pub fn run_ordered<I, O>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The atom whose `nka_eq` query panics in test builds: the hook
+    /// that exercises [`answer_line`]'s panic isolation.
+    pub(crate) const PANIC_ATOM: &str = "injected_panic";
+
+    pub(super) fn maybe_inject_panic(query: &Query) {
+        if let Query::NkaEq { lhs, .. } = query {
+            if lhs.to_string() == PANIC_ATOM {
+                panic!("injected test panic");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_query_costs_one_line_and_rebuilds_the_session() {
+        let mut session = Session::new();
+        let holds = answer_line(&mut session, "(p q)* p = p (q p)*", true).unwrap();
+        assert_eq!(holds.class, LineClass::Ok);
+        let recycles = session.totals().engine_recycles;
+        let line = format!("{PANIC_ATOM} = p");
+        let json = answer_line(&mut session, &line, true).unwrap();
+        assert_eq!(json.class, LineClass::Internal);
+        assert_eq!(
+            json.line,
+            r#"{"v":1,"verdict":"error","error":"internal error: injected test panic"}"#
+        );
+        assert!(matches!(json.outcome, Err(ApiError::Internal(_))));
+        assert_eq!(session.totals().engine_recycles, recycles + 1, "rebuilt");
+        let text = answer_line(&mut session, &line, false).unwrap();
+        assert_eq!(text.line, "error: internal error: injected test panic");
+        assert_eq!(LineClass::Internal.exit_code(), 2);
+        // The rebuilt session answers on, from cold caches.
+        let again = answer_line(&mut session, "(p q)* p = p (q p)*", true).unwrap();
+        assert_eq!(again.class, LineClass::Ok);
+        let (_, resp) = again.outcome.unwrap();
+        assert_eq!(
+            resp.stats_delta.answer_hits, 0,
+            "the verdict cache was dropped"
+        );
+    }
 
     #[test]
     fn lines_answer_classify_and_skip_blanks() {

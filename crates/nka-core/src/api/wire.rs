@@ -515,7 +515,7 @@ pub fn encode_error(err: &ApiError) -> String {
     let mut fields = error_fields(err.to_string());
     let field = match err {
         ApiError::Parse { field, .. } | ApiError::ParseProgram { field, .. } => Some(*field),
-        ApiError::Malformed(_) => None,
+        ApiError::Malformed(_) | ApiError::Internal(_) => None,
     };
     if let (Some(field), Some((start, end))) = (field, err.span()) {
         fields.push(("field".to_owned(), Json::Str(field.to_owned())));

@@ -57,7 +57,7 @@
 //! requests are skipped, and every other connection keeps being served.
 
 use super::stats::{OpHistograms, ServeCounters, StatsBlock};
-use crate::api::{answer_line, wire, Session, SessionOptions, SessionTotals};
+use crate::api::{answer_line, wire, LineClass, Session, SessionOptions, SessionTotals};
 use crate::snapshot::{self, ConfigGuard, LoadedSnapshot, SnapshotBuilder};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -344,6 +344,7 @@ struct Counters {
     rejected_line_bytes: AtomicU64,
     wire_errors: AtomicU64,
     dropped_mid_response: AtomicU64,
+    worker_panics: AtomicU64,
 }
 
 /// State shared by every thread of one server.
@@ -553,14 +554,18 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             Job::Run { conn, line } => {
                 // Blank and comment lines are consumed with no response.
                 if let Some(answered) = answer_line(&mut session, &line, shared.cfg.json) {
-                    match &answered.outcome {
-                        Ok((query, _)) => shared.hists.record(query.kind(), answered.service),
-                        Err(_) => {
-                            shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+                    let counters = &shared.counters;
+                    match (&answered.outcome, answered.class) {
+                        (Ok((query, _)), _) => shared.hists.record(query.kind(), answered.service),
+                        (Err(_), LineClass::Internal) => {
+                            counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                        }
+                        (Err(_), _) => {
+                            counters.wire_errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                     conn.write_line(&answered.line, shared);
-                    if answered.outcome.is_ok() {
+                    if answered.class != LineClass::Malformed {
                         publish(&session);
                     }
                 }
@@ -735,6 +740,7 @@ impl ServerHandle {
             rejected_line_bytes: c.rejected_line_bytes.load(Ordering::Relaxed),
             wire_errors: c.wire_errors.load(Ordering::Relaxed),
             dropped_mid_response: c.dropped_mid_response.load(Ordering::Relaxed),
+            worker_panics: c.worker_panics.load(Ordering::Relaxed),
             pending_now: shared.pending_total.load(Ordering::SeqCst) as u64,
             worker_recycles: workers.iter().map(|w| w.engine_recycles).collect(),
             worker_queries: workers.iter().map(|w| w.queries).collect(),
@@ -962,6 +968,42 @@ mod tests {
         let block = handle.stats_block();
         assert_eq!(block.queries, 2);
         assert!(block.serve.as_ref().unwrap().connections_opened >= 1);
+    }
+
+    #[test]
+    fn a_panicking_request_is_counted_and_the_worker_answers_on() {
+        let server = Server::bind(
+            ServeConfig {
+                workers: 1,
+                json: true,
+                ..ServeConfig::default()
+            },
+            &[ListenAddr::Tcp("127.0.0.1:0".to_owned())],
+        )
+        .expect("bind");
+        let handle = server.handle();
+        let (mut reader, mut writer) = connect(&server);
+        let panicking = format!("{} = p\np = p\n", crate::api::stream::tests::PANIC_ATOM);
+        writer.write_all(panicking.as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains("internal error: injected test panic"),
+            "{line}"
+        );
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"verdict\":\"holds\""), "{line}");
+        drop((reader, writer));
+        handle.begin_drain(0, "done");
+        assert_eq!(server.join(), 0);
+        let serve = handle.stats_block().serve.unwrap();
+        assert_eq!((serve.worker_panics, serve.wire_errors), (1, 0));
+        assert_eq!(serve.worker_recycles, [1], "the session was rebuilt");
+        assert!(handle
+            .stats_block()
+            .render_human()
+            .contains("1 worker panics"));
     }
 
     #[test]

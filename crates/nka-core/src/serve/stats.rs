@@ -140,6 +140,9 @@ nka_syntax::counter_table! {
         /// Connections dropped mid-response (client went away; EPIPE et
         /// al.). Each costs only its own connection, never the process.
         pub dropped_mid_response: u64,
+        /// Requests whose answer panicked: each got a structured
+        /// `internal error`, and its worker's session was rebuilt.
+        pub worker_panics: u64,
         /// Engine recycles per worker (`--max-queries-per-worker`), indexed
         /// by worker id.
         pub worker_recycles: Vec<u64>,
@@ -321,7 +324,7 @@ impl StatsBlock {
         }
         if let Some(serve) = &self.serve {
             out.push_str(&format!(
-                "serve stats: {} connections ({} closed), {} pending now, {} overload-rejected, {} oversize-rejected, {} wire errors, {} dropped mid-response\n",
+                "serve stats: {} connections ({} closed), {} pending now, {} overload-rejected, {} oversize-rejected, {} wire errors, {} dropped mid-response, {} worker panics\n",
                 serve.connections_opened,
                 serve.connections_closed,
                 serve.pending_now,
@@ -329,6 +332,7 @@ impl StatsBlock {
                 serve.rejected_line_bytes,
                 serve.wire_errors,
                 serve.dropped_mid_response,
+                serve.worker_panics,
             ));
             let recycles: Vec<String> = serve
                 .worker_queries

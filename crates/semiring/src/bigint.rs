@@ -1,12 +1,17 @@
 //! Arbitrary-precision signed integers.
 //!
 //! The decision procedure for NKA equations reduces to a zeroness check on
-//! Q-weighted automata; the Gaussian-elimination style basis computation
-//! there requires exact arithmetic because path weights grow exponentially
-//! in the expression size. No bignum crate is available offline, so this
-//! module implements sign-magnitude big integers on 64-bit limbs
-//! (little-endian), with schoolbook multiplication and Knuth Algorithm D
-//! division — ample for automata with a few hundred states.
+//! an integer-weighted automaton, and it runs that check modulo machine-word
+//! primes: a non-zero series over `Z` has a non-zero coefficient on a word
+//! shorter than the state count `n`, of magnitude at most
+//! `B = ‖ι‖₁ · R^(n−1) · ‖φ‖∞`, so primes whose product exceeds `B` decide
+//! zeroness exactly without big numbers. Big integers remain for the
+//! public rational API — [`crate::BigRational`] weights, whose
+//! denominators are cleared (and residues taken with
+//! [`BigInt::rem_euclid_u64`]) before the same modular check — and for
+//! tests. No bignum crate is available offline, so this module implements
+//! sign-magnitude big integers on 64-bit limbs (little-endian), with
+//! schoolbook multiplication and Knuth Algorithm D division.
 
 use crate::Semiring;
 use std::cmp::Ordering;

@@ -5,12 +5,12 @@
 //!
 //! * [`ExtNat`] — the extended natural numbers `N̄ = N ∪ {∞}` of
 //!   Definition A.1, the coefficient semiring of formal power series.
-//! * [`BigInt`] / [`BigRational`] — arbitrary-precision exact arithmetic.
-//!   The zeroness check for Q-weighted automata (the finite part of the
-//!   decision procedure) performs Gaussian elimination whose intermediate
-//!   values can be exponential in the input size, so floating point would be
-//!   unsound. The offline dependency set contains no bignum crate, hence the
-//!   from-scratch implementation here.
+//! * [`BigInt`] / [`BigRational`] — arbitrary-precision exact arithmetic
+//!   for the public rational-weighted automaton API. The decision
+//!   procedure itself tests zeroness of an `i128`-weighted automaton
+//!   modulo word-sized primes (see `nka_wfa::zeroness`), exactly and
+//!   without big numbers. The offline dependency set contains no bignum
+//!   crate, hence the from-scratch implementation here.
 //! * The [`Semiring`] and [`StarSemiring`] traits tying them together.
 //!
 //! # Examples

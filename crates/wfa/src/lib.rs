@@ -16,16 +16,21 @@
 //!    `∞` form a regular language (a word has finitely many accepting paths
 //!    in an ε-free automaton, so its coefficient is `∞` iff some accepting
 //!    path crosses an `∞` weight); supports are compared as DFAs.
-//! 4. **Finite part** ([`Wfa::rational_part`] + [`zeroness`]): with `∞`
-//!    edges removed, the automaton is N-weighted and embeds in Q; the
-//!    difference automaton is restricted to the complement of the ∞-support
+//! 4. **Finite part** ([`Wfa::finite_part`] + [`zeroness`]): with `∞`
+//!    edges removed, the automaton is N-weighted; the difference automaton
+//!    (path counts, with the right side's final weights negated) is
+//!    `Z`-weighted. It is restricted to the complement of the ∞-support
 //!    and tested for zeroness with the forward-basis (Tzeng/Schützenberger)
-//!    algorithm over **exact rationals**. The restriction product is built
-//!    on the fly: a breadth-first search creates a (difference state, DFA
-//!    state) pair only when a non-zero edge reaches it and the DFA can
-//!    still accept from it, so only reachable pairs exist, each counted
-//!    against the state budget. The basis pass multiplies sparse basis
-//!    rows by the sparse transition rows.
+//!    algorithm **modulo primes** below `2^61`, exactly: a non-zero series
+//!    has a non-zero coefficient on a word shorter than the state count
+//!    `n`, of magnitude at most `B = ‖ι‖₁ · R^(n−1) · ‖φ‖∞` (`R` the
+//!    largest absolute row sum), so primes whose product exceeds `B`
+//!    cannot all miss it. The restriction product is built on the fly: a
+//!    breadth-first search creates a (difference state, DFA state) pair
+//!    only when a non-zero edge reaches it and the DFA can still accept
+//!    from it, so only reachable pairs exist, each counted against the
+//!    state budget. The basis pass multiplies sparse basis rows by the
+//!    sparse transition rows.
 //!
 //! **Star-free** pairs — loop-free program encodings — never reach this
 //! pipeline: their series have finite support and finite coefficients, so

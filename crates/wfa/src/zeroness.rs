@@ -423,13 +423,25 @@ pub(crate) fn is_zero_integer<W: IntegerWeight>(wfa: &Wfa<W>) -> bool {
 /// denominators: integer weights, and every word's coefficient
 /// multiplied by a non-zero constant, so zeroness is unchanged.
 fn clear_denominators(wfa: &Wfa<BigRational>) -> Wfa<BigInt> {
+    // Integer weights (denominator 1, the common case) skip the
+    // big-integer division.
     fn lcm<'a>(weights: impl IntoIterator<Item = &'a BigRational>) -> BigInt {
         weights.into_iter().fold(BigInt::from(1u64), |l, w| {
             let d = w.denom();
-            &l.div_rem(&l.gcd(d)).0 * d
+            if *d == l {
+                l
+            } else {
+                &l.div_rem(&l.gcd(d)).0 * d
+            }
         })
     }
-    let scale = |w: &BigRational, l: &BigInt| w.numer() * &l.div_rem(w.denom()).0;
+    let scale = |w: &BigRational, l: &BigInt| {
+        if w.denom() == l {
+            w.numer().clone()
+        } else {
+            w.numer() * &l.div_rem(w.denom()).0
+        }
+    };
     let scaled = |ws: &[BigRational]| -> Vec<BigInt> {
         let l = lcm(ws);
         ws.iter().map(|w| scale(w, &l)).collect()
