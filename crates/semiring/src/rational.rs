@@ -8,9 +8,10 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// An exact rational number, always stored in lowest terms with a positive
 /// denominator.
 ///
-/// Q forms a field; the NKA decision procedure uses it as the weight domain
-/// of the difference automaton whose zeroness is tested (the finite part of
-/// an N̄-rational series embeds in Q).
+/// Q forms a field. The finite part of an N̄-rational series embeds in Q,
+/// and the public rational-weighted automaton API (`rational_part`,
+/// `is_zero_series` in `nka_wfa`) uses it as a weight domain; the decision
+/// engine itself works on integer weights modulo primes.
 ///
 /// # Examples
 ///

@@ -63,9 +63,6 @@ use nka_syntax::{Expr, ExprId, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// An expression compiled down to its ε-free weighted automaton.
-type Compiled = Wfa<ExtNat>;
-
 /// A per-engine dense id for an interned (sorted) alphabet; pairs with
 /// [`ExprId`] to form the `Copy` DFA-cache keys.
 type AlphabetId = u32;
@@ -119,7 +116,7 @@ nka_syntax::counter_table! {
 #[derive(Debug, Default)]
 pub struct Decider {
     opts: DecideOptions,
-    exprs: HashMap<ExprId, Arc<Compiled>>,
+    exprs: HashMap<ExprId, Arc<Wfa<ExtNat>>>,
     /// Sorted alphabets seen by this engine, interned to dense ids so
     /// DFA-cache keys are `Copy` and probes never allocate. Probed via
     /// `&[Symbol]` (the `Borrow` impl of `Box<[Symbol]>`).
@@ -500,7 +497,7 @@ impl Decider {
     }
 
     /// The compiled ε-free automaton of `e`, memoized.
-    fn compile(&mut self, e: &Expr) -> Result<Arc<Compiled>, DecideError> {
+    fn compile(&mut self, e: &Expr) -> Result<Arc<Wfa<ExtNat>>, DecideError> {
         if let Some(hit) = self.exprs.get(&e.id()) {
             self.stats.compile_hits += 1;
             return Ok(Arc::clone(hit));

@@ -10,7 +10,7 @@
 //! Theorem A.6 `⊢NKA e = f` iff the series coincide, so for star-free
 //! `e`, `f` the whole decision reduces to comparing two finite
 //! `Word → N` maps — no Thompson construction, no ε-elimination, no
-//! subset construction, no rational zeroness. The `nka-qprog` encoder
+//! subset construction, no zeroness pass. The `nka-qprog` encoder
 //! emits a star under `Program::While` only, so every loop-free surface
 //! program lands on this path.
 //!

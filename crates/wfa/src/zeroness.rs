@@ -186,6 +186,18 @@ fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     (u128::from(a) * u128::from(b) % u128::from(m)) as u64
 }
 
+/// `base^exp` under the multiplication `mul`, by square-and-multiply.
+fn pow(base: u64, exp: u64, mul: impl Fn(u64, u64) -> u64) -> u64 {
+    (0..64 - exp.leading_zeros()).rev().fold(1, |x, bit| {
+        let x = mul(x, x);
+        if exp >> bit & 1 == 1 {
+            mul(x, base)
+        } else {
+            x
+        }
+    })
+}
+
 /// Deterministic Miller–Rabin: these twelve bases decide every `u64`.
 fn is_prime(n: u64) -> bool {
     const BASES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
@@ -198,14 +210,7 @@ fn is_prime(n: u64) -> bool {
     let s = (n - 1).trailing_zeros();
     let d = (n - 1) >> s;
     BASES.iter().all(|&a| {
-        let mut x = (0..64 - d.leading_zeros()).rev().fold(1, |x, bit| {
-            let x = mul_mod(x, x, n);
-            if d >> bit & 1 == 1 {
-                mul_mod(x, a, n)
-            } else {
-                x
-            }
-        });
+        let mut x = pow(a, d, |x, y| mul_mod(x, y, n));
         if x == 1 || x == n - 1 {
             return true;
         }
@@ -267,15 +272,7 @@ impl Field {
 
     /// `a^(p−2) = a⁻¹` for `a ≠ 0` (Fermat).
     fn inv(self, a: u64) -> u64 {
-        let e = self.p - 2;
-        (0..64 - e.leading_zeros()).rev().fold(1, |x, bit| {
-            let x = self.mul(x, x);
-            if e >> bit & 1 == 1 {
-                self.mul(x, a)
-            } else {
-                x
-            }
-        })
+        pow(a, self.p - 2, |x, y| self.mul(x, y))
     }
 }
 
@@ -289,20 +286,26 @@ struct Residues {
 
 impl Residues {
     fn of<W: IntegerWeight>(wfa: &Wfa<W>, p: u64) -> Residues {
-        let reduce_row = |row: &[(usize, W)]| -> Vec<(usize, u64)> {
-            row.iter()
-                .map(|(j, w)| (*j, w.residue(p)))
+        fn non_zero<'a, W: IntegerWeight + 'a>(
+            entries: impl Iterator<Item = (usize, &'a W)>,
+            p: u64,
+        ) -> Vec<(usize, u64)> {
+            entries
+                .map(|(j, w)| (j, w.residue(p)))
                 .filter(|&(_, x)| x != 0)
                 .collect()
-        };
-        let initial: Vec<(usize, W)> = wfa.initial().iter().cloned().enumerate().collect();
+        }
         Residues {
-            initial: reduce_row(&initial),
+            initial: non_zero(wfa.initial().iter().enumerate(), p),
             final_weights: wfa.final_weights().iter().map(|w| w.residue(p)).collect(),
             transitions: wfa
                 .symbols()
                 .filter_map(|sym| wfa.transition(sym))
-                .map(|m| (0..m.rows()).map(|i| reduce_row(m.row(i))).collect())
+                .map(|m| {
+                    (0..m.rows())
+                        .map(|i| non_zero(m.row(i).iter().map(|(j, w)| (*j, w)), p))
+                        .collect()
+                })
                 .collect(),
         }
     }
