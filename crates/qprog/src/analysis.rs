@@ -194,7 +194,7 @@ pub struct RuleMeta {
 }
 
 /// The nine-rule catalog, in `nka_apps::rule_library::catalog` order.
-pub const RULE_METADATA: [RuleMeta; 9] = [
+pub static RULE_METADATA: [RuleMeta; 9] = [
     RuleMeta {
         name: "dead-branch",
         lhs: "m0 p0 + m1 p1",

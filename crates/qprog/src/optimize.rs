@@ -698,7 +698,7 @@ mod tests {
         assert!(err.contains("abort-sink"), "{err}");
         // Defaults: everything on, peel direction off.
         let rs = all_rules();
-        for meta in RULE_METADATA {
+        for meta in &RULE_METADATA {
             assert!(rs.allows(meta.name), "{}", meta.name);
         }
         assert!(!rs.peel_forward());

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// assert_eq!(wfa.coefficient(&aa), ExtNat::from(2u64));
 /// # Ok::<(), nka_syntax::ParseExprError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Wfa<S> {
     state_count: usize,
     initial: Vec<S>,

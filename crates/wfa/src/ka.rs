@@ -43,8 +43,7 @@
 
 use crate::automaton::Wfa;
 use crate::decide::DecideError;
-use crate::nfa::{Dfa, Nfa};
-use crate::thompson::thompson;
+use crate::nfa::Nfa;
 use nka_semiring::{ExtNat, Semiring};
 use nka_syntax::{Expr, Symbol};
 
@@ -75,21 +74,6 @@ pub fn support_nfa(wfa: &Wfa<ExtNat>) -> Nfa {
         }
     }
     nfa
-}
-
-/// The support of an expression as a DFA over the given alphabet.
-///
-/// # Errors
-///
-/// Returns [`DecideError`] if the subset construction exceeds
-/// `max_dfa_states`, or if a finite path count overflows `u64`.
-pub fn support_dfa(
-    e: &Expr,
-    alphabet: &[Symbol],
-    max_dfa_states: usize,
-) -> Result<Dfa, DecideError> {
-    let wfa = thompson(e).eliminate_epsilon_checked()?;
-    Ok(support_nfa(&wfa).determinize(alphabet, max_dfa_states)?)
 }
 
 /// Decides `⊢KA e = f`, i.e. language equivalence `L(e) = L(f)` of the

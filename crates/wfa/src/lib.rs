@@ -7,11 +7,11 @@
 //! 1. **Thompson construction** ([`thompson()`]): expression → ε-WFA over `N̄`
 //!    whose path weights sum to the series coefficients (with multiplicity —
 //!    this is where non-idempotence lives).
-//! 2. **ε-elimination** ([`EpsWfa::eliminate_epsilon`]): Kleene's all-pairs
-//!    algebraic-path algorithm computes the star of the ε-matrix using the
-//!    `N̄` scalar star (`0* = 1`, `n* = ∞`), producing an ε-free [`Wfa`]
-//!    whose per-symbol transitions are stored as sparse rows. A finite
-//!    path count past `u64` is an error, never a silent `∞`.
+//! 2. **ε-elimination** ([`EpsWfa::eliminate_epsilon`]): each closure row
+//!    the result needs is an ε-path count on the sparse ε-graph in Kahn's
+//!    topological order, with `∞` on and below ε-cycles (the `N̄` star
+//!    `n* = ∞`), pushed straight into the sparse rows of an ε-free [`Wfa`].
+//!    A finite path count past `u64` is an error, never a silent `∞`.
 //! 3. **∞-support** ([`Wfa::infinity_support`]): the words with coefficient
 //!    `∞` form a regular language (a word has finitely many accepting paths
 //!    in an ε-free automaton, so its coefficient is `∞` iff some accepting

@@ -8,45 +8,11 @@
 //! support NFAs, the difference and restriction automata, the zeroness
 //! basis — costs time in its non-zero entries, not in `n²`.
 //!
-//! The dense [`SMatrix`] is only the workspace of ε-elimination, whose
-//! all-pairs closure fills in by construction.
+//! No transition matrix is ever dense: ε-elimination counts paths on the
+//! sparse ε-graph and pushes each closure row straight into a
+//! [`SparseMatrix`].
 
 use nka_semiring::Semiring;
-
-/// A dense `rows × cols` matrix over a semiring: the ε-closure workspace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SMatrix<S> {
-    cols: usize,
-    data: Vec<S>,
-}
-
-impl<S: Semiring> SMatrix<S> {
-    /// The `rows × cols` zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        SMatrix {
-            cols,
-            data: vec![S::zero(); rows * cols],
-        }
-    }
-
-    /// Row `i` as a slice.
-    pub fn row(&self, i: usize) -> &[S] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-}
-
-impl<S> std::ops::Index<(usize, usize)> for SMatrix<S> {
-    type Output = S;
-    fn index(&self, (i, j): (usize, usize)) -> &S {
-        &self.data[i * self.cols + j]
-    }
-}
-
-impl<S> std::ops::IndexMut<(usize, usize)> for SMatrix<S> {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut S {
-        &mut self.data[i * self.cols + j]
-    }
-}
 
 /// A sparse matrix over a semiring in compressed-row form: each row holds
 /// its non-zero entries as `(column, weight)` pairs, sorted by column.
@@ -248,13 +214,6 @@ mod tests {
         });
         assert_eq!(q[(1, 1)], BigRational::from(3u64));
         assert_eq!(q.row(1).len(), 1, "the weight mapped to zero is gone");
-    }
-
-    #[test]
-    fn dense_workspace_rows() {
-        let mut m = SMatrix::<ExtNat>::zeros(2, 3);
-        m[(1, 2)] = n(7);
-        assert_eq!(m.row(1), [n(0), n(0), n(7)]);
     }
 
     #[test]

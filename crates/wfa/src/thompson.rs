@@ -11,8 +11,8 @@
 
 use crate::automaton::Wfa;
 use crate::decide::DecideError;
-use crate::matrix::{SMatrix, SparseMatrix};
-use nka_semiring::{ExtNat, Semiring, StarSemiring};
+use crate::matrix::SparseMatrix;
+use nka_semiring::ExtNat;
 use nka_syntax::{Expr, ExprNode, Symbol};
 use std::collections::BTreeMap;
 
@@ -36,11 +36,6 @@ impl EpsWfa {
         self.state_count
     }
 
-    /// The number of ε-edges (useful for size statistics in benchmarks).
-    pub fn eps_edge_count(&self) -> usize {
-        self.eps_edges.len()
-    }
-
     /// Eliminates ε-transitions, producing an equivalent ε-free [`Wfa`].
     ///
     /// The panicking form of [`EpsWfa::eliminate_epsilon_checked`].
@@ -56,76 +51,46 @@ impl EpsWfa {
 
     /// Eliminates ε-transitions, producing an equivalent ε-free [`Wfa`].
     ///
-    /// Computes the star `E*` of the ε-weight matrix with Kleene's all-pairs
-    /// algebraic-path algorithm (Floyd–Warshall shape, scalar star of `N̄`
-    /// at the pivot) in a dense workspace. ε-cycles of weight ≥ 1 correctly
-    /// produce `∞` entries, which is how expressions like `1*` acquire
-    /// infinite coefficients. Each symbol's matrix `M_a · E*` is then
-    /// stored sparse: row `i` is the sum of the closure rows of the
-    /// `a`-successors of `i`, non-zero entries only.
+    /// The weight of the ε-free step `i → j` is entry `(i, j)` of the
+    /// closure `E*` over `N̄`: the number of ε-paths from `i` to `j`. Only
+    /// the rows the result needs are computed: the start state's (the
+    /// initial vector) and each letter edge's target's. A Thompson state
+    /// has at most one letter edge, so row `i` of `M_a · E*` is the
+    /// closure row of the target of `i`'s `a`-edge.
+    ///
+    /// A row is a path count on the sparse ε-graph: collect the states
+    /// ε-reachable from the source, then add counts forward in Kahn's
+    /// topological order from it. A reached state whose in-degree never
+    /// drops to zero lies on or below an ε-cycle, so it has infinitely
+    /// many paths: `∞`, which is how expressions like `1*` acquire
+    /// infinite coefficients. A row costs time in what it reaches.
     ///
     /// # Errors
     ///
     /// Returns [`DecideError`] if a *finite* path count overflows `u64`
     /// (conflating it with `∞` would make the decision procedure unsound).
     pub fn eliminate_epsilon_checked(&self) -> Result<Wfa<ExtNat>, DecideError> {
-        let add = |a: ExtNat, b: ExtNat| a.checked_add(b).ok_or_else(DecideError::count_overflow);
-        let mul = |a: ExtNat, b: ExtNat| a.checked_mul(b).ok_or_else(DecideError::count_overflow);
-        let one = ExtNat::one_const();
         let n = self.state_count;
-        // W[i][j] accumulates the weight of all nonempty ε-paths i→j whose
-        // intermediate states are among those already pivoted.
-        let mut w = SMatrix::<ExtNat>::zeros(n, n);
-        for &(i, j) in &self.eps_edges {
-            w[(i, j)] = add(w[(i, j)], one)?;
+        let mut closure = EpsClosure::new(n, &self.eps_edges);
+        let mut initial = vec![ExtNat::zero_const(); n];
+        for (j, w) in closure.row(self.start)? {
+            initial[j] = w;
         }
-        for k in 0..n {
-            let skk = w[(k, k)].star();
-            let row_k: Vec<(usize, ExtNat)> = (0..n)
-                .map(|j| (j, w[(k, j)]))
-                .filter(|(_, x)| !x.is_zero())
-                .collect();
-            for i in 0..n {
-                // Row i is updated only here, so w[(i, k)] is still the
-                // value from before this pivot.
-                let left = mul(w[(i, k)], skk)?;
-                if left.is_zero() {
-                    continue;
-                }
-                for &(j, x) in &row_k {
-                    w[(i, j)] = add(w[(i, j)], mul(left, x)?)?;
-                }
-            }
-        }
-        // closure = E* = I + W
-        let mut closure = w;
-        for i in 0..n {
-            closure[(i, i)] = add(closure[(i, i)], one)?;
-        }
-
-        // Initial row: ι^T E*  (ι = unit at start).
-        let initial = closure.row(self.start).to_vec();
-        // Final column: unit at accept.
         let mut final_weights = vec![ExtNat::zero_const(); n];
-        final_weights[self.accept] = one;
+        final_weights[self.accept] = ExtNat::one_const();
 
         // Per-symbol matrices M'_a = M_a · E*, built row by row.
         let mut edges = self.sym_edges.clone();
-        edges.sort_unstable_by_key(|&(i, a, j)| (a, i, j));
+        edges.sort_unstable_by_key(|&(i, a, _)| (a, i));
         let mut transitions = BTreeMap::new();
         for by_symbol in edges.chunk_by(|x, y| x.1 == y.1) {
             let mut m = SparseMatrix::new(n);
-            for from_i in by_symbol.chunk_by(|x, y| x.0 == y.0) {
-                while m.rows() < from_i[0].0 {
+            for &(i, _, j) in by_symbol {
+                while m.rows() < i {
                     m.push_row([]);
                 }
-                let mut row = vec![ExtNat::zero_const(); n];
-                for &(_, _, j) in from_i {
-                    for (acc, &x) in row.iter_mut().zip(closure.row(j)) {
-                        *acc = add(*acc, x)?;
-                    }
-                }
-                m.push_row(row.into_iter().enumerate());
+                debug_assert_eq!(m.rows(), i, "a Thompson state has one letter edge");
+                m.push_row(closure.row(j)?);
             }
             while m.rows() < n {
                 m.push_row([]);
@@ -134,6 +99,76 @@ impl EpsWfa {
         }
 
         Ok(Wfa::new(n, initial, final_weights, transitions))
+    }
+}
+
+/// Rows of the ε-closure `E*`, counted as paths on the ε-graph, in a
+/// per-state workspace shared by all rows.
+struct EpsClosure {
+    /// The ε-successors of state `i` are `succ[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    succ: Vec<usize>,
+    /// Per reached state: in-edges from reached states not yet counted.
+    pending: Vec<usize>,
+    /// Per reached state: paths counted so far, `None` once past `u64`.
+    count: Vec<Option<u64>>,
+    /// The states the last row reached.
+    reached: Vec<usize>,
+}
+
+impl EpsClosure {
+    fn new(n: usize, eps_edges: &[(usize, usize)]) -> Self {
+        let mut edges = eps_edges.to_vec();
+        edges.sort_unstable();
+        EpsClosure {
+            starts: (0..=n)
+                .map(|i| edges.partition_point(|&(from, _)| from < i))
+                .collect(),
+            succ: edges.into_iter().map(|(_, j)| j).collect(),
+            pending: vec![0; n],
+            count: vec![None; n],
+            reached: Vec::new(),
+        }
+    }
+
+    /// The non-zero entries of row `src` of `E*`.
+    fn row(&mut self, src: usize) -> Result<Vec<(usize, ExtNat)>, DecideError> {
+        for v in self.reached.drain(..) {
+            self.pending[v] = 0;
+        }
+        // Breadth-first from `src`: a state is new at its first in-edge.
+        self.reached.push(src);
+        let mut next = 0;
+        while let Some(&u) = self.reached.get(next) {
+            next += 1;
+            for &v in &self.succ[self.starts[u]..self.starts[u + 1]] {
+                self.pending[v] += 1;
+                if self.pending[v] == 1 && v != src {
+                    self.count[v] = Some(0);
+                    self.reached.push(v);
+                }
+            }
+        }
+        // Kahn's order, from the one reached state that may lack in-edges.
+        self.count[src] = Some(1);
+        let mut ready = Vec::from_iter((self.pending[src] == 0).then_some(src));
+        while let Some(u) = ready.pop() {
+            let paths = self.count[u];
+            for &v in &self.succ[self.starts[u]..self.starts[u + 1]] {
+                self.count[v] = paths.zip(self.count[v]).and_then(|(p, c)| c.checked_add(p));
+                self.pending[v] -= 1;
+                if self.pending[v] == 0 {
+                    ready.push(v);
+                }
+            }
+        }
+        // A count past `u64` errs only if its state is finite.
+        let entry = |v: usize| match (self.pending[v], self.count[v]) {
+            (0, Some(c)) => Ok((v, ExtNat::from(c))),
+            (0, None) => Err(DecideError::count_overflow()),
+            _ => Ok((v, ExtNat::INFINITY)),
+        };
+        self.reached.iter().map(|&v| entry(v)).collect()
     }
 }
 
@@ -178,60 +213,200 @@ impl Builder {
         s
     }
 
+    /// Builds `expr` bottom-up, left before right, with an explicit stack
+    /// of pending nodes: a flat chain of thousands of factors must not
+    /// overflow a worker thread's stack.
     fn build(&mut self, expr: &Expr) -> (usize, usize) {
-        match expr.node() {
-            ExprNode::Zero => {
-                let s = self.fresh();
-                let t = self.fresh();
-                (s, t)
-            }
-            ExprNode::One => {
-                let s = self.fresh();
-                let t = self.fresh();
-                self.eps_edges.push((s, t));
-                (s, t)
-            }
-            ExprNode::Atom(a) => {
-                let s = self.fresh();
-                let t = self.fresh();
-                self.sym_edges.push((s, a, t));
-                (s, t)
-            }
-            ExprNode::Add(l, r) => {
-                let (ls, la) = self.build(&l);
-                let (rs, ra) = self.build(&r);
-                let s = self.fresh();
-                let t = self.fresh();
-                self.eps_edges.push((s, ls));
-                self.eps_edges.push((s, rs));
-                self.eps_edges.push((la, t));
-                self.eps_edges.push((ra, t));
-                (s, t)
-            }
-            ExprNode::Mul(l, r) => {
-                let (ls, la) = self.build(&l);
-                let (rs, ra) = self.build(&r);
-                self.eps_edges.push((la, rs));
-                (ls, ra)
-            }
-            ExprNode::Star(inner) => {
-                let (is, ia) = self.build(&inner);
-                let s = self.fresh();
-                let t = self.fresh();
-                self.eps_edges.push((s, is)); // enter the loop
-                self.eps_edges.push((ia, is)); // iterate
-                self.eps_edges.push((s, t)); // zero iterations
-                self.eps_edges.push((ia, t)); // exit
-                (s, t)
-            }
+        // (node, whether its operands are already built)
+        let mut pending = vec![(*expr, false)];
+        // (start, accept) of every built node not yet consumed
+        let mut built: Vec<(usize, usize)> = Vec::new();
+        while let Some((e, operands_built)) = pending.pop() {
+            let mut operand = || built.pop().expect("operands are built first");
+            let fragment = match (e.node(), operands_built) {
+                (ExprNode::Add(l, r) | ExprNode::Mul(l, r), false) => {
+                    pending.extend([(e, true), (r, false), (l, false)]);
+                    continue;
+                }
+                (ExprNode::Star(inner), false) => {
+                    pending.extend([(e, true), (inner, false)]);
+                    continue;
+                }
+                (ExprNode::Zero, _) => (self.fresh(), self.fresh()),
+                (ExprNode::One, _) => {
+                    let (s, t) = (self.fresh(), self.fresh());
+                    self.eps_edges.push((s, t));
+                    (s, t)
+                }
+                (ExprNode::Atom(a), _) => {
+                    let (s, t) = (self.fresh(), self.fresh());
+                    self.sym_edges.push((s, a, t));
+                    (s, t)
+                }
+                (ExprNode::Add(..), true) => {
+                    let ((rs, ra), (ls, la)) = (operand(), operand());
+                    let (s, t) = (self.fresh(), self.fresh());
+                    self.eps_edges.extend([(s, ls), (s, rs), (la, t), (ra, t)]);
+                    (s, t)
+                }
+                (ExprNode::Mul(..), true) => {
+                    let ((rs, ra), (ls, la)) = (operand(), operand());
+                    self.eps_edges.push((la, rs));
+                    (ls, ra)
+                }
+                (ExprNode::Star(_), true) => {
+                    let (is, ia) = operand();
+                    let (s, t) = (self.fresh(), self.fresh());
+                    self.eps_edges.extend([
+                        (s, is),  // enter the loop
+                        (ia, is), // iterate
+                        (s, t),   // zero iterations
+                        (ia, t),  // exit
+                    ]);
+                    (s, t)
+                }
+            };
+            built.push(fragment);
         }
+        built.pop().expect("the root is built")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nka_syntax::Word;
+    use nka_semiring::{Semiring, StarSemiring};
+    use nka_syntax::{random_expr, ExprGenConfig, Word};
+    use proptest::prelude::*;
+
+    /// The dense closure the graph count replaced, kept as an oracle:
+    /// Kleene's all-pairs algorithm (Floyd–Warshall shape, the `N̄` star
+    /// at each pivot) over the full `n × n` ε-matrix. A finite overflow
+    /// is an error, or `∞` when `saturate` is set.
+    fn floyd_warshall(eps: &EpsWfa, saturate: bool) -> Result<Wfa<ExtNat>, DecideError> {
+        let lift = |x: Option<ExtNat>| match x {
+            Some(x) => Ok(x),
+            None if saturate => Ok(ExtNat::INFINITY),
+            None => Err(DecideError::count_overflow()),
+        };
+        let add = |a: ExtNat, b: ExtNat| lift(a.checked_add(b));
+        let mul = |a: ExtNat, b: ExtNat| lift(a.checked_mul(b));
+        let one = ExtNat::one_const();
+        let n = eps.state_count;
+        // w[i][j]: the nonempty ε-paths i→j through pivoted states only.
+        let mut w = vec![vec![ExtNat::zero_const(); n]; n];
+        for &(i, j) in &eps.eps_edges {
+            w[i][j] = add(w[i][j], one)?;
+        }
+        for k in 0..n {
+            let skk = w[k][k].star();
+            let row_k = w[k].clone();
+            for row in &mut w {
+                let left = mul(row[k], skk)?;
+                if left.is_zero() {
+                    continue;
+                }
+                for (x, &y) in row.iter_mut().zip(&row_k) {
+                    *x = add(*x, mul(left, y)?)?;
+                }
+            }
+        }
+        // E* = I + W
+        for (i, row) in w.iter_mut().enumerate() {
+            row[i] = add(row[i], one)?;
+        }
+        let mut final_weights = vec![ExtNat::zero_const(); n];
+        final_weights[eps.accept] = one;
+        let mut edges = eps.sym_edges.clone();
+        edges.sort_unstable_by_key(|&(i, a, j)| (a, i, j));
+        let mut transitions = BTreeMap::new();
+        for by_symbol in edges.chunk_by(|x, y| x.1 == y.1) {
+            let mut m = SparseMatrix::new(n);
+            for from_i in by_symbol.chunk_by(|x, y| x.0 == y.0) {
+                while m.rows() < from_i[0].0 {
+                    m.push_row([]);
+                }
+                let mut row = vec![ExtNat::zero_const(); n];
+                for &(_, _, j) in from_i {
+                    for (acc, &x) in row.iter_mut().zip(&w[j]) {
+                        *acc = add(*acc, x)?;
+                    }
+                }
+                m.push_row(row.into_iter().enumerate());
+            }
+            while m.rows() < n {
+                m.push_row([]);
+            }
+            transitions.insert(by_symbol[0].1, m);
+        }
+        Ok(Wfa::new(
+            n,
+            w[eps.start].clone(),
+            final_weights,
+            transitions,
+        ))
+    }
+
+    /// Checks the graph count against the dense oracle on one expression.
+    /// Where the oracle counts, the two agree. Where it overflows — it
+    /// also counts rows the result never uses, and adds partial sums of
+    /// states that turn out `∞` — the graph count may still succeed, but
+    /// only if no emitted count was clamped: the saturating oracle, which
+    /// is exact below `u64::MAX` and `∞` above, must then agree too.
+    fn check_against_oracle(e: &Expr) {
+        let eps = thompson(e);
+        let graph = eps.eliminate_epsilon_checked();
+        match floyd_warshall(&eps, false) {
+            Ok(dense) => assert_eq!(graph.as_ref(), Ok(&dense), "{e}"),
+            Err(_) => {
+                if let Ok(graph) = graph {
+                    let saturated = floyd_warshall(&eps, true).expect("saturating never errs");
+                    assert_eq!(graph, saturated, "{e}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The graph count agrees with the dense Floyd–Warshall closure on
+        /// random expressions of 4–64 nodes, star- and constant-heavy ones
+        /// included.
+        #[test]
+        fn graph_closure_matches_the_dense_oracle(
+            seed in any::<u64>(),
+            size in 4usize..65,
+            star_weight in 0u32..7,
+            constant_weight in 0u32..5,
+        ) {
+            let alphabet = vec![Symbol::intern("a"), Symbol::intern("b")];
+            let config = ExprGenConfig::new(alphabet)
+                .with_target_size(size)
+                .with_star_weight(star_weight)
+                .with_constant_weight(constant_weight);
+            let mut seed = seed;
+            check_against_oracle(&random_expr(&config, &mut seed));
+        }
+    }
+
+    #[test]
+    fn overflow_boundary_matches_the_dense_oracle() {
+        let doubled = |count: usize| -> Expr { vec!["(1 + 1)"; count].join(" ").parse().unwrap() };
+        let at = thompson(&doubled(63));
+        let wfa = at.eliminate_epsilon_checked().unwrap();
+        assert_eq!(Ok(&wfa), floyd_warshall(&at, false).as_ref());
+        assert_eq!(wfa.coefficient(&Word::epsilon()), ExtNat::from(1u64 << 63));
+        let past = thompson(&doubled(64));
+        assert!(past.eliminate_epsilon_checked().is_err());
+        assert!(floyd_warshall(&past, false).is_err());
+        // Past `u64` only behind an ε-cycle: every emitted count is `∞`,
+        // and only the oracle, which also counts unused rows, overflows.
+        let behind = thompson(&Expr::one().star().mul(&doubled(64)));
+        let wfa = behind.eliminate_epsilon_checked().unwrap();
+        assert!(floyd_warshall(&behind, false).is_err());
+        assert_eq!(Ok(wfa), floyd_warshall(&behind, true));
+    }
 
     fn coeff(src: &str, word: &[&str]) -> ExtNat {
         let e: Expr = src.parse().unwrap();

@@ -637,12 +637,12 @@ fn co_reachable(dfa: &Dfa, accepting: impl Fn(usize) -> bool, used: &[usize]) ->
 }
 
 /// The dense kernel the sparse one replaced, kept as a test oracle: the
-/// full `n·d`-state product as dense matrices, and the forward basis on
-/// dense vectors.
+/// full `n·d`-state product as dense rows, and the forward basis on dense
+/// vectors.
 #[cfg(test)]
 mod dense_reference {
     use crate::automaton::Wfa;
-    use crate::matrix::{dot, SMatrix};
+    use crate::matrix::dot;
     use crate::nfa::Dfa;
     use nka_semiring::BigRational;
 
@@ -650,17 +650,17 @@ mod dense_reference {
         states: usize,
         initial: Vec<BigRational>,
         final_weights: Vec<BigRational>,
-        transitions: Vec<SMatrix<BigRational>>,
+        transitions: Vec<Vec<Vec<BigRational>>>,
     }
 
-    fn vec_mul(m: &SMatrix<BigRational>, v: &[BigRational]) -> Vec<BigRational> {
+    fn vec_mul(m: &[Vec<BigRational>], v: &[BigRational]) -> Vec<BigRational> {
         let mut out = vec![BigRational::zero(); v.len()];
         for (i, x) in v.iter().enumerate() {
             if x.is_zero() {
                 continue;
             }
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = &*o + &(x * &m[(i, j)]);
+            for (o, w) in out.iter_mut().zip(&m[i]) {
+                *o = &*o + &(x * w);
             }
         }
         out
@@ -723,14 +723,14 @@ mod dense_reference {
                 continue;
             };
             let m = wfa.transition(sym).expect("listed symbol has a matrix");
-            let mut prod = SMatrix::zeros(n * d, n * d);
+            let mut prod = vec![vec![BigRational::zero(); n * d]; n * d];
             for s in 0..d {
                 let s2 = dfa.step(s, ai);
                 for i in 0..n {
                     for j in 0..n {
                         let w = m[(i, j)].clone();
                         if !w.is_zero() {
-                            prod[(idx(i, s), idx(j, s2))] = w;
+                            prod[idx(i, s)][idx(j, s2)] = w;
                         }
                     }
                 }

@@ -2,14 +2,14 @@
 //! surface must answer alike: the four golden corpora plus a file of
 //! hostile lines (invalid UTF-8, over-deep nesting in each request
 //! parser, a 300 KB line, an unknown key, blank and comment lines,
-//! queries whose restriction product used to exhaust memory or whose
-//! path counts overflow `u64`) go through `batch`, `batch --jobs 4`,
-//! the stdin `serve` loop with worker recycling, `serve --listen`, and
-//! `snapshot dump` (exit status only). The stable projections
-//! (`wire::stable_response_projection`) must be identical, with one
-//! response per request line, the exit codes must match each surface
-//! family's contract, and the `--stats --json` per-op histograms must
-//! count exactly the answered lines.
+//! queries whose restriction product or ε-closure used to exhaust
+//! memory or whose path counts overflow `u64`) go through `batch`,
+//! `batch --jobs 4`, the stdin `serve` loop with worker recycling,
+//! `serve --listen`, and `snapshot dump` (exit status only). The stable
+//! projections (`wire::stable_response_projection`) must be identical,
+//! with one response per request line, the exit codes must match each
+//! surface family's contract, and the `--stats --json` per-op
+//! histograms must count exactly the answered lines.
 
 use nka_quantum::api::json::Json;
 use nka_quantum::api::{answer_line, wire, LineClass, Session};
@@ -101,6 +101,10 @@ fn hostile_lines() -> Vec<u8> {
         .as_bytes(),
     );
     line(format!("{} a* = a*", doubled(70)).as_bytes());
+    // A starred 10,000-atom chain: 20,002 Thompson states. The dense
+    // ε-closure asked for 6.4 GB, and a recursive Thompson construction
+    // overflows a 2 MiB worker stack in a debug build.
+    line(format!("({})* = a*", vec!["a"; 10_000].join(" ")).as_bytes());
     line(b"1 + p p* = p*");
     out
 }
@@ -292,7 +296,7 @@ fn every_surface_answers_every_line_alike() {
                         .to_owned()
                 })
                 .collect();
-            let kernel = &verdicts[verdicts.len() - 6..verdicts.len() - 1];
+            let kernel = &verdicts[verdicts.len() - 7..verdicts.len() - 1];
             assert_eq!(
                 kernel,
                 [
@@ -300,7 +304,8 @@ fn every_surface_answers_every_line_alike() {
                     "holds",
                     "holds",
                     "budget_exhausted",
-                    "budget_exhausted"
+                    "budget_exhausted",
+                    "refuted"
                 ],
                 "the decision-kernel lines get structured verdicts"
             );
