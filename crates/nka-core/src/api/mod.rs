@@ -105,6 +105,7 @@ use nka_syntax::{Expr, ExprId, ParseExprError, ScratchScope, Symbol, Word};
 use nka_wfa::{DecideOptions, Decider, DeciderStats};
 use qsim_linalg::CMatrix;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -507,9 +508,9 @@ fn parse_effect_field(
 /// session's memo so a cache miss walks the terms exactly once.
 fn term_stats_of(exprs: &[Expr]) -> (u64, u64) {
     let nodes = exprs.iter().map(|e| e.size() as u64).sum();
-    let mut distinct: HashSet<ExprId> = HashSet::new();
+    let mut distinct = HashMap::new();
     for e in exprs {
-        e.collect_subterm_ids(&mut distinct);
+        let Ok(()) = e.fold(&mut distinct, |_, _| Ok::<(), Infallible>(()));
     }
     (nodes, distinct.len() as u64)
 }
@@ -1208,13 +1209,12 @@ pub struct Session {
     /// Optimizer counters ([`Session::optimize_stats`]); cumulative,
     /// surviving engine recycling like `retired_stats`.
     optimize_stats: OptimizeStats,
-    /// Tier B certificate cache: `(p, q) → (holds, stats)` keyed on the
-    /// check's program sources. Verdict memoization only — cleared on
+    /// Tier B certificate cache: `(p, q) → (holds, stats, restored)`
+    /// keyed on the check's program sources, where `restored` marks an
+    /// entry loaded from a snapshot (a hit on one is a
+    /// `cert_snapshot_hit`). Verdict memoization only — cleared on
     /// recycle and past [`CERT_CACHE_CAP`] without affecting answers.
-    cert_cache: HashMap<(String, String), (bool, CertificateStats)>,
-    /// Certificate-cache keys restored from a snapshot; a hit on one is
-    /// a `cert_snapshot_hit`. Cleared alongside `cert_cache`.
-    restored_cert_keys: HashSet<(String, String)>,
+    cert_cache: HashMap<(String, String), (bool, CertificateStats, bool)>,
     /// Warm-start counters (the `snapshot` of [`Session::totals`]);
     /// cumulative, surviving engine recycling. Its `snapshot_hits` holds
     /// the hits of recycled engines only (mirroring `retired_stats`);
@@ -1405,9 +1405,10 @@ impl Session {
             restored += 1;
         }
         for cert in &snap.certs {
-            let key = (cert.p.clone(), cert.q.clone());
-            self.restored_cert_keys.insert(key.clone());
-            self.cert_cache.insert(key, (cert.holds, cert.stats));
+            self.cert_cache.insert(
+                (cert.p.clone(), cert.q.clone()),
+                (cert.holds, cert.stats, true),
+            );
             restored += 1;
         }
         self.snapshot.restored_entries += restored as u64;
@@ -1460,7 +1461,7 @@ impl Session {
         }
         let mut certs: Vec<_> = self.cert_cache.iter().collect();
         certs.sort_by(|a, b| a.0.cmp(b.0));
-        for ((p, q), (holds, stats)) in certs {
+        for ((p, q), (holds, stats, _)) in certs {
             builder.add_cert(p, q, *holds, *stats);
         }
     }
@@ -1561,7 +1562,6 @@ impl Session {
         self.term_stats_cache.clear();
         self.term_stats_scratch_keys = 0;
         self.cert_cache.clear();
-        self.restored_cert_keys.clear();
         self.engine_recycles += 1;
         self.queries_since_recycle = 0;
     }
@@ -1794,22 +1794,18 @@ impl Session {
     /// [`CERT_CACHE_CAP`] clear), so optimizer certifications ride the
     /// same snapshot export path as analyzer certificates.
     fn cached_cert_decide(&mut self, p: &str, q: &str) -> (bool, CertificateStats, bool) {
-        if let Some(&hit) = self.cert_cache.get(&(p.to_owned(), q.to_owned())) {
-            if self
-                .restored_cert_keys
-                .contains(&(p.to_owned(), q.to_owned()))
-            {
-                self.snapshot.cert_snapshot_hits += 1;
-            }
-            return (hit.0, hit.1, true);
+        if let Some(&(holds, stats, restored)) = self.cert_cache.get(&(p.to_owned(), q.to_owned()))
+        {
+            self.snapshot.cert_snapshot_hits += u64::from(restored);
+            return (holds, stats, true);
         }
-        let decided = self.decide_cert_pair(p, q);
+        let (holds, stats) = self.decide_cert_pair(p, q);
         if self.cert_cache.len() >= CERT_CACHE_CAP {
             self.cert_cache.clear();
         }
         self.cert_cache
-            .insert((p.to_owned(), q.to_owned()), decided);
-        (decided.0, decided.1, false)
+            .insert((p.to_owned(), q.to_owned()), (holds, stats, false));
+        (holds, stats, false)
     }
 
     /// Decides one certification pair inside a [`ScratchScope`]: parse
@@ -2748,5 +2744,35 @@ mod tests {
             responses[1].verdict,
             Verdict::BudgetExhausted { .. }
         ));
+    }
+
+    /// The cache-cap clear drops a restored certificate's mark with the
+    /// entry: once recomputed, hits on its key are not snapshot hits.
+    #[test]
+    fn a_recomputed_certificate_is_not_a_snapshot_hit() {
+        let (p, q) = ("qubits 1; h q0; h q0", "qubits 1; skip");
+        let mut builder =
+            SnapshotBuilder::new(ConfigGuard::from_options(&DecideOptions::default()));
+        builder.add_cert(p, q, false, CertificateStats::default());
+        let snap = snapshot::Snapshot::decode(&builder.encode(0)).unwrap();
+        let mut session = Session::new();
+        assert_eq!(session.load_snapshot(&snap.instantiate()), 1);
+        assert!(session.cached_cert_decide(p, q).2);
+        assert_eq!(session.snapshot.cert_snapshot_hits, 1);
+        for i in 0..CERT_CACHE_CAP - 1 {
+            let key = (format!("filler {i}"), String::new());
+            session
+                .cert_cache
+                .insert(key, (false, CertificateStats::default(), false));
+        }
+        // This miss finds the cache full and clears it.
+        assert!(
+            !session
+                .cached_cert_decide("qubits 1; x q0", "qubits 1; x q0")
+                .2
+        );
+        assert!(!session.cached_cert_decide(p, q).2);
+        assert!(session.cached_cert_decide(p, q).2);
+        assert_eq!(session.snapshot.cert_snapshot_hits, 1);
     }
 }

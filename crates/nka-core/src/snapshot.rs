@@ -41,10 +41,11 @@
 //! same cache-relevant options.
 
 use nka_qprog::analysis::CertificateStats;
-use nka_syntax::{Expr, ExprId, ExprNode, Symbol, Word};
+use nka_syntax::{Expr, ExprId, Folded, Symbol, Word};
 use nka_wfa::starfree::WordMultiset;
 use nka_wfa::DecideOptions;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,46 +235,26 @@ impl SnapshotBuilder {
         ix
     }
 
-    /// The table index of `e`, interning its subterms first (iterative
-    /// post-order — program encodings can be deep `·`-spines).
+    /// The table index of `e`, interning its subterms first (post-order
+    /// on [`Expr::fold`]'s explicit stack — program encodings can be deep
+    /// `·`-spines).
     fn intern_expr(&mut self, e: &Expr) -> u32 {
-        if let Some(&ix) = self.expr_ids.get(&e.id()) {
-            return ix;
-        }
-        let mut stack: Vec<(Expr, bool)> = vec![(*e, false)];
-        while let Some((cur, children_done)) = stack.pop() {
-            if self.expr_ids.contains_key(&cur.id()) {
-                continue;
-            }
-            if !children_done {
-                stack.push((cur, true));
-                match cur.node() {
-                    ExprNode::Add(l, r) | ExprNode::Mul(l, r) => {
-                        stack.push((r, false));
-                        stack.push((l, false));
-                    }
-                    ExprNode::Star(x) => stack.push((x, false)),
-                    _ => {}
-                }
-            } else {
-                let node = match cur.node() {
-                    ExprNode::Zero => Node::Zero,
-                    ExprNode::One => Node::One,
-                    ExprNode::Atom(sym) => Node::Atom(self.intern_symbol(sym)),
-                    ExprNode::Add(l, r) => {
-                        Node::Add(self.expr_ids[&l.id()], self.expr_ids[&r.id()])
-                    }
-                    ExprNode::Mul(l, r) => {
-                        Node::Mul(self.expr_ids[&l.id()], self.expr_ids[&r.id()])
-                    }
-                    ExprNode::Star(x) => Node::Star(self.expr_ids[&x.id()]),
-                };
-                let ix = u32::try_from(self.nodes.len()).expect("snapshot expr table overflow");
-                self.nodes.push(node);
-                self.expr_ids.insert(cur.id(), ix);
-            }
-        }
-        self.expr_ids[&e.id()]
+        let mut expr_ids = std::mem::take(&mut self.expr_ids);
+        let Ok(ix) = e.fold(&mut expr_ids, |_, node| {
+            let node = match node {
+                Folded::Zero => Node::Zero,
+                Folded::One => Node::One,
+                Folded::Atom(sym) => Node::Atom(self.intern_symbol(sym)),
+                Folded::Add(&l, &r) => Node::Add(l, r),
+                Folded::Mul(&l, &r) => Node::Mul(l, r),
+                Folded::Star(&x) => Node::Star(x),
+            };
+            let ix = u32::try_from(self.nodes.len()).expect("snapshot expr table overflow");
+            self.nodes.push(node);
+            Ok::<u32, Infallible>(ix)
+        });
+        self.expr_ids = expr_ids;
+        ix
     }
 
     /// Stages an NKA verdict-cache entry. Duplicate pairs (e.g. from

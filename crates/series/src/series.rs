@@ -220,15 +220,41 @@ impl fmt::Display for Series {
 ///
 /// The `alphabet` is only used to document the intended Σ; atoms outside it
 /// are still handled (they simply contribute their own letters).
+///
+/// Runs on an explicit stack without a memo: each subterm's series is
+/// consumed by its parent, so only operands waiting for a sibling stay
+/// alive.
 pub fn eval(expr: &Expr, _alphabet: &[Symbol], max_len: usize) -> Series {
-    match expr.node() {
-        ExprNode::Zero => Series::zero(max_len),
-        ExprNode::One => Series::one(max_len),
-        ExprNode::Atom(s) => Series::atom(s, max_len),
-        ExprNode::Add(l, r) => eval(&l, _alphabet, max_len).add(&eval(&r, _alphabet, max_len)),
-        ExprNode::Mul(l, r) => eval(&l, _alphabet, max_len).mul(&eval(&r, _alphabet, max_len)),
-        ExprNode::Star(e) => eval(&e, _alphabet, max_len).star(),
+    // `true` marks a subterm whose children are pushed.
+    let mut stack = vec![(*expr, false)];
+    let mut values: Vec<Series> = Vec::new();
+    while let Some((e, expanded)) = stack.pop() {
+        let mut operand = || values.pop().expect("a finished operand");
+        let value = match e.node() {
+            ExprNode::Add(l, r) | ExprNode::Mul(l, r) if !expanded => {
+                stack.extend([(e, true), (r, false), (l, false)]);
+                continue;
+            }
+            ExprNode::Star(inner) if !expanded => {
+                stack.extend([(e, true), (inner, false)]);
+                continue;
+            }
+            ExprNode::Zero => Series::zero(max_len),
+            ExprNode::One => Series::one(max_len),
+            ExprNode::Atom(s) => Series::atom(s, max_len),
+            ExprNode::Star(_) => operand().star(),
+            ExprNode::Add(..) => {
+                let r = operand();
+                operand().add(&r)
+            }
+            ExprNode::Mul(..) => {
+                let r = operand();
+                operand().mul(&r)
+            }
+        };
+        values.push(value);
     }
+    values.pop().expect("the root's series")
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@
 use crate::Symbol;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::marker::PhantomData;
@@ -66,6 +67,18 @@ pub enum ExprNode {
     Mul(Expr, Expr),
     /// Kleene star `e*`.
     Star(Expr),
+}
+
+/// An [`ExprNode`] with each child replaced by its value — what
+/// [`Expr::fold`] hands its callback.
+#[derive(Debug)]
+pub enum Folded<'a, T> {
+    Zero,
+    One,
+    Atom(Symbol),
+    Add(&'a T, &'a T),
+    Mul(&'a T, &'a T),
+    Star(&'a T),
 }
 
 /// The dense identity of an interned expression — the canonical name of
@@ -545,25 +558,22 @@ pub fn promote(e: &Expr) -> Expr {
 /// traversal instead of once per mention.
 #[must_use]
 pub fn promote_memoized(e: &Expr, memo: &mut HashMap<ExprId, Expr>) -> Expr {
-    fn go(e: Expr, memo: &mut HashMap<ExprId, Expr>) -> Expr {
+    if !e.id.is_scratch() {
+        return *e;
+    }
+    e.fold_total(memo, |e, node| {
         if !e.id.is_scratch() {
             return e;
         }
-        if let Some(&done) = memo.get(&e.id) {
-            return done;
-        }
-        let out = match e.node() {
-            ExprNode::Zero => Expr::zero(),
-            ExprNode::One => Expr::one(),
-            ExprNode::Atom(s) => intern_global(ExprNode::Atom(s)),
-            ExprNode::Add(l, r) => intern_global(ExprNode::Add(go(l, memo), go(r, memo))),
-            ExprNode::Mul(l, r) => intern_global(ExprNode::Mul(go(l, memo), go(r, memo))),
-            ExprNode::Star(inner) => intern_global(ExprNode::Star(go(inner, memo))),
-        };
-        memo.insert(e.id, out);
-        out
-    }
-    go(*e, memo)
+        intern_global(match node {
+            Folded::Zero => ExprNode::Zero,
+            Folded::One => ExprNode::One,
+            Folded::Atom(s) => ExprNode::Atom(s),
+            Folded::Add(&l, &r) => ExprNode::Add(l, r),
+            Folded::Mul(&l, &r) => ExprNode::Mul(l, r),
+            Folded::Star(&inner) => ExprNode::Star(inner),
+        })
+    })
 }
 
 /// Number of distinct expressions in the **persistent** region — the
@@ -715,6 +725,78 @@ impl Expr {
         })
     }
 
+    /// The one structural recursion over `ExpΣ` (the shape of `{{−}}`,
+    /// Definition A.4), on an explicit stack so no input depth reaches
+    /// the call stack. Computes `f` once per distinct subterm not already
+    /// in `memo` (which is not descended), left before right and children
+    /// before parents — the order of the recursive definition, so what
+    /// `f` interns gets the ids a recursive walk gives it. The first
+    /// `Err` from `f` stops the walk; finished values stay in `memo`.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn fold<T: Clone, E>(
+        &self,
+        memo: &mut HashMap<ExprId, T>,
+        mut f: impl FnMut(Expr, Folded<'_, T>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        // A subterm is pushed with its node once its children are; each
+        // finished subterm leaves its value on `values` for its parent.
+        let (mut stack, mut values) = (Vec::with_capacity(64), Vec::with_capacity(64));
+        stack.push((*self, None));
+        while let Some((e, pushed)) = stack.pop() {
+            let node = match pushed {
+                Some(node) => node,
+                None => {
+                    if let Some(done) = memo.get(&e.id) {
+                        values.push(done.clone());
+                        continue;
+                    }
+                    match e.node() {
+                        node @ (ExprNode::Add(l, r) | ExprNode::Mul(l, r)) => {
+                            stack.extend([(e, Some(node)), (r, None), (l, None)]);
+                            continue;
+                        }
+                        node @ ExprNode::Star(inner) => {
+                            stack.extend([(e, Some(node)), (inner, None)]);
+                            continue;
+                        }
+                        leaf => leaf,
+                    }
+                }
+            };
+            let mut operand = || values.pop().expect("a finished operand");
+            let value = match node {
+                ExprNode::Zero => f(e, Folded::Zero)?,
+                ExprNode::One => f(e, Folded::One)?,
+                ExprNode::Atom(s) => f(e, Folded::Atom(s))?,
+                ExprNode::Star(_) => f(e, Folded::Star(&operand()))?,
+                ExprNode::Add(..) => {
+                    let (r, l) = (operand(), operand());
+                    f(e, Folded::Add(&l, &r))?
+                }
+                ExprNode::Mul(..) => {
+                    let (r, l) = (operand(), operand());
+                    f(e, Folded::Mul(&l, &r))?
+                }
+            };
+            memo.insert(e.id, value.clone());
+            values.push(value);
+        }
+        Ok(values.pop().expect("the root's value"))
+    }
+
+    /// [`Expr::fold`] with an infallible callback.
+    fn fold_total<T: Clone>(
+        &self,
+        memo: &mut HashMap<ExprId, T>,
+        mut f: impl FnMut(Expr, Folded<'_, T>) -> T,
+    ) -> T {
+        let Ok(value) = self.fold(memo, |e, node| Ok::<T, Infallible>(f(e, node)));
+        value
+    }
+
     /// Number of nodes in the expression read as a *tree* (shared
     /// subterms counted with multiplicity, saturating at `usize::MAX`).
     ///
@@ -722,21 +804,11 @@ impl Expr {
     /// shared expressions (whose tree reading is exponentially larger
     /// than their arena footprint) still cost linear time.
     pub fn size(&self) -> usize {
-        fn go(e: Expr, memo: &mut HashMap<ExprId, usize>) -> usize {
-            if let Some(&n) = memo.get(&e.id) {
-                return n;
-            }
-            let n = match e.node() {
-                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => 1,
-                ExprNode::Add(l, r) | ExprNode::Mul(l, r) => 1usize
-                    .saturating_add(go(l, memo))
-                    .saturating_add(go(r, memo)),
-                ExprNode::Star(e) => 1usize.saturating_add(go(e, memo)),
-            };
-            memo.insert(e.id, n);
-            n
-        }
-        go(*self, &mut HashMap::new())
+        self.fold_total(&mut HashMap::new(), |_, node| match node {
+            Folded::Zero | Folded::One | Folded::Atom(_) => 1,
+            Folded::Add(l, r) | Folded::Mul(l, r) => 1usize.saturating_add(*l).saturating_add(*r),
+            Folded::Star(inner) => 1usize.saturating_add(*inner),
+        })
     }
 
     /// Number of *distinct* interned subterms of this expression
@@ -744,69 +816,39 @@ impl Expr {
     /// tree reading of [`Expr::size`]. The gap between the two is the
     /// sharing the hash-consing arena recovered.
     pub fn subterm_count(&self) -> usize {
-        let mut seen = HashSet::new();
-        self.collect_subterm_ids(&mut seen);
-        seen.len()
+        let mut memo = HashMap::new();
+        self.fold_total(&mut memo, |_, _| ());
+        memo.len()
     }
 
     /// Inserts the ids of all distinct subterms (self included) into
     /// `out`. Exposed so callers can take unions across several
     /// expressions (e.g. per-query footprint accounting in the API).
     pub fn collect_subterm_ids(&self, out: &mut HashSet<ExprId>) {
-        if !out.insert(self.id) {
-            return;
-        }
-        match self.node() {
-            ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => {}
-            ExprNode::Add(l, r) | ExprNode::Mul(l, r) => {
-                l.collect_subterm_ids(out);
-                r.collect_subterm_ids(out);
-            }
-            ExprNode::Star(e) => e.collect_subterm_ids(out),
-        }
+        let mut memo = HashMap::new();
+        self.fold_total(&mut memo, |_, _| ());
+        out.extend(memo.into_keys());
     }
 
     /// Star-nesting depth (0 for star-free expressions). Memoized over
     /// the interned DAG like [`Expr::size`].
     pub fn star_height(&self) -> usize {
-        fn go(e: Expr, memo: &mut HashMap<ExprId, usize>) -> usize {
-            if let Some(&n) = memo.get(&e.id) {
-                return n;
-            }
-            let n = match e.node() {
-                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => 0,
-                ExprNode::Add(l, r) | ExprNode::Mul(l, r) => go(l, memo).max(go(r, memo)),
-                ExprNode::Star(e) => 1 + go(e, memo),
-            };
-            memo.insert(e.id, n);
-            n
-        }
-        go(*self, &mut HashMap::new())
+        self.fold_total(&mut HashMap::<_, usize>::new(), |_, node| match node {
+            Folded::Zero | Folded::One | Folded::Atom(_) => 0,
+            Folded::Add(l, r) | Folded::Mul(l, r) => *l.max(r),
+            Folded::Star(inner) => 1 + inner,
+        })
     }
 
     /// The set of atoms occurring in the expression.
     pub fn atoms(&self) -> BTreeSet<Symbol> {
         let mut out = BTreeSet::new();
-        let mut seen = HashSet::new();
-        self.collect_atoms(&mut out, &mut seen);
-        out
-    }
-
-    fn collect_atoms(&self, out: &mut BTreeSet<Symbol>, seen: &mut HashSet<ExprId>) {
-        if !seen.insert(self.id) {
-            return;
-        }
-        match self.node() {
-            ExprNode::Zero | ExprNode::One => {}
-            ExprNode::Atom(s) => {
+        self.fold_total(&mut HashMap::new(), |_, node| {
+            if let Folded::Atom(s) = node {
                 out.insert(s);
             }
-            ExprNode::Add(l, r) | ExprNode::Mul(l, r) => {
-                l.collect_atoms(out, seen);
-                r.collect_atoms(out, seen);
-            }
-            ExprNode::Star(e) => e.collect_atoms(out, seen),
-        }
+        });
+        out
     }
 
     /// Substitutes expressions for atoms (simultaneous substitution).
@@ -816,21 +858,13 @@ impl Expr {
     /// distinct subterm, so substitution into a heavily shared
     /// expression is linear in its arena footprint.
     pub fn subst_atoms(&self, map: &HashMap<Symbol, Expr>) -> Expr {
-        fn go(e: Expr, map: &HashMap<Symbol, Expr>, memo: &mut HashMap<ExprId, Expr>) -> Expr {
-            if let Some(&done) = memo.get(&e.id()) {
-                return done;
-            }
-            let out = match e.node() {
-                ExprNode::Zero | ExprNode::One => e,
-                ExprNode::Atom(s) => map.get(&s).copied().unwrap_or(e),
-                ExprNode::Add(l, r) => go(l, map, memo).add(&go(r, map, memo)),
-                ExprNode::Mul(l, r) => go(l, map, memo).mul(&go(r, map, memo)),
-                ExprNode::Star(inner) => go(inner, map, memo).star(),
-            };
-            memo.insert(e.id(), out);
-            out
-        }
-        go(*self, map, &mut HashMap::new())
+        self.fold_total(&mut HashMap::<_, Expr>::new(), |e, node| match node {
+            Folded::Zero | Folded::One => e,
+            Folded::Atom(s) => map.get(&s).copied().unwrap_or(e),
+            Folded::Add(l, r) => l.add(r),
+            Folded::Mul(l, r) => l.mul(r),
+            Folded::Star(inner) => inner.star(),
+        })
     }
 
     /// Whether the root is the constant `0`.
@@ -848,47 +882,18 @@ impl Expr {
     /// equal to the input in NKA. Note `e + e` is **not** collapsed — NKA
     /// has no idempotence. Memoized per distinct subterm.
     pub fn simplified(&self) -> Expr {
-        fn go(e: Expr, memo: &mut HashMap<ExprId, Expr>) -> Expr {
-            if let Some(&done) = memo.get(&e.id()) {
-                return done;
-            }
-            let out = match e.node() {
-                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => e,
-                ExprNode::Add(l, r) => {
-                    let (l, r) = (go(l, memo), go(r, memo));
-                    if l.is_zero() {
-                        r
-                    } else if r.is_zero() {
-                        l
-                    } else {
-                        l.add(&r)
-                    }
-                }
-                ExprNode::Mul(l, r) => {
-                    let (l, r) = (go(l, memo), go(r, memo));
-                    if l.is_zero() || r.is_zero() {
-                        Expr::zero()
-                    } else if l.is_one() {
-                        r
-                    } else if r.is_one() {
-                        l
-                    } else {
-                        l.mul(&r)
-                    }
-                }
-                ExprNode::Star(inner) => {
-                    let inner = go(inner, memo);
-                    if inner.is_zero() {
-                        Expr::one()
-                    } else {
-                        inner.star()
-                    }
-                }
-            };
-            memo.insert(e.id(), out);
-            out
-        }
-        go(*self, &mut HashMap::new())
+        self.fold_total(&mut HashMap::<_, Expr>::new(), |e, node| match node {
+            Folded::Zero | Folded::One | Folded::Atom(_) => e,
+            Folded::Add(&l, &r) if l.is_zero() => r,
+            Folded::Add(&l, &r) if r.is_zero() => l,
+            Folded::Add(l, r) => l.add(r),
+            Folded::Mul(l, r) if l.is_zero() || r.is_zero() => Expr::zero(),
+            Folded::Mul(&l, &r) if l.is_one() => r,
+            Folded::Mul(&l, &r) if r.is_one() => l,
+            Folded::Mul(l, r) => l.mul(r),
+            Folded::Star(inner) if inner.is_zero() => Expr::one(),
+            Folded::Star(inner) => inner.star(),
+        })
     }
 
     /// Iterates over all subterm positions in pre-order, calling `f` with
@@ -980,61 +985,49 @@ fn _static_assert_send_sync() {
     check::<ExprNode>();
 }
 
-/// Precedence levels for printing: `+` < `·` < `*`/atoms.
-fn fmt_prec(e: &Expr, f: &mut fmt::Formatter<'_>, prec: u8) -> fmt::Result {
-    match e.node() {
-        ExprNode::Zero => write!(f, "0"),
-        ExprNode::One => write!(f, "1"),
-        ExprNode::Atom(s) => write!(f, "{s}"),
-        ExprNode::Add(l, r) => {
-            let need_paren = prec > 0;
-            if need_paren {
-                write!(f, "(")?;
-            }
-            fmt_prec(&l, f, 0)?;
-            write!(f, " + ")?;
-            // Sums print left-associatively, so a right operand that is
-            // itself a sum needs parentheses to round-trip structurally.
-            fmt_prec(&r, f, 1)?;
-            if need_paren {
-                write!(f, ")")?;
-            }
-            Ok(())
-        }
-        ExprNode::Mul(l, r) => {
-            let need_paren = prec > 1;
-            if need_paren {
-                write!(f, "(")?;
-            }
-            fmt_prec(&l, f, 1)?;
-            write!(f, " ")?;
-            // Right operand of a product needs parens if it is itself a sum
-            // or a product (we print left-associatively).
-            fmt_prec(&r, f, 2)?;
-            if need_paren {
-                write!(f, ")")?;
-            }
-            Ok(())
-        }
-        ExprNode::Star(inner) => {
-            match inner.node() {
-                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => {
-                    fmt_prec(&inner, f, 2)?;
-                }
-                _ => {
-                    write!(f, "(")?;
-                    fmt_prec(&inner, f, 0)?;
-                    write!(f, ")")?;
-                }
-            }
-            write!(f, "*")
-        }
-    }
-}
-
 impl fmt::Display for Expr {
+    /// Prints on an explicit stack. Binding levels: `+` 0, `·` 1, `*` 2;
+    /// a subterm is parenthesised when its context binds tighter. Sums
+    /// and products print left-associatively, so a right operand of the
+    /// same level, and a compound star body, need parentheses.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_prec(self, f, 0)
+        #[derive(Clone, Copy)]
+        enum Piece {
+            Term(Expr, u8),
+            Text(&'static str),
+        }
+        let mut stack = Vec::with_capacity(64);
+        stack.push(Piece::Term(*self, 0));
+        while let Some(piece) = stack.pop() {
+            let (e, context) = match piece {
+                Piece::Text(text) => {
+                    f.write_str(text)?;
+                    continue;
+                }
+                Piece::Term(e, context) => (e, context),
+            };
+            let (level, pieces): (u8, &[Piece]) = match e.node() {
+                ExprNode::Zero => (3, &[Piece::Text("0")]),
+                ExprNode::One => (3, &[Piece::Text("1")]),
+                ExprNode::Atom(s) => {
+                    write!(f, "{s}")?;
+                    continue;
+                }
+                ExprNode::Add(l, r) => (
+                    0,
+                    &[Piece::Term(l, 0), Piece::Text(" + "), Piece::Term(r, 1)],
+                ),
+                ExprNode::Mul(l, r) => {
+                    (1, &[Piece::Term(l, 1), Piece::Text(" "), Piece::Term(r, 2)])
+                }
+                ExprNode::Star(inner) => (2, &[Piece::Term(inner, 3), Piece::Text("*")]),
+            };
+            let paren = context > level;
+            stack.extend(paren.then_some(Piece::Text(")")));
+            stack.extend(pieces.iter().rev());
+            stack.extend(paren.then_some(Piece::Text("(")));
+        }
+        Ok(())
     }
 }
 
@@ -1313,5 +1306,341 @@ mod tests {
         let t: Expr = "rebA rebB rebC".parse().unwrap();
         assert!(!t.id().is_scratch());
         assert_eq!(t, "rebA rebB rebC".parse().unwrap());
+    }
+
+    /// The recursive definitions [`Expr::fold`] replaced, kept as the
+    /// oracle the stack-safe walkers must agree with.
+    mod recursive {
+        use super::super::*;
+
+        pub fn size(e: Expr, memo: &mut HashMap<ExprId, usize>) -> usize {
+            if let Some(&n) = memo.get(&e.id) {
+                return n;
+            }
+            let n = match e.node() {
+                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => 1,
+                ExprNode::Add(l, r) | ExprNode::Mul(l, r) => 1usize
+                    .saturating_add(size(l, memo))
+                    .saturating_add(size(r, memo)),
+                ExprNode::Star(e) => 1usize.saturating_add(size(e, memo)),
+            };
+            memo.insert(e.id, n);
+            n
+        }
+
+        pub fn collect_subterm_ids(e: Expr, out: &mut HashSet<ExprId>) {
+            if !out.insert(e.id) {
+                return;
+            }
+            match e.node() {
+                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => {}
+                ExprNode::Add(l, r) | ExprNode::Mul(l, r) => {
+                    collect_subterm_ids(l, out);
+                    collect_subterm_ids(r, out);
+                }
+                ExprNode::Star(e) => collect_subterm_ids(e, out),
+            }
+        }
+
+        pub fn star_height(e: Expr, memo: &mut HashMap<ExprId, usize>) -> usize {
+            if let Some(&n) = memo.get(&e.id) {
+                return n;
+            }
+            let n = match e.node() {
+                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => 0,
+                ExprNode::Add(l, r) | ExprNode::Mul(l, r) => {
+                    star_height(l, memo).max(star_height(r, memo))
+                }
+                ExprNode::Star(e) => 1 + star_height(e, memo),
+            };
+            memo.insert(e.id, n);
+            n
+        }
+
+        pub fn atoms(e: Expr, out: &mut BTreeSet<Symbol>, seen: &mut HashSet<ExprId>) {
+            if !seen.insert(e.id) {
+                return;
+            }
+            match e.node() {
+                ExprNode::Zero | ExprNode::One => {}
+                ExprNode::Atom(s) => {
+                    out.insert(s);
+                }
+                ExprNode::Add(l, r) | ExprNode::Mul(l, r) => {
+                    atoms(l, out, seen);
+                    atoms(r, out, seen);
+                }
+                ExprNode::Star(e) => atoms(e, out, seen),
+            }
+        }
+
+        pub fn subst_atoms(
+            e: Expr,
+            map: &HashMap<Symbol, Expr>,
+            memo: &mut HashMap<ExprId, Expr>,
+        ) -> Expr {
+            if let Some(&done) = memo.get(&e.id()) {
+                return done;
+            }
+            let out = match e.node() {
+                ExprNode::Zero | ExprNode::One => e,
+                ExprNode::Atom(s) => map.get(&s).copied().unwrap_or(e),
+                ExprNode::Add(l, r) => subst_atoms(l, map, memo).add(&subst_atoms(r, map, memo)),
+                ExprNode::Mul(l, r) => subst_atoms(l, map, memo).mul(&subst_atoms(r, map, memo)),
+                ExprNode::Star(inner) => subst_atoms(inner, map, memo).star(),
+            };
+            memo.insert(e.id(), out);
+            out
+        }
+
+        pub fn simplified(e: Expr, memo: &mut HashMap<ExprId, Expr>) -> Expr {
+            if let Some(&done) = memo.get(&e.id()) {
+                return done;
+            }
+            let out = match e.node() {
+                ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => e,
+                ExprNode::Add(l, r) => {
+                    let (l, r) = (simplified(l, memo), simplified(r, memo));
+                    if l.is_zero() {
+                        r
+                    } else if r.is_zero() {
+                        l
+                    } else {
+                        l.add(&r)
+                    }
+                }
+                ExprNode::Mul(l, r) => {
+                    let (l, r) = (simplified(l, memo), simplified(r, memo));
+                    if l.is_zero() || r.is_zero() {
+                        Expr::zero()
+                    } else if l.is_one() {
+                        r
+                    } else if r.is_one() {
+                        l
+                    } else {
+                        l.mul(&r)
+                    }
+                }
+                ExprNode::Star(inner) => {
+                    let inner = simplified(inner, memo);
+                    if inner.is_zero() {
+                        Expr::one()
+                    } else {
+                        inner.star()
+                    }
+                }
+            };
+            memo.insert(e.id(), out);
+            out
+        }
+
+        pub fn promote(e: Expr, memo: &mut HashMap<ExprId, Expr>) -> Expr {
+            if !e.id.is_scratch() {
+                return e;
+            }
+            if let Some(&done) = memo.get(&e.id) {
+                return done;
+            }
+            let out = match e.node() {
+                ExprNode::Zero => Expr::zero(),
+                ExprNode::One => Expr::one(),
+                ExprNode::Atom(s) => intern_global(ExprNode::Atom(s)),
+                ExprNode::Add(l, r) => {
+                    intern_global(ExprNode::Add(promote(l, memo), promote(r, memo)))
+                }
+                ExprNode::Mul(l, r) => {
+                    intern_global(ExprNode::Mul(promote(l, memo), promote(r, memo)))
+                }
+                ExprNode::Star(inner) => intern_global(ExprNode::Star(promote(inner, memo))),
+            };
+            memo.insert(e.id, out);
+            out
+        }
+
+        /// Precedence levels for printing: `+` < `·` < `*`/atoms.
+        pub fn fmt_prec(e: &Expr, f: &mut fmt::Formatter<'_>, prec: u8) -> fmt::Result {
+            match e.node() {
+                ExprNode::Zero => write!(f, "0"),
+                ExprNode::One => write!(f, "1"),
+                ExprNode::Atom(s) => write!(f, "{s}"),
+                ExprNode::Add(l, r) => {
+                    let need_paren = prec > 0;
+                    if need_paren {
+                        write!(f, "(")?;
+                    }
+                    fmt_prec(&l, f, 0)?;
+                    write!(f, " + ")?;
+                    fmt_prec(&r, f, 1)?;
+                    if need_paren {
+                        write!(f, ")")?;
+                    }
+                    Ok(())
+                }
+                ExprNode::Mul(l, r) => {
+                    let need_paren = prec > 1;
+                    if need_paren {
+                        write!(f, "(")?;
+                    }
+                    fmt_prec(&l, f, 1)?;
+                    write!(f, " ")?;
+                    fmt_prec(&r, f, 2)?;
+                    if need_paren {
+                        write!(f, ")")?;
+                    }
+                    Ok(())
+                }
+                ExprNode::Star(inner) => {
+                    match inner.node() {
+                        ExprNode::Zero | ExprNode::One | ExprNode::Atom(_) => {
+                            fmt_prec(&inner, f, 2)?;
+                        }
+                        _ => {
+                            write!(f, "(")?;
+                            fmt_prec(&inner, f, 0)?;
+                            write!(f, ")")?;
+                        }
+                    }
+                    write!(f, "*")
+                }
+            }
+        }
+
+        pub struct Printed(pub Expr);
+
+        impl fmt::Display for Printed {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                fmt_prec(&self.0, f, 0)
+            }
+        }
+    }
+
+    /// A random expression with heavy sharing: each new node combines
+    /// earlier nodes picked anywhere from the pool, so subterms recur.
+    fn shared_dag(seed: u64, nodes: usize, atoms: &[Expr]) -> Expr {
+        let mut state = seed | 1;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut pool = vec![Expr::zero(), Expr::one()];
+        pool.extend_from_slice(atoms);
+        for _ in 0..nodes {
+            let (l, r) = (pool[next(pool.len())], pool[next(pool.len())]);
+            pool.push(match next(7) {
+                0..=2 => l.add(&r),
+                3..=5 => l.mul(&r),
+                _ => l.star(),
+            });
+        }
+        *pool.last().expect("a non-empty pool")
+    }
+
+    /// The scratch id `build` returns and the scratch nodes it interned,
+    /// inside a scope opened on the current watermark. Two builds that
+    /// intern the same nodes in the same order report the same pair.
+    fn scratch_trace(build: impl FnOnce() -> Expr) -> (ExprId, usize) {
+        let scope = ScratchScope::enter();
+        let out = build();
+        (out.id(), scope.live_nodes())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Every walker on [`Expr::fold`] agrees with its recursive
+        /// definition on shared DAGs: equal values, equal result ids,
+        /// and — for the walkers that intern — the same interning order.
+        #[test]
+        fn fold_walkers_match_the_recursive_definitions(
+            seed in proptest::prelude::any::<u64>(),
+            nodes in 1usize..48,
+        ) {
+            let _serial = scope_test_lock();
+            let atoms = [a("fold_a"), a("fold_b"), a("fold_c")];
+            let e = shared_dag(seed, nodes, &atoms);
+            assert_eq!(e.size(), recursive::size(e, &mut HashMap::new()));
+            let mut ids = HashSet::new();
+            recursive::collect_subterm_ids(e, &mut ids);
+            let mut folded = HashSet::new();
+            e.collect_subterm_ids(&mut folded);
+            assert_eq!(folded, ids);
+            assert_eq!(e.subterm_count(), ids.len());
+            assert_eq!(e.star_height(), recursive::star_height(e, &mut HashMap::new()));
+            let mut atom_set = BTreeSet::new();
+            recursive::atoms(e, &mut atom_set, &mut HashSet::new());
+            assert_eq!(e.atoms(), atom_set);
+            assert_eq!(e.to_string(), recursive::Printed(e).to_string());
+
+            let map = HashMap::from([
+                (Symbol::intern("fold_a"), shared_dag(seed ^ 0x5eed, 4, &atoms)),
+                (Symbol::intern("fold_b"), Expr::zero()),
+            ]);
+            assert_eq!(
+                scratch_trace(|| e.subst_atoms(&map)),
+                scratch_trace(|| recursive::subst_atoms(e, &map, &mut HashMap::new()))
+            );
+            assert_eq!(
+                scratch_trace(|| e.simplified()),
+                scratch_trace(|| recursive::simplified(e, &mut HashMap::new()))
+            );
+
+            // A fresh atom makes every subterm that mentions it scratch.
+            let scope = ScratchScope::enter();
+            let fresh = [a(&format!("fold_{seed:x}_{nodes}")), atoms[1], atoms[2]];
+            let scratch = shared_dag(seed, nodes, &fresh).mul(&fresh[0]);
+            assert!(scratch.id().is_scratch());
+            let promoted = promote(&scratch);
+            assert!(!promoted.id().is_scratch());
+            assert_eq!(promoted, recursive::promote(scratch, &mut HashMap::new()));
+            drop(scope);
+        }
+    }
+
+    /// Every walker on [`Expr::fold`], and printing, answers on a
+    /// 100,000-deep left `·`-spine and a 100,000-deep star nest on a
+    /// 256 KiB thread: input depth never reaches the call stack.
+    #[test]
+    fn walkers_answer_on_deep_terms_with_a_small_stack() {
+        const DEPTH: usize = 100_000;
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let _serial = scope_test_lock();
+                let (x, y) = (a("deep_x"), a("deep_y"));
+                let spine = (0..DEPTH).fold(x, |acc, _| acc.mul(&x));
+                let nest = (0..DEPTH).fold(x, |acc, _| acc.star());
+                for (e, size, height) in [(spine, 2 * DEPTH + 1, 0), (nest, DEPTH + 1, DEPTH)] {
+                    assert_eq!(e.size(), size);
+                    assert_eq!(e.subterm_count(), DEPTH + 1);
+                    let mut ids = HashSet::new();
+                    e.collect_subterm_ids(&mut ids);
+                    assert_eq!(ids.len(), DEPTH + 1);
+                    assert_eq!(e.star_height(), height);
+                    assert_eq!(e.atoms(), BTreeSet::from([Symbol::intern("deep_x")]));
+                    assert_eq!(e.simplified(), e);
+                    let swapped = e.subst_atoms(&HashMap::from([(Symbol::intern("deep_x"), y)]));
+                    assert_eq!(swapped.size(), size);
+                    assert_eq!(swapped.atoms(), BTreeSet::from([Symbol::intern("deep_y")]));
+                }
+                let printed = spine.to_string();
+                assert_eq!(printed.len(), "deep_x ".len() * (DEPTH + 1) - 1);
+                assert!(printed.starts_with("deep_x deep_x"));
+                let printed = nest.to_string();
+                assert_eq!(printed.len(), "deep_x*".len() + "()*".len() * (DEPTH - 1));
+                assert!(printed.starts_with("((") && printed.ends_with(")*)*"));
+
+                let scope = ScratchScope::enter();
+                let fresh = (0..DEPTH).fold(a("deep_scratch"), |acc, _| acc.mul(&x));
+                assert!(fresh.id().is_scratch());
+                let kept = promote(&fresh);
+                drop(scope);
+                assert!(!kept.id().is_scratch());
+                assert_eq!(kept.size(), 2 * DEPTH + 1);
+            })
+            .expect("thread spawns")
+            .join()
+            .expect("every walker answers on a 256 KiB stack");
     }
 }

@@ -12,6 +12,10 @@
 //! by juxtaposition, as written in the paper), a precedence-aware
 //! pretty-printer, [`Word`]s over Σ, and a random expression generator
 //! used by the test suites and benchmarks of the downstream crates.
+//! [`Expr::fold`] is the one structural recursion over an expression:
+//! post-order on an explicit stack with a caller-held memo. Every
+//! memoized walker is written with it, so input depth never reaches the
+//! call stack.
 //! It also hosts [`counter_table!`], the one declaration of every stats
 //! struct the downstream crates report (see [`counters`]).
 //!
@@ -36,7 +40,7 @@ mod word;
 
 pub use expr::{
     arena_resident_nodes, interned_expr_count, promote, promote_memoized, scratch_epoch,
-    scratch_live_nodes, scratch_retired_total, Expr, ExprId, ExprNode, ScratchScope,
+    scratch_live_nodes, scratch_retired_total, Expr, ExprId, ExprNode, Folded, ScratchScope,
 };
 pub use generator::{random_expr, ExprGenConfig};
 pub use parser::{nesting_too_deep, render_caret, ParseExprError, MAX_NESTING_DEPTH};

@@ -60,7 +60,7 @@ use crate::thompson::thompson;
 use crate::zeroness::{is_zero_integer, restrict_within};
 use nka_semiring::ExtNat;
 use nka_syntax::{Expr, ExprId, Symbol};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A per-engine dense id for an interned (sorted) alphabet; pairs with
@@ -127,20 +127,19 @@ pub struct Decider {
     support_dfas: HashMap<(ExprId, AlphabetId), Arc<Dfa>>,
     /// Verdict caches, keyed on the *normalized* unordered pair
     /// `(min(id₁, id₂), max(id₁, id₂))` — one probe answers both
-    /// orientations of a symmetric query.
-    nka_verdicts: HashMap<(ExprId, ExprId), bool>,
-    ka_verdicts: HashMap<(ExprId, ExprId), bool>,
+    /// orientations of a symmetric query. A value is `(verdict,
+    /// restored)`: `restored` marks an entry loaded from a snapshot
+    /// rather than decided in this process, and a hit on one is a
+    /// *warm-start* hit — counted in [`Decider::snapshot_hits`] on top
+    /// of the ordinary `answer_hits` bump, so tiered lookup
+    /// effectiveness (in-process hit → snapshot hit → recompute) is
+    /// observable.
+    nka_verdicts: HashMap<(ExprId, ExprId), (bool, bool)>,
+    ka_verdicts: HashMap<(ExprId, ExprId), (bool, bool)>,
     /// Word multisets of star-free (sub)expressions — the tier-1 memo
     /// of the star-free fast path (see [`crate::starfree`]), shared
     /// across queries like the automaton caches.
     multisets: HashMap<ExprId, Arc<WordMultiset>>,
-    /// Verdict-cache keys that were restored from a snapshot rather than
-    /// decided in this process, per cache. A hit on one of these is a
-    /// *warm-start* hit — counted in [`Decider::snapshot_hits`] on top of
-    /// the ordinary `answer_hits` bump, so tiered lookup effectiveness
-    /// (in-process hit → snapshot hit → recompute) is observable.
-    restored_nka_pairs: HashSet<(ExprId, ExprId)>,
-    restored_ka_pairs: HashSet<(ExprId, ExprId)>,
     /// Cache entries (verdicts + multisets) restored from a snapshot.
     restored_entries: u64,
     /// Verdict-cache hits whose entry came from a snapshot.
@@ -273,12 +272,10 @@ impl Decider {
         self.sync_scratch_epoch();
         self.stats.nka_queries += 1;
         let key = pair_key(e, f);
-        if let Some(&hit) = self.nka_verdicts.get(&key) {
+        if let Some(&(verdict, restored)) = self.nka_verdicts.get(&key) {
             self.stats.answer_hits += 1;
-            if self.restored_nka_pairs.contains(&key) {
-                self.snapshot_hits += 1;
-            }
-            return Ok(hit);
+            self.snapshot_hits += u64::from(restored);
+            return Ok(verdict);
         }
         let verdict = match self.starfree_fast_path(e, f) {
             Some(verdict) => verdict,
@@ -287,7 +284,7 @@ impl Decider {
         if key.0.is_scratch() || key.1.is_scratch() {
             self.note_scratch_key();
         }
-        self.nka_verdicts.insert(key, verdict);
+        self.nka_verdicts.insert(key, (verdict, false));
         Ok(verdict)
     }
 
@@ -365,12 +362,10 @@ impl Decider {
         self.sync_scratch_epoch();
         self.stats.ka_queries += 1;
         let key = pair_key(e, f);
-        if let Some(&hit) = self.ka_verdicts.get(&key) {
+        if let Some(&(verdict, restored)) = self.ka_verdicts.get(&key) {
             self.stats.answer_hits += 1;
-            if self.restored_ka_pairs.contains(&key) {
-                self.snapshot_hits += 1;
-            }
-            return Ok(hit);
+            self.snapshot_hits += u64::from(restored);
+            return Ok(verdict);
         }
         let alphabet = shared_alphabet(e, f);
         let de = self.support_dfa(e, &alphabet)?;
@@ -379,7 +374,7 @@ impl Decider {
         if key.0.is_scratch() || key.1.is_scratch() {
             self.note_scratch_key();
         }
-        self.ka_verdicts.insert(key, verdict);
+        self.ka_verdicts.insert(key, (verdict, false));
         Ok(verdict)
     }
 
@@ -437,17 +432,18 @@ impl Decider {
     /// ids — e.g. re-caching a scratch-decided `prog_eq` verdict under
     /// its promoted encodings so it survives scope retirement and is
     /// exportable. Scratch keys are refused (the entry would dangle
-    /// after the epoch advances). Counts as neither a query nor a hit.
+    /// after the epoch advances). Counts as neither a query nor a hit;
+    /// an existing entry keeps its restored-from-snapshot mark.
     pub fn seed_nka_verdict(&mut self, e: &Expr, f: &Expr, verdict: bool) {
         let key = pair_key(e, f);
         if key.0.is_scratch() || key.1.is_scratch() {
             return;
         }
-        self.nka_verdicts.insert(key, verdict);
+        self.nka_verdicts.entry(key).or_insert((verdict, false)).0 = verdict;
     }
 
     /// Restores a snapshot-loaded NKA verdict. Like
-    /// [`Decider::seed_nka_verdict`], but the key is also marked as
+    /// [`Decider::seed_nka_verdict`], but the entry is marked as
     /// restored so later hits on it count in
     /// [`Decider::snapshot_hits`].
     pub fn restore_nka_verdict(&mut self, e: &Expr, f: &Expr, verdict: bool) {
@@ -455,8 +451,7 @@ impl Decider {
         if key.0.is_scratch() || key.1.is_scratch() {
             return;
         }
-        self.nka_verdicts.insert(key, verdict);
-        self.restored_nka_pairs.insert(key);
+        self.nka_verdicts.insert(key, (verdict, true));
         self.restored_entries += 1;
     }
 
@@ -467,8 +462,7 @@ impl Decider {
         if key.0.is_scratch() || key.1.is_scratch() {
             return;
         }
-        self.ka_verdicts.insert(key, verdict);
-        self.restored_ka_pairs.insert(key);
+        self.ka_verdicts.insert(key, (verdict, true));
         self.restored_entries += 1;
     }
 
@@ -571,11 +565,11 @@ fn shared_alphabet(e: &Expr, f: &Expr) -> Vec<Symbol> {
 
 /// The persistent-keyed entries of a verdict cache, sorted for a
 /// deterministic dump order.
-fn export_verdicts(cache: &HashMap<(ExprId, ExprId), bool>) -> Vec<(ExprId, ExprId, bool)> {
+fn export_verdicts(cache: &HashMap<(ExprId, ExprId), (bool, bool)>) -> Vec<(ExprId, ExprId, bool)> {
     let mut out: Vec<(ExprId, ExprId, bool)> = cache
         .iter()
         .filter(|((a, b), _)| !a.is_scratch() && !b.is_scratch())
-        .map(|(&(a, b), &v)| (a, b, v))
+        .map(|(&(a, b), &(verdict, _))| (a, b, verdict))
         .collect();
     out.sort_by_key(|&(a, b, _)| (a, b));
     out
@@ -991,6 +985,12 @@ mod tests {
         assert_eq!(engine.export_nka_verdicts().len(), 1);
         assert_eq!(engine.export_ka_verdicts().len(), 0);
         assert_eq!(engine.restored_entries(), 0);
+        // Seeding a restored key keeps its snapshot mark.
+        let (rl, rr) = (e("seedRestoredL"), e("seedRestoredR"));
+        engine.restore_nka_verdict(&rl, &rr, false);
+        engine.seed_nka_verdict(&rl, &rr, false);
+        assert!(!engine.decide(&rl, &rr).unwrap());
+        assert_eq!(engine.snapshot_hits(), 1);
     }
 
     #[test]

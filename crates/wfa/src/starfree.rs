@@ -51,8 +51,9 @@
 //! Divergent atom heads `a ≠ b` therefore refute outright: the residual
 //! supports are nonempty subsets of `aΣ*` vs `bΣ*`.
 
-use nka_syntax::{Expr, ExprId, ExprNode, Word};
+use nka_syntax::{Expr, ExprId, ExprNode, Folded, Word};
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// The finite `Word → multiplicity` map of a star-free expression —
@@ -74,20 +75,15 @@ const MAX_FACTORS: usize = 4096;
 /// stars never are (a star's ε-coefficient is ≥ 1).
 #[must_use]
 pub fn is_zero_series(e: &Expr) -> bool {
-    fn go(e: Expr, memo: &mut HashMap<ExprId, bool>) -> bool {
-        if let Some(&z) = memo.get(&e.id()) {
-            return z;
-        }
-        let z = match e.node() {
-            ExprNode::Zero => true,
-            ExprNode::One | ExprNode::Atom(_) | ExprNode::Star(_) => false,
-            ExprNode::Add(l, r) => go(l, memo) && go(r, memo),
-            ExprNode::Mul(l, r) => go(l, memo) || go(r, memo),
-        };
-        memo.insert(e.id(), z);
-        z
-    }
-    go(*e, &mut HashMap::new())
+    let Ok(zero) = e.fold(&mut HashMap::new(), |_, node| {
+        Ok::<bool, Infallible>(match node {
+            Folded::Zero => true,
+            Folded::One | Folded::Atom(_) | Folded::Star(_) => false,
+            Folded::Add(l, r) => *l && *r,
+            Folded::Mul(l, r) => *l || *r,
+        })
+    });
+    zero
 }
 
 /// The outcome of tier-2 prefix normalization on a star-free pair.
@@ -105,17 +101,16 @@ pub enum PrefixOutcome {
 /// factors. Returns `false` (leaving `out` truncated at [`MAX_FACTORS`])
 /// if the spine's tree reading is too large to flatten.
 fn flatten_factors(e: Expr, out: &mut Vec<Expr>) -> bool {
-    match e.node() {
-        ExprNode::One => true,
-        ExprNode::Mul(l, r) => flatten_factors(l, out) && flatten_factors(r, out),
-        _ => {
-            if out.len() >= MAX_FACTORS {
-                return false;
-            }
-            out.push(e);
-            true
+    let mut stack = vec![e];
+    while let Some(e) = stack.pop() {
+        match e.node() {
+            ExprNode::One => {}
+            ExprNode::Mul(l, r) => stack.extend([r, l]),
+            _ if out.len() >= MAX_FACTORS => return false,
+            _ => out.push(e),
         }
     }
+    true
 }
 
 /// Tier 2: incremental equivalence for sequential compositions.
@@ -217,41 +212,27 @@ pub fn eval_multiset(
     max_words: usize,
     scratch_inserts: &mut usize,
 ) -> Option<Arc<WordMultiset>> {
-    if let Some(hit) = memo.get(&e.id()) {
-        return Some(Arc::clone(hit));
-    }
-    let m = match e.node() {
-        ExprNode::Zero => WordMultiset::new(),
-        ExprNode::One => one_multiset(),
-        ExprNode::Atom(s) => {
-            let mut m = WordMultiset::new();
-            m.insert(Word::from_symbols([s]), 1);
-            m
+    e.fold(memo, |e, node| {
+        let m = match node {
+            Folded::Zero => WordMultiset::new(),
+            Folded::One => one_multiset(),
+            Folded::Atom(s) => {
+                let mut m = WordMultiset::new();
+                m.insert(Word::from_symbols([s]), 1);
+                m
+            }
+            Folded::Add(l, r) => union(l, r, max_words).ok_or(())?,
+            Folded::Mul(l, r) => cauchy(l, r, max_words).ok_or(())?,
+            // Not star-free; the caller guards on star height, but stay
+            // total rather than panic.
+            Folded::Star(_) => return Err(()),
+        };
+        if e.id().is_scratch() {
+            *scratch_inserts += 1;
         }
-        ExprNode::Add(l, r) => {
-            let (l, r) = (
-                eval_multiset(&l, memo, max_words, scratch_inserts)?,
-                eval_multiset(&r, memo, max_words, scratch_inserts)?,
-            );
-            union(&l, &r, max_words)?
-        }
-        ExprNode::Mul(l, r) => {
-            let (l, r) = (
-                eval_multiset(&l, memo, max_words, scratch_inserts)?,
-                eval_multiset(&r, memo, max_words, scratch_inserts)?,
-            );
-            cauchy(&l, &r, max_words)?
-        }
-        // Not star-free; the caller guards on star height, but stay
-        // total rather than panic.
-        ExprNode::Star(_) => return None,
-    };
-    let m = Arc::new(m);
-    if e.id().is_scratch() {
-        *scratch_inserts += 1;
-    }
-    memo.insert(e.id(), Arc::clone(&m));
-    Some(m)
+        Ok(Arc::new(m))
+    })
+    .ok()
 }
 
 /// The word multiset of a factor-list product (tier 1 on a tier-2

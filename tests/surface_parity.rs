@@ -3,7 +3,8 @@
 //! hostile lines (invalid UTF-8, over-deep nesting in each request
 //! parser, a 300 KB line, an unknown key, blank and comment lines,
 //! queries whose restriction product or ε-closure used to exhaust
-//! memory or whose path counts overflow `u64`) go through `batch`,
+//! memory, whose path counts overflow `u64`, or whose 50,000-atom chains
+//! overflowed a worker's stack) go through `batch`,
 //! `batch --jobs 4`, the stdin `serve` loop with worker recycling,
 //! `serve --listen`, and `snapshot dump` (exit status only). The stable
 //! projections (`wire::stable_response_projection`) must be identical,
@@ -105,6 +106,12 @@ fn hostile_lines() -> Vec<u8> {
     // ε-closure asked for 6.4 GB, and a recursive Thompson construction
     // overflows a 2 MiB worker stack in a debug build.
     line(format!("({})* = a*", vec!["a"; 10_000].join(" ")).as_bytes());
+    // 50,000-atom chains (~100 KB): the recursive expression walkers
+    // overflowed a 2 MiB worker stack on each of these three lines.
+    let chain = vec!["a"; 50_000].join(" ");
+    line(format!("({chain})* = a*").as_bytes());
+    line(format!("{{\"op\":\"ka_eq\",\"lhs\":\"({chain})*\",\"rhs\":\"a*\"}}").as_bytes());
+    line(format!("{{\"op\":\"series\",\"expr\":\"{chain}\",\"max_len\":3}}").as_bytes());
     line(b"1 + p p* = p*");
     out
 }
@@ -296,7 +303,7 @@ fn every_surface_answers_every_line_alike() {
                         .to_owned()
                 })
                 .collect();
-            let kernel = &verdicts[verdicts.len() - 7..verdicts.len() - 1];
+            let kernel = &verdicts[verdicts.len() - 10..verdicts.len() - 1];
             assert_eq!(
                 kernel,
                 [
@@ -305,7 +312,10 @@ fn every_surface_answers_every_line_alike() {
                     "holds",
                     "budget_exhausted",
                     "budget_exhausted",
-                    "refuted"
+                    "refuted",
+                    "budget_exhausted",
+                    "refuted",
+                    "series"
                 ],
                 "the decision-kernel lines get structured verdicts"
             );
