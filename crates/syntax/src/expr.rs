@@ -1633,11 +1633,12 @@ mod tests {
 
                 let scope = ScratchScope::enter();
                 let fresh = (0..DEPTH).fold(a("deep_scratch"), |acc, _| acc.mul(&x));
-                assert!(fresh.id().is_scratch());
-                let kept = promote(&fresh);
+                let fresh_nest = (0..DEPTH).fold(a("deep_scratch"), |acc, _| acc.star());
+                assert!(fresh.id().is_scratch() && fresh_nest.id().is_scratch());
+                let kept = [promote(&fresh), promote(&fresh_nest)];
                 drop(scope);
-                assert!(!kept.id().is_scratch());
-                assert_eq!(kept.size(), 2 * DEPTH + 1);
+                assert!(kept.iter().all(|e| !e.id().is_scratch()));
+                assert_eq!(kept.map(|e| e.size()), [2 * DEPTH + 1, DEPTH + 1]);
             })
             .expect("thread spawns")
             .join()
