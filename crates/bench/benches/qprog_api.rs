@@ -13,9 +13,13 @@
 //!   (onto persistent ids) plus a verdict-cache hit.
 //! * `hoare` — one triple checked per iteration: wlp is a dense
 //!   Liouville computation, so this floor is numeric, not algebraic.
+//! * `surface_parse` — parsing alone, on a gate table already holding
+//!   every entry the programs name: the 14-gate program, and the wide
+//!   five-qubit loop-nest pair of `tests/perf_smoke.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nka_core::api::{Query, Session, Verdict};
+use nka_qprog::SurfaceProgram;
 use std::hint::black_box;
 
 const GATES: [&str; 6] = ["h", "x", "y", "z", "s", "t"];
@@ -161,5 +165,69 @@ fn bench_optimize(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_prog_eq, bench_optimize);
+/// Five qubits; a gate, four depth-four `while` nests side by side with
+/// two gates per level, and a gate; with `unroll`, every innermost loop
+/// is unrolled once. The same pair as `wide_nest` in
+/// `tests/perf_smoke.rs`.
+fn wide_nest(unroll: bool) -> String {
+    let one = ["h", "x", "y", "z", "s", "t"];
+    let two = ["cnot", "cz", "swap"];
+    let mut gates: Vec<String> = one
+        .iter()
+        .flat_map(|g| (0..5).map(move |q| format!("{g} q{q}")))
+        .collect();
+    for g in two {
+        for a in 0..5 {
+            gates.extend((0..5).filter(|&b| b != a).map(|b| format!("{g} q{a} q{b}")));
+        }
+    }
+    let mut dealt = (0..gates.len()).map(|i| gates[(7 * i + 3) % gates.len()].clone());
+    let mut take = |n: usize| dealt.by_ref().take(n).collect::<Vec<_>>();
+    let mut k = 0;
+    let mut parts = take(1);
+    for _ in 0..4 {
+        let levels: Vec<(usize, String)> = (0..4)
+            .map(|_| {
+                k += 1;
+                ((k - 1) % 5, take(2).join("; "))
+            })
+            .collect();
+        let (q, body) = &levels[3];
+        let mut nest = if unroll {
+            format!("if q{q} {{ {body}; while q{q} {{ {body} }} }} else {{ }}")
+        } else {
+            format!("while q{q} {{ {body} }}")
+        };
+        for (q, body) in levels[..3].iter().rev() {
+            nest = format!("while q{q} {{ {body}; {nest} }}");
+        }
+        parts.push(nest);
+    }
+    parts.extend(take(1));
+    format!("qubits 5; {}", parts.join("; "))
+}
+
+fn bench_surface_parse(c: &mut Criterion) {
+    let p14 = gate_word_n(7, 14);
+    let (wide_p, wide_q) = (wide_nest(false), wide_nest(true));
+    // One parse of each fills every gate-table entry the arms name.
+    for src in [&p14, &wide_p, &wide_q] {
+        SurfaceProgram::parse(src).expect("well-formed");
+    }
+    let mut group = c.benchmark_group("qprog/surface_parse");
+    group.bench_function("fourteen_gates", |b| {
+        b.iter(|| black_box(SurfaceProgram::parse(black_box(&p14))))
+    });
+    group.bench_function("wide_5q_nest_pair", |b| {
+        b.iter(|| {
+            (
+                black_box(SurfaceProgram::parse(black_box(&wide_p))),
+                black_box(SurfaceProgram::parse(black_box(&wide_q))),
+            )
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_prog_eq, bench_optimize, bench_surface_parse);
 criterion_main!(benches);

@@ -6,6 +6,7 @@ use nka_syntax::{Expr, Symbol};
 use qsim_quantum::Superoperator;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error raised when an encoder setting would not be injective
 /// (Definition 4.4 requires a *unique* symbol per elementary
@@ -32,13 +33,18 @@ impl std::error::Error for EncodeError {}
 /// encoding one or more programs (the paper defines `E` jointly for all
 /// programs under comparison).
 ///
+/// The setting shares the program's superoperators rather than copying
+/// them. Re-binding a name to the very same `Arc` (every occurrence of a
+/// surface statement lowers to one shared superoperator) is a pointer
+/// comparison; only a different `Arc` is compared by value.
+///
 /// # Examples
 ///
 /// See the [crate docs](crate).
 #[derive(Debug, Clone)]
 pub struct EncoderSetting {
     dim: usize,
-    map: HashMap<Symbol, Superoperator>,
+    map: HashMap<Symbol, Arc<Superoperator>>,
 }
 
 impl EncoderSetting {
@@ -57,18 +63,18 @@ impl EncoderSetting {
 
     /// The superoperator a symbol stands for (`E⁻¹`).
     pub fn superoperator(&self, sym: Symbol) -> Option<&Superoperator> {
-        self.map.get(&sym)
+        self.map.get(&sym).map(|op| &**op)
     }
 
-    fn bind(&mut self, name: &str, op: &Superoperator) -> Result<Symbol, EncodeError> {
+    fn bind(&mut self, name: &str, op: &Arc<Superoperator>) -> Result<Symbol, EncodeError> {
         let sym = Symbol::intern(name);
         match self.map.get(&sym) {
-            Some(existing) if existing.approx_eq(op, 1e-8) => Ok(sym),
+            Some(existing) if Arc::ptr_eq(existing, op) || existing.approx_eq(op, 1e-8) => Ok(sym),
             Some(_) => Err(EncodeError {
                 name: name.to_owned(),
             }),
             None => {
-                self.map.insert(sym, op.clone());
+                self.map.insert(sym, Arc::clone(op));
                 Ok(sym)
             }
         }
@@ -96,15 +102,15 @@ impl EncoderSetting {
             Program::Case(m, branches) => {
                 let mut terms = Vec::new();
                 for (i, branch) in branches.iter().enumerate() {
-                    let sym = self.bind(m.name(i), &m.measurement().branch(i))?;
+                    let sym = self.bind(m.name(i), m.branch(i))?;
                     let eb = self.encode(branch)?;
                     terms.push(Expr::atom(sym).mul(&eb));
                 }
                 Ok(Expr::sum(terms))
             }
             Program::While(m, body) => {
-                let m0 = self.bind(m.name(0), &m.measurement().branch(0))?;
-                let m1 = self.bind(m.name(1), &m.measurement().branch(1))?;
+                let m0 = self.bind(m.name(0), m.branch(0))?;
+                let m1 = self.bind(m.name(1), m.branch(1))?;
                 let eb = self.encode(body)?;
                 Ok(Expr::atom(m1).mul(&eb).star().mul(&Expr::atom(m0)))
             }
@@ -115,7 +121,7 @@ impl EncoderSetting {
     pub fn interpretation(&self) -> Interpretation {
         let mut int = Interpretation::new(self.dim);
         for (&sym, op) in &self.map {
-            int.assign(sym, op.clone());
+            int.assign(sym, (**op).clone());
         }
         int
     }

@@ -6,11 +6,18 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A measurement whose outcomes carry encoder names (the symbols the
-/// branches will receive under `Enc`, Definition 4.4).
+/// branches will receive under `Enc`, Definition 4.4), and the branch
+/// superoperators `ρ ↦ Mᵢ ρ Mᵢ†` the encoder binds those names to.
+///
+/// Cloning is cheap: the names, operators and branches are shared.
 #[derive(Debug, Clone)]
-pub struct NamedMeasurement {
+pub struct NamedMeasurement(Arc<NamedOutcomes>);
+
+#[derive(Debug)]
+struct NamedOutcomes {
     names: Vec<String>,
     meas: Measurement,
+    branches: Vec<Arc<Superoperator>>,
 }
 
 impl NamedMeasurement {
@@ -29,25 +36,32 @@ impl NamedMeasurement {
             meas.outcome_count(),
             "one name per measurement outcome"
         );
-        NamedMeasurement {
+        let branches = (0..names.len()).map(|i| Arc::new(meas.branch(i))).collect();
+        NamedMeasurement(Arc::new(NamedOutcomes {
             names,
             meas: meas.clone(),
-        }
+            branches,
+        }))
     }
 
     /// The underlying measurement.
     pub fn measurement(&self) -> &Measurement {
-        &self.meas
+        &self.0.meas
     }
 
     /// The encoder name of outcome `i`.
     pub fn name(&self, i: usize) -> &str {
-        &self.names[i]
+        &self.0.names[i]
+    }
+
+    /// The branch superoperator of outcome `i`, shared by every clone.
+    pub fn branch(&self, i: usize) -> &Arc<Superoperator> {
+        &self.0.branches[i]
     }
 
     /// Number of outcomes.
     pub fn outcome_count(&self) -> usize {
-        self.names.len()
+        self.0.names.len()
     }
 }
 

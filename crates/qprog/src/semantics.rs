@@ -35,18 +35,17 @@ impl Program {
             Program::Case(m, branches) => {
                 let mut out = CMatrix::zeros(self.dim(), self.dim());
                 for (i, branch) in branches.iter().enumerate() {
-                    let collapsed = m.measurement().branch(i).apply(rho);
+                    let collapsed = m.branch(i).apply(rho);
                     out = &out + &branch.run(&collapsed);
                 }
                 out
             }
             Program::While(m, body) => {
-                let meas = m.measurement();
                 let mut out = CMatrix::zeros(self.dim(), self.dim());
                 let mut live = rho.clone();
                 for _ in 0..LOOP_MAX_ITER {
-                    out = &out + &meas.branch(0).apply(&live);
-                    live = body.run(&meas.branch(1).apply(&live));
+                    out = &out + &m.branch(0).apply(&live);
+                    live = body.run(&m.branch(1).apply(&live));
                     if live.trace().re <= LOOP_TOL {
                         break;
                     }
@@ -72,8 +71,8 @@ impl Program {
             Program::Case(m, branches) => {
                 let mut out = Denotation::zero(self.dim());
                 for (i, branch) in branches.iter().enumerate() {
-                    let piece = Denotation::from_superoperator(&m.measurement().branch(i))
-                        .compose(&branch.denotation());
+                    let piece =
+                        Denotation::from_superoperator(m.branch(i)).compose(&branch.denotation());
                     out = out.sum(&piece);
                 }
                 out
@@ -81,8 +80,8 @@ impl Program {
             Program::While(m, body) => {
                 // ⟦while⟧ = Σₙ (M₁ ∘ ⟦P⟧)ⁿ ∘ M₀ — resolve the Neumann sum
                 // S = Σ Tⁿ by doubling: S ← S + Tᵏ·S, T ← T².
-                let m1_then_body = Denotation::from_superoperator(&m.measurement().branch(1))
-                    .compose(&body.denotation());
+                let m1_then_body =
+                    Denotation::from_superoperator(m.branch(1)).compose(&body.denotation());
                 let mut sum = Denotation::identity(self.dim());
                 let mut power = m1_then_body;
                 for _ in 0..60 {
@@ -95,7 +94,7 @@ impl Program {
                         break;
                     }
                 }
-                sum.compose(&Denotation::from_superoperator(&m.measurement().branch(0)))
+                sum.compose(&Denotation::from_superoperator(m.branch(0)))
             }
         }
     }

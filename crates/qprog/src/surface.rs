@@ -38,6 +38,22 @@
 //! name, one superoperator), so [`crate::EncoderSetting`] never sees a
 //! collision on surface programs.
 //!
+//! # The gate table
+//!
+//! Statements lower through one process-wide table of elementary
+//! programs, keyed by (qubit count, gate, targets) for gates and by
+//! (qubit count, qubit) for `init` and for the measurement of `if` and
+//! `while` with its two branch superoperators. An entry is built on
+//! first use: its matrices are embedded once and checked once
+//! ([`Program::unitary`]'s unitarity assert, [`Program::elementary`]'s
+//! trace check, [`Measurement::new`]'s completeness check). Every later
+//! occurrence, in any parse on any thread, shares the entry's
+//! `Arc<Superoperator>`, so parsing does no matrix work and the encoder
+//! binds a re-used name by pointer. With at most [`MAX_QUBITS`] qubits
+//! and nine gates the table has 240 entries, so it never evicts; reads
+//! take no lock. The `qK=b` factors of effects read their projectors
+//! from the same measurement entries.
+//!
 //! # Effect grammar
 //!
 //! Pre/postconditions of `hoare` queries are diagonal-friendly effect
@@ -68,11 +84,12 @@
 //! # Ok::<(), nka_qprog::surface::ParseProgError>(())
 //! ```
 
-use crate::program::Program;
+use crate::program::{NamedMeasurement, Program};
 use nka_syntax::{nesting_too_deep, MAX_NESTING_DEPTH};
 use qsim_linalg::{CMatrix, Complex};
 use qsim_quantum::{gates, Measurement, RegisterSpace, Superoperator};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Hard cap on the declared qubit count. Programs act on a
 /// `2^n`-dimensional space and `hoare` queries materialize the
@@ -159,7 +176,7 @@ pub struct Stmt {
 
 /// The statement alternatives of the surface grammar, in parsed (not
 /// lowered) form: qubit indices are range-checked, gate names are
-/// validated against the gate table, but nothing is embedded into
+/// validated against the gate set, but nothing is embedded into
 /// matrices yet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StmtKind {
@@ -172,7 +189,7 @@ pub enum StmtKind {
     /// A gate application: surface name (`h`, `cnot`, …) plus its
     /// target qubits in argument order.
     Gate {
-        /// The surface gate name, validated against the gate table.
+        /// The surface gate name, validated against the gate set.
         name: String,
         /// Target qubit indices, in argument order (no repeats).
         targets: Vec<usize>,
@@ -251,8 +268,7 @@ impl SurfaceProgram {
         let mut p = Parser::new(tokens, src.len());
         p.max_depth = max_depth;
         let (qubits, header_span, ast) = p.parse_program()?;
-        let space = qubit_space(qubits);
-        let prog = lower_seq(&space, qubits, &ast);
+        let prog = lower_seq(qubits, &ast);
         Ok(SurfaceProgram {
             src: src.to_owned(),
             qubits,
@@ -473,20 +489,29 @@ fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseProgError> {
     Ok(tokens)
 }
 
-/// The gate table: surface name ↦ (matrix, qubit arity).
-fn gate_table(name: &str) -> Option<(CMatrix, usize)> {
-    match name {
-        "h" => Some((gates::hadamard(), 1)),
-        "x" => Some((gates::pauli_x(), 1)),
-        "y" => Some((gates::pauli_y(), 1)),
-        "z" => Some((gates::pauli_z(), 1)),
-        "s" => Some((gates::s_gate(), 1)),
-        "t" => Some((gates::t_gate(), 1)),
-        "cnot" => Some((gates::cnot(), 2)),
-        "cz" => Some((gates::cz(), 2)),
-        "swap" => Some((gates::swap(), 2)),
-        _ => None,
-    }
+/// A surface gate: name, qubit arity, matrix.
+type Gate = (&'static str, usize, fn() -> CMatrix);
+
+/// The gate set. The six one-qubit gates come first; the gate table's
+/// slot layout relies on it.
+const GATES: [Gate; 9] = [
+    ("h", 1, gates::hadamard),
+    ("x", 1, gates::pauli_x),
+    ("y", 1, gates::pauli_y),
+    ("z", 1, gates::pauli_z),
+    ("s", 1, gates::s_gate),
+    ("t", 1, gates::t_gate),
+    ("cnot", 2, gates::cnot),
+    ("cz", 2, gates::cz),
+    ("swap", 2, gates::swap),
+];
+
+/// Number of one-qubit gates at the head of [`GATES`].
+const ONE_QUBIT_GATES: usize = 6;
+
+/// The index of a surface gate name in [`GATES`].
+fn gate_index(name: &str) -> Option<usize> {
+    GATES.iter().position(|&(n, _, _)| n == name)
 }
 
 struct Parser {
@@ -687,7 +712,7 @@ impl Parser {
                 StmtKind::While { qubit: q, body }
             }
             gate => {
-                let Some((_, arity)) = gate_table(gate) else {
+                let Some(arity) = gate_index(gate).map(|g| GATES[g].1) else {
                     return Err(ParseProgError::new(
                         format!("unknown gate or statement {gate:?}"),
                         s,
@@ -804,8 +829,8 @@ impl Parser {
                             ))
                         }
                     };
-                    let m = qubit_space(qubits).projector(q, bit);
-                    matrix = Some(matrix.map_or(m.clone(), |prev| &prev * &m));
+                    let m = TABLE.measurement(qubits, q).measurement().operator(bit);
+                    matrix = Some(matrix.map_or_else(|| m.clone(), |prev| &prev * m));
                 }
                 _ => {
                     return Err(ParseProgError::new(
@@ -825,55 +850,136 @@ impl Parser {
 /// Lowers a statement sequence to the semantic [`Program`]: statements
 /// fold left with `then`, and an empty sequence is `skip` — exactly the
 /// shape the pre-AST parser built, so encodings are unchanged.
-fn lower_seq(space: &QubitSpace, qubits: usize, stmts: &[Stmt]) -> Program {
-    let dim = 1usize << qubits;
+fn lower_seq(qubits: usize, stmts: &[Stmt]) -> Program {
     let mut acc: Option<Program> = None;
     for stmt in stmts {
-        let prog = lower_stmt(space, qubits, stmt);
+        let prog = lower_stmt(qubits, stmt);
         acc = Some(match acc {
             None => prog,
-            Some(prev) => prev.then(&prog),
+            Some(prev) => Program::Seq(Arc::new(prev), Arc::new(prog)),
         });
     }
-    acc.unwrap_or_else(|| Program::skip(dim))
+    acc.unwrap_or_else(|| Program::skip(1 << qubits))
 }
 
-/// Lowers one statement, deriving the Definition 4.4 encoder names
-/// (`h q0 ↦ h_q0`, measurement of `qK` ↦ `m0_qK`/`m1_qK`).
-fn lower_stmt(space: &QubitSpace, qubits: usize, stmt: &Stmt) -> Program {
-    let dim = 1usize << qubits;
+/// Lowers one statement. Gates, `init` and the `if`/`while`
+/// measurements come from the gate table, already named and checked.
+fn lower_stmt(qubits: usize, stmt: &Stmt) -> Program {
     match &stmt.kind {
-        StmtKind::Skip => Program::skip(dim),
-        StmtKind::Abort => Program::abort(dim),
-        StmtKind::Init(q) => Program::elementary(&format!("init_q{q}"), space.reset(*q)),
+        StmtKind::Skip => Program::skip(1 << qubits),
+        StmtKind::Abort => Program::abort(1 << qubits),
+        StmtKind::Init(q) => TABLE.init(qubits, *q).clone(),
+        // Outcome order is case order: branch 0 = else, branch 1 = then.
         StmtKind::If {
             qubit,
             then_branch,
             else_branch,
-        } => Program::if_then_else(
-            [format!("m0_q{qubit}"), format!("m1_q{qubit}")],
-            &space.measure(*qubit),
-            lower_seq(space, qubits, then_branch),
-            lower_seq(space, qubits, else_branch),
+        } => Program::Case(
+            TABLE.measurement(qubits, *qubit).clone(),
+            vec![
+                lower_seq(qubits, else_branch),
+                lower_seq(qubits, then_branch),
+            ],
         ),
-        StmtKind::While { qubit, body } => Program::while_loop(
-            [format!("m0_q{qubit}"), format!("m1_q{qubit}")],
-            &space.measure(*qubit),
-            lower_seq(space, qubits, body),
+        StmtKind::While { qubit, body } => Program::While(
+            TABLE.measurement(qubits, *qubit).clone(),
+            Arc::new(lower_seq(qubits, body)),
         ),
         StmtKind::Gate { name, targets } => {
-            let (matrix, _) = gate_table(name).expect("parser validated the gate name");
-            let enc_name = std::iter::once(name.clone())
-                .chain(targets.iter().map(|q| format!("q{q}")))
-                .collect::<Vec<_>>()
-                .join("_");
-            Program::unitary(&enc_name, &space.embed_gate(&matrix, targets))
+            let gate = gate_index(name).expect("parser validated the gate name");
+            TABLE.gate(qubits, gate, targets).clone()
         }
     }
 }
 
+/// The process-wide gate table, filled one entry at a time on first use.
+static TABLE: GateTable = GateTable::new();
+
+/// Slots for `n` qubits: each one-qubit gate and `init` on each qubit,
+/// each two-qubit gate on each ordered pair of distinct qubits.
+const fn elementary_slots(n: usize) -> usize {
+    (ONE_QUBIT_GATES + 1) * n + (GATES.len() - ONE_QUBIT_GATES) * n * n.saturating_sub(1)
+}
+
+/// The first elementary slot of the `n`-qubit programs.
+const fn elementary_offset(n: usize) -> usize {
+    let mut sum = 0;
+    let mut k = 1;
+    while k < n {
+        sum += elementary_slots(k);
+        k += 1;
+    }
+    sum
+}
+
+const ELEMENTARY_SLOTS: usize = elementary_offset(MAX_QUBITS + 1);
+const MEASUREMENT_SLOTS: usize = MAX_QUBITS * (MAX_QUBITS + 1) / 2;
+
+/// Every elementary program and measurement the surface language can
+/// name, keyed by (qubit count, statement). Each entry is built — and
+/// checked by [`Program::unitary`], [`Program::elementary`] or
+/// [`Measurement::new`] — the first time a parse asks for it, then
+/// shared: every later occurrence clones an `Arc`, so the encoder binds
+/// it by pointer. Gates, `init` and measurements over at most
+/// [`MAX_QUBITS`] qubits make 240 entries, so the table needs no
+/// eviction.
+struct GateTable {
+    elementary: [OnceLock<Program>; ELEMENTARY_SLOTS],
+    measurements: [OnceLock<NamedMeasurement>; MEASUREMENT_SLOTS],
+}
+
+impl GateTable {
+    const fn new() -> GateTable {
+        GateTable {
+            elementary: [const { OnceLock::new() }; ELEMENTARY_SLOTS],
+            measurements: [const { OnceLock::new() }; MEASUREMENT_SLOTS],
+        }
+    }
+
+    /// Gate `GATES[gate]` on `targets` (distinct, in argument order),
+    /// encoder name `h_q0`, `cnot_q0_q1`, ….
+    fn gate(&self, qubits: usize, gate: usize, targets: &[usize]) -> &Program {
+        let n = qubits;
+        let slot = match *targets {
+            [t] => gate * n + t,
+            [a, b] => {
+                let pair = a * (n - 1) + b - usize::from(b > a);
+                (ONE_QUBIT_GATES + 1) * n + (gate - ONE_QUBIT_GATES) * n * (n - 1) + pair
+            }
+            _ => unreachable!("gates act on one or two qubits"),
+        };
+        self.elementary[elementary_offset(n) + slot].get_or_init(|| {
+            let (name, _, matrix) = GATES[gate];
+            let enc_name = std::iter::once(name.to_owned())
+                .chain(targets.iter().map(|q| format!("q{q}")))
+                .collect::<Vec<_>>()
+                .join("_");
+            Program::unitary(&enc_name, &qubit_space(n).embed_gate(&matrix(), targets))
+        })
+    }
+
+    /// `init qK`, encoder name `init_qK`.
+    fn init(&self, qubits: usize, q: usize) -> &Program {
+        let slot = elementary_offset(qubits) + ONE_QUBIT_GATES * qubits + q;
+        self.elementary[slot].get_or_init(|| {
+            Program::elementary(&format!("init_q{q}"), qubit_space(qubits).reset(q))
+        })
+    }
+
+    /// The computational-basis measurement of `qK`, outcomes named
+    /// `m0_qK` and `m1_qK`.
+    fn measurement(&self, qubits: usize, q: usize) -> &NamedMeasurement {
+        self.measurements[qubits * (qubits - 1) / 2 + q].get_or_init(|| {
+            NamedMeasurement::new(
+                [format!("m0_q{q}"), format!("m1_q{q}")],
+                &qubit_space(qubits).measure(q),
+            )
+        })
+    }
+}
+
 /// The `n`-qubit register space with its embedding helpers, built once
-/// per parse.
+/// per table entry.
 struct QubitSpace {
     space: RegisterSpace,
     regs: Vec<qsim_quantum::registers::RegisterId>,
@@ -1107,5 +1213,235 @@ mod tests {
         let c = SurfaceProgram::parse("qubits 1;  h q0").unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c); // different spelling, different wire value
+    }
+
+    /// The lowering the gate table replaced: every occurrence embeds its
+    /// own matrices into a space built once per parse, and re-runs its
+    /// unitarity, trace or completeness check.
+    mod oracle {
+        use super::super::*;
+
+        pub(super) fn lower_seq(space: &QubitSpace, qubits: usize, stmts: &[Stmt]) -> Program {
+            let dim = 1usize << qubits;
+            let mut acc: Option<Program> = None;
+            for stmt in stmts {
+                let prog = lower_stmt(space, qubits, stmt);
+                acc = Some(match acc {
+                    None => prog,
+                    Some(prev) => prev.then(&prog),
+                });
+            }
+            acc.unwrap_or_else(|| Program::skip(dim))
+        }
+
+        pub(super) fn lower_stmt(space: &QubitSpace, qubits: usize, stmt: &Stmt) -> Program {
+            let dim = 1usize << qubits;
+            match &stmt.kind {
+                StmtKind::Skip => Program::skip(dim),
+                StmtKind::Abort => Program::abort(dim),
+                StmtKind::Init(q) => Program::elementary(&format!("init_q{q}"), space.reset(*q)),
+                StmtKind::If {
+                    qubit,
+                    then_branch,
+                    else_branch,
+                } => Program::if_then_else(
+                    [format!("m0_q{qubit}"), format!("m1_q{qubit}")],
+                    &space.measure(*qubit),
+                    lower_seq(space, qubits, then_branch),
+                    lower_seq(space, qubits, else_branch),
+                ),
+                StmtKind::While { qubit, body } => Program::while_loop(
+                    [format!("m0_q{qubit}"), format!("m1_q{qubit}")],
+                    &space.measure(*qubit),
+                    lower_seq(space, qubits, body),
+                ),
+                StmtKind::Gate { name, targets } => {
+                    let gate = gate_index(name).expect("parser validated the gate name");
+                    let enc_name = std::iter::once(name.clone())
+                        .chain(targets.iter().map(|q| format!("q{q}")))
+                        .collect::<Vec<_>>()
+                        .join("_");
+                    Program::unitary(&enc_name, &space.embed_gate(&GATES[gate].2(), targets))
+                }
+            }
+        }
+    }
+
+    fn stmt(kind: StmtKind) -> Stmt {
+        Stmt { kind, span: (0, 0) }
+    }
+
+    /// Every gate on every ordered list of distinct targets, then every
+    /// `init`, over `n` qubits.
+    fn elementary_stmts(n: usize) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        for (name, arity, _) in GATES {
+            let lists: Vec<Vec<usize>> = if arity == 1 {
+                (0..n).map(|a| vec![a]).collect()
+            } else {
+                (0..n)
+                    .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| vec![a, b]))
+                    .collect()
+            };
+            out.extend(lists.into_iter().map(|targets| {
+                stmt(StmtKind::Gate {
+                    name: name.to_owned(),
+                    targets,
+                })
+            }));
+        }
+        out.extend((0..n).map(|q| stmt(StmtKind::Init(q))));
+        out
+    }
+
+    fn elementary(p: &Program) -> (&str, &Arc<Superoperator>) {
+        match p {
+            Program::Elementary(name, op) => (name, op),
+            other => panic!("expected an elementary program, got {other}"),
+        }
+    }
+
+    fn loop_test(p: &Program) -> &NamedMeasurement {
+        match p {
+            Program::While(m, _) => m,
+            other => panic!("expected a while loop, got {other}"),
+        }
+    }
+
+    #[test]
+    fn every_table_entry_equals_the_oracle_lowering_exactly() {
+        assert_eq!(ELEMENTARY_SLOTS + MEASUREMENT_SLOTS, 240);
+        let mut slots = std::collections::HashSet::new();
+        for n in 1..=MAX_QUBITS {
+            let space = qubit_space(n);
+            for s in elementary_stmts(n) {
+                let table = lower_stmt(n, &s);
+                let oracle = oracle::lower_stmt(&space, n, &s);
+                let ((name, op), (want_name, want_op)) = (elementary(&table), elementary(&oracle));
+                assert_eq!(name, want_name);
+                assert_eq!(op.kraus(), want_op.kraus(), "{name} on {n} qubits");
+                assert_eq!(
+                    (op.dim_in(), op.dim_out()),
+                    (want_op.dim_in(), want_op.dim_out())
+                );
+                slots.insert(Arc::as_ptr(op));
+            }
+            for q in 0..n {
+                let s = stmt(StmtKind::While {
+                    qubit: q,
+                    body: Vec::new(),
+                });
+                let (table, oracle) = (lower_stmt(n, &s), oracle::lower_stmt(&space, n, &s));
+                let (m, want) = (loop_test(&table), loop_test(&oracle));
+                assert_eq!(m.outcome_count(), 2);
+                for i in 0..2 {
+                    assert_eq!(m.name(i), want.name(i));
+                    assert_eq!(m.measurement().operator(i), want.measurement().operator(i));
+                    assert_eq!(m.branch(i).kraus(), want.branch(i).kraus());
+                }
+                slots.insert(Arc::as_ptr(m.branch(0)));
+            }
+        }
+        assert_eq!(slots.len(), 240, "every entry has its own slot");
+    }
+
+    #[test]
+    fn whole_programs_lower_like_the_oracle() {
+        let src = "qubits 3; h q0; if q1 { cnot q0 q2; init q1 } else { swap q2 q0 }; \
+                   while q2 { t q1; if q0 { } }; skip; abort";
+        let p = SurfaceProgram::parse(src).unwrap();
+        let oracle = oracle::lower_seq(&qubit_space(3), 3, p.ast());
+        let mut table_setting = EncoderSetting::new(8);
+        let mut oracle_setting = EncoderSetting::new(8);
+        assert_eq!(
+            table_setting.encode(p.program()).unwrap(),
+            oracle_setting.encode(&oracle).unwrap()
+        );
+        assert_eq!(p.program().to_string(), oracle.to_string());
+        let rho = states::maximally_mixed(8);
+        assert_eq!(p.program().run(&rho), oracle.run(&rho));
+    }
+
+    /// Every elementary and measurement-branch superoperator of `p`, in
+    /// program order.
+    fn shared_ops(p: &Program, out: &mut Vec<*const Superoperator>) {
+        match p {
+            Program::Skip(_) | Program::Abort(_) => {}
+            Program::Elementary(_, op) => out.push(Arc::as_ptr(op)),
+            Program::Seq(a, b) => {
+                shared_ops(a, out);
+                shared_ops(b, out);
+            }
+            Program::Case(m, branches) => {
+                for (i, b) in branches.iter().enumerate() {
+                    out.push(Arc::as_ptr(m.branch(i)));
+                    shared_ops(b, out);
+                }
+            }
+            Program::While(m, body) => {
+                out.extend([Arc::as_ptr(m.branch(0)), Arc::as_ptr(m.branch(1))]);
+                shared_ops(body, out);
+            }
+        }
+    }
+
+    #[test]
+    fn two_parses_share_one_arc_per_entry() {
+        let src = "qubits 4; h q0; cnot q3 q1; init q2; while q3 { x q0; if q1 { h q0 } }";
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        shared_ops(SurfaceProgram::parse(src).unwrap().program(), &mut a);
+        shared_ops(SurfaceProgram::parse(src).unwrap().program(), &mut b);
+        assert_eq!(a.len(), 9);
+        assert_eq!(a, b);
+        // `h q0` occurs twice and lowers to one superoperator.
+        assert_eq!(a[0], a[8]);
+    }
+
+    #[test]
+    fn eight_threads_filling_one_table_agree_on_one_arc_per_entry() {
+        let table = GateTable::new();
+        let n = MAX_QUBITS;
+        let stmts = elementary_stmts(n);
+        let barrier = std::sync::Barrier::new(8);
+        // Addresses as `usize`: raw pointers do not cross threads.
+        let seen: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|k| {
+                    let (table, stmts, barrier) = (&table, &stmts, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        // Each thread starts at a different entry.
+                        let mut ops = vec![0; stmts.len() + n];
+                        for i in (0..stmts.len()).map(|i| (i + k * 31) % stmts.len()) {
+                            let prog = match &stmts[i].kind {
+                                StmtKind::Init(q) => table.init(n, *q),
+                                StmtKind::Gate { name, targets } => {
+                                    table.gate(n, gate_index(name).unwrap(), targets)
+                                }
+                                other => unreachable!("{other:?}"),
+                            };
+                            ops[i] = Arc::as_ptr(elementary(prog).1) as usize;
+                        }
+                        for q in (0..n).rev() {
+                            ops[stmts.len() + q] =
+                                Arc::as_ptr(table.measurement(n, q).branch(1)) as usize;
+                        }
+                        ops
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        assert_eq!(
+            seen[0]
+                .iter()
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
+            stmts.len() + n
+        );
+        assert!(seen.iter().all(|ops| *ops == seen[0]));
     }
 }
