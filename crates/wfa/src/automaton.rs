@@ -115,10 +115,17 @@ impl<S: Semiring> Wfa<S> {
         let transitions = symbols
             .into_iter()
             .map(|sym| {
-                let mut m = SparseMatrix::new(n);
-                for (part, offset) in [(self, 0), (other, self.state_count)] {
+                let parts = [(self, 0), (other, self.state_count)];
+                let entries = parts
+                    .iter()
+                    .filter_map(|(part, _)| part.transitions.get(&sym))
+                    .map(SparseMatrix::nnz)
+                    .sum();
+                let mut m = SparseMatrix::with_capacity(n, n, entries);
+                for (part, offset) in parts {
+                    let rows = part.transitions.get(&sym);
                     for i in 0..part.state_count {
-                        let row = part.transitions.get(&sym).map_or(&[][..], |a| a.row(i));
+                        let row = rows.map_or(&[][..], |a| a.row(i));
                         m.push_row(row.iter().map(|(j, w)| (offset + j, w.clone())));
                     }
                 }
@@ -137,7 +144,15 @@ impl Wfa<ExtNat> {
     /// accepting path of non-zero weights crosses an `∞` weight (edge,
     /// initial, or final). The NFA tracks a "seen ∞" flag: state `2q`
     /// means "at `q`, no ∞ seen yet", `2q + 1` means "at `q`, ∞ seen".
+    ///
+    /// An automaton with no `∞` weight at all (every program encoding:
+    /// no starred body of one is nullable) gets the empty NFA, with no
+    /// state and the same empty language, so its subset construction
+    /// yields the one-state DFA that accepts nothing.
     pub fn infinity_support(&self) -> Nfa {
+        if !self.has_infinite_weight() {
+            return Nfa::new(0);
+        }
         let n = self.state_count;
         let mut nfa = Nfa::new(2 * n);
         for (q, w) in self.initial.iter().enumerate() {
@@ -166,6 +181,19 @@ impl Wfa<ExtNat> {
             }
         }
         nfa
+    }
+
+    /// Whether any initial, final or transition weight is `∞`.
+    pub(crate) fn has_infinite_weight(&self) -> bool {
+        self.initial
+            .iter()
+            .chain(&self.final_weights)
+            .chain(
+                self.transitions
+                    .values()
+                    .flat_map(|m| m.entries().map(|(_, _, w)| w)),
+            )
+            .any(|w| w.is_infinite())
     }
 
     /// The finite part: all `∞` weights replaced by zero and the
@@ -228,6 +256,22 @@ mod tests {
         let alphabet = [Symbol::intern("a"), Symbol::intern("b")];
         let dfa = nfa.determinize(&alphabet, 10_000).unwrap();
         assert!(dfa.is_empty_language());
+    }
+
+    #[test]
+    fn an_automaton_without_infinite_weights_has_the_empty_support_nfa() {
+        let finite = wfa_of("(a b)* a + (a a)*");
+        assert!(!finite.has_infinite_weight());
+        assert_eq!(finite.infinity_support().state_count(), 0);
+        let dfa = finite
+            .infinity_support()
+            .determinize(&[Symbol::intern("a"), Symbol::intern("b")], 1)
+            .unwrap();
+        assert_eq!(dfa.state_count(), 1);
+        assert!(dfa.is_empty_language());
+        // A zero budget still fails on the empty NFA.
+        assert!(finite.infinity_support().determinize(&[], 0).is_err());
+        assert!(wfa_of("(1 + a)* b").has_infinite_weight());
     }
 
     #[test]

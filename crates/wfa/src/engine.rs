@@ -57,7 +57,7 @@ use crate::ka::support_nfa;
 use crate::nfa::Dfa;
 use crate::starfree::{self, PrefixOutcome, WordMultiset};
 use crate::thompson::thompson;
-use crate::zeroness::{is_zero_integer, restrict_within};
+use crate::zeroness::{is_zero_integer, reachable_within, restrict_within};
 use nka_semiring::ExtNat;
 use nka_syntax::{Expr, ExprId, Symbol};
 use std::collections::{BTreeSet, HashMap};
@@ -334,7 +334,9 @@ impl Decider {
     /// the fast path does not answer.
     fn decide_generic(&mut self, e: &Expr, f: &Expr) -> Result<bool, DecideError> {
         let alphabet = shared_alphabet(e, f);
-        // Step 1: the ∞-supports must coincide as regular languages.
+        // Step 1: the ∞-supports must coincide as regular languages. A
+        // side with no `∞` weight has the one-state empty DFA, so a
+        // one-sided pair is an emptiness test here.
         let de = self.infinity_dfa(e, &alphabet)?;
         let df = self.infinity_dfa(f, &alphabet)?;
         if !de.equivalent(&df) {
@@ -347,9 +349,15 @@ impl Decider {
         let diff = ce
             .finite_part::<i128>()
             .difference(&cf.finite_part(), |w| -w);
-        let outside_support = |s| !de.is_accepting(s);
-        let restricted = restrict_within(&diff, &de, outside_support, self.opts.max_dfa_states)?;
-        Ok(is_zero_integer(&restricted))
+        let budget = self.opts.max_dfa_states;
+        let outside_support = if de.is_empty_language() {
+            // Nothing to cut away (every ∞-free pair): the reachable
+            // part is the whole difference, and no product is built.
+            reachable_within(&diff, budget)?
+        } else {
+            restrict_within(&diff, &de, |s| !de.is_accepting(s), budget)?
+        };
+        Ok(is_zero_integer(&outside_support))
     }
 
     /// Decides `⊢KA e = f`, i.e. language equivalence of the supports
@@ -586,9 +594,65 @@ fn pair_key(e: &Expr, f: &Expr) -> (ExprId, ExprId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DecideOptions;
+    use nka_syntax::{random_expr, ExprGenConfig};
+    use proptest::prelude::*;
 
     fn e(src: &str) -> Expr {
         src.parse().unwrap()
+    }
+
+    /// The cached ∞-support DFA of `x` (the engine decided a pair with it).
+    fn cached_infinity_dfa(engine: &Decider, x: &Expr) -> Arc<Dfa> {
+        let (_, dfa) = engine
+            .infinity_dfas
+            .iter()
+            .find(|((id, _), _)| *id == x.id())
+            .expect("a cached ∞-support DFA");
+        Arc::clone(dfa)
+    }
+
+    #[test]
+    fn pairs_with_an_infinite_weight_keep_the_restricted_path() {
+        let mut engine = Decider::new();
+        // Both ∞-supports are {a}. The finite parts differ on `a` alone,
+        // inside the support, so only the restriction makes this hold.
+        let (l, r) = (e("1* a + a + b"), e("1* a + b"));
+        assert!(engine.decide(&l, &r).unwrap());
+        assert!(!cached_infinity_dfa(&engine, &l).is_empty_language());
+        let diff = thompson(&l)
+            .eliminate_epsilon()
+            .finite_part::<i128>()
+            .difference(&thompson(&r).eliminate_epsilon().finite_part(), |w| -w);
+        assert!(!is_zero_integer(&reachable_within(&diff, 1000).unwrap()));
+        // Outside the support the restricted path still refutes.
+        assert!(!engine.decide(&e("1* a + b"), &e("1* a + b b")).unwrap());
+        // Unequal non-empty supports refute before any finite part.
+        let (l, r) = (e("1* a"), e("1* a a"));
+        assert!(!engine.decide(&l, &r).unwrap());
+        assert!(!cached_infinity_dfa(&engine, &r).is_empty_language());
+    }
+
+    #[test]
+    fn a_one_sided_pair_is_an_emptiness_test() {
+        let mut engine = Decider::new();
+        let (l, r) = (e("1* a"), e("a"));
+        assert!(!engine.decide(&l, &r).unwrap());
+        let (support, empty) = (
+            cached_infinity_dfa(&engine, &l),
+            cached_infinity_dfa(&engine, &r),
+        );
+        assert!(!support.is_empty_language());
+        assert!(empty.is_empty_language());
+        assert_eq!(empty.state_count(), 1);
+        // Both sides went through a subset construction all the same.
+        assert_eq!(engine.stats().dfa_misses, 2);
+        // An ∞ weight off every accepting path adds no word to the
+        // support: `1* 0` is the zero series, so this pair holds.
+        let l = e("a + 1* 0");
+        assert!(thompson(&l).eliminate_epsilon().has_infinite_weight());
+        assert!(engine.decide(&l, &e("a")).unwrap());
+        assert!(cached_infinity_dfa(&engine, &l).is_empty_language());
     }
 
     #[test]
@@ -991,6 +1055,55 @@ mod tests {
         engine.seed_nka_verdict(&rl, &rr, false);
         assert!(!engine.decide(&rl, &rr).unwrap());
         assert_eq!(engine.snapshot_hits(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random pairs with no `∞` weight, the reachable difference
+        /// the engine tests is exactly the restriction product with the
+        /// one-state empty ∞-support DFA, and a product with a
+        /// many-state DFA that accepts every word gives the same
+        /// verdict. Half of the shapes are equal pairs.
+        #[test]
+        fn empty_support_trim_agrees_with_the_restriction_product(seed in any::<u64>(), shape in 0u8..4) {
+            let alphabet = vec![Symbol::intern("a"), Symbol::intern("b")];
+            let config = ExprGenConfig::new(alphabet.clone())
+                .with_target_size(7)
+                .with_constant_weight(0);
+            let mut seed = seed;
+            let finite = |x: &Expr| !thompson(x).eliminate_epsilon().has_infinite_weight();
+            let (l, r) = loop {
+                let (x, y) = (random_expr(&config, &mut seed), random_expr(&config, &mut seed));
+                let (l, r): (Expr, Expr) = match shape {
+                    0 | 1 => (x, y),
+                    2 => (x.add(&y), y.add(&x)),
+                    _ => (x.mul(&y.star()), x.mul(&e("1").add(&y.star().mul(&y)))),
+                };
+                if finite(&l) && finite(&r) {
+                    break (l, r);
+                }
+            };
+            let (wl, wr) = (thompson(&l).eliminate_epsilon(), thompson(&r).eliminate_epsilon());
+            let diff = wl.finite_part::<i128>().difference(&wr.finite_part(), |w| -w);
+            let trimmed = reachable_within(&diff, usize::MAX).unwrap();
+            let support = wl.infinity_support().determinize(&alphabet, 10).unwrap();
+            prop_assert!(support.is_empty_language());
+            let product = restrict_within(&diff, &support, |s| !support.is_accepting(s), usize::MAX).unwrap();
+            prop_assert_eq!(&product, &trimmed, "{} vs {}", l, r);
+            let every_word = support_nfa(&wl).determinize(&alphabet, 10_000).unwrap();
+            let wide = restrict_within(&diff, &every_word, |_| true, usize::MAX).unwrap();
+            let verdict = is_zero_integer(&trimmed);
+            prop_assert_eq!(is_zero_integer(&wide), verdict, "{} vs {}", l, r);
+            let mut engine = Decider::with_options(DecideOptions {
+                starfree_max_words: 0,
+                ..DecideOptions::default()
+            });
+            prop_assert_eq!(engine.decide(&l, &r).unwrap(), verdict, "{} vs {}", l, r);
+            if shape >= 2 {
+                prop_assert!(verdict, "{} vs {}", l, r);
+            }
+        }
     }
 
     #[test]

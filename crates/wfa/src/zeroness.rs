@@ -12,31 +12,45 @@
 //!
 //! # Exact multi-modular zeroness
 //!
-//! The decision procedure needs zeroness only of the restricted
-//! difference automaton, whose weights are integers: finite `N̄` path
-//! counts, with the subtracted side's final weights negated. Its series
-//! is `Z`-valued, and the basis runs over the fields `F_p` with machine
-//! words instead of over `Q` with big integers. This is deterministic
-//! and exact, not a randomized identity test:
+//! The decision procedure needs zeroness only of the difference
+//! automaton outside the ∞-support, whose weights are integers: finite
+//! `N̄` path counts, with the subtracted side's final weights negated.
+//! Its series is `Z`-valued, and the basis runs over the fields `F_p`
+//! with machine words instead of over `Q` with big integers. This is
+//! deterministic and exact, not a randomized identity test:
 //!
 //! * a `Z`-series that is zero is zero modulo every prime;
 //! * a non-zero one has a non-zero coefficient on some word of length
 //!   `< n` (the forward spaces of words of length `≤ k` stop growing by
-//!   `k = n − 1`), and that coefficient's magnitude is at most
-//!   `B = ‖ι‖₁ · R^(n−1) · ‖φ‖∞`, where `R` (at least 1) is the largest
-//!   absolute row sum of any transition matrix;
+//!   `k = n − 1`), and that coefficient's magnitude is at most `B`,
+//!   the vector bound below;
 //! * so once `∏ pᵢ > B`, a coefficient divisible by every `pᵢ` is zero,
 //!   and the series is zero over `Q` iff it is zero over every `F_pᵢ`.
 //!
-//! The bit length of `B` is computed in integers. The primes are the
-//! largest ones below `2^61`: a `const` table covers bounds of up to
-//! 3840 bits, and further primes are found downward by deterministic
-//! Miller–Rabin and memoized for the process. The kernel answers *not
-//! zero* at the first prime that finds a non-zero coefficient, and
-//! *zero* only after all of them. Rational weights (the public
-//! [`is_zero_series`]) first have their denominators cleared: `ι`, `φ`
-//! and each `M_a` are scaled by the LCM of their own denominators, which
-//! multiplies every word's coefficient by a non-zero constant.
+//! The vector bound takes one step per word length:
+//! `U₀ = |ι|`, `Uₖ₊₁ = maxₐ Uₖ·|Mₐ|` (absolute values and the maximum
+//! taken componentwise), and `B = max_{k<n} Uₖ·|φ|`. By induction on
+//! `w`, `|ι·M_w| ≤ U_|w|` componentwise, so every coefficient of a word
+//! `w` shorter than `n` is at most `U_|w|·|φ| ≤ B`. It is computed in
+//! `f64`, each sum scaled up past its rounding error, and it stops
+//! early once the iterates settle (`vector_bound_bits`). Where the
+//! old row-sum bound `‖ι‖₁ · R^(n−1) · ‖φ‖∞` (`R` the largest absolute
+//! row sum) charged every step the worst row of any symbol, this one
+//! follows the vector: on path-count automata it is usually a few bits
+//! instead of hundreds. The row-sum bound, computed in integers,
+//! remains the fallback if the vector overflows `f64`.
+//!
+//! Both the bound and the basis read one table of the transitions,
+//! built once per call; each prime only reduces its weights. The
+//! primes are the largest ones below `2^61`: a `const` table covers
+//! bounds of up to 3840 bits, and further primes are found downward by
+//! deterministic Miller–Rabin and memoized for the process. The kernel
+//! answers *not zero* at the first prime that finds a non-zero
+//! coefficient, and *zero* only after all of them. Rational weights
+//! (the public [`is_zero_series`]) first have their denominators
+//! cleared: `ι`, `φ` and each `M_a` are scaled by the LCM of their own
+//! denominators, which multiplies every word's coefficient by a non-zero
+//! constant.
 //!
 //! # Restriction
 //!
@@ -48,6 +62,13 @@
 //! accepting state can be reached. Out of the `n·d` pairs only the
 //! reachable ones exist, and the engine charges each one against its
 //! state budget.
+//!
+//! When the ∞-support is empty — always, for a pair with no `∞` weight,
+//! such as every program encoding — there is nothing to cut away, and
+//! the engine builds no product: it keeps the states reachable from `ι`
+//! through non-zero edges (`reachable_within`), exactly the pairs the
+//! product with the one-state empty DFA would create, under the same
+//! budget.
 
 use crate::automaton::Wfa;
 use crate::decide::DecideError;
@@ -57,6 +78,7 @@ use nka_semiring::{BigInt, BigRational, Semiring};
 use nka_syntax::Symbol;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 /// An exact integer weight, as the modular kernel reads it: through its
@@ -119,9 +141,10 @@ fn log2_norm<'a, W: IntegerWeight + 'a>(weights: impl IntoIterator<Item = &'a W>
     sum.map_or(bits + ceil_log2(count), ceil_log2)
 }
 
-/// An upper bound on the bit length of `B = ‖ι‖₁ · R^(n−1) · ‖φ‖∞`
-/// (see the [module docs](self)): every coefficient of a word shorter
-/// than the state count has magnitude at most `2^bound_bits`.
+/// The row-sum bound `‖ι‖₁ · R^(n−1) · ‖φ‖∞`, as a bit length: every
+/// coefficient of a word shorter than the state count has magnitude at
+/// most `2^bound_bits`. Looser than the vector bound, but computed in
+/// integers, so it is the fallback when that one overflows `f64`.
 fn bound_bits<W: IntegerWeight>(wfa: &Wfa<W>) -> u64 {
     let row_sums = wfa
         .symbols()
@@ -139,6 +162,121 @@ fn bound_bits<W: IntegerWeight>(wfa: &Wfa<W>) -> u64 {
     log2_norm(wfa.initial())
         .saturating_add(steps.saturating_mul(row_sums))
         .saturating_add(final_max)
+}
+
+/// The least `b` with `x ≤ 2^b`, for a finite `x ≥ 0`.
+fn ceil_log2_f64(x: f64) -> u64 {
+    if x <= 1.0 {
+        return 0;
+    }
+    // `x > 1` is a normal float: `x = 1.m · 2^e`, so `x ≤ 2^b` from
+    // `b = e` when the mantissa `m` is zero and `b = e + 1` otherwise.
+    let bits = x.to_bits();
+    let exponent = (bits >> 52) - 1023;
+    exponent + u64::from(bits & ((1 << 52) - 1) != 0)
+}
+
+/// The vector bound of the [module docs](self) as a bit length, or
+/// `None` if a magnitude does not fit an `f64`.
+///
+/// It iterates `Wₖ₊₁ = max(Wₖ, F(Wₖ))` from `W₀ = |ι|`, where
+/// `F(x) = maxₐ x·|Mₐ|`: `Wₖ` dominates every `Uⱼ` with `j ≤ k`, never
+/// decreases, and `B ≤ Wₙ₋₁·|φ|`. Each sum is computed in
+/// round-to-nearest `f64` and then scaled up by `up = 1 + (n + 3)·2^−51`.
+/// A sum of at most `n` products of converted magnitudes, then scaled,
+/// goes through at most `n + 2` roundings, each off by a factor of at
+/// most `1 − 2^−53` for non-negative terms, and `up` exceeds
+/// `(1 − 2^−53)^−(n+2)`; so no computed entry is below the exact one,
+/// and by monotonicity no computed iterate is below the exact one.
+///
+/// The iteration stops early. If `Wₖ ≤ c·Wₖ₋₁` componentwise, then
+/// `F(Wₖ) ≤ c·F(Wₖ₋₁) ≤ c·Wₖ` (`F` is monotone and homogeneous), so
+/// every later length is bounded by `c^(n−1−k)·(Wₖ·|φ|)`. The loop ends
+/// when that tail bound needs no more primes than `Wₖ·|φ|`: at once
+/// when the iterates have settled and `c` is the margin alone.
+fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option<u64> {
+    let n = wfa.state_count();
+    let up = 1.0 + (n as f64 + 3.0) * 2.0 * f64::EPSILON;
+    // `u64` to `f64` is one instruction, `u128` to `f64` a library call.
+    let magnitude = |w: &W| {
+        w.magnitude()
+            .map(|m| u64::try_from(m).map_or(m as f64, |m| m as f64))
+    };
+    let weights = table
+        .weights
+        .iter()
+        .map(magnitude)
+        .collect::<Option<Vec<f64>>>()?;
+    let phi = wfa
+        .final_weights()
+        .iter()
+        .map(magnitude)
+        .collect::<Option<Vec<f64>>>()?;
+    // `w` is positive exactly on `support`.
+    let mut w = vec![0.0; n];
+    let mut support = Vec::new();
+    for (i, x) in wfa.initial().iter().enumerate() {
+        if !x.is_zero() {
+            w[i] = magnitude(x)? * up;
+            support.push(i);
+        }
+    }
+    let dot =
+        |w: &[f64], support: &[usize]| support.iter().map(|&i| w[i] * phi[i]).sum::<f64>() * up;
+    let primes = |bits: u64| bits.div_ceil(BITS_PER_PRIME).max(1);
+    let (mut next, mut sum) = (w.clone(), vec![0.0; n]);
+    let mut touched = Vec::new();
+    for k in 1..n {
+        let grown = support.len();
+        for sources in &table.sources {
+            for (i, row) in sources.iter().filter(|(i, _)| w[*i] != 0.0) {
+                for e in row.clone() {
+                    let j = table.columns[e];
+                    if sum[j] == 0.0 {
+                        touched.push(j);
+                    }
+                    sum[j] += w[*i] * weights[e];
+                }
+            }
+            for j in touched.drain(..) {
+                if next[j] == 0.0 {
+                    support.push(j);
+                }
+                next[j] = f64::max(next[j], std::mem::take(&mut sum[j]) * up);
+            }
+        }
+        // The least `c` with `Wₖ ≤ c·Wₖ₋₁`, rounded up, if the support
+        // did not grow.
+        let growth = (support.len() == grown).then(|| {
+            support
+                .iter()
+                .fold(1.0, |c: f64, &j| c.max(next[j] / w[j] * up))
+        });
+        for &j in &support {
+            w[j] = next[j];
+        }
+        let d = dot(&w, &support);
+        if !d.is_finite() || support.iter().any(|&j| !w[j].is_finite()) {
+            return None;
+        }
+        if let Some(c) = growth {
+            // log₂ of the tail bound, one bit up for the rounding of
+            // the logarithms.
+            let tail = d.log2() + (n - 1 - k) as f64 * c.log2() + 1.0;
+            let tail = if tail > 0.0 { tail.ceil() as u64 } else { 0 };
+            let bits = ceil_log2_f64(d);
+            if primes(tail) <= primes(bits) {
+                return Some(bits.max(tail));
+            }
+        }
+    }
+    Some(ceil_log2_f64(dot(&w, &support)))
+}
+
+/// The bit length of the coefficient bound the kernel covers with
+/// primes: the vector bound, or the row-sum bound if that overflows.
+fn coefficient_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> u64 {
+    vector_bound_bits(wfa, table).unwrap_or_else(|| bound_bits(wfa))
 }
 
 /// Offsets `c` of the 64 largest primes `2^61 − c`, largest prime
@@ -270,43 +408,105 @@ impl Field {
         }
     }
 
-    /// `a^(p−2) = a⁻¹` for `a ≠ 0` (Fermat).
+    /// `a⁻¹` for `a ≠ 0`, by the extended Euclidean algorithm. The
+    /// Bézout coefficients stay within `±p < 2^61`, and `q·t₁ = t₀ − t₂`
+    /// within `±2p`, so `i64` holds them.
     fn inv(self, a: u64) -> u64 {
-        pow(a, self.p - 2, |x, y| self.mul(x, y))
+        let (mut r0, mut r1) = (self.p, a);
+        let (mut t0, mut t1) = (0i64, 1i64);
+        while r1 != 0 {
+            let q = r0 / r1;
+            (r0, r1) = (r1, r0 - q * r1);
+            (t0, t1) = (t1, t0 - q as i64 * t1);
+        }
+        debug_assert_eq!(r0, 1, "{a} is not invertible modulo {}", self.p);
+        if t0 < 0 {
+            (t0 + self.p as i64) as u64
+        } else {
+            t0 as u64
+        }
     }
 }
 
-/// An automaton's weights reduced modulo one prime.
+/// An automaton's transitions as one table of rows, built once per
+/// zeroness call: the non-zero entries of state `i` under the `m`-th
+/// symbol are the indices `row(i, m)` into `columns` and `weights`, and
+/// each symbol's rows lie together in state order. The coefficient
+/// bound and every prime's residues read it.
+struct Table<W> {
+    states: usize,
+    symbols: usize,
+    starts: Vec<usize>,
+    columns: Vec<usize>,
+    weights: Vec<W>,
+    /// Per symbol, the states whose row under it is not empty, each with
+    /// that row's entry indices.
+    sources: Vec<Vec<(usize, Range<usize>)>>,
+}
+
+impl<W: IntegerWeight> Table<W> {
+    fn of(wfa: &Wfa<W>) -> Table<W> {
+        let matrices: Vec<&SparseMatrix<W>> = wfa
+            .symbols()
+            .filter_map(|sym| wfa.transition(sym))
+            .collect();
+        let (states, entries) = (wfa.state_count(), matrices.iter().map(|m| m.nnz()).sum());
+        let mut table = Table {
+            states,
+            symbols: matrices.len(),
+            starts: Vec::with_capacity(matrices.len() * states + 1),
+            columns: Vec::with_capacity(entries),
+            weights: Vec::with_capacity(entries),
+            sources: Vec::with_capacity(matrices.len()),
+        };
+        table.starts.push(0);
+        for m in matrices {
+            let mut sources = Vec::new();
+            for i in 0..table.states {
+                let start = table.columns.len();
+                for (j, w) in m.row(i) {
+                    table.columns.push(*j);
+                    table.weights.push(w.clone());
+                }
+                if table.columns.len() > start {
+                    sources.push((i, start..table.columns.len()));
+                }
+                table.starts.push(table.columns.len());
+            }
+            table.sources.push(sources);
+        }
+        table
+    }
+}
+
+impl<W> Table<W> {
+    /// The entry indices of state `i` under the `m`-th symbol.
+    fn row(&self, i: usize, m: usize) -> Range<usize> {
+        let k = m * self.states + i;
+        self.starts[k]..self.starts[k + 1]
+    }
+}
+
+/// An automaton's weights reduced modulo one prime; `weights[e]` is the
+/// residue of the table's entry `e`.
 struct Residues {
     initial: Vec<(usize, u64)>,
     final_weights: Vec<u64>,
-    /// Per symbol, rows of non-zero `(column, residue)` entries.
-    transitions: Vec<Vec<Vec<(usize, u64)>>>,
+    weights: Vec<u64>,
 }
 
 impl Residues {
-    fn of<W: IntegerWeight>(wfa: &Wfa<W>, p: u64) -> Residues {
-        fn non_zero<'a, W: IntegerWeight + 'a>(
-            entries: impl Iterator<Item = (usize, &'a W)>,
-            p: u64,
-        ) -> Vec<(usize, u64)> {
-            entries
-                .map(|(j, w)| (j, w.residue(p)))
-                .filter(|&(_, x)| x != 0)
-                .collect()
-        }
+    fn of<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>, p: u64) -> Residues {
         Residues {
-            initial: non_zero(wfa.initial().iter().enumerate(), p),
-            final_weights: wfa.final_weights().iter().map(|w| w.residue(p)).collect(),
-            transitions: wfa
-                .symbols()
-                .filter_map(|sym| wfa.transition(sym))
-                .map(|m| {
-                    (0..m.rows())
-                        .map(|i| non_zero(m.row(i).iter().map(|(j, w)| (*j, w)), p))
-                        .collect()
-                })
+            initial: wfa
+                .initial()
+                .iter()
+                .enumerate()
+                .map(|(q, w)| (q, w.residue(p)))
+                .filter(|&(_, x)| x != 0)
                 .collect(),
+            final_weights: wfa.final_weights().iter().map(|w| w.residue(p)).collect(),
+            weights: table.weights.iter().map(|w| w.residue(p)).collect(),
         }
     }
 }
@@ -371,7 +571,7 @@ impl Accumulator {
 
 /// The forward basis over `F_p`: whether every coefficient of the
 /// series is divisible by `p`.
-fn is_zero_mod(r: &Residues, f: Field) -> bool {
+fn is_zero_mod<W>(table: &Table<W>, r: &Residues, f: Field) -> bool {
     let n = r.final_weights.len();
     let mut acc = Accumulator::new(n);
     let mut basis: Vec<Vec<(usize, u64)>> = Vec::new();
@@ -397,14 +597,17 @@ fn is_zero_mod(r: &Residues, f: Field) -> bool {
             pivot_row[row[0].0] = basis.len();
             basis.push(row);
             debug_assert!(basis.len() <= n, "basis larger than state count");
-            pending.extend((0..r.transitions.len()).map(|m| (basis.len() - 1, m)));
+            pending.extend((0..table.symbols).map(|m| (basis.len() - 1, m)));
         }
         let Some((b, m)) = pending.pop() else {
             return true;
         };
         for &(i, x) in &basis[b] {
-            for &(j, w) in &r.transitions[m][i] {
-                acc.add(f, j, f.mul(x, w));
+            for e in table.row(i, m) {
+                let w = r.weights[e];
+                if w != 0 {
+                    acc.add(f, table.columns[e], f.mul(x, w));
+                }
             }
         }
     }
@@ -412,13 +615,16 @@ fn is_zero_mod(r: &Residues, f: Field) -> bool {
 
 /// Decides whether the integer-weighted `wfa` recognizes the zero
 /// series: the forward basis modulo each of the primes that cover
-/// [`bound_bits`], stopping at the first that finds a non-zero
-/// coefficient (see the [module docs](self)).
+/// [`coefficient_bound_bits`], stopping at the first that finds a
+/// non-zero coefficient (see the [module docs](self)).
 pub(crate) fn is_zero_integer<W: IntegerWeight>(wfa: &Wfa<W>) -> bool {
-    let primes = bound_bits(wfa).div_ceil(BITS_PER_PRIME).max(1);
+    let table = Table::of(wfa);
+    let primes = coefficient_bound_bits(wfa, &table)
+        .div_ceil(BITS_PER_PRIME)
+        .max(1);
     (0..primes as usize).all(|i| {
         let f = Field::new(prime_offset(i));
-        is_zero_mod(&Residues::of(wfa, f.p), f)
+        is_zero_mod(&table, &Residues::of(wfa, &table, f.p), f)
     })
 }
 
@@ -587,6 +793,72 @@ pub(crate) fn restrict_within<S: Semiring>(
         })
         .collect();
     Ok(Wfa::new(k, initial, final_weights, transitions))
+}
+
+/// The part of `wfa` reachable from its initial states through non-zero
+/// edges, with at most `max_states` states: the restriction to a
+/// language that holds every word, built without a product. States are
+/// numbered in [`restrict_within`]'s breadth-first order, so the result
+/// equals that product with a one-state DFA that accepts everything.
+///
+/// # Errors
+///
+/// Returns [`DecideError`] (a restriction-product overflow) if more
+/// than `max_states` states are reachable.
+pub(crate) fn reachable_within<S: Semiring>(
+    wfa: &Wfa<S>,
+    max_states: usize,
+) -> Result<Wfa<S>, DecideError> {
+    let matrices: Vec<(Symbol, &SparseMatrix<S>)> = wfa
+        .symbols()
+        .filter_map(|sym| Some((sym, wfa.transition(sym)?)))
+        .collect();
+    // `number[q]` is `q`'s position in `order`, the breadth-first order.
+    let mut number = vec![usize::MAX; wfa.state_count()];
+    let mut order: Vec<usize> = Vec::new();
+    let mut visit = |q: usize, order: &mut Vec<usize>| {
+        if number[q] == usize::MAX {
+            if order.len() >= max_states {
+                return Err(DecideError::product_overflow(max_states));
+            }
+            number[q] = order.len();
+            order.push(q);
+        }
+        Ok(())
+    };
+    for (q, w) in wfa.initial().iter().enumerate() {
+        if !w.is_zero() {
+            visit(q, &mut order)?;
+        }
+    }
+    let mut next = 0;
+    while let Some(&q) = order.get(next) {
+        for (_, m) in &matrices {
+            for (j, _) in m.row(q) {
+                visit(*j, &mut order)?;
+            }
+        }
+        next += 1;
+    }
+
+    let k = order.len();
+    let pick = |weights: &[S]| order.iter().map(|&q| weights[q].clone()).collect();
+    let transitions = matrices
+        .iter()
+        .map(|&(sym, m)| {
+            let mut out = SparseMatrix::with_capacity(k, k, m.nnz());
+            for &q in &order {
+                out.push_row(m.row(q).iter().map(|(j, w)| (number[*j], w.clone())));
+            }
+            (sym, out)
+        })
+        .collect();
+    Ok(Wfa::new(
+        k,
+        pick(wfa.initial()),
+        pick(wfa.final_weights()),
+        transitions,
+    ))
 }
 
 /// The restriction product's states under construction: `(wfa state,
@@ -893,6 +1165,28 @@ mod tests {
     }
 
     #[test]
+    fn the_reachable_part_drops_unreachable_states_within_its_budget() {
+        // States 0 → 1 on `a`; state 2 has an edge to 1 but no way in.
+        let mut m = SparseMatrix::new(3);
+        m.push_row([(1, 2i128)]);
+        m.push_row([]);
+        m.push_row([(1, 5i128)]);
+        let transitions = BTreeMap::from([(Symbol::intern("a"), m)]);
+        let wfa = Wfa::new(3, vec![1, 0, 0], vec![0, 1, 7], transitions);
+        let reachable = reachable_within(&wfa, 2).unwrap();
+        assert_eq!(reachable.state_count(), 2);
+        let a = Word::from_symbols([Symbol::intern("a")]);
+        assert_eq!(reachable.coefficient(&a), 2);
+        assert_eq!(wfa.coefficient(&a), 2);
+        let err = reachable_within(&wfa, 1).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("restriction product exceeded 1 states"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn a_dfa_that_never_accepts_gives_the_empty_product() {
         let never = restrict_within(&rational_wfa("a* b"), &only_b(), |_| false, 100).unwrap();
         assert_eq!(never.state_count(), 0);
@@ -1040,6 +1334,19 @@ mod tests {
     }
 
     #[test]
+    fn the_bound_covers_what_f64_rounds_away() {
+        let big = (1i128 << 60) + 1;
+        // `2^60 + 1` converts to the float `2^60`, and `2^60 + 1` sums to
+        // it: without the rounding margin either bound would read 60 bits.
+        let sum = Wfa::new(2, vec![1, 1], vec![1 << 60, 1], BTreeMap::new());
+        for wfa in [constant(big), sum] {
+            let bits = coefficient_bound_bits(&wfa, &Table::of(&wfa));
+            assert_eq!(wfa.coefficient(&Word::from_symbols([])), big);
+            assert!(bits >= 61, "{big} > 2^{bits}");
+        }
+    }
+
+    #[test]
     fn rational_weights_clear_their_denominators() {
         let r = |n: i64, d: i64| BigRational::new(n.into(), d.into());
         // ι = (1/2, 1/2), M_a = diag(2/3, 2/3), φ = (1/3, −1/3): every
@@ -1158,7 +1465,7 @@ mod tests {
             let wfa = random_wfa(&mut seed, states, |seed| {
                 next(seed) as i128 % (2 * range + 1) - range
             });
-            let bits = bound_bits(&wfa);
+            let bits = coefficient_bound_bits(&wfa, &Table::of(&wfa));
             let alphabet = [Symbol::intern("a"), Symbol::intern("b")];
             for word in words_up_to(&alphabet, states - 1) {
                 let coefficient = wfa.coefficient(&Word::from_symbols(word)).unsigned_abs();

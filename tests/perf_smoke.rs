@@ -11,15 +11,19 @@
 //! runners. Under the debug profile the bound is scaled up; the release
 //! run in CI is the gating one.
 //!
-//! The generic pipeline has two gates, on pairs only the automaton path
+//! The generic pipeline has four gates, on pairs only the automaton path
 //! can decide. A two-qubit one-loop pair and its one-step unrolling must
 //! hold in under 20 ms (about 1 ms in release on a 2-core x86-64
 //! container; the dense product it replaced took 90–130 ms). A wide
 //! pair — five qubits, four loop nests of depth four side by side,
 //! against the unrolling of every innermost loop — must hold in under
-//! 80 ms (about 16 ms in release on the same container; with the exact
-//! `BigRational` zeroness pass that the modular kernel replaced it took
-//! about 150 ms).
+//! 80 ms (about 6 ms in release on the same container; 16 ms with the
+//! restriction product and the row-sum zeroness bound, about 150 ms
+//! with the exact `BigRational` zeroness pass). The same shape with
+//! twelve nests must hold in under 200 ms (about 50 ms; 0.3–0.5 s
+//! before), and the unary `(a³⁴)* (a³³)* = (a³³)* (a³⁴)*` in under
+//! 100 ms (about 1 ms; 50 s before): neither pair has an `∞` weight, so
+//! both skip the restriction product.
 //!
 //! Parsing has its own gate: once the process-wide gate table holds the
 //! wide pair's entries, parsing the pair again must take under 2 ms
@@ -154,12 +158,13 @@ fn one_loop_unrolling_decides_on_the_generic_path_under_twenty_millis() {
     );
 }
 
-/// Five qubits; a gate, four depth-four `while` nests side by side with
-/// two gates per level, and a gate. The `k`-th loop measures qubit
-/// `k mod 5`, and every gate occurrence is a distinct (gate, targets)
-/// pair, dealt in a fixed order. With `unroll`, every innermost loop
-/// `while q {B}` becomes `if q {B; while q {B}} else {}`.
-fn wide_nest(unroll: bool) -> String {
+/// Five qubits; a gate, `nests` depth-`depth` `while` nests side by side
+/// with two gates per level, and a gate. The `k`-th loop measures qubit
+/// `k mod 5`, and the gate occurrences cycle through the 90 distinct
+/// (gate, targets) pairs in a fixed order, so up to 44 levels no pair
+/// repeats. With `unroll`, every innermost loop `while q {B}` becomes
+/// `if q {B; while q {B}} else {}`.
+fn wide_nest(nests: usize, depth: usize, unroll: bool) -> String {
     let one = ["h", "x", "y", "z", "s", "t"];
     let two = ["cnot", "cz", "swap"];
     let mut gates: Vec<String> = one
@@ -171,25 +176,25 @@ fn wide_nest(unroll: bool) -> String {
             gates.extend((0..5).filter(|&b| b != a).map(|b| format!("{g} q{a} q{b}")));
         }
     }
-    let mut dealt = (0..gates.len()).map(|i| gates[(7 * i + 3) % gates.len()].clone());
+    let mut dealt = (0..).map(|i| gates[(7 * i + 3) % gates.len()].clone());
     let mut take = |n: usize| dealt.by_ref().take(n).collect::<Vec<_>>();
     let mut k = 0;
     let mut parts = take(1);
-    for _ in 0..4 {
+    for _ in 0..nests {
         // Levels outermost first; the innermost closes the nest.
-        let levels: Vec<(usize, String)> = (0..4)
+        let levels: Vec<(usize, String)> = (0..depth)
             .map(|_| {
                 k += 1;
                 ((k - 1) % 5, take(2).join("; "))
             })
             .collect();
-        let (q, body) = &levels[3];
+        let (q, body) = &levels[depth - 1];
         let mut nest = if unroll {
             format!("if q{q} {{ {body}; while q{q} {{ {body} }} }} else {{ }}")
         } else {
             format!("while q{q} {{ {body} }}")
         };
-        for (q, body) in levels[..3].iter().rev() {
+        for (q, body) in levels[..depth - 1].iter().rev() {
             nest = format!("while q{q} {{ {body}; {nest} }}");
         }
         parts.push(nest);
@@ -203,7 +208,8 @@ fn wide_nest(unroll: bool) -> String {
 /// where it dominates the query.
 #[test]
 fn wide_loop_nest_unrolling_decides_on_the_generic_path_under_80_millis() {
-    let query = Query::prog_eq(&wide_nest(false), &wide_nest(true)).expect("well-formed");
+    let query =
+        Query::prog_eq(&wide_nest(4, 4, false), &wide_nest(4, 4, true)).expect("well-formed");
     let mut session = Session::new();
 
     let start = Instant::now();
@@ -238,13 +244,94 @@ fn wide_loop_nest_unrolling_decides_on_the_generic_path_under_80_millis() {
     );
 }
 
+/// The larger wide gate: twelve depth-four nests side by side. Neither
+/// side has an `∞` weight, so the pair skips the restriction product,
+/// and the zeroness pass covers the vector coefficient bound, not the
+/// row-sum one (69 primes before, on the product, about 0.3–0.4 s).
+#[test]
+fn twelve_wide_nests_unrolled_decide_on_the_generic_path_under_200_millis() {
+    let query =
+        Query::prog_eq(&wide_nest(12, 4, false), &wide_nest(12, 4, true)).expect("well-formed");
+    let mut session = Session::new();
+
+    let start = Instant::now();
+    let resp = session.run(&query);
+    let elapsed = start.elapsed();
+    println!("12 × 4 wide loop-nest pair: {elapsed:?}");
+
+    assert!(
+        matches!(resp.verdict, Verdict::ProgEq { holds: true, .. }),
+        "expected the innermost unrolling to hold, got {:?}",
+        resp.verdict
+    );
+    let delta = resp.stats_delta;
+    assert_eq!(
+        delta.starfree_hits + delta.prefix_hits,
+        0,
+        "a looped pair was answered by a star-free tier: {delta:?}"
+    );
+    assert!(
+        delta.dfa_misses > 0,
+        "no subset construction ran, so the generic path was not timed: {delta:?}"
+    );
+
+    let bound = if cfg!(debug_assertions) {
+        Duration::from_millis(4000)
+    } else {
+        Duration::from_millis(200)
+    };
+    assert!(
+        elapsed < bound,
+        "12 × 4 wide loop-nest pair took {elapsed:?} on the generic path (bound {bound:?})"
+    );
+}
+
+/// The unary gate: `(a³⁴)* (a³³)* = (a³³)* (a³⁴)*` holds, and no weight
+/// is `∞`. Restricting its 276-state difference automaton to the
+/// complement of the empty ∞-support ran about 50 s, most of it in
+/// zeroness over the product; the reachable difference answers in about
+/// a millisecond.
+#[test]
+fn unary_star_swap_pair_holds_under_100_millis() {
+    let a = |n: usize| vec!["a"; n].join(" ");
+    let (long, short) = (a(34), a(33));
+    let query = Query::nka_eq(
+        &format!("({long})* ({short})*"),
+        &format!("({short})* ({long})*"),
+    )
+    .expect("well-formed");
+    let mut session = Session::new();
+
+    let start = Instant::now();
+    let resp = session.run(&query);
+    let elapsed = start.elapsed();
+    println!("k = 34 unary pair: {elapsed:?}");
+
+    assert_eq!(resp.verdict, Verdict::Holds);
+    assert!(
+        resp.stats_delta.dfa_misses > 0,
+        "no subset construction ran, so the generic path was not timed: {:?}",
+        resp.stats_delta
+    );
+
+    let bound = if cfg!(debug_assertions) {
+        Duration::from_millis(2000)
+    } else {
+        Duration::from_millis(100)
+    };
+    assert!(
+        elapsed < bound,
+        "k = 34 unary pair took {elapsed:?} (bound {bound:?})"
+    );
+}
+
 /// The parse gate: the wide pair has 76 gate occurrences and 36 `while`
 /// and `if` tests on five qubits. After one warm-up parse, every gate
 /// and measurement is a gate-table entry, so the timed parse does no
 /// matrix work.
 #[test]
 fn wide_loop_nest_pair_parses_under_two_millis_on_a_filled_gate_table() {
-    let (p, q) = (wide_nest(false), wide_nest(true));
+    let (p, q) = (wide_nest(4, 4, false), wide_nest(4, 4, true));
     Query::prog_eq(&p, &q).expect("well-formed");
 
     let start = Instant::now();

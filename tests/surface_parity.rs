@@ -3,8 +3,9 @@
 //! hostile lines (invalid UTF-8, over-deep nesting in each request
 //! parser, a 300 KB line, an unknown key, blank and comment lines,
 //! queries whose restriction product or ε-closure used to exhaust
-//! memory, whose path counts overflow `u64`, or whose 50,000-atom chains
-//! overflowed a worker's stack) go through `batch`,
+//! memory, whose path counts overflow `u64`, whose 50,000-atom chains
+//! overflowed a worker's stack, or whose restriction to an empty
+//! ∞-support ran out of budget) go through `batch`,
 //! `batch --jobs 4`, the stdin `serve` loop with worker recycling,
 //! `serve --listen`, and `snapshot dump` (exit status only). The stable
 //! projections (`wire::stable_response_projection`) must be identical,
@@ -112,6 +113,11 @@ fn hostile_lines() -> Vec<u8> {
     line(format!("({chain})* = a*").as_bytes());
     line(format!("{{\"op\":\"ka_eq\",\"lhs\":\"({chain})*\",\"rhs\":\"a*\"}}").as_bytes());
     line(format!("{{\"op\":\"series\",\"expr\":\"{chain}\",\"max_len\":3}}").as_bytes());
+    // `(a⁴⁰)* (a³⁹)* = (a³⁹)* (a⁴⁰)*` holds and has no `∞` weight.
+    // Restricting it to the complement of its empty ∞-support needed a
+    // 137,602-state product, past the default budget.
+    let a = |n: usize| vec!["a"; n].join(" ");
+    line(format!("({})* ({})* = ({})* ({})*", a(40), a(39), a(39), a(40)).as_bytes());
     line(b"1 + p p* = p*");
     out
 }
@@ -303,7 +309,7 @@ fn every_surface_answers_every_line_alike() {
                         .to_owned()
                 })
                 .collect();
-            let kernel = &verdicts[verdicts.len() - 10..verdicts.len() - 1];
+            let kernel = &verdicts[verdicts.len() - 11..verdicts.len() - 1];
             assert_eq!(
                 kernel,
                 [
@@ -315,7 +321,8 @@ fn every_surface_answers_every_line_alike() {
                     "refuted",
                     "budget_exhausted",
                     "refuted",
-                    "series"
+                    "series",
+                    "holds"
                 ],
                 "the decision-kernel lines get structured verdicts"
             );
