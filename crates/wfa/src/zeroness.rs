@@ -176,6 +176,15 @@ fn ceil_log2_f64(x: f64) -> u64 {
     exponent + u64::from(bits & ((1 << 52) - 1) != 0)
 }
 
+/// An upper bound on `log₂ x` for a finite `x ≥ 1`, from its bits and
+/// no library call: with `x = 2^e·(1 + m)`, `log₂(1 + m) ≤ m / ln 2`.
+fn log2_above(x: f64) -> f64 {
+    let bits = x.to_bits();
+    let exponent = (bits >> 52) as f64 - 1023.0;
+    let mantissa = f64::from_bits(bits & ((1 << 52) - 1) | 1023 << 52) - 1.0;
+    exponent + mantissa * std::f64::consts::LOG2_E
+}
+
 /// The vector bound of the [module docs](self) as a bit length, or
 /// `None` if a magnitude does not fit an `f64`.
 ///
@@ -260,10 +269,13 @@ fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option
             return None;
         }
         if let Some(c) = growth {
-            // log₂ of the tail bound, one bit up for the rounding of
-            // the logarithms.
-            let tail = d.log2() + (n - 1 - k) as f64 * c.log2() + 1.0;
-            let tail = if tail > 0.0 { tail.ceil() as u64 } else { 0 };
+            // An upper bound on log₂ of the tail bound, one bit up for
+            // rounding, truncated and one bit up again for the ceiling.
+            let tail = if d < 1.0 {
+                0
+            } else {
+                (log2_above(d) + (n - 1 - k) as f64 * log2_above(c) + 1.0) as u64 + 1
+            };
             let bits = ceil_log2_f64(d);
             if primes(tail) <= primes(bits) {
                 return Some(bits.max(tail));
