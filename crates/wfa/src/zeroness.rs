@@ -186,7 +186,7 @@ fn log2_above(x: f64) -> f64 {
 }
 
 /// The vector bound of the [module docs](self) as a bit length, or
-/// `None` if a magnitude does not fit an `f64`.
+/// `None` if a magnitude or an iterate does not fit an `f64`.
 ///
 /// It iterates `Wₖ₊₁ = max(Wₖ, F(Wₖ))` from `W₀ = |ι|`, where
 /// `F(x) = maxₐ x·|Mₐ|`: `Wₖ` dominates every `Uⱼ` with `j ≤ k`, never
@@ -230,13 +230,11 @@ fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option
             support.push(i);
         }
     }
-    let dot =
-        |w: &[f64], support: &[usize]| support.iter().map(|&i| w[i] * phi[i]).sum::<f64>() * up;
     let primes = |bits: u64| bits.div_ceil(BITS_PER_PRIME).max(1);
+    let mut d = support.iter().map(|&i| w[i] * phi[i]).sum::<f64>() * up;
     let (mut next, mut sum) = (w.clone(), vec![0.0; n]);
     let mut touched = Vec::new();
     for k in 1..n {
-        let grown = support.len();
         for sources in &table.sources {
             for (i, row) in sources.iter().filter(|(i, _)| w[*i] != 0.0) {
                 for e in row.clone() {
@@ -254,21 +252,21 @@ fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option
                 next[j] = f64::max(next[j], std::mem::take(&mut sum[j]) * up);
             }
         }
-        // The least `c` with `Wₖ ≤ c·Wₖ₋₁`, rounded up, if the support
-        // did not grow.
-        let growth = (support.len() == grown).then(|| {
-            support
-                .iter()
-                .fold(1.0, |c: f64, &j| c.max(next[j] / w[j] * up))
-        });
+        // `c` is the least factor with `Wₖ ≤ c·Wₖ₋₁`, rounded up; it is
+        // infinite where the support grew. An infinite entry makes `d`
+        // infinite, or NaN against a zero final weight.
+        let mut c: f64 = 1.0;
+        d = 0.0;
         for &j in &support {
+            c = c.max(next[j] / w[j] * up);
             w[j] = next[j];
+            d += w[j] * phi[j];
         }
-        let d = dot(&w, &support);
-        if !d.is_finite() || support.iter().any(|&j| !w[j].is_finite()) {
+        d *= up;
+        if !d.is_finite() {
             return None;
         }
-        if let Some(c) = growth {
+        if c.is_finite() {
             // An upper bound on log₂ of the tail bound, one bit up for
             // rounding, truncated and one bit up again for the ceiling.
             let tail = if d < 1.0 {
@@ -282,7 +280,7 @@ fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option
             }
         }
     }
-    Some(ceil_log2_f64(dot(&w, &support)))
+    d.is_finite().then(|| ceil_log2_f64(d))
 }
 
 /// The bit length of the coefficient bound the kernel covers with
