@@ -594,7 +594,6 @@ fn pair_key(e: &Expr, f: &Expr) -> (ExprId, ExprId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DecideOptions;
     use nka_syntax::{random_expr, ExprGenConfig};
     use proptest::prelude::*;
 
