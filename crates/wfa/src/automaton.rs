@@ -115,17 +115,10 @@ impl<S: Semiring> Wfa<S> {
         let transitions = symbols
             .into_iter()
             .map(|sym| {
-                let parts = [(self, 0), (other, self.state_count)];
-                let entries = parts
-                    .iter()
-                    .filter_map(|(part, _)| part.transitions.get(&sym))
-                    .map(SparseMatrix::nnz)
-                    .sum();
-                let mut m = SparseMatrix::with_capacity(n, n, entries);
-                for (part, offset) in parts {
-                    let rows = part.transitions.get(&sym);
+                let mut m = SparseMatrix::new(n);
+                for (part, offset) in [(self, 0), (other, self.state_count)] {
                     for i in 0..part.state_count {
-                        let row = rows.map_or(&[][..], |a| a.row(i));
+                        let row = part.transitions.get(&sym).map_or(&[][..], |a| a.row(i));
                         m.push_row(row.iter().map(|(j, w)| (offset + j, w.clone())));
                     }
                 }

@@ -23,21 +23,20 @@
 //! 4. **Finite part** ([`Wfa::finite_part`] + [`zeroness`]): with `∞`
 //!    edges removed, the automaton is N-weighted; the difference automaton
 //!    (path counts, with the right side's final weights negated) is
-//!    `Z`-weighted. It is cut down to the complement of the ∞-support
+//!    `Z`-weighted. It is restricted to the complement of the ∞-support
 //!    and tested for zeroness with the forward-basis (Tzeng/Schützenberger)
 //!    algorithm **modulo primes** below `2^61`, exactly: a non-zero series
 //!    has a non-zero coefficient on a word shorter than the state count
 //!    `n`, of magnitude at most the vector bound
 //!    `B = max_{k<n} Uₖ·|φ|` with `U₀ = |ι|` and `Uₖ₊₁ = maxₐ Uₖ·|Mₐ|`
 //!    (componentwise), so primes whose product exceeds `B` cannot all
-//!    miss it. When the supports accept nothing, the cut is a forward
-//!    trim: the states reachable from `ι` through non-zero edges, counted
-//!    against the state budget. Otherwise a restriction product is built
-//!    on the fly: a breadth-first search creates a (difference state, DFA
-//!    state) pair only when a non-zero edge reaches it and the DFA can
-//!    still accept from it, so only reachable pairs exist, each counted
-//!    against the state budget. The basis pass multiplies sparse basis
-//!    rows by the sparse transition rows.
+//!    miss it. The restriction product is built on the fly: a
+//!    breadth-first search creates a (difference state, DFA state) pair
+//!    only when a non-zero edge reaches it and the DFA can still accept
+//!    from it, so only reachable pairs exist, each counted against the
+//!    state budget; against the one-state empty DFA these are the
+//!    difference automaton's reachable states. The basis pass multiplies
+//!    sparse basis rows by the sparse transition rows.
 //!
 //! **Star-free** pairs — loop-free program encodings — never reach this
 //! pipeline: their series have finite support and finite coefficients, so

@@ -51,18 +51,10 @@ pub struct SparseMatrix<S> {
 impl<S: Semiring> SparseMatrix<S> {
     /// A matrix with `cols` columns and no rows yet.
     pub fn new(cols: usize) -> Self {
-        SparseMatrix::with_capacity(cols, 0, 0)
-    }
-
-    /// A matrix with `cols` columns and no rows yet, with room for
-    /// `rows` rows and `entries` non-zero entries.
-    pub(crate) fn with_capacity(cols: usize, rows: usize, entries: usize) -> Self {
-        let mut row_starts = Vec::with_capacity(rows + 1);
-        row_starts.push(0);
         SparseMatrix {
             cols,
-            row_starts,
-            entries: Vec::with_capacity(entries),
+            row_starts: vec![0],
+            entries: Vec::new(),
             zero: S::zero(),
         }
     }
@@ -100,11 +92,6 @@ impl<S: Semiring> SparseMatrix<S> {
         self.cols
     }
 
-    /// Number of non-zero entries.
-    pub(crate) fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The non-zero entries of row `i`, sorted by column.
     pub fn row(&self, i: usize) -> &[(usize, S)] {
         &self.entries[self.row_starts[i]..self.row_starts[i + 1]]
@@ -118,7 +105,7 @@ impl<S: Semiring> SparseMatrix<S> {
     /// The matrix with `f` applied to every non-zero entry; entries that
     /// `f` maps to zero are dropped.
     pub fn map_nonzero<T: Semiring>(&self, f: impl Fn(&S) -> T) -> SparseMatrix<T> {
-        let mut out = SparseMatrix::with_capacity(self.cols, self.rows(), self.entries.len());
+        let mut out = SparseMatrix::new(self.cols);
         for i in 0..self.rows() {
             out.push_row(self.row(i).iter().map(|(j, w)| (*j, f(w))));
         }

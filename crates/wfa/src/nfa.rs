@@ -82,22 +82,18 @@ impl Nfa {
         if max_states == 0 {
             return Err(DeterminizeOverflow { max_states });
         }
-        let mut dfa = Dfa {
-            alphabet: alphabet.to_vec(),
-            transitions: vec![vec![0; alphabet.len()]],
-            accepting: vec![false],
-        };
-        if self.initial.is_empty() {
-            // The empty start subset is the only one: every symbol keeps
-            // the run in it, and it accepts nothing (the ∞-support of
-            // an automaton with no `∞` weight).
-            return Ok(dfa);
-        }
         let mut subsets: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut worklist = VecDeque::new();
         let start: Vec<usize> = self.initial.iter().copied().collect();
         subsets.insert(start.clone(), 0);
         worklist.push_back(start);
+        let mut dfa = Dfa {
+            alphabet: alphabet.to_vec(),
+            transitions: Vec::new(),
+            accepting: Vec::new(),
+        };
+        dfa.transitions.push(vec![0; alphabet.len()]);
+        dfa.accepting.push(false);
 
         while let Some(subset) = worklist.pop_front() {
             let id = subsets[&subset];

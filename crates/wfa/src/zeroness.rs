@@ -32,9 +32,8 @@
 //! taken componentwise), and `B = max_{k<n} Uₖ·|φ|`. By induction on
 //! `w`, `|ι·M_w| ≤ U_|w|` componentwise, so every coefficient of a word
 //! `w` shorter than `n` is at most `U_|w|·|φ| ≤ B`. It is computed in
-//! `f64`, each sum scaled up past its rounding error, and it stops
-//! early once the iterates settle (`vector_bound_bits`). Where the
-//! old row-sum bound `‖ι‖₁ · R^(n−1) · ‖φ‖∞` (`R` the largest absolute
+//! `f64`, each sum scaled up past its rounding error
+//! (`vector_bound_bits`). Where the old row-sum bound `‖ι‖₁ · R^(n−1) · ‖φ‖∞` (`R` the largest absolute
 //! row sum) charged every step the worst row of any symbol, this one
 //! follows the vector: on path-count automata it is usually a few bits
 //! instead of hundreds. The row-sum bound, computed in integers,
@@ -61,14 +60,10 @@
 //! non-zero edge reaches it, and never enters a DFA state from which no
 //! accepting state can be reached. Out of the `n·d` pairs only the
 //! reachable ones exist, and the engine charges each one against its
-//! state budget.
-//!
-//! When the ∞-support is empty — always, for a pair with no `∞` weight,
-//! such as every program encoding — there is nothing to cut away, and
-//! the engine builds no product: it keeps the states reachable from `ι`
-//! through non-zero edges (`reachable_within`), exactly the pairs the
-//! product with the one-state empty DFA would create, under the same
-//! budget.
+//! state budget. When the ∞-support is empty — always, for a pair with
+//! no `∞` weight, such as every program encoding — its DFA is the
+//! one-state DFA that accepts nothing, and the product is just the part
+//! of the difference automaton reachable through non-zero edges.
 
 use crate::automaton::Wfa;
 use crate::decide::DecideError;
@@ -176,33 +171,16 @@ fn ceil_log2_f64(x: f64) -> u64 {
     exponent + u64::from(bits & ((1 << 52) - 1) != 0)
 }
 
-/// An upper bound on `log₂ x` for a finite `x ≥ 1`, from its bits and
-/// no library call: with `x = 2^e·(1 + m)`, `log₂(1 + m) ≤ m / ln 2`.
-fn log2_above(x: f64) -> f64 {
-    let bits = x.to_bits();
-    let exponent = (bits >> 52) as f64 - 1023.0;
-    let mantissa = f64::from_bits(bits & ((1 << 52) - 1) | 1023 << 52) - 1.0;
-    exponent + mantissa * std::f64::consts::LOG2_E
-}
-
 /// The vector bound of the [module docs](self) as a bit length, or
-/// `None` if a magnitude or an iterate does not fit an `f64`.
+/// `None` if a magnitude or an entry of some `Uₖ` does not fit an `f64`.
 ///
-/// It iterates `Wₖ₊₁ = max(Wₖ, F(Wₖ))` from `W₀ = |ι|`, where
-/// `F(x) = maxₐ x·|Mₐ|`: `Wₖ` dominates every `Uⱼ` with `j ≤ k`, never
-/// decreases, and `B ≤ Wₙ₋₁·|φ|`. Each sum is computed in
-/// round-to-nearest `f64` and then scaled up by `up = 1 + (n + 3)·2^−51`.
-/// A sum of at most `n` products of converted magnitudes, then scaled,
-/// goes through at most `n + 2` roundings, each off by a factor of at
-/// most `1 − 2^−53` for non-negative terms, and `up` exceeds
-/// `(1 − 2^−53)^−(n+2)`; so no computed entry is below the exact one,
-/// and by monotonicity no computed iterate is below the exact one.
-///
-/// The iteration stops early. If `Wₖ ≤ c·Wₖ₋₁` componentwise, then
-/// `F(Wₖ) ≤ c·F(Wₖ₋₁) ≤ c·Wₖ` (`F` is monotone and homogeneous), so
-/// every later length is bounded by `c^(n−1−k)·(Wₖ·|φ|)`. The loop ends
-/// when that tail bound needs no more primes than `Wₖ·|φ|`: at once
-/// when the iterates have settled and `c` is the margin alone.
+/// Each sum is computed in round-to-nearest `f64` and then scaled up by
+/// `up = 1 + (n + 3)·2^−51`. A sum of at most `n` products of converted
+/// magnitudes, then scaled, goes through at most `n + 2` roundings, each
+/// off by a factor of at most `1 − 2^−53` for non-negative terms, and
+/// `up` exceeds `(1 − 2^−53)^−(n+2)`; so no computed entry is below the
+/// exact one, and by monotonicity no computed `Uₖ` is below the exact
+/// one.
 fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option<u64> {
     let n = wfa.state_count();
     let up = 1.0 + (n as f64 + 3.0) * 2.0 * f64::EPSILON;
@@ -221,66 +199,41 @@ fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option
         .iter()
         .map(magnitude)
         .collect::<Option<Vec<f64>>>()?;
-    // `w` is positive exactly on `support`.
-    let mut w = vec![0.0; n];
-    let mut support = Vec::new();
-    for (i, x) in wfa.initial().iter().enumerate() {
-        if !x.is_zero() {
-            w[i] = magnitude(x)? * up;
-            support.push(i);
-        }
-    }
-    let primes = |bits: u64| bits.div_ceil(BITS_PER_PRIME).max(1);
-    let mut d = support.iter().map(|&i| w[i] * phi[i]).sum::<f64>() * up;
-    let (mut next, mut sum) = (w.clone(), vec![0.0; n]);
+    let mut u = wfa
+        .initial()
+        .iter()
+        .map(|x| Some(magnitude(x)? * up))
+        .collect::<Option<Vec<f64>>>()?;
+    let (mut next, mut sum) = (vec![0.0; n], vec![0.0; n]);
     let mut touched = Vec::new();
-    for k in 1..n {
-        for sources in &table.sources {
-            for (i, row) in sources.iter().filter(|(i, _)| w[*i] != 0.0) {
-                for e in row.clone() {
-                    let j = table.columns[e];
-                    if sum[j] == 0.0 {
-                        touched.push(j);
-                    }
-                    sum[j] += w[*i] * weights[e];
-                }
-            }
-            for j in touched.drain(..) {
-                if next[j] == 0.0 {
-                    support.push(j);
-                }
-                next[j] = f64::max(next[j], std::mem::take(&mut sum[j]) * up);
-            }
-        }
-        // `c` is the least factor with `Wₖ ≤ c·Wₖ₋₁`, rounded up; it is
-        // infinite where the support grew. An infinite entry makes `d`
-        // infinite, or NaN against a zero final weight.
-        let mut c: f64 = 1.0;
-        d = 0.0;
-        for &j in &support {
-            c = c.max(next[j] / w[j] * up);
-            w[j] = next[j];
-            d += w[j] * phi[j];
-        }
-        d *= up;
+    let mut bound: f64 = 0.0;
+    for k in 0..n {
+        // An infinite entry of `Uₖ` makes this product infinite, or NaN
+        // against a zero final weight.
+        let d = u.iter().zip(&phi).map(|(x, y)| x * y).sum::<f64>() * up;
         if !d.is_finite() {
             return None;
         }
-        if c.is_finite() {
-            // An upper bound on log₂ of the tail bound, one bit up for
-            // rounding, truncated and one bit up again for the ceiling.
-            let tail = if d < 1.0 {
-                0
-            } else {
-                (log2_above(d) + (n - 1 - k) as f64 * log2_above(c) + 1.0) as u64 + 1
-            };
-            let bits = ceil_log2_f64(d);
-            if primes(tail) <= primes(bits) {
-                return Some(bits.max(tail));
+        bound = bound.max(d);
+        if k + 1 == n {
+            break;
+        }
+        next.fill(0.0);
+        for m in 0..table.symbols {
+            for e in table.entries(m) {
+                let j = table.columns[e];
+                if sum[j] == 0.0 {
+                    touched.push(j);
+                }
+                sum[j] += u[table.sources[e]] * weights[e];
+            }
+            for j in touched.drain(..) {
+                next[j] = f64::max(next[j], std::mem::take(&mut sum[j]) * up);
             }
         }
+        std::mem::swap(&mut u, &mut next);
     }
-    d.is_finite().then(|| ceil_log2_f64(d))
+    Some(ceil_log2_f64(bound))
 }
 
 /// The bit length of the coefficient bound the kernel covers with
@@ -418,23 +371,9 @@ impl Field {
         }
     }
 
-    /// `a⁻¹` for `a ≠ 0`, by the extended Euclidean algorithm. The
-    /// Bézout coefficients stay within `±p < 2^61`, and `q·t₁ = t₀ − t₂`
-    /// within `±2p`, so `i64` holds them.
+    /// `a^(p−2) = a⁻¹` for `a ≠ 0` (Fermat).
     fn inv(self, a: u64) -> u64 {
-        let (mut r0, mut r1) = (self.p, a);
-        let (mut t0, mut t1) = (0i64, 1i64);
-        while r1 != 0 {
-            let q = r0 / r1;
-            (r0, r1) = (r1, r0 - q * r1);
-            (t0, t1) = (t1, t0 - q as i64 * t1);
-        }
-        debug_assert_eq!(r0, 1, "{a} is not invertible modulo {}", self.p);
-        if t0 < 0 {
-            (t0 + self.p as i64) as u64
-        } else {
-            t0 as u64
-        }
+        pow(a, self.p - 2, |x, y| self.mul(x, y))
     }
 }
 
@@ -447,43 +386,33 @@ struct Table<W> {
     states: usize,
     symbols: usize,
     starts: Vec<usize>,
+    /// The row (source state) of each entry, so that the bound walks a
+    /// symbol's entries without visiting its empty rows.
+    sources: Vec<usize>,
     columns: Vec<usize>,
     weights: Vec<W>,
-    /// Per symbol, the states whose row under it is not empty, each with
-    /// that row's entry indices.
-    sources: Vec<Vec<(usize, Range<usize>)>>,
 }
 
 impl<W: IntegerWeight> Table<W> {
     fn of(wfa: &Wfa<W>) -> Table<W> {
-        let matrices: Vec<&SparseMatrix<W>> = wfa
-            .symbols()
-            .filter_map(|sym| wfa.transition(sym))
-            .collect();
-        let (states, entries) = (wfa.state_count(), matrices.iter().map(|m| m.nnz()).sum());
         let mut table = Table {
-            states,
-            symbols: matrices.len(),
-            starts: Vec::with_capacity(matrices.len() * states + 1),
-            columns: Vec::with_capacity(entries),
-            weights: Vec::with_capacity(entries),
-            sources: Vec::with_capacity(matrices.len()),
+            states: wfa.state_count(),
+            symbols: 0,
+            starts: vec![0],
+            sources: Vec::new(),
+            columns: Vec::new(),
+            weights: Vec::new(),
         };
-        table.starts.push(0);
-        for m in matrices {
-            let mut sources = Vec::new();
+        for m in wfa.symbols().filter_map(|sym| wfa.transition(sym)) {
             for i in 0..table.states {
-                let start = table.columns.len();
                 for (j, w) in m.row(i) {
+                    table.sources.push(i);
                     table.columns.push(*j);
                     table.weights.push(w.clone());
                 }
-                if table.columns.len() > start {
-                    sources.push((i, start..table.columns.len()));
-                }
                 table.starts.push(table.columns.len());
             }
-            table.sources.push(sources);
+            table.symbols += 1;
         }
         table
     }
@@ -494,6 +423,11 @@ impl<W> Table<W> {
     fn row(&self, i: usize, m: usize) -> Range<usize> {
         let k = m * self.states + i;
         self.starts[k]..self.starts[k + 1]
+    }
+
+    /// The entry indices of every row under the `m`-th symbol.
+    fn entries(&self, m: usize) -> Range<usize> {
+        self.starts[m * self.states]..self.starts[(m + 1) * self.states]
     }
 }
 
@@ -805,72 +739,6 @@ pub(crate) fn restrict_within<S: Semiring>(
     Ok(Wfa::new(k, initial, final_weights, transitions))
 }
 
-/// The part of `wfa` reachable from its initial states through non-zero
-/// edges, with at most `max_states` states: the restriction to a
-/// language that holds every word, built without a product. States are
-/// numbered in [`restrict_within`]'s breadth-first order, so the result
-/// equals that product with a one-state DFA that accepts everything.
-///
-/// # Errors
-///
-/// Returns [`DecideError`] (a restriction-product overflow) if more
-/// than `max_states` states are reachable.
-pub(crate) fn reachable_within<S: Semiring>(
-    wfa: &Wfa<S>,
-    max_states: usize,
-) -> Result<Wfa<S>, DecideError> {
-    let matrices: Vec<(Symbol, &SparseMatrix<S>)> = wfa
-        .symbols()
-        .filter_map(|sym| Some((sym, wfa.transition(sym)?)))
-        .collect();
-    // `number[q]` is `q`'s position in `order`, the breadth-first order.
-    let mut number = vec![usize::MAX; wfa.state_count()];
-    let mut order: Vec<usize> = Vec::new();
-    let mut visit = |q: usize, order: &mut Vec<usize>| {
-        if number[q] == usize::MAX {
-            if order.len() >= max_states {
-                return Err(DecideError::product_overflow(max_states));
-            }
-            number[q] = order.len();
-            order.push(q);
-        }
-        Ok(())
-    };
-    for (q, w) in wfa.initial().iter().enumerate() {
-        if !w.is_zero() {
-            visit(q, &mut order)?;
-        }
-    }
-    let mut next = 0;
-    while let Some(&q) = order.get(next) {
-        for (_, m) in &matrices {
-            for (j, _) in m.row(q) {
-                visit(*j, &mut order)?;
-            }
-        }
-        next += 1;
-    }
-
-    let k = order.len();
-    let pick = |weights: &[S]| order.iter().map(|&q| weights[q].clone()).collect();
-    let transitions = matrices
-        .iter()
-        .map(|&(sym, m)| {
-            let mut out = SparseMatrix::with_capacity(k, k, m.nnz());
-            for &q in &order {
-                out.push_row(m.row(q).iter().map(|(j, w)| (number[*j], w.clone())));
-            }
-            (sym, out)
-        })
-        .collect();
-    Ok(Wfa::new(
-        k,
-        pick(wfa.initial()),
-        pick(wfa.final_weights()),
-        transitions,
-    ))
-}
-
 /// The restriction product's states under construction: `(wfa state,
 /// dfa state)` pairs numbered in discovery order.
 struct Product {
@@ -1175,28 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn the_reachable_part_drops_unreachable_states_within_its_budget() {
-        // States 0 → 1 on `a`; state 2 has an edge to 1 but no way in.
-        let mut m = SparseMatrix::new(3);
-        m.push_row([(1, 2i128)]);
-        m.push_row([]);
-        m.push_row([(1, 5i128)]);
-        let transitions = BTreeMap::from([(Symbol::intern("a"), m)]);
-        let wfa = Wfa::new(3, vec![1, 0, 0], vec![0, 1, 7], transitions);
-        let reachable = reachable_within(&wfa, 2).unwrap();
-        assert_eq!(reachable.state_count(), 2);
-        let a = Word::from_symbols([Symbol::intern("a")]);
-        assert_eq!(reachable.coefficient(&a), 2);
-        assert_eq!(wfa.coefficient(&a), 2);
-        let err = reachable_within(&wfa, 1).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("restriction product exceeded 1 states"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn a_dfa_that_never_accepts_gives_the_empty_product() {
         let never = restrict_within(&rational_wfa("a* b"), &only_b(), |_| false, 100).unwrap();
         assert_eq!(never.state_count(), 0);
@@ -1353,6 +1199,42 @@ mod tests {
             let bits = coefficient_bound_bits(&wfa, &Table::of(&wfa));
             assert_eq!(wfa.coefficient(&Word::from_symbols([])), big);
             assert!(bits >= 61, "{big} > 2^{bits}");
+        }
+    }
+
+    #[test]
+    fn a_bound_past_the_f64_range_falls_back_to_the_row_sums() {
+        // A chain 0 → 1 → … → 11 on `a` with every edge weight 2^100 + 1:
+        // `U₁₁` is about 2^1100 at state 11, past the `f64` range. State
+        // 11 ends the overflowing path; with final weight 0 its infinite
+        // entry meets that weight as NaN, with final weight 1 as `∞`.
+        let n = 12;
+        let a = Symbol::intern("a");
+        let chain = |last: i64| {
+            let mut m = SparseMatrix::new(n);
+            for i in 0..n {
+                let edge = (i + 1 < n).then(|| (i + 1, BigInt::from((1i128 << 100) + 1)));
+                m.push_row(edge);
+            }
+            let mut initial = vec![BigInt::zero(); n];
+            initial[0] = BigInt::one();
+            let mut final_weights = vec![BigInt::one(); n];
+            final_weights[n - 1] = BigInt::from(last);
+            Wfa::new(n, initial, final_weights, BTreeMap::from([(a, m)]))
+        };
+        for last in [0, 1] {
+            let wfa = chain(last);
+            let table = Table::of(&wfa);
+            assert_eq!(vector_bound_bits(&wfa, &table), None, "final weight {last}");
+            let bits = coefficient_bound_bits(&wfa, &table);
+            assert_eq!(bits, bound_bits(&wfa));
+            let largest = (0..n)
+                .map(|k| wfa.coefficient(&Word::from_symbols(vec![a; k])).bit_len() as u64)
+                .max()
+                .unwrap();
+            // a¹⁰ has coefficient (2^100 + 1)^10, of 1001 bits.
+            assert!(largest >= 1001);
+            assert!(bits >= largest, "{bits} < {largest} bits");
         }
     }
 

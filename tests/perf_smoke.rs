@@ -18,12 +18,12 @@
 //! pair — five qubits, four loop nests of depth four side by side,
 //! against the unrolling of every innermost loop — must hold in under
 //! 80 ms (about 4 ms in release on the same container; 16–21 ms with
-//! the restriction product and the row-sum zeroness bound, about 150 ms
-//! with the exact `BigRational` zeroness pass). The same shape with
-//! twelve nests must hold in under 200 ms (about 40 ms; 0.3–0.5 s
+//! the `2n`-state ∞-support NFA and the row-sum zeroness bound, about
+//! 150 ms with the exact `BigRational` zeroness pass). The same shape
+//! with twelve nests must hold in under 200 ms (about 40 ms; 0.3–0.5 s
 //! before), and the unary `(a³⁴)* (a³³)* = (a³³)* (a³⁴)*` in under
 //! 100 ms (about 1 ms; 50 s before): neither pair has an `∞` weight, so
-//! both skip the restriction product.
+//! both are restricted to the one-state empty ∞-support DFA.
 //!
 //! Parsing has its own gate: once the process-wide gate table holds the
 //! wide pair's entries, parsing the pair again must take under 2 ms
@@ -245,9 +245,10 @@ fn wide_loop_nest_unrolling_decides_on_the_generic_path_under_80_millis() {
 }
 
 /// The larger wide gate: twelve depth-four nests side by side. Neither
-/// side has an `∞` weight, so the pair skips the restriction product,
-/// and the zeroness pass covers the vector coefficient bound, not the
-/// row-sum one (69 primes before, on the product, about 0.3–0.4 s).
+/// side has an `∞` weight, so the pair is restricted to the one-state
+/// empty ∞-support DFA, and the zeroness pass covers the vector
+/// coefficient bound, not the row-sum one (69 primes before, on a
+/// larger product, about 0.3–0.4 s).
 #[test]
 fn twelve_wide_nests_unrolled_decide_on_the_generic_path_under_200_millis() {
     let query =
@@ -288,9 +289,9 @@ fn twelve_wide_nests_unrolled_decide_on_the_generic_path_under_200_millis() {
 
 /// The unary gate: `(a³⁴)* (a³³)* = (a³³)* (a³⁴)*` holds, and no weight
 /// is `∞`. Restricting its 276-state difference automaton to the
-/// complement of the empty ∞-support ran about 50 s, most of it in
-/// zeroness over the product; the reachable difference answers in about
-/// a millisecond.
+/// complement of the empty ∞-support through the DFA of the `2n`-state
+/// support NFA ran about 50 s, most of it in zeroness over the product;
+/// against the one-state DFA it answers in about a millisecond.
 #[test]
 fn unary_star_swap_pair_holds_under_100_millis() {
     let a = |n: usize| vec!["a"; n].join(" ");

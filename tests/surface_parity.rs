@@ -114,8 +114,9 @@ fn hostile_lines() -> Vec<u8> {
     line(format!("{{\"op\":\"ka_eq\",\"lhs\":\"({chain})*\",\"rhs\":\"a*\"}}").as_bytes());
     line(format!("{{\"op\":\"series\",\"expr\":\"{chain}\",\"max_len\":3}}").as_bytes());
     // `(a⁴⁰)* (a³⁹)* = (a³⁹)* (a⁴⁰)*` holds and has no `∞` weight.
-    // Restricting it to the complement of its empty ∞-support needed a
-    // 137,602-state product, past the default budget.
+    // Restricting it to the complement of its empty ∞-support through
+    // the DFA of the `2n`-state support NFA needed a 137,602-state
+    // product, past the default budget.
     let a = |n: usize| vec!["a"; n].join(" ");
     line(format!("({})* ({})* = ({})* ({})*", a(40), a(39), a(39), a(40)).as_bytes());
     line(b"1 + p p* = p*");
