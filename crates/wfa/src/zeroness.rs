@@ -12,12 +12,12 @@
 //!
 //! # Exact multi-modular zeroness
 //!
-//! The decision procedure needs zeroness only of the difference
-//! automaton outside the ∞-support, whose weights are integers: finite
-//! `N̄` path counts, with the subtracted side's final weights negated.
-//! Its series is `Z`-valued, and the basis runs over the fields `F_p`
-//! with machine words instead of over `Q` with big integers. This is
-//! deterministic and exact, not a randomized identity test:
+//! The decision procedure needs zeroness only of the restricted
+//! difference automaton, whose weights are integers: finite `N̄` path
+//! counts, with the subtracted side's final weights negated. Its series
+//! is `Z`-valued, and the basis runs over the fields `F_p` with machine
+//! words instead of over `Q` with big integers. This is deterministic
+//! and exact, not a randomized identity test:
 //!
 //! * a `Z`-series that is zero is zero modulo every prime;
 //! * a non-zero one has a non-zero coefficient on some word of length

@@ -17,10 +17,10 @@
 //! container; the dense product it replaced took 90–130 ms). A wide
 //! pair — five qubits, four loop nests of depth four side by side,
 //! against the unrolling of every innermost loop — must hold in under
-//! 80 ms (about 4 ms in release on the same container; 16–21 ms with
+//! 80 ms (about 6 ms in release on the same container; 16–21 ms with
 //! the `2n`-state ∞-support NFA and the row-sum zeroness bound, about
 //! 150 ms with the exact `BigRational` zeroness pass). The same shape
-//! with twelve nests must hold in under 200 ms (about 40 ms; 0.3–0.5 s
+//! with twelve nests must hold in under 200 ms (about 45 ms; 0.3–0.5 s
 //! before), and the unary `(a³⁴)* (a³³)* = (a³³)* (a³⁴)*` in under
 //! 100 ms (about 1 ms; 50 s before): neither pair has an `∞` weight, so
 //! both are restricted to the one-state empty ∞-support DFA.
