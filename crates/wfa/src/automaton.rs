@@ -15,15 +15,15 @@ use std::collections::{BTreeMap, BTreeSet};
 /// # Examples
 ///
 /// ```
-/// use nka_wfa::thompson;
+/// use nka_wfa::position::position_automaton;
 /// use nka_syntax::{Expr, Symbol, Word};
 /// use nka_semiring::ExtNat;
 ///
 /// let e: Expr = "a a + a a".parse()?;
-/// let wfa = thompson(&e).eliminate_epsilon();
+/// let wfa = position_automaton(&e)?;
 /// let aa = Word::from_symbols([Symbol::intern("a"), Symbol::intern("a")]);
 /// assert_eq!(wfa.coefficient(&aa), ExtNat::from(2u64));
-/// # Ok::<(), nka_syntax::ParseExprError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Wfa<S> {
@@ -195,9 +195,9 @@ impl Wfa<ExtNat> {
     /// On any word *outside* the ∞-support this recognizes exactly the same
     /// (finite) coefficient: a path through an `∞` weight on such a word
     /// must also cross a zero weight, so it contributed nothing anyway.
-    /// The decision engine embeds into `i128`, whose difference
-    /// automaton goes to the modular zeroness kernel with no rational
-    /// arithmetic.
+    /// The decision engine reads its automata's weights this way, into
+    /// `i128`, as it builds the restriction product, without building
+    /// the finite part.
     pub fn finite_part<T: Semiring + From<u64>>(&self) -> Wfa<T> {
         let conv = |w: &ExtNat| T::from(w.finite().unwrap_or(0));
         let initial = self.initial.iter().map(conv).collect();

@@ -36,7 +36,7 @@ impl DecideError {
         }
     }
 
-    /// A finite path count of ε-elimination exceeded `u64::MAX`.
+    /// A finite weight of a compiled automaton exceeded `u64::MAX`.
     pub(crate) fn count_overflow() -> DecideError {
         DecideError {
             cause: Cause::CountOverflow,

@@ -8,7 +8,7 @@
 //! ([`DecideOptions`]) and memoizes every expensive intermediate across
 //! queries:
 //!
-//! * compiled ε-free automata (Thompson + ε-elimination) per expression;
+//! * compiled position automata per expression;
 //! * determinized ∞-support and support DFAs per (expression, alphabet);
 //! * final verdicts per unordered query pair.
 //!
@@ -55,8 +55,8 @@ use crate::automaton::Wfa;
 use crate::decide::{DecideError, DecideOptions};
 use crate::ka::support_nfa;
 use crate::nfa::Dfa;
+use crate::position::position_automaton;
 use crate::starfree::{self, PrefixOutcome, WordMultiset};
-use crate::thompson::thompson;
 use crate::zeroness::{is_zero_integer, restrict_within};
 use nka_semiring::ExtNat;
 use nka_syntax::{Expr, ExprId, Symbol};
@@ -83,7 +83,7 @@ nka_syntax::counter_table! {
         pub answer_hits: u64,
         /// Expression compilations served from the automaton cache.
         pub compile_hits: u64,
-        /// Expressions compiled fresh (Thompson + ε-elimination).
+        /// Expressions compiled fresh (position automaton).
         pub compile_misses: u64,
         /// Determinizations served from the DFA cache.
         pub dfa_hits: u64,
@@ -329,9 +329,10 @@ impl Decider {
         }
     }
 
-    /// The generic automaton pipeline (Thompson → ε-elimination →
-    /// ∞-support DFAs → exact modular zeroness), shared by every query
-    /// the fast path does not answer.
+    /// The generic automaton pipeline (position automata → ∞-support
+    /// DFAs → one restriction product of both automata → exact modular
+    /// zeroness, first prime first), shared by every query the fast path
+    /// does not answer.
     fn decide_generic(&mut self, e: &Expr, f: &Expr) -> Result<bool, DecideError> {
         let alphabet = shared_alphabet(e, f);
         // Step 1: the ∞-supports must coincide as regular languages. A
@@ -345,12 +346,19 @@ impl Decider {
         // Step 2: the finite parts must agree outside the ∞-support.
         let ce = self.compile(e)?;
         let cf = self.compile(f)?;
-        // Path counts with the right side's final weights negated.
-        let diff = ce
-            .finite_part::<i128>()
-            .difference(&cf.finite_part(), |w| -w);
+        // Path counts, `∞` read as 0, with the right side's final weights
+        // negated: one product of both automata with the complement of
+        // the support.
+        let finite = |w: &ExtNat| w.finite().map_or(0, i128::from);
         let outside_support = |s| !de.is_accepting(s);
-        let restricted = restrict_within(&diff, &de, outside_support, self.opts.max_dfa_states)?;
+        let restricted = restrict_within(
+            &ce,
+            Some(&cf),
+            finite,
+            &de,
+            outside_support,
+            self.opts.max_dfa_states,
+        )?;
         Ok(is_zero_integer(&restricted))
     }
 
@@ -492,14 +500,14 @@ impl Decider {
         self.restored_entries
     }
 
-    /// The compiled ε-free automaton of `e`, memoized.
+    /// The position automaton of `e`, memoized.
     fn compile(&mut self, e: &Expr) -> Result<Arc<Wfa<ExtNat>>, DecideError> {
         if let Some(hit) = self.exprs.get(&e.id()) {
             self.stats.compile_hits += 1;
             return Ok(Arc::clone(hit));
         }
         self.stats.compile_misses += 1;
-        let compiled = Arc::new(thompson(e).eliminate_epsilon_checked()?);
+        let compiled = Arc::new(position_automaton(e)?);
         if e.id().is_scratch() {
             self.note_scratch_key();
         }
@@ -588,6 +596,8 @@ fn pair_key(e: &Expr, f: &Expr) -> (ExprId, ExprId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thompson::thompson;
+    use crate::zeroness::Table;
     use nka_syntax::{random_expr, ExprGenConfig};
     use proptest::prelude::*;
 
@@ -617,7 +627,7 @@ mod tests {
             .eliminate_epsilon()
             .finite_part::<i128>()
             .difference(&thompson(&r).eliminate_epsilon().finite_part(), |w| -w);
-        assert!(!is_zero_integer(&diff));
+        assert!(!is_zero_integer(&Table::of(&diff)));
         // Outside the support the restricted path still refutes.
         assert!(!engine.decide(&e("1* a + b"), &e("1* a + b b")).unwrap());
         // Unequal non-empty supports refute before any finite part.
@@ -1081,12 +1091,12 @@ mod tests {
             let support = wl.infinity_support().determinize(&alphabet, 10).unwrap();
             prop_assert!(support.is_empty_language());
             prop_assert_eq!(support.state_count(), 1);
-            let product = restrict_within(&diff, &support, |s| !support.is_accepting(s), usize::MAX).unwrap();
-            prop_assert!(product.state_count() <= diff.state_count());
+            let product = restrict_within(&diff, None, |w| *w, &support, |s| !support.is_accepting(s), usize::MAX).unwrap();
+            prop_assert!(product.states() <= diff.state_count());
             let verdict = is_zero_integer(&product);
-            prop_assert_eq!(is_zero_integer(&diff), verdict, "{} vs {}", l, r);
+            prop_assert_eq!(is_zero_integer(&Table::of(&diff)), verdict, "{} vs {}", l, r);
             let every_word = support_nfa(&wl).determinize(&alphabet, 10_000).unwrap();
-            let wide = restrict_within(&diff, &every_word, |_| true, usize::MAX).unwrap();
+            let wide = restrict_within(&diff, None, |w| *w, &every_word, |_| true, usize::MAX).unwrap();
             prop_assert_eq!(is_zero_integer(&wide), verdict, "{} vs {}", l, r);
             let mut engine = Decider::with_options(DecideOptions {
                 starfree_max_words: 0,

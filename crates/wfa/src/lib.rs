@@ -4,15 +4,17 @@
 //! By Theorem A.6, `⊢NKA e = f` iff the rational power series `{{e}}` and
 //! `{{f}}` over `N̄ = N ∪ {∞}` coincide. This crate decides that equality:
 //!
-//! 1. **Thompson construction** ([`thompson()`]): expression → ε-WFA over `N̄`
-//!    whose path weights sum to the series coefficients (with multiplicity —
-//!    this is where non-idempotence lives).
-//! 2. **ε-elimination** ([`EpsWfa::eliminate_epsilon`]): each closure row
-//!    the result needs is an ε-path count on the sparse ε-graph in Kahn's
-//!    topological order, with `∞` on and below ε-cycles (the `N̄` star
-//!    `n* = ∞`), pushed straight into the sparse rows of an ε-free [`Wfa`].
-//!    A finite path count past `u64` is an error, never a silent `∞`.
-//! 3. **∞-support** ([`Wfa::infinity_support`]): the words with coefficient
+//! 1. **Position automaton** ([`position::position_automaton`]):
+//!    expression → ε-free [`Wfa`] over `N̄` whose path weights sum to the
+//!    series coefficients (with multiplicity — this is where
+//!    non-idempotence lives). It is the weighted Glushkov construction: a
+//!    start state plus one state per atom occurrence, weighted by the
+//!    subterms' constant terms and first, last and follow weights, with
+//!    `c* = ∞` for a starred body of constant term `c ≥ 1` (the `N̄` star).
+//!    A finite weight past `u64` is an error, never a silent `∞`. The
+//!    Thompson construction with ε-elimination ([`thompson()`]) builds the
+//!    same series and is kept as the reference it is tested against.
+//! 2. **∞-support** ([`Wfa::infinity_support`]): the words with coefficient
 //!    `∞` form a regular language (a word has finitely many accepting paths
 //!    in an ε-free automaton, so its coefficient is `∞` iff some accepting
 //!    path crosses an `∞` weight); supports are compared as DFAs. An
@@ -20,23 +22,25 @@
 //!    starred body of one is nullable — has the empty NFA, whose subset
 //!    construction is the one-state DFA accepting nothing; a pair with
 //!    one such side is then an emptiness test of the other's support.
-//! 4. **Finite part** ([`Wfa::finite_part`] + [`zeroness`]): with `∞`
-//!    edges removed, the automaton is N-weighted; the difference automaton
-//!    (path counts, with the right side's final weights negated) is
-//!    `Z`-weighted. It is restricted to the complement of the ∞-support
-//!    and tested for zeroness with the forward-basis (Tzeng/Schützenberger)
-//!    algorithm **modulo primes** below `2^61`, exactly: a non-zero series
-//!    has a non-zero coefficient on a word shorter than the state count
-//!    `n`, of magnitude at most the vector bound
-//!    `B = max_{k<n} Uₖ·|φ|` with `U₀ = |ι|` and `Uₖ₊₁ = maxₐ Uₖ·|Mₐ|`
-//!    (componentwise), so primes whose product exceeds `B` cannot all
-//!    miss it. The restriction product is built on the fly: a
-//!    breadth-first search creates a (difference state, DFA state) pair
-//!    only when a non-zero edge reaches it and the DFA can still accept
-//!    from it, so only reachable pairs exist, each counted against the
-//!    state budget; against the one-state empty DFA these are the
-//!    difference automaton's reachable states. The basis pass multiplies
-//!    sparse basis rows by the sparse transition rows.
+//! 3. **Finite part** ([`zeroness`]): with `∞` weights read as 0, each
+//!    automaton is N-weighted, and their difference (path counts, with
+//!    the right side's final weights negated) is `Z`-weighted. One pass
+//!    builds it already restricted to the complement of the ∞-support: a
+//!    breadth-first search over the two automata read as one disjoint
+//!    union creates a (state, DFA state) pair only when a non-zero edge
+//!    reaches it and the DFA can still accept from it, so only reachable
+//!    pairs exist, each counted against the state budget, and writes
+//!    their rows straight into the zeroness kernel's table; against the
+//!    one-state empty DFA these are the difference's reachable states.
+//!    Zeroness is the forward-basis (Tzeng/Schützenberger) algorithm
+//!    **modulo primes** below `2^61`, exactly: a non-zero series has a
+//!    non-zero coefficient on a word shorter than the state count `n`, of
+//!    magnitude at most the vector bound `B = max_{k<n} Uₖ·|φ|` with
+//!    `U₀ = |ι|` and `Uₖ₊₁ = maxₐ Uₖ·|Mₐ|` (componentwise), so primes
+//!    whose product exceeds `B` cannot all miss it. The first prime runs
+//!    before `B` is computed, so a refuted pair never computes it. The
+//!    basis pass multiplies sparse basis rows by the sparse transition
+//!    rows.
 //!
 //! **Star-free** pairs — loop-free program encodings — never reach this
 //! pipeline: their series have finite support and finite coefficients, so
@@ -71,6 +75,7 @@ pub mod engine;
 pub mod ka;
 pub mod matrix;
 pub mod nfa;
+pub mod position;
 pub mod starfree;
 pub mod thompson;
 pub mod zeroness;

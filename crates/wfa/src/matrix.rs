@@ -1,16 +1,17 @@
 //! Matrices and vectors over an arbitrary semiring.
 //!
 //! Automaton transitions are stored as [`SparseMatrix`]: per row, the
-//! non-zero `(column, weight)` entries. Thompson automata have a handful
-//! of non-zero entries per row, and the restriction product of the
-//! decision procedure reaches only a small fraction of its `n·d` state
-//! pairs, so every pass over a transition matrix — series coefficients,
-//! support NFAs, the difference and restriction automata, the zeroness
-//! basis — costs time in its non-zero entries, not in `n²`.
+//! non-zero `(column, weight)` entries. A position automaton's row holds
+//! the positions that can follow one atom occurrence, usually a handful,
+//! so every pass over a transition matrix — series coefficients, support
+//! NFAs, the restriction product — costs time in its non-zero entries,
+//! not in `n²`. The zeroness kernel reads the restriction product in its
+//! own compressed table, which that product writes directly.
 //!
-//! No transition matrix is ever dense: ε-elimination counts paths on the
-//! sparse ε-graph and pushes each closure row straight into a
-//! [`SparseMatrix`].
+//! No transition matrix is ever dense: the position automaton pushes each
+//! row's follow weights straight into a [`SparseMatrix`], and so does
+//! the reference construction, ε-elimination, with each closure row it
+//! counts on the sparse ε-graph.
 
 use nka_semiring::Semiring;
 
@@ -20,9 +21,8 @@ use nka_semiring::Semiring;
 /// zero.
 ///
 /// Rows are appended in order with [`SparseMatrix::push_row`], which is
-/// how every producer in this crate builds them: ε-elimination row by
-/// row, and the restriction product in the order its breadth-first
-/// search discovers states.
+/// how every producer in this crate builds them, row by row in state
+/// order.
 ///
 /// # Examples
 ///

@@ -1,4 +1,11 @@
-//! Thompson construction: expression → ε-WFA over `N̄`.
+//! Thompson construction: expression → ε-WFA over `N̄`, and
+//! ε-elimination.
+//!
+//! This is the reference construction. The engine compiles expressions
+//! to position automata ([`crate::position`]), which recognize the same
+//! series without the states that only ε-edges leave; this module stays
+//! as the oracle they are tested against, and for the benchmark's replay
+//! of the decision pipeline.
 //!
 //! The construction is the classical one, read *quantitatively*: the series
 //! recognized by the automaton assigns to each word the (possibly infinite)

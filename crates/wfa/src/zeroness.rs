@@ -1,14 +1,14 @@
 //! Zeroness of integer- and rational-weighted automata (Tzeng /
 //! Schützenberger forward basis, run modulo primes), and the restriction
-//! of an automaton to a regular language.
+//! of an automaton, or of the difference of two, to a regular language.
 //!
 //! An automaton recognizes the zero series iff the final vector is
 //! orthogonal to the *reachable row space* `span{ ι^T·M_w : w ∈ Σ* }`. The
 //! forward-basis algorithm computes that span in at most `n` extensions
 //! (its dimension is bounded by the state count `n`), so zeroness is
 //! decided in polynomial time. Basis rows are kept sparse, and each
-//! extension multiplies one of them by a sparse transition matrix, so
-//! the pass costs time in non-zero entries.
+//! extension multiplies one of them by a sparse transition row, so the
+//! pass costs time in non-zero entries.
 //!
 //! # Exact multi-modular zeroness
 //!
@@ -33,20 +33,24 @@
 //! `w`, `|ι·M_w| ≤ U_|w|` componentwise, so every coefficient of a word
 //! `w` shorter than `n` is at most `U_|w|·|φ| ≤ B`. It is computed in
 //! `f64`, each sum scaled up past its rounding error
-//! (`vector_bound_bits`). Where the old row-sum bound `‖ι‖₁ · R^(n−1) · ‖φ‖∞` (`R` the largest absolute
-//! row sum) charged every step the worst row of any symbol, this one
-//! follows the vector: on path-count automata it is usually a few bits
-//! instead of hundreds. The row-sum bound, computed in integers,
-//! remains the fallback if the vector overflows `f64`.
+//! (`vector_bound_bits`). Where the row-sum bound `‖ι‖₁ · R^(n−1) · ‖φ‖∞`
+//! (`R` the largest absolute row sum) charges every step the worst row
+//! of any symbol, this one follows the vector: on path-count automata it
+//! is usually a few bits instead of hundreds. The row-sum bound,
+//! computed in integers, remains the fallback if the vector overflows
+//! `f64`.
 //!
-//! Both the bound and the basis read one table of the transitions,
-//! built once per call; each prime only reduces its weights. The
-//! primes are the largest ones below `2^61`: a `const` table covers
-//! bounds of up to 3840 bits, and further primes are found downward by
-//! deterministic Miller–Rabin and memoized for the process. The kernel
-//! answers *not zero* at the first prime that finds a non-zero
-//! coefficient, and *zero* only after all of them. Rational weights
-//! (the public [`is_zero_series`]) first have their denominators
+//! The kernel reads one compressed table of the transitions (`Table`),
+//! which the restriction product writes directly; each prime only
+//! reduces its weights. The primes are the largest ones below `2^61`: a
+//! `const` table covers bounds of up to 3840 bits, and further primes
+//! are found downward by deterministic Miller–Rabin and memoized for the
+//! process. The first prime runs before the bound is computed: a
+//! non-zero coefficient it finds answers *not zero* at once, so a
+//! refuted pair never pays for the bound's `n` steps. Only a series
+//! that is zero modulo the first prime computes the bound, runs the
+//! remaining primes, and answers *zero* after all of them. Rational
+//! weights (the public [`is_zero_series`]) first have their denominators
 //! cleared: `ι`, `φ` and each `M_a` are scaled by the LCM of their own
 //! denominators, which multiplies every word's coefficient by a non-zero
 //! constant.
@@ -55,15 +59,20 @@
 //!
 //! The decision procedure tests zeroness only outside the ∞-support, on
 //! the product of the difference automaton with a DFA. That product is
-//! built on the fly ([`restrict_to_language`]): a breadth-first search
-//! from the initial states creates a state pair `(q, s)` only when a
-//! non-zero edge reaches it, and never enters a DFA state from which no
-//! accepting state can be reached. Out of the `n·d` pairs only the
-//! reachable ones exist, and the engine charges each one against its
-//! state budget. When the ∞-support is empty — always, for a pair with
-//! no `∞` weight, such as every program encoding — its DFA is the
-//! one-state DFA that accepts nothing, and the product is just the part
-//! of the difference automaton reachable through non-zero edges.
+//! built on the fly, in one pass (`restrict_within`): the two compiled
+//! `N̄` automata are read as one disjoint union, each weight is mapped as
+//! it is read (`∞` to 0, and the right side's final weights negated), and
+//! a breadth-first search from the initial states creates a state pair
+//! `(q, s)` only when a non-zero edge reaches it, never entering a DFA
+//! state from which no accepting state can be reached. Out of the `n·d`
+//! pairs only the reachable ones exist, indexed by a hash of their
+//! numbers, and the engine charges each one against its state budget.
+//! Each discovered state's rows go straight into the kernel's table. When
+//! the ∞-support is empty — always, for a pair with no `∞` weight, such
+//! as every program encoding — its DFA is the one-state DFA that accepts
+//! nothing, and the product is just the part of the difference automaton
+//! reachable through non-zero edges. The public [`restrict_to_language`]
+//! is the same pass over one automaton, with no negation.
 
 use crate::automaton::Wfa;
 use crate::decide::DecideError;
@@ -72,8 +81,10 @@ use crate::nfa::Dfa;
 use nka_semiring::{BigInt, BigRational, Semiring};
 use nka_syntax::Symbol;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::ops::Range;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BinaryHeap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Neg, Range};
 use std::sync::{Mutex, PoisonError};
 
 /// An exact integer weight, as the modular kernel reads it: through its
@@ -114,6 +125,108 @@ impl IntegerWeight for BigInt {
     }
 }
 
+/// A weighted automaton in the compressed form the zeroness kernel
+/// reads: the non-zero entries of state `i` under the `m`-th symbol are
+/// the indices `row(i, m)` into `columns` and `weights`, and the rows lie
+/// state by state, each state's symbols in order — the order in which
+/// the restriction product discovers and expands its states.
+pub(crate) struct Table<W> {
+    symbols: Vec<Symbol>,
+    /// The non-zero initial weights, by state.
+    initial: Vec<(usize, W)>,
+    final_weights: Vec<W>,
+    /// Row `(i, m)` is `starts[i·k + m]..starts[i·k + m + 1]`, for `k`
+    /// symbols.
+    starts: Vec<usize>,
+    columns: Vec<usize>,
+    weights: Vec<W>,
+}
+
+impl<W: Semiring> Table<W> {
+    /// The table of `wfa`'s transitions.
+    pub(crate) fn of(wfa: &Wfa<W>) -> Table<W> {
+        let matrices: Vec<(Symbol, &SparseMatrix<W>)> = wfa
+            .symbols()
+            .filter_map(|sym| Some((sym, wfa.transition(sym)?)))
+            .collect();
+        let mut table = Table {
+            symbols: matrices.iter().map(|&(sym, _)| sym).collect(),
+            initial: sparse(wfa.initial()),
+            final_weights: wfa.final_weights().to_vec(),
+            starts: vec![0],
+            columns: Vec::new(),
+            weights: Vec::new(),
+        };
+        for i in 0..wfa.state_count() {
+            for (_, m) in &matrices {
+                for (j, w) in m.row(i) {
+                    table.columns.push(*j);
+                    table.weights.push(w.clone());
+                }
+                table.starts.push(table.columns.len());
+            }
+        }
+        table
+    }
+
+    /// The same automaton as a [`Wfa`].
+    pub(crate) fn into_wfa(self) -> Wfa<W> {
+        let n = self.states();
+        let mut initial = vec![W::zero(); n];
+        for (q, w) in &self.initial {
+            initial[*q] = w.clone();
+        }
+        let transitions = self
+            .symbols
+            .iter()
+            .enumerate()
+            .map(|(m, &sym)| {
+                let mut matrix = SparseMatrix::new(n);
+                for i in 0..n {
+                    matrix.push_row(
+                        self.row(i, m)
+                            .map(|e| (self.columns[e], self.weights[e].clone())),
+                    );
+                }
+                (sym, matrix)
+            })
+            .collect();
+        Wfa::new(n, initial, self.final_weights, transitions)
+    }
+}
+
+impl<W> Table<W> {
+    /// Number of states.
+    pub(crate) fn states(&self) -> usize {
+        self.final_weights.len()
+    }
+
+    /// The entry indices of state `i` under the `m`-th symbol.
+    fn row(&self, i: usize, m: usize) -> Range<usize> {
+        let k = i * self.symbols.len() + m;
+        self.starts[k]..self.starts[k + 1]
+    }
+
+    /// Every entry as `(symbol, source, entry)`, grouped by symbol, so
+    /// that a pass over one symbol's entries skips its empty rows.
+    fn entries_by_symbol(&self) -> Vec<(usize, usize, usize)> {
+        (0..self.symbols.len())
+            .flat_map(|m| {
+                (0..self.states()).flat_map(move |i| self.row(i, m).map(move |e| (m, i, e)))
+            })
+            .collect()
+    }
+}
+
+/// The non-zero entries of a dense vector.
+fn sparse<W: Semiring>(v: &[W]) -> Vec<(usize, W)> {
+    v.iter()
+        .enumerate()
+        .filter(|(_, w)| !w.is_zero())
+        .map(|(q, w)| (q, w.clone()))
+        .collect()
+}
+
 /// The least `b` with `x ≤ 2^b`.
 fn ceil_log2(x: u128) -> u64 {
     if x <= 1 {
@@ -140,21 +253,21 @@ fn log2_norm<'a, W: IntegerWeight + 'a>(weights: impl IntoIterator<Item = &'a W>
 /// coefficient of a word shorter than the state count has magnitude at
 /// most `2^bound_bits`. Looser than the vector bound, but computed in
 /// integers, so it is the fallback when that one overflows `f64`.
-fn bound_bits<W: IntegerWeight>(wfa: &Wfa<W>) -> u64 {
-    let row_sums = wfa
-        .symbols()
-        .filter_map(|sym| wfa.transition(sym))
-        .flat_map(|m| (0..m.rows()).map(move |i| log2_norm(m.row(i).iter().map(|(_, w)| w))))
+fn bound_bits<W: IntegerWeight>(table: &Table<W>) -> u64 {
+    let row_sums = table
+        .starts
+        .windows(2)
+        .map(|row| log2_norm(&table.weights[row[0]..row[1]]))
         .max()
         .unwrap_or(0);
-    let final_max = wfa
-        .final_weights()
+    let final_max = table
+        .final_weights
         .iter()
         .map(|w| log2_norm([w]))
         .max()
         .unwrap_or(0);
-    let steps = wfa.state_count().saturating_sub(1) as u64;
-    log2_norm(wfa.initial())
+    let steps = table.states().saturating_sub(1) as u64;
+    log2_norm(table.initial.iter().map(|(_, w)| w))
         .saturating_add(steps.saturating_mul(row_sums))
         .saturating_add(final_max)
 }
@@ -181,29 +294,29 @@ fn ceil_log2_f64(x: f64) -> u64 {
 /// `up` exceeds `(1 − 2^−53)^−(n+2)`; so no computed entry is below the
 /// exact one, and by monotonicity no computed `Uₖ` is below the exact
 /// one.
-fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option<u64> {
-    let n = wfa.state_count();
+fn vector_bound_bits<W: IntegerWeight>(table: &Table<W>) -> Option<u64> {
+    let n = table.states();
     let up = 1.0 + (n as f64 + 3.0) * 2.0 * f64::EPSILON;
     // `u64` to `f64` is one instruction, `u128` to `f64` a library call.
     let magnitude = |w: &W| {
         w.magnitude()
             .map(|m| u64::try_from(m).map_or(m as f64, |m| m as f64))
     };
-    let weights = table
-        .weights
+    // (symbol, source, column, |weight|), grouped by symbol.
+    let entries = table
+        .entries_by_symbol()
+        .into_iter()
+        .map(|(m, i, e)| Some((m, i, table.columns[e], magnitude(&table.weights[e])?)))
+        .collect::<Option<Vec<(usize, usize, usize, f64)>>>()?;
+    let phi = table
+        .final_weights
         .iter()
         .map(magnitude)
         .collect::<Option<Vec<f64>>>()?;
-    let phi = wfa
-        .final_weights()
-        .iter()
-        .map(magnitude)
-        .collect::<Option<Vec<f64>>>()?;
-    let mut u = wfa
-        .initial()
-        .iter()
-        .map(|x| Some(magnitude(x)? * up))
-        .collect::<Option<Vec<f64>>>()?;
+    let mut u = vec![0.0; n];
+    for (q, w) in &table.initial {
+        u[*q] = magnitude(w)? * up;
+    }
     let (mut next, mut sum) = (vec![0.0; n], vec![0.0; n]);
     let mut touched = Vec::new();
     let mut bound: f64 = 0.0;
@@ -219,13 +332,12 @@ fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option
             break;
         }
         next.fill(0.0);
-        for m in 0..table.symbols {
-            for e in table.entries(m) {
-                let j = table.columns[e];
+        for by_symbol in entries.chunk_by(|x, y| x.0 == y.0) {
+            for &(_, i, j, w) in by_symbol {
                 if sum[j] == 0.0 {
                     touched.push(j);
                 }
-                sum[j] += u[table.sources[e]] * weights[e];
+                sum[j] += u[i] * w;
             }
             for j in touched.drain(..) {
                 next[j] = f64::max(next[j], std::mem::take(&mut sum[j]) * up);
@@ -236,12 +348,20 @@ fn vector_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> Option
     Some(ceil_log2_f64(bound))
 }
 
-/// The bit length of the coefficient bound the kernel covers with
-/// primes: the vector bound, or the row-sum bound if that overflows.
-fn coefficient_bound_bits<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>) -> u64 {
-    vector_bound_bits(wfa, table).unwrap_or_else(|| bound_bits(wfa))
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`coefficient_bound_bits`] on this thread, so that tests
+    /// can see which zeroness calls computed the bound.
+    static BOUND_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+/// The bit length of the coefficient bound the kernel covers with
+/// primes: the vector bound, or the row-sum bound if that overflows.
+fn coefficient_bound_bits<W: IntegerWeight>(table: &Table<W>) -> u64 {
+    #[cfg(test)]
+    BOUND_CALLS.with(|calls| calls.set(calls.get() + 1));
+    vector_bound_bits(table).unwrap_or_else(|| bound_bits(table))
+}
 /// Offsets `c` of the 64 largest primes `2^61 − c`, largest prime
 /// first. Each prime exceeds `2^60`, so `k` of them cover a bound of
 /// `60·k` bits.
@@ -377,60 +497,6 @@ impl Field {
     }
 }
 
-/// An automaton's transitions as one table of rows, built once per
-/// zeroness call: the non-zero entries of state `i` under the `m`-th
-/// symbol are the indices `row(i, m)` into `columns` and `weights`, and
-/// each symbol's rows lie together in state order. The coefficient
-/// bound and every prime's residues read it.
-struct Table<W> {
-    states: usize,
-    symbols: usize,
-    starts: Vec<usize>,
-    /// The row (source state) of each entry, so that the bound walks a
-    /// symbol's entries without visiting its empty rows.
-    sources: Vec<usize>,
-    columns: Vec<usize>,
-    weights: Vec<W>,
-}
-
-impl<W: IntegerWeight> Table<W> {
-    fn of(wfa: &Wfa<W>) -> Table<W> {
-        let mut table = Table {
-            states: wfa.state_count(),
-            symbols: 0,
-            starts: vec![0],
-            sources: Vec::new(),
-            columns: Vec::new(),
-            weights: Vec::new(),
-        };
-        for m in wfa.symbols().filter_map(|sym| wfa.transition(sym)) {
-            for i in 0..table.states {
-                for (j, w) in m.row(i) {
-                    table.sources.push(i);
-                    table.columns.push(*j);
-                    table.weights.push(w.clone());
-                }
-                table.starts.push(table.columns.len());
-            }
-            table.symbols += 1;
-        }
-        table
-    }
-}
-
-impl<W> Table<W> {
-    /// The entry indices of state `i` under the `m`-th symbol.
-    fn row(&self, i: usize, m: usize) -> Range<usize> {
-        let k = m * self.states + i;
-        self.starts[k]..self.starts[k + 1]
-    }
-
-    /// The entry indices of every row under the `m`-th symbol.
-    fn entries(&self, m: usize) -> Range<usize> {
-        self.starts[m * self.states]..self.starts[(m + 1) * self.states]
-    }
-}
-
 /// An automaton's weights reduced modulo one prime; `weights[e]` is the
 /// residue of the table's entry `e`.
 struct Residues {
@@ -440,16 +506,15 @@ struct Residues {
 }
 
 impl Residues {
-    fn of<W: IntegerWeight>(wfa: &Wfa<W>, table: &Table<W>, p: u64) -> Residues {
+    fn of<W: IntegerWeight>(table: &Table<W>, p: u64) -> Residues {
         Residues {
-            initial: wfa
-                .initial()
+            initial: table
+                .initial
                 .iter()
-                .enumerate()
-                .map(|(q, w)| (q, w.residue(p)))
+                .map(|(q, w)| (*q, w.residue(p)))
                 .filter(|&(_, x)| x != 0)
                 .collect(),
-            final_weights: wfa.final_weights().iter().map(|w| w.residue(p)).collect(),
+            final_weights: table.final_weights.iter().map(|w| w.residue(p)).collect(),
             weights: table.weights.iter().map(|w| w.residue(p)).collect(),
         }
     }
@@ -541,7 +606,7 @@ fn is_zero_mod<W>(table: &Table<W>, r: &Residues, f: Field) -> bool {
             pivot_row[row[0].0] = basis.len();
             basis.push(row);
             debug_assert!(basis.len() <= n, "basis larger than state count");
-            pending.extend((0..table.symbols).map(|m| (basis.len() - 1, m)));
+            pending.extend((0..table.symbols.len()).map(|m| (basis.len() - 1, m)));
         }
         let Some((b, m)) = pending.pop() else {
             return true;
@@ -557,19 +622,21 @@ fn is_zero_mod<W>(table: &Table<W>, r: &Residues, f: Field) -> bool {
     }
 }
 
-/// Decides whether the integer-weighted `wfa` recognizes the zero
-/// series: the forward basis modulo each of the primes that cover
-/// [`coefficient_bound_bits`], stopping at the first that finds a
-/// non-zero coefficient (see the [module docs](self)).
-pub(crate) fn is_zero_integer<W: IntegerWeight>(wfa: &Wfa<W>) -> bool {
-    let table = Table::of(wfa);
-    let primes = coefficient_bound_bits(wfa, &table)
-        .div_ceil(BITS_PER_PRIME)
-        .max(1);
-    (0..primes as usize).all(|i| {
+/// Decides whether the integer-weighted automaton `table` recognizes
+/// the zero series: the forward basis modulo the first prime, and only
+/// if that finds no non-zero coefficient, modulo each further prime up
+/// to those that cover [`coefficient_bound_bits`] (see the [module
+/// docs](self)).
+pub(crate) fn is_zero_integer<W: IntegerWeight>(table: &Table<W>) -> bool {
+    let zero_mod = |i: usize| {
         let f = Field::new(prime_offset(i));
-        is_zero_mod(&table, &Residues::of(wfa, &table, f.p), f)
-    })
+        is_zero_mod(table, &Residues::of(table, f.p), f)
+    };
+    if !zero_mod(0) {
+        return false;
+    }
+    let primes = coefficient_bound_bits(table).div_ceil(BITS_PER_PRIME);
+    (1..primes as usize).all(zero_mod)
 }
 
 /// `wfa` with `ι`, `φ` and each `M_a` scaled by the LCM of their own
@@ -636,7 +703,7 @@ fn clear_denominators(wfa: &Wfa<BigRational>) -> Wfa<BigInt> {
 /// # Ok::<(), nka_syntax::ParseExprError>(())
 /// ```
 pub fn is_zero_series(wfa: &Wfa<BigRational>) -> bool {
-    is_zero_integer(&clear_denominators(wfa))
+    is_zero_integer(&Table::of(&clear_denominators(wfa)))
 }
 
 /// Restricts `wfa` to the language of `dfa`: the product automaton
@@ -649,117 +716,164 @@ pub fn is_zero_series(wfa: &Wfa<BigRational>) -> bool {
 /// is not bounded here; the engine's own call charges them against its
 /// state budget.
 pub fn restrict_to_language(wfa: &Wfa<BigRational>, dfa: &Dfa) -> Wfa<BigRational> {
-    restrict_within(wfa, dfa, |s| dfa.is_accepting(s), usize::MAX)
-        .expect("an unbounded product cannot overflow its budget")
+    restrict_within(
+        wfa,
+        None,
+        BigRational::clone,
+        dfa,
+        |s| dfa.is_accepting(s),
+        usize::MAX,
+    )
+    .expect("an unbounded product cannot overflow its budget")
+    .into_wfa()
 }
 
-/// [`restrict_to_language`] with the DFA's acceptance read through
+/// The product of `left − right` (or of `left` alone) with `dfa`, as
+/// the kernel's table: [`restrict_to_language`] with the two automata
+/// read as one disjoint union, every weight mapped through `weight` as
+/// it is read (zeros dropped, so the engine maps `∞` to 0 here), the
+/// right side's final weights negated, the DFA's acceptance read through
 /// `accepting` (the engine passes the negation, restricting to the
-/// complement without building it) and at most `max_states` product
+/// complement without building it), and at most `max_states` product
 /// states.
 ///
 /// # Errors
 ///
 /// Returns [`DecideError`] if the product needs more than `max_states`
 /// states.
-pub(crate) fn restrict_within<S: Semiring>(
-    wfa: &Wfa<S>,
+pub(crate) fn restrict_within<S: Semiring, W: Semiring + Neg<Output = W>>(
+    left: &Wfa<S>,
+    right: Option<&Wfa<S>>,
+    weight: impl Fn(&S) -> W,
     dfa: &Dfa,
     accepting: impl Fn(usize) -> bool,
     max_states: usize,
-) -> Result<Wfa<S>, DecideError> {
+) -> Result<Table<W>, DecideError> {
+    // A state `q` of the union is `left`'s `q`, or `right`'s `q − split`.
+    let split = left.state_count();
+    // The last field indexes a move's pair of matrices.
+    let side = |q: usize| match right {
+        Some(r) if q >= split => (r, q - split, split, 1),
+        _ => (left, q, 0, 0),
+    };
     // Symbols the DFA's alphabet lacks have no product edges: words
     // using them are not in L(dfa).
-    let moves: Vec<(Symbol, usize, &SparseMatrix<S>)> = wfa
-        .symbols()
-        .filter_map(|sym| {
-            let ai = dfa.alphabet().iter().position(|&s| s == sym)?;
-            Some((sym, ai, wfa.transition(sym)?))
+    let moves: Vec<_> = dfa
+        .alphabet()
+        .iter()
+        .enumerate()
+        .filter_map(|(ai, &sym)| {
+            let matrices = [left.transition(sym), right.and_then(|r| r.transition(sym))];
+            matrices
+                .iter()
+                .any(Option::is_some)
+                .then_some((sym, ai, matrices))
         })
         .collect();
     let used: Vec<usize> = moves.iter().map(|&(_, ai, _)| ai).collect();
     let alive = co_reachable(dfa, &accepting, &used);
 
     let mut product = Product {
-        index: HashMap::new(),
+        index: HashMap::default(),
         pairs: Vec::new(),
+        dfa_states: dfa.state_count(),
         max_states,
     };
     let mut initial = Vec::new();
     if alive[0] {
-        for (q, w) in wfa.initial().iter().enumerate() {
-            if !w.is_zero() {
-                product.state((q, 0))?;
-                initial.push(w.clone());
-            }
-        }
-    }
-    // Breadth-first: state k is expanded k-th, so each symbol's rows are
-    // produced in state order.
-    let mut rows: Vec<Vec<Vec<(usize, S)>>> = vec![Vec::new(); moves.len()];
-    let mut next = 0;
-    while let Some(&(q, s)) = product.pairs.get(next) {
-        for (&(_, ai, m), rows) in moves.iter().zip(&mut rows) {
-            let s2 = dfa.step(s, ai);
-            let mut row = Vec::new();
-            if alive[s2] {
-                for (j, w) in m.row(q) {
-                    row.push((product.state((*j, s2))?, w.clone()));
+        for (part, offset) in std::iter::once((left, 0)).chain(right.map(|r| (r, split))) {
+            for (q, w) in part.initial().iter().enumerate() {
+                let x = weight(w);
+                if !x.is_zero() {
+                    initial.push((product.state(offset + q, 0)?, x));
                 }
             }
-            rows.push(row);
         }
+    }
+    let mut table = Table {
+        symbols: moves.iter().map(|&(sym, _, _)| sym).collect(),
+        initial,
+        final_weights: Vec::new(),
+        starts: vec![0],
+        columns: Vec::new(),
+        weights: Vec::new(),
+    };
+    // Breadth-first: state k is expanded k-th, so its rows come k-th.
+    let mut next = 0;
+    while let Some(&(q, s)) = product.pairs.get(next) {
+        let (part, local, offset, which) = side(q);
+        for (_, ai, matrices) in &moves {
+            let s2 = dfa.step(s, *ai);
+            if let (true, Some(m)) = (alive[s2], matrices[which]) {
+                for (j, w) in m.row(local) {
+                    let x = weight(w);
+                    if !x.is_zero() {
+                        table.columns.push(product.state(offset + j, s2)?);
+                        table.weights.push(x);
+                    }
+                }
+            }
+            table.starts.push(table.columns.len());
+        }
+        let phi = if accepting(s) {
+            weight(&part.final_weights()[local])
+        } else {
+            W::zero()
+        };
+        table
+            .final_weights
+            .push(if which == 1 { -phi } else { phi });
         next += 1;
     }
-
-    let k = product.pairs.len();
-    initial.resize(k, S::zero());
-    let final_weights = product
-        .pairs
-        .iter()
-        .map(|&(q, s)| {
-            if accepting(s) {
-                wfa.final_weights()[q].clone()
-            } else {
-                S::zero()
-            }
-        })
-        .collect();
-    let transitions: BTreeMap<Symbol, SparseMatrix<S>> = moves
-        .iter()
-        .zip(rows)
-        .map(|(&(sym, _, _), rows)| {
-            let mut m = SparseMatrix::new(k);
-            for row in rows {
-                m.push_row(row);
-            }
-            (sym, m)
-        })
-        .collect();
-    Ok(Wfa::new(k, initial, final_weights, transitions))
+    Ok(table)
 }
 
-/// The restriction product's states under construction: `(wfa state,
+/// Hashes a product state's number `q·d + s` with one multiplication.
+/// The keys are state numbers this module assigns, dense and small, not
+/// bytes from outside the program, so SipHash's protection against
+/// crafted collisions buys nothing here.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("product states hash as one u64");
+    }
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn finish(&self) -> u64 {
+        // The table's bucket comes from the low bits: give it the
+        // product's well-mixed middle ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The restriction product's states under construction: `(union state,
 /// dfa state)` pairs numbered in discovery order.
 struct Product {
-    index: HashMap<(usize, usize), usize>,
+    index: HashMap<u64, usize, BuildHasherDefault<PairHasher>>,
     pairs: Vec<(usize, usize)>,
+    dfa_states: usize,
     max_states: usize,
 }
 
 impl Product {
-    /// The number of `pair`, creating it if it is new.
-    fn state(&mut self, pair: (usize, usize)) -> Result<usize, DecideError> {
-        if let Some(&k) = self.index.get(&pair) {
-            return Ok(k);
-        }
-        if self.pairs.len() >= self.max_states {
-            return Err(DecideError::product_overflow(self.max_states));
-        }
+    /// The number of the pair `(q, s)`, creating it if it is new.
+    fn state(&mut self, q: usize, s: usize) -> Result<usize, DecideError> {
+        let key = (q as u64) * (self.dfa_states as u64) + s as u64;
         let k = self.pairs.len();
-        self.pairs.push(pair);
-        self.index.insert(pair, k);
-        Ok(k)
+        match self.index.entry(key) {
+            Entry::Occupied(hit) => Ok(*hit.get()),
+            Entry::Vacant(slot) => {
+                if k >= self.max_states {
+                    return Err(DecideError::product_overflow(self.max_states));
+                }
+                slot.insert(k);
+                self.pairs.push((q, s));
+                Ok(k)
+            }
+        }
     }
 }
 
@@ -786,9 +900,6 @@ fn co_reachable(dfa: &Dfa, accepting: impl Fn(usize) -> bool, used: &[usize]) ->
     alive
 }
 
-/// The dense kernel the sparse one replaced, kept as a test oracle: the
-/// full `n·d`-state product as dense rows, and the forward basis on dense
-/// vectors.
 #[cfg(test)]
 mod dense_reference {
     use crate::automaton::Wfa;
@@ -977,9 +1088,12 @@ mod rational_reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::position::position_automaton;
     use crate::thompson;
+    use nka_semiring::ExtNat;
     use nka_syntax::{random_expr, Expr, ExprGenConfig, Word};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn rational_wfa(src: &str) -> Wfa<BigRational> {
         let e: Expr = src.parse().unwrap();
@@ -1044,9 +1158,46 @@ mod tests {
 
     #[test]
     fn a_dfa_that_never_accepts_gives_the_empty_product() {
-        let never = restrict_within(&rational_wfa("a* b"), &only_b(), |_| false, 100).unwrap();
+        let never = restrict_within(
+            &rational_wfa("a* b"),
+            None,
+            BigRational::clone,
+            &only_b(),
+            |_| false,
+            100,
+        )
+        .unwrap()
+        .into_wfa();
         assert_eq!(never.state_count(), 0);
         assert!(is_zero_series(&never));
+    }
+
+    /// The engine's product for two expressions with no `∞` weight: their
+    /// position automata against the one-state empty ∞-support DFA.
+    fn restricted_difference(l: &str, r: &str) -> Table<i128> {
+        let compile = |x: &str| position_automaton(&x.parse().unwrap()).unwrap();
+        let empty = crate::nfa::Nfa::new(0)
+            .determinize(&[Symbol::intern("a"), Symbol::intern("b")], 1)
+            .unwrap();
+        let finite = |w: &ExtNat| w.finite().map_or(0, i128::from);
+        let outside = |s| !empty.is_accepting(s);
+        restrict_within(&compile(l), Some(&compile(r)), finite, &empty, outside, 100).unwrap()
+    }
+
+    #[test]
+    fn a_refuted_pair_returns_before_the_bound_is_computed() {
+        let calls = || BOUND_CALLS.with(std::cell::Cell::get);
+        let before = calls();
+        assert!(!is_zero_integer(&restricted_difference(
+            "(a b)* a",
+            "a (b a)* + a"
+        )));
+        assert!(!is_zero_integer(&restricted_difference("a b + b a", "b a")));
+        assert_eq!(calls(), before, "the first prime refuted both pairs");
+        let equal = restricted_difference("(a b)* a", "a (b a)*");
+        assert_eq!(equal.states(), 8);
+        assert!(is_zero_integer(&equal));
+        assert_eq!(calls(), before + 1, "a zero series covers its bound");
     }
 
     /// Every word over `alphabet` of length at most `max_len`.
@@ -1094,7 +1245,7 @@ mod tests {
                 "{} vs {}", e, f
             );
             let complement = dfa.complement();
-            let negated = restrict_within(&diff, &complement, |s| !complement.is_accepting(s), usize::MAX).unwrap();
+            let negated = restrict_within(&diff, None, BigRational::clone, &complement, |s| !complement.is_accepting(s), usize::MAX).unwrap().into_wfa();
             prop_assert_eq!(negated.state_count(), sparse.state_count());
             for word in words_up_to(&alphabet, 4) {
                 let expected = if dfa.accepts(&word) {
@@ -1174,13 +1325,13 @@ mod tests {
     fn a_coefficient_divisible_by_the_first_primes_is_still_refuted() {
         let (p1, p2) = (i128::from(prime(0)), i128::from(prime(1)));
         // 61 bits need two primes: p₁ sees zero, p₂ does not.
-        assert!(!is_zero_integer(&constant(p1)));
-        assert!(!is_zero_integer(&constant(-p1)));
+        assert!(!is_zero_integer(&Table::of(&constant(p1))));
+        assert!(!is_zero_integer(&Table::of(&constant(-p1))));
         // 122 bits need three.
-        assert!(!is_zero_integer(&constant(p1 * p2)));
-        assert!(!is_zero_integer(&product_on_a(p1, p2)));
-        assert!(is_zero_integer(&constant(0i128)));
-        assert!(is_zero_integer(&product_on_a(p1, 0)));
+        assert!(!is_zero_integer(&Table::of(&constant(p1 * p2))));
+        assert!(!is_zero_integer(&Table::of(&product_on_a(p1, p2))));
+        assert!(is_zero_integer(&Table::of(&constant(0i128))));
+        assert!(is_zero_integer(&Table::of(&product_on_a(p1, 0))));
         // The same automata through the public rational entry point.
         let q = |x: i128| BigRational::from(BigInt::from(x));
         assert!(!is_zero_series(&constant(q(p1))));
@@ -1196,7 +1347,7 @@ mod tests {
         // it: without the rounding margin either bound would read 60 bits.
         let sum = Wfa::new(2, vec![1, 1], vec![1 << 60, 1], BTreeMap::new());
         for wfa in [constant(big), sum] {
-            let bits = coefficient_bound_bits(&wfa, &Table::of(&wfa));
+            let bits = coefficient_bound_bits(&Table::of(&wfa));
             assert_eq!(wfa.coefficient(&Word::from_symbols([])), big);
             assert!(bits >= 61, "{big} > 2^{bits}");
         }
@@ -1225,9 +1376,9 @@ mod tests {
         for last in [0, 1] {
             let wfa = chain(last);
             let table = Table::of(&wfa);
-            assert_eq!(vector_bound_bits(&wfa, &table), None, "final weight {last}");
-            let bits = coefficient_bound_bits(&wfa, &table);
-            assert_eq!(bits, bound_bits(&wfa));
+            assert_eq!(vector_bound_bits(&table), None, "final weight {last}");
+            let bits = coefficient_bound_bits(&table);
+            assert_eq!(bits, bound_bits(&table));
             let largest = (0..n)
                 .map(|k| wfa.coefficient(&Word::from_symbols(vec![a; k])).bit_len() as u64)
                 .max()
@@ -1319,7 +1470,7 @@ mod tests {
             let support = we.infinity_support().determinize(&alphabet, 10_000).unwrap();
             for dfa in [support.complement(), support] {
                 let expected = rational_reference::is_zero_series(&restrict_to_language(&rational, &dfa));
-                let restricted = restrict_within(&integer, &dfa, |s| dfa.is_accepting(s), usize::MAX).unwrap();
+                let restricted = restrict_within(&integer, None, |w| *w, &dfa, |s| dfa.is_accepting(s), usize::MAX).unwrap();
                 prop_assert_eq!(is_zero_integer(&restricted), expected, "{} vs {}", e, f);
                 prop_assert_eq!(is_zero_series(&restrict_to_language(&rational, &dfa)), expected, "{} vs {}", e, f);
                 if shape != 0 {
@@ -1357,7 +1508,7 @@ mod tests {
             let wfa = random_wfa(&mut seed, states, |seed| {
                 next(seed) as i128 % (2 * range + 1) - range
             });
-            let bits = coefficient_bound_bits(&wfa, &Table::of(&wfa));
+            let bits = coefficient_bound_bits(&Table::of(&wfa));
             let alphabet = [Symbol::intern("a"), Symbol::intern("b")];
             for word in words_up_to(&alphabet, states - 1) {
                 let coefficient = wfa.coefficient(&Word::from_symbols(word)).unsigned_abs();

@@ -117,7 +117,7 @@ fn fourteen_gate_loop_free_equal_pair_is_fast_path_and_fast() {
 }
 
 /// The generic-path gate: a looped pair cannot take the star-free tiers,
-/// so this times Thompson + ε-elimination, the ∞-support DFAs, the
+/// so this times the position automata, the ∞-support DFAs, the
 /// restriction product and the zeroness pass on a fresh session.
 #[test]
 fn one_loop_unrolling_decides_on_the_generic_path_under_twenty_millis() {
@@ -323,6 +323,62 @@ fn unary_star_swap_pair_holds_under_100_millis() {
     assert!(
         elapsed < bound,
         "k = 34 unary pair took {elapsed:?} (bound {bound:?})"
+    );
+}
+
+/// Decides `lhs = rhs` on a fresh session and checks that the generic
+/// path refuted it within `bound` (release; ten times that in debug).
+fn refutes_on_the_generic_path_within(name: &str, lhs: &str, rhs: &str, bound: Duration) {
+    let query = Query::nka_eq(lhs, rhs).expect("well-formed");
+    let mut session = Session::new();
+
+    let start = Instant::now();
+    let resp = session.run(&query);
+    let elapsed = start.elapsed();
+    println!("{name}: {elapsed:?}");
+
+    assert_eq!(resp.verdict, Verdict::Refuted, "{name}");
+    assert!(
+        resp.stats_delta.dfa_misses > 0,
+        "{name}: no subset construction ran, so the generic path was not timed: {:?}",
+        resp.stats_delta
+    );
+    let bound = if cfg!(debug_assertions) {
+        bound * 10
+    } else {
+        bound
+    };
+    assert!(elapsed < bound, "{name} took {elapsed:?} (bound {bound:?})");
+}
+
+/// The flat chain gate: `(a … a)* = a*` with 50,000 atoms. Its position
+/// automata have 50,001 + 2 states and the restricted difference about
+/// 50,000, within the default budget; the first prime refutes it before
+/// the coefficient bound's 50,000 steps are computed. With Thompson
+/// automata its product passed 100,000 states (`budget_exhausted`).
+#[test]
+fn fifty_thousand_atom_chain_refutes_under_one_second() {
+    let chain = vec!["a"; 50_000].join(" ");
+    refutes_on_the_generic_path_within(
+        "50,000-atom chain",
+        &format!("({chain})*"),
+        "a*",
+        Duration::from_secs(1),
+    );
+}
+
+/// The fan-out gate: `(a0 + 1) (a1 + 1) … = a1*`, 300 factors over 50
+/// atoms. Every position can follow every earlier one, so the position
+/// automaton has 301 states and 45,150 transitions; Thompson automata
+/// with ε-elimination took about 2 s.
+#[test]
+fn three_hundred_optional_atoms_refute_under_200_millis() {
+    let factors: Vec<String> = (0..300).map(|i| format!("(a{} + 1)", i % 50)).collect();
+    refutes_on_the_generic_path_within(
+        "300 optional atoms",
+        &factors.join(" "),
+        "a1*",
+        Duration::from_millis(200),
     );
 }
 
