@@ -362,6 +362,7 @@ fn coefficient_bound_bits<W: IntegerWeight>(table: &Table<W>) -> u64 {
     BOUND_CALLS.with(|calls| calls.set(calls.get() + 1));
     vector_bound_bits(table).unwrap_or_else(|| bound_bits(table))
 }
+
 /// Offsets `c` of the 64 largest primes `2^61 − c`, largest prime
 /// first. Each prime exceeds `2^60`, so `k` of them cover a bound of
 /// `60·k` bits.
@@ -900,6 +901,9 @@ fn co_reachable(dfa: &Dfa, accepting: impl Fn(usize) -> bool, used: &[usize]) ->
     alive
 }
 
+/// The dense kernel the sparse one replaced, kept as a test oracle: the
+/// full `n·d`-state product as dense rows, and the forward basis on dense
+/// vectors.
 #[cfg(test)]
 mod dense_reference {
     use crate::automaton::Wfa;
