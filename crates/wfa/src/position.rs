@@ -126,7 +126,7 @@ fn union(a: Weights, b: Weights) -> Weights {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn position_automaton(expr: &Expr) -> Result<Wfa<ExtNat>, DecideError> {
-    // The atom of each position; index 0 stands for the start state.
+    // The atom of position `p` is `atoms[p - 1]`; state 0 is the start.
     let mut atoms: Vec<Symbol> = Vec::new();
     // `(from, to, weight)` edges, from the start state or a position.
     let mut edges: Vec<(usize, usize, Count)> = Vec::new();
