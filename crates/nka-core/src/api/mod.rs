@@ -45,7 +45,12 @@
 //! answers — only decided-*equal* `ProgEq` encodings are promoted into
 //! the persistent arena (they are the ones worth keeping warm), so
 //! adversarially distinct program traffic cannot grow a long-lived
-//! serving process.
+//! serving process. The caches keyed on a retired query's encodings —
+//! the engine's and the session's term-stats memo — log each key they
+//! insert under a scratch id, and the next query removes exactly those
+//! entries: a purge costs O(entries it evicts), however many persistent
+//! entries the session has accumulated, so a long-lived process answers
+//! its millionth fresh line as fast as its first.
 //!
 //! Outcomes are a [`Verdict`] — holds / refuted / proved (with proof
 //! size) / search-exhausted / budget-exhausted — plus the engine-counter
@@ -101,7 +106,7 @@ use nka_qprog::{
     ParseProgError, SurfaceEffect, SurfaceProgram,
 };
 use nka_semiring::ExtNat;
-use nka_syntax::{Expr, ExprId, ParseExprError, ScratchScope, Symbol, Word};
+use nka_syntax::{Expr, ExprId, ParseExprError, ScratchLog, ScratchScope, Symbol, Word};
 use nka_wfa::{DecideOptions, Decider, DeciderStats};
 use qsim_linalg::CMatrix;
 use std::collections::{HashMap, HashSet};
@@ -1189,13 +1194,12 @@ pub struct Session {
     /// immutable) terms, and the warm serving path repeats queries — a
     /// DAG walk per repeat would dominate sub-microsecond cache hits.
     term_stats_cache: HashMap<TermKey, (u64, u64)>,
-    /// Entries of `term_stats_cache` keyed (partly) on scratch ids;
-    /// they must be evicted when the scratch epoch advances (retired
-    /// ids are reused by later scopes). Zero on the wire paths, which
-    /// only ever query persistent terms.
-    term_stats_scratch_keys: usize,
-    /// The scratch epoch `term_stats_cache` is consistent with.
-    seen_scratch_epoch: u64,
+    /// The keys of `term_stats_cache` entries keyed (partly) on scratch
+    /// ids, and the scratch epoch they are valid under; exactly these
+    /// are evicted when the epoch advances (retired ids are reused by
+    /// later scopes). Empty on the wire paths, which only ever query
+    /// persistent terms.
+    term_stats_scratch: ScratchLog<TermKey>,
     /// Engine counters accumulated by engines retired through
     /// [`SessionOptions::recycle_after_queries`]; [`Session::stats`]
     /// reports `retired_stats + engine.stats()` so recycling never
@@ -1502,31 +1506,22 @@ impl Session {
         }
         let computed = term_stats_of(&query.exprs());
         if key.has_scratch() {
-            if self.term_stats_scratch_keys == 0 {
-                self.seen_scratch_epoch = nka_syntax::scratch_epoch();
-            }
-            self.term_stats_scratch_keys += 1;
+            self.term_stats_scratch.record(key.clone());
         }
         self.term_stats_cache.insert(key, computed);
         computed
     }
 
-    /// Evicts scratch-keyed memo entries if any scope retired since the
-    /// last query (mirrors the `Decider`'s own epoch hygiene); O(1)
-    /// unless this session actually cached scratch-rooted queries.
+    /// Evicts the logged scratch-keyed memo entries if any scope retired
+    /// since the first was cached (mirrors the `Decider`'s own epoch
+    /// hygiene); costs O(entries evicted), and nothing unless this
+    /// session actually cached scratch-rooted queries.
     fn sync_scratch_epoch(&mut self) {
-        // Warm-path fast exit: no scratch keys cached ⇒ nothing a stale
-        // epoch could mis-serve, so skip even the atomic epoch load.
-        if self.term_stats_scratch_keys == 0 {
-            return;
+        if let Some(stale) = self.term_stats_scratch.stale() {
+            for key in stale {
+                self.term_stats_cache.remove(&key);
+            }
         }
-        let epoch = nka_syntax::scratch_epoch();
-        if epoch == self.seen_scratch_epoch {
-            return;
-        }
-        self.seen_scratch_epoch = epoch;
-        self.term_stats_cache.retain(|key, _| !key.has_scratch());
-        self.term_stats_scratch_keys = 0;
     }
 
     /// Applies [`SessionOptions::recycle_after_queries`]: once the
@@ -1560,7 +1555,7 @@ impl Session {
         self.snapshot.snapshot_hits += self.engine.snapshot_hits();
         self.engine = Decider::with_options(self.opts.decide.clone());
         self.term_stats_cache.clear();
-        self.term_stats_scratch_keys = 0;
+        self.term_stats_scratch.clear();
         self.cert_cache.clear();
         self.engine_recycles += 1;
         self.queries_since_recycle = 0;
@@ -1578,7 +1573,7 @@ impl Session {
     /// Answers one query. Never panics and never returns a Rust error:
     /// every outcome — including budget exhaustion — is a [`Verdict`].
     pub fn run(&mut self, query: &Query) -> Response {
-        if self.opts.recycle_after_queries.is_some() || self.term_stats_scratch_keys > 0 {
+        if self.opts.recycle_after_queries.is_some() || !self.term_stats_scratch.is_empty() {
             self.pre_query_governance();
         }
         let before = self.engine.stats();
@@ -2381,6 +2376,54 @@ mod tests {
         // Program queries report AST nodes, no arena subterms.
         assert!(warm.expr_nodes > 0);
         assert_eq!(warm.expr_subterms, 0);
+    }
+
+    #[test]
+    fn scratch_keyed_term_stats_are_evicted_on_epoch_advance() {
+        // Sibling tests retiring scopes would purge mid-test.
+        if !in_own_process("scratch_keyed_term_stats_are_evicted_on_epoch_advance") {
+            return;
+        }
+        let mut session = Session::new();
+        let persistent = Query::nka_eq("tsA tsB", "tsB tsA").unwrap();
+        session.run(&persistent);
+        session.run(&Query::series("tsA + tsB", 2).unwrap());
+        let persistent_entries = session.term_stats_cache.len();
+        {
+            let _scope = ScratchScope::enter();
+            let (a, b): (Expr, Expr) = ("tsA".parse().unwrap(), "tsB".parse().unwrap());
+            for n in 1..4 {
+                let lhs = (0..n).fold(b, |acc, _| acc.mul(&b));
+                assert!(lhs.id().is_scratch());
+                session.run(&Query::NkaEq { lhs, rhs: a });
+                session.run(&Query::KaEq { lhs: a, rhs: lhs });
+                session.run(&Query::Series {
+                    expr: lhs,
+                    max_len: 2,
+                });
+                // Repeats, scratch and persistent, add no entry.
+                session.run(&Query::NkaEq { lhs, rhs: a });
+                session.run(&persistent);
+            }
+            let logged: HashSet<&TermKey> = session.term_stats_scratch.keys().iter().collect();
+            let scratch_keyed: HashSet<&TermKey> = session
+                .term_stats_cache
+                .keys()
+                .filter(|key| key.has_scratch())
+                .collect();
+            assert_eq!(logged, scratch_keyed);
+            assert_eq!(session.term_stats_scratch.keys().len(), 9);
+            assert_eq!(session.term_stats_cache.len(), persistent_entries + 9);
+        }
+        // The scope retired: the next query evicts exactly the logged
+        // entries and keeps the persistent ones.
+        session.run(&persistent);
+        assert!(session.term_stats_scratch.is_empty());
+        assert_eq!(session.term_stats_cache.len(), persistent_entries);
+        assert!(session
+            .term_stats_cache
+            .keys()
+            .all(|key| !key.has_scratch()));
     }
 
     #[test]

@@ -140,6 +140,13 @@ fn run_query(session: &mut Session, query: &Query, json: bool) -> (String, LineC
 /// before the stream blocks: the memory bound of [`run_ordered`].
 const WORKER_BACKLOG: usize = 64;
 
+/// The stack of every thread that answers request lines off the main
+/// thread — [`run_ordered`]'s workers and the socket server's — sized
+/// like the main thread's, so a line the sequential `batch` answers is
+/// answered on every surface (the 2 MiB default overflowed on a flat
+/// 20,000-statement program).
+pub(crate) const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// Streams `items` through the warm `sessions`, one scoped worker
 /// thread per session, and hands `work`'s outputs to `emit` **in input
 /// order**.
@@ -173,13 +180,16 @@ pub fn run_ordered<I, O>(
         for session in sessions.iter_mut() {
             let (in_tx, in_rx) = mpsc::sync_channel::<I>(WORKER_BACKLOG);
             let (out_tx, out_rx) = mpsc::sync_channel::<O>(WORKER_BACKLOG);
-            scope.spawn(move || {
-                for item in in_rx {
-                    if out_tx.send(work(session, item)).is_err() {
-                        return;
+            std::thread::Builder::new()
+                .stack_size(WORKER_STACK_BYTES)
+                .spawn_scoped(scope, move || {
+                    for item in in_rx {
+                        if out_tx.send(work(session, item)).is_err() {
+                            return;
+                        }
                     }
-                }
-            });
+                })
+                .expect("a worker thread spawns");
             inputs.push(in_tx);
             outputs.push(out_rx);
         }

@@ -57,6 +57,7 @@
 //! requests are skipped, and every other connection keeps being served.
 
 use super::stats::{OpHistograms, ServeCounters, StatsBlock};
+use crate::api::stream::WORKER_STACK_BYTES;
 use crate::api::{answer_line, wire, LineClass, Session, SessionOptions, SessionTotals};
 use crate::snapshot::{self, ConfigGuard, LoadedSnapshot, SnapshotBuilder};
 use std::collections::VecDeque;
@@ -868,9 +869,11 @@ impl Server {
         let worker_threads = (0..shared.cfg.workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, index))
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK_BYTES)
+                    .spawn(move || worker_loop(&shared, index))
             })
-            .collect();
+            .collect::<io::Result<_>>()?;
 
         Ok(Server {
             shared,

@@ -619,6 +619,73 @@ pub fn scratch_epoch() -> u64 {
     SCRATCH_EPOCH.load(Ordering::Acquire)
 }
 
+/// The keys a cache inserted under scratch ids since the scratch epoch
+/// last moved. A cache owner records each such key as it inserts it and
+/// asks for the [`ScratchLog::stale`] keys at its entry points, so
+/// purging after a scope retires costs O(keys it evicts), not a scan of
+/// every entry the cache holds.
+#[derive(Debug, Clone)]
+pub struct ScratchLog<K> {
+    keys: Vec<K>,
+    /// The scratch epoch the logged keys are valid under, pinned when
+    /// the first one is recorded.
+    epoch: u64,
+}
+
+impl<K> Default for ScratchLog<K> {
+    fn default() -> Self {
+        ScratchLog {
+            keys: Vec::new(),
+            epoch: 0,
+        }
+    }
+}
+
+impl<K> ScratchLog<K> {
+    /// Records a key inserted under a scratch id; the first one pins
+    /// the epoch it is valid under.
+    pub fn record(&mut self, key: K) {
+        if self.keys.is_empty() {
+            self.epoch = scratch_epoch();
+        }
+        self.keys.push(key);
+    }
+
+    /// Whether no scratch-keyed entry is logged, so no retirement can
+    /// leave the cache stale.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The logged keys, in insertion order.
+    #[must_use]
+    pub fn keys(&self) -> &[K] {
+        &self.keys
+    }
+
+    /// If a scope retired since the first key was recorded, empties the
+    /// log and yields every key — each may since name a different term,
+    /// so the owner must evict them all. `None` otherwise; with an empty
+    /// log that costs one length check, not even the epoch load.
+    pub fn stale(&mut self) -> Option<std::vec::Drain<'_, K>> {
+        if self.keys.is_empty() {
+            return None;
+        }
+        let epoch = scratch_epoch();
+        if epoch == self.epoch {
+            return None;
+        }
+        self.epoch = epoch;
+        Some(self.keys.drain(..))
+    }
+
+    /// Forgets every key, for an owner that cleared its whole cache.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+    }
+}
+
 impl Expr {
     /// The constant `0`. Always persistent.
     pub fn zero() -> Expr {

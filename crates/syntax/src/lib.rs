@@ -40,7 +40,8 @@ mod word;
 
 pub use expr::{
     arena_resident_nodes, interned_expr_count, promote, promote_memoized, scratch_epoch,
-    scratch_live_nodes, scratch_retired_total, Expr, ExprId, ExprNode, Folded, ScratchScope,
+    scratch_live_nodes, scratch_retired_total, Expr, ExprId, ExprNode, Folded, ScratchLog,
+    ScratchScope,
 };
 pub use generator::{random_expr, ExprGenConfig};
 pub use parser::{nesting_too_deep, render_caret, ParseExprError, MAX_NESTING_DEPTH};

@@ -59,7 +59,7 @@ use crate::position::position_automaton;
 use crate::starfree::{self, PrefixOutcome, WordMultiset};
 use crate::zeroness::{is_zero_integer, restrict_within};
 use nka_semiring::ExtNat;
-use nka_syntax::{Expr, ExprId, Symbol};
+use nka_syntax::{Expr, ExprId, ScratchLog, Symbol};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -107,12 +107,16 @@ nka_syntax::counter_table! {
 ///
 /// Cache keys are [`ExprId`]s, and scratch ids (interned under a
 /// `nka_syntax::ScratchScope`) are *reused* after their scope retires.
-/// The engine therefore snapshots [`nka_syntax::scratch_epoch`] and, on
-/// observing an advance at any public entry point, evicts every cache
-/// entry whose key involves a scratch id — persistent-keyed entries
-/// survive untouched, so retirement costs the warm path nothing (the
-/// common case, where no scratch id ever entered the engine, is a
-/// single integer compare).
+/// The engine therefore logs every cache key it inserts under a scratch
+/// id (a [`ScratchLog`] naming each entry's cache and key, pinned to
+/// the [`nka_syntax::scratch_epoch`] of the first) and, on observing an
+/// advance at any public entry point, removes exactly the logged
+/// entries. A purge costs O(entries it evicts): persistent-keyed
+/// entries — wire-decoded terms, promoted verdicts, restored snapshots
+/// — are never visited, so a session that has cached millions of them
+/// pays per query only for that query's scratch. The common case,
+/// where no scratch id entered the engine since the last purge, is a
+/// single length check.
 #[derive(Debug, Default)]
 pub struct Decider {
     opts: DecideOptions,
@@ -144,14 +148,25 @@ pub struct Decider {
     restored_entries: u64,
     /// Verdict-cache hits whose entry came from a snapshot.
     snapshot_hits: u64,
-    /// The scratch-retirement epoch the caches are consistent with.
-    seen_scratch_epoch: u64,
-    /// Number of live cache entries keyed (partly) on scratch ids; when
-    /// zero, an epoch advance needs no scan at all.
-    scratch_keyed: usize,
+    /// Every live cache entry keyed (partly) on a scratch id, and the
+    /// scratch-retirement epoch they are valid under; when empty, an
+    /// epoch advance needs no work at all.
+    scratch_log: ScratchLog<ScratchKey>,
     /// Scratch-keyed purges performed (observability for tests/stats).
     scratch_purges: u64,
     stats: DeciderStats,
+}
+
+/// A cache entry keyed (partly) on a scratch id: the cache it lives in
+/// and its key. [`Decider::sync_scratch_epoch`] removes exactly these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ScratchKey {
+    Expr(ExprId),
+    InfinityDfa((ExprId, AlphabetId)),
+    SupportDfa((ExprId, AlphabetId)),
+    NkaVerdict((ExprId, ExprId)),
+    KaVerdict((ExprId, ExprId)),
+    Multiset(ExprId),
 }
 
 /// Compile-time proof that whole engines (caches included) move and
@@ -211,42 +226,37 @@ impl Decider {
     }
 
     /// Brings the caches in line with the current scratch epoch: if any
-    /// scope retired since the last call *and* this engine holds
-    /// scratch-keyed entries, those entries are evicted (their ids may
-    /// since name different terms). Called at every public entry point;
-    /// O(1) unless both conditions hold.
+    /// scope retired since the first scratch-keyed entry was logged,
+    /// exactly the logged entries are evicted (their ids may since name
+    /// different terms). Called at every public entry point; costs
+    /// O(entries evicted), and one length check when none are logged.
     fn sync_scratch_epoch(&mut self) {
-        // Warm-path fast exit: with no scratch-keyed entries there is
-        // nothing a stale epoch could mis-serve — skip even the atomic
-        // epoch load. `seen_scratch_epoch` is (re)captured whenever the
-        // first scratch-keyed entry goes in (`note_scratch_key`).
-        if self.scratch_keyed == 0 {
+        let Some(stale) = self.scratch_log.stale() else {
             return;
+        };
+        for key in stale {
+            match key {
+                ScratchKey::Expr(id) => {
+                    self.exprs.remove(&id);
+                }
+                ScratchKey::InfinityDfa(key) => {
+                    self.infinity_dfas.remove(&key);
+                }
+                ScratchKey::SupportDfa(key) => {
+                    self.support_dfas.remove(&key);
+                }
+                ScratchKey::NkaVerdict(key) => {
+                    self.nka_verdicts.remove(&key);
+                }
+                ScratchKey::KaVerdict(key) => {
+                    self.ka_verdicts.remove(&key);
+                }
+                ScratchKey::Multiset(id) => {
+                    self.multisets.remove(&id);
+                }
+            }
         }
-        let epoch = nka_syntax::scratch_epoch();
-        if epoch == self.seen_scratch_epoch {
-            return;
-        }
-        self.seen_scratch_epoch = epoch;
-        self.exprs.retain(|id, _| !id.is_scratch());
-        self.infinity_dfas.retain(|(id, _), _| !id.is_scratch());
-        self.support_dfas.retain(|(id, _), _| !id.is_scratch());
-        self.nka_verdicts
-            .retain(|(a, b), _| !a.is_scratch() && !b.is_scratch());
-        self.ka_verdicts
-            .retain(|(a, b), _| !a.is_scratch() && !b.is_scratch());
-        self.multisets.retain(|id, _| !id.is_scratch());
-        self.scratch_keyed = 0;
         self.scratch_purges += 1;
-    }
-
-    /// Records that a scratch-keyed cache entry is being inserted; the
-    /// first one pins the epoch the entry is valid under.
-    fn note_scratch_key(&mut self) {
-        if self.scratch_keyed == 0 {
-            self.seen_scratch_epoch = nka_syntax::scratch_epoch();
-        }
-        self.scratch_keyed += 1;
     }
 
     /// Decides `⊢NKA e = f` (Remark 2.1 / Theorem A.6).
@@ -282,7 +292,7 @@ impl Decider {
             None => self.decide_generic(e, f)?,
         };
         if key.0.is_scratch() || key.1.is_scratch() {
-            self.note_scratch_key();
+            self.scratch_log.record(ScratchKey::NkaVerdict(key));
         }
         self.nka_verdicts.insert(key, (verdict, false));
         Ok(verdict)
@@ -305,18 +315,15 @@ impl Decider {
             PrefixOutcome::Residual(re, rf) => (re, rf),
         };
         // Tier 1: compare the residual products' word multisets.
-        let mut scratch_inserts = 0;
-        let left =
-            starfree::eval_product(&re, &mut self.multisets, max_words, &mut scratch_inserts);
+        let log = &mut self.scratch_log;
+        let mut record = |id| log.record(ScratchKey::Multiset(id));
+        let left = starfree::eval_product_logged(&re, &mut self.multisets, max_words, &mut record);
         let right = match left {
             Some(_) => {
-                starfree::eval_product(&rf, &mut self.multisets, max_words, &mut scratch_inserts)
+                starfree::eval_product_logged(&rf, &mut self.multisets, max_words, &mut record)
             }
             None => None,
         };
-        for _ in 0..scratch_inserts {
-            self.note_scratch_key();
-        }
         match (left, right) {
             (Some(left), Some(right)) => {
                 self.stats.starfree_hits += 1;
@@ -382,7 +389,7 @@ impl Decider {
         let df = self.support_dfa(f, &alphabet)?;
         let verdict = de.equivalent(&df);
         if key.0.is_scratch() || key.1.is_scratch() {
-            self.note_scratch_key();
+            self.scratch_log.record(ScratchKey::KaVerdict(key));
         }
         self.ka_verdicts.insert(key, (verdict, false));
         Ok(verdict)
@@ -509,7 +516,7 @@ impl Decider {
         self.stats.compile_misses += 1;
         let compiled = Arc::new(position_automaton(e)?);
         if e.id().is_scratch() {
-            self.note_scratch_key();
+            self.scratch_log.record(ScratchKey::Expr(e.id()));
         }
         self.exprs.insert(e.id(), Arc::clone(&compiled));
         Ok(compiled)
@@ -541,7 +548,7 @@ impl Decider {
                 .determinize(alphabet, self.opts.max_dfa_states)?,
         );
         if key.0.is_scratch() {
-            self.note_scratch_key();
+            self.scratch_log.record(ScratchKey::InfinityDfa(key));
         }
         self.infinity_dfas.insert(key, Arc::clone(&dfa));
         Ok(dfa)
@@ -558,7 +565,7 @@ impl Decider {
         self.stats.dfa_misses += 1;
         let dfa = Arc::new(support_nfa(&compiled).determinize(alphabet, self.opts.max_dfa_states)?);
         if key.0.is_scratch() {
-            self.note_scratch_key();
+            self.scratch_log.record(ScratchKey::SupportDfa(key));
         }
         self.support_dfas.insert(key, Arc::clone(&dfa));
         Ok(dfa)
@@ -600,6 +607,7 @@ mod tests {
     use crate::zeroness::Table;
     use nka_syntax::{random_expr, ExprGenConfig};
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn e(src: &str) -> Expr {
         src.parse().unwrap()
@@ -1002,6 +1010,133 @@ mod tests {
         }
         assert!(!engine.decide(&l, &r).unwrap());
         assert_eq!(engine.scratch_purges(), 1);
+    }
+
+    /// Every entry of the six caches whose key involves a scratch id.
+    fn scratch_keyed_entries(engine: &Decider) -> HashSet<ScratchKey> {
+        let pair = |&(a, b): &(ExprId, ExprId)| a.is_scratch() || b.is_scratch();
+        let dfa = |&(id, _): &(ExprId, AlphabetId)| id.is_scratch();
+        let exprs = engine.exprs.keys().filter(|id| id.is_scratch());
+        let multisets = engine.multisets.keys().filter(|id| id.is_scratch());
+        exprs
+            .map(|&id| ScratchKey::Expr(id))
+            .chain(multisets.map(|&id| ScratchKey::Multiset(id)))
+            .chain(
+                engine
+                    .infinity_dfas
+                    .keys()
+                    .filter(|k| dfa(k))
+                    .map(|&k| ScratchKey::InfinityDfa(k)),
+            )
+            .chain(
+                engine
+                    .support_dfas
+                    .keys()
+                    .filter(|k| dfa(k))
+                    .map(|&k| ScratchKey::SupportDfa(k)),
+            )
+            .chain(
+                engine
+                    .nka_verdicts
+                    .keys()
+                    .filter(|k| pair(k))
+                    .map(|&k| ScratchKey::NkaVerdict(k)),
+            )
+            .chain(
+                engine
+                    .ka_verdicts
+                    .keys()
+                    .filter(|k| pair(k))
+                    .map(|&k| ScratchKey::KaVerdict(k)),
+            )
+            .collect()
+    }
+
+    /// The sizes of the six caches.
+    fn cache_sizes(engine: &Decider) -> [usize; 6] {
+        [
+            engine.exprs.len(),
+            engine.infinity_dfas.len(),
+            engine.support_dfas.len(),
+            engine.nka_verdicts.len(),
+            engine.ka_verdicts.len(),
+            engine.multisets.len(),
+        ]
+    }
+
+    #[test]
+    fn the_scratch_log_names_exactly_the_scratch_keyed_entries() {
+        let (l, r) = (e("logA"), e("logB"));
+        // A scope retiring on another test's thread advances the epoch
+        // and purges mid-workload; rerun until a workload runs whole.
+        let mut engine = Decider::new();
+        let mut persistent_sizes = [0; 6];
+        for _ in 0..100 {
+            engine = Decider::new();
+            // Persistent entries in every cache, restored verdicts too.
+            assert!(!engine.decide(&l.star(), &r.star()).unwrap());
+            assert!(engine
+                .decide(&l.mul(&r), &l.mul(&r).add(&Expr::zero()))
+                .unwrap());
+            assert!(!engine.ka_equiv(&l.star(), &r.star()).unwrap());
+            assert!(engine
+                .ka_accepts(&l.star(), &[Symbol::intern("logA")])
+                .unwrap());
+            for i in 0..50 {
+                let atom = e(&format!("logRestored{i}"));
+                engine.restore_nka_verdict(&atom, &l, false);
+            }
+            persistent_sizes = cache_sizes(&engine);
+            assert!(
+                persistent_sizes.iter().all(|&n| n > 0),
+                "{persistent_sizes:?}"
+            );
+            let _scope = nka_syntax::ScratchScope::enter();
+            let (gl, gr) = (l.star().mul(&r.star()).star(), l.add(&r).star());
+            let sum = l.add(&r);
+            let (sl, sr) = (
+                sum.mul(&sum),
+                l.mul(&l).add(&l.mul(&r)).add(&r.mul(&l)).add(&r.mul(&r)),
+            );
+            assert!(gl.id().is_scratch() && sum.id().is_scratch());
+            // Generic and star-free decides, a KA query and a membership
+            // test, mixed with persistent repeats.
+            assert!(!engine.decide(&gl, &gr).unwrap());
+            assert!(engine.decide(&sl, &sr).unwrap());
+            assert!(!engine.decide(&l.star(), &r.star()).unwrap());
+            assert!(engine.ka_equiv(&gl, &gr).unwrap());
+            assert!(engine
+                .ka_accepts(&sum.star(), &[Symbol::intern("logB")])
+                .unwrap());
+            assert!(!engine.ka_equiv(&l.star(), &r.star()).unwrap());
+            if engine.scratch_purges() == 0 {
+                break;
+            }
+        }
+        assert_eq!(engine.scratch_purges(), 0, "no workload ran whole");
+        let logged: HashSet<ScratchKey> = engine.scratch_log.keys().iter().copied().collect();
+        assert_eq!(
+            logged.len(),
+            engine.scratch_log.keys().len(),
+            "no key logged twice"
+        );
+        assert_eq!(logged, scratch_keyed_entries(&engine));
+        let kinds: HashSet<_> = logged.iter().map(std::mem::discriminant).collect();
+        assert_eq!(
+            kinds.len(),
+            6,
+            "every cache holds a scratch key: {logged:?}"
+        );
+        // The scope retired: one advance evicts every logged entry and
+        // keeps every persistent one, with a single purge counted.
+        let hits = engine.stats().answer_hits;
+        assert!(!engine.decide(&l.star(), &r.star()).unwrap());
+        assert_eq!(engine.stats().answer_hits, hits + 1);
+        assert_eq!(engine.scratch_purges(), 1);
+        assert!(engine.scratch_log.is_empty());
+        assert!(scratch_keyed_entries(&engine).is_empty());
+        assert_eq!(cache_sizes(&engine), persistent_sizes);
+        assert_eq!(engine.restored_entries(), 50);
     }
 
     #[test]

@@ -212,6 +212,18 @@ pub fn eval_multiset(
     max_words: usize,
     scratch_inserts: &mut usize,
 ) -> Option<Arc<WordMultiset>> {
+    eval_multiset_logged(e, memo, max_words, &mut |_| *scratch_inserts += 1)
+}
+
+/// [`eval_multiset`], calling `on_scratch_insert` with the id of each
+/// memo insertion under a scratch id — the engine logs them so a purge
+/// evicts exactly those entries.
+pub(crate) fn eval_multiset_logged(
+    e: &Expr,
+    memo: &mut HashMap<ExprId, Arc<WordMultiset>>,
+    max_words: usize,
+    on_scratch_insert: &mut impl FnMut(ExprId),
+) -> Option<Arc<WordMultiset>> {
     e.fold(memo, |e, node| {
         let m = match node {
             Folded::Zero => WordMultiset::new(),
@@ -228,7 +240,7 @@ pub fn eval_multiset(
             Folded::Star(_) => return Err(()),
         };
         if e.id().is_scratch() {
-            *scratch_inserts += 1;
+            on_scratch_insert(e.id());
         }
         Ok(Arc::new(m))
     })
@@ -245,9 +257,19 @@ pub fn eval_product(
     max_words: usize,
     scratch_inserts: &mut usize,
 ) -> Option<WordMultiset> {
+    eval_product_logged(factors, memo, max_words, &mut |_| *scratch_inserts += 1)
+}
+
+/// [`eval_product`] with [`eval_multiset_logged`]'s scratch callback.
+pub(crate) fn eval_product_logged(
+    factors: &[Expr],
+    memo: &mut HashMap<ExprId, Arc<WordMultiset>>,
+    max_words: usize,
+    on_scratch_insert: &mut impl FnMut(ExprId),
+) -> Option<WordMultiset> {
     let mut acc = one_multiset();
     for factor in factors {
-        let m = eval_multiset(factor, memo, max_words, scratch_inserts)?;
+        let m = eval_multiset_logged(factor, memo, max_words, on_scratch_insert)?;
         acc = cauchy(&acc, &m, max_words)?;
     }
     Some(acc)

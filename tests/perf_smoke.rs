@@ -29,7 +29,15 @@
 //! wide pair's entries, parsing the pair again must take under 2 ms
 //! (about 0.07 ms in release on a 2-core x86-64 container; rebuilding
 //! every occurrence's matrices took about 5 ms).
+//!
+//! Scratch eviction has a ratio gate: with 100,000 persistent verdicts
+//! restored, scratch-scoped star-free decides must take under 2 times
+//! (3 in debug) as long as on a fresh engine. Removing only the logged
+//! scratch keys gives about 1.0; scanning every cache entry on each
+//! purge gave about 30.
 
+use nka_quantum::syntax::{Expr, ScratchScope, Symbol};
+use nka_quantum::wfa::Decider;
 use nka_quantum::{Query, Session, Verdict};
 use std::time::{Duration, Instant};
 
@@ -405,5 +413,60 @@ fn wide_loop_nest_pair_parses_under_two_millis_on_a_filled_gate_table() {
     assert!(
         elapsed < bound,
         "parsing the wide loop-nest pair took {elapsed:?} (bound {bound:?})"
+    );
+}
+
+/// The eviction gate: a long-lived engine answers scratch-scoped
+/// queries as fast as a fresh one. Every query whose encodings live in
+/// a scope (`prog_eq`, `analyze`, `optimize`) leaves scratch-keyed
+/// entries, and the next query evicts them. The engine logs those keys,
+/// so a purge costs what it evicts; a scan of every cache entry made
+/// each query cost O(all the session had cached) — 100,000 persistent
+/// verdicts made these decides about 30 times slower in release.
+#[test]
+fn scratch_purges_on_a_loaded_engine_cost_what_they_evict() {
+    const PERSISTENT: usize = 100_000;
+    const QUERIES: usize = 300;
+    let atoms: Vec<Expr> = (0..=PERSISTENT)
+        .map(|i| Expr::atom(Symbol::intern(&format!("evict{i}"))))
+        .collect();
+    let mut loaded = Decider::new();
+    for pair in atoms.windows(2) {
+        loaded.restore_nka_verdict(&pair[0], &pair[1], false);
+    }
+    assert_eq!(loaded.restored_entries(), PERSISTENT as u64);
+    let mut fresh = Decider::new();
+
+    // `(a + b)² = a a + a b + b a + b b`, star-free and built in its own
+    // scope each time: every query is a cache miss, and every scope's
+    // retirement leaves a purge for the next.
+    let (a, b) = (atoms[0], atoms[1]);
+    let scoped_decides = |engine: &mut Decider| {
+        let start = Instant::now();
+        for _ in 0..QUERIES {
+            let _scope = ScratchScope::enter();
+            let sum = a.add(&b);
+            let expanded = a.mul(&a).add(&a.mul(&b)).add(&b.mul(&a)).add(&b.mul(&b));
+            assert!(engine.decide(&sum.mul(&sum), &expanded).expect("star-free"));
+        }
+        start.elapsed()
+    };
+    // The best of three alternating rounds on each engine.
+    let (mut loaded_best, mut fresh_best) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        loaded_best = loaded_best.min(scoped_decides(&mut loaded));
+        fresh_best = fresh_best.min(scoped_decides(&mut fresh));
+    }
+    assert!(loaded.scratch_purges() >= QUERIES as u64 * 3 - 1);
+    assert_eq!(loaded.stats().starfree_hits, QUERIES as u64 * 3);
+    let ratio = loaded_best.as_secs_f64() / fresh_best.as_secs_f64();
+    println!(
+        "{QUERIES} scoped decides: loaded {loaded_best:?}, fresh {fresh_best:?}, ratio {ratio:.2}"
+    );
+    let bound = if cfg!(debug_assertions) { 3.0 } else { 2.0 };
+    assert!(
+        ratio < bound,
+        "with {PERSISTENT} persistent verdicts, scratch-scoped decides took {ratio:.2} times \
+         as long as on a fresh engine (bound {bound})"
     );
 }

@@ -338,8 +338,10 @@ fn every_surface_answers_every_line_alike() {
 }
 
 /// Input exactly at the nesting limit is answered — not rejected, not
-/// a stack overflow — on the default 2 MiB stack a serve worker runs on,
-/// for each of the three request parsers.
+/// a stack overflow — for each of the three request parsers, on a
+/// default 2 MiB thread: a quarter of the 8 MiB stack that `batch
+/// --jobs N` and socket serve workers run on, so the limit keeps a
+/// wide margin there.
 #[test]
 fn input_at_the_nesting_limit_is_answered_on_a_default_stack() {
     let d = MAX_NESTING_DEPTH;
