@@ -49,8 +49,8 @@
 //! the engine's and the session's term-stats memo — log each key they
 //! insert under a scratch id, and the next query removes exactly those
 //! entries: a purge costs O(entries it evicts), however many persistent
-//! entries the session has accumulated, so a long-lived process answers
-//! its millionth fresh line as fast as its first.
+//! entries the session has accumulated, so the cost of a fresh line
+//! does not grow with the age of the process answering it.
 //!
 //! Outcomes are a [`Verdict`] — holds / refuted / proved (with proof
 //! size) / search-exhausted / budget-exhausted — plus the engine-counter

@@ -624,7 +624,7 @@ pub fn scratch_epoch() -> u64 {
 /// asks for the [`ScratchLog::stale`] keys at its entry points, so
 /// purging after a scope retires costs O(keys it evicts), not a scan of
 /// every entry the cache holds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScratchLog<K> {
     keys: Vec<K>,
     /// The scratch epoch the logged keys are valid under, pinned when
