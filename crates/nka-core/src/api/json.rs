@@ -6,6 +6,16 @@
 //! strings, integers, booleans, and `null`. Printing always produces a
 //! single line (no pretty-printing), which is what a JSONL stream wants.
 //!
+//! Parsing is linear in the input: a string literal is copied one run
+//! of plain bytes at a time (a run ends at a quote, an escape or a
+//! control byte), so a line of the default `--max-line-bytes` (1 MiB)
+//! parses in milliseconds.
+//!
+//! There is one serializer, [`JsonWriter`]: it appends keys, escaped
+//! strings and integers to one `String`. `Json`'s `Display` drives it
+//! over a tree, and the [`crate::api::wire`] encoders drive it directly,
+//! writing each response line in place into one pre-sized buffer.
+//!
 //! Arrays and objects nest at most [`MAX_NESTING_DEPTH`] deep (the
 //! workspace-wide request-parser limit); deeper input is a `nesting
 //! too deep` error naming the byte offset, never a stack overflow.
@@ -56,7 +66,7 @@ impl Json {
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
+        let value = parse_value(src, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -104,16 +114,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 }
 
 /// `depth` counts the arrays and objects enclosing this value.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'{' | b'[') if depth >= MAX_NESTING_DEPTH => {
             Err(format!("{} at byte {}", nesting_too_deep(), *pos))
         }
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'{') => parse_object(src, pos, depth + 1),
+        Some(b'[') => parse_array(src, pos, depth + 1),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -153,11 +164,21 @@ fn parse_int(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string literal at `*pos`, copying each run of plain bytes
+/// with one `push_str`: linear in the literal's length. A run ends at the
+/// closing quote, an escape or a control byte; all are ASCII, so a run
+/// always ends on a character boundary.
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = src.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while bytes.get(*pos).is_some_and(|&b| !needs_escape(b)) {
+            *pos += 1;
+        }
+        out.push_str(&src[run..*pos]);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_owned()),
             Some(b'"') => {
@@ -191,22 +212,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x20 => {
-                return Err(format!("unescaped control byte 0x{b:02x} in string"))
-            }
-            Some(_) => {
-                // Copy one UTF-8 character verbatim.
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                let ch = s.chars().next().expect("non-empty remainder");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            Some(&b) => return Err(format!("unescaped control byte 0x{b:02x} in string")),
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_array(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -215,7 +227,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(src, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -228,7 +240,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_object(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -241,13 +254,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected a string key at byte {}", *pos));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(src, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(src, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -261,61 +274,234 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
     }
 }
 
-/// Writes `s` as a JSON string literal (quotes included) into `out`.
-pub(crate) fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends JSON text to one `String`: the one serializer behind both
+/// [`Json`]'s `Display` and the wire encoders, which write response
+/// lines straight into a pre-sized buffer instead of building a tree.
+///
+/// Values written after a [`JsonWriter::key`] are that key's value;
+/// values written directly inside an array are its elements. The
+/// writer inserts every `,` itself.
+///
+/// ```
+/// use nka_core::api::json::{Json, JsonWriter};
+///
+/// let mut line = String::new();
+/// let mut w = JsonWriter::new(&mut line);
+/// w.begin_obj();
+/// w.key("op").str("nka_eq");
+/// w.key("span").begin_arr().uint(3).uint(5).end_arr();
+/// w.key("expr").display(&"a \"b\"");
+/// w.end_obj();
+/// assert_eq!(line, r#"{"op":"nka_eq","span":[3,5],"expr":"a \"b\""}"#);
+/// assert_eq!(Json::parse(&line)?.to_string(), line);
+/// # Ok::<(), String>(())
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Whether the next key or element needs a `,` before it.
+    comma: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter { out, comma: false }
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Opens an object (`{`).
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object (`}`).
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array (`[`).
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost array (`]`).
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes an object key and its `:`; the next value is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        escape_into(self.out, key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.separate();
+        escape_into(self.out, s);
+        self
+    }
+
+    /// Writes `value`'s `Display` text as a string value, formatted in
+    /// place (escaped afterwards only if it needs escaping).
+    pub fn display(&mut self, value: &impl fmt::Display) -> &mut Self {
+        use fmt::Write as _;
+        self.separate();
+        let start = self.out.len();
+        self.out.push('"');
+        write!(self.out, "{value}").expect("writing to a String cannot fail");
+        if self.out.as_bytes()[start + 1..]
+            .iter()
+            .any(|&b| needs_escape(b))
+        {
+            let raw = self.out.split_off(start + 1);
+            self.out.truncate(start);
+            escape_into(self.out, &raw);
+        } else {
+            self.out.push('"');
+        }
+        self
+    }
+
+    /// Writes an integer value.
+    pub fn int(&mut self, n: i64) -> &mut Self {
+        self.separate();
+        if n < 0 {
+            self.out.push('-');
+        }
+        push_digits(self.out, n.unsigned_abs());
+        self
+    }
+
+    /// Writes a count as an integer value, saturating at `i64::MAX`.
+    pub fn uint(&mut self, n: impl TryInto<i64>) -> &mut Self {
+        self.int(n.try_into().unwrap_or(i64::MAX))
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.separate();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push_str("null");
+        self
+    }
+
+    /// Writes a whole [`Json`] value.
+    pub fn value(&mut self, value: &Json) -> &mut Self {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(n) => self.int(*n),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => {
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_arr()
+            }
+            Json::Obj(fields) => {
+                self.begin_obj();
+                for (k, v) in fields {
+                    self.key(k).value(v);
+                }
+                self.end_obj()
+            }
         }
     }
+
+    /// Writes one counter section as an object: the `(name, value)`
+    /// pairs of a counter table's `fields()`, in order.
+    pub fn counters(&mut self, fields: &[(&str, u64)]) -> &mut Self {
+        self.begin_obj();
+        for &(name, n) in fields {
+            self.key(name).uint(n);
+        }
+        self.end_obj()
+    }
+}
+
+/// Whether `b` is written escaped inside a JSON string: a quote, a
+/// backslash or a control byte.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Writes `s` as a JSON string literal (quotes included) into `out`,
+/// copying each run of bytes that needs no escape with one `push_str`.
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends the decimal digits of `n`.
+fn push_digits(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut buf = String::new();
-        self.write(&mut buf);
+        JsonWriter::new(&mut buf).value(self);
         f.write_str(&buf)
-    }
-}
-
-impl Json {
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
     }
 }
 

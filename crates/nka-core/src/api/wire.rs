@@ -38,16 +38,24 @@
 //! space-separated symbol names with `""` for ε; coefficients are
 //! decimal strings or `"∞"` (strings, so arbitrary-precision values
 //! survive).
+//!
+//! # Cost
+//!
+//! Decoding is linear in the line ([`Json::parse`] copies string runs
+//! whole), and every encoder writes its line in place through the one
+//! [`JsonWriter`] into a single buffer sized for the line, with no
+//! intermediate `Json` tree: a warm `nka_eq` line costs a dozen heap
+//! allocations end to end (`tests/alloc_budget.rs`).
 
-use super::json::Json;
+use super::json::{Json, JsonWriter};
 use super::{
     ApiError, Query, Response, Verdict, DEFAULT_OPTIMIZE_BEAM, DEFAULT_OPTIMIZE_MAX_STEPS,
     DEFAULT_SERIES_MAX_LEN,
 };
 #[cfg(doc)]
 use super::{QueryKind, Session};
-use crate::serve::stats::counter_entries;
 use nka_syntax::Word;
+use std::fmt;
 
 /// The wire protocol version, emitted as `"v"` on every response line
 /// (and on the `--stats --json` object). Bumped only for breaking
@@ -256,49 +264,58 @@ fn str_key<'a>(value: &'a Json, key: &str) -> Result<&'a str, ApiError> {
         .ok_or_else(|| ApiError::Malformed(format!("missing string key {key:?}")))
 }
 
-/// The query's own fields, as they appear in both request and response
-/// lines.
-fn query_fields(query: &Query) -> Vec<(String, Json)> {
-    let mut fields = vec![("op".to_owned(), Json::Str(query.kind().op().to_owned()))];
+/// Initial capacity of a written line beyond its own source strings:
+/// room for the fixed fields and the `stats` object of a response
+/// (about 300 bytes), so most lines are written without regrowing.
+const LINE_BASE_BYTES: usize = 384;
+
+/// The source text a line repeats, in bytes: the part of its length
+/// known before writing it.
+fn source_bytes(query: &Query) -> usize {
+    match query {
+        Query::ProgEq { p, q } => p.source().len() + q.source().len(),
+        Query::Hoare { pre, prog, post } => {
+            pre.source().len() + prog.source().len() + post.source().len()
+        }
+        Query::Analyze { prog, .. } | Query::Optimize { prog, .. } => prog.source().len(),
+        Query::NkaEq { .. } | Query::KaEq { .. } | Query::Series { .. } | Query::Prove { .. } => 0,
+    }
+}
+
+/// Writes the query's own fields, as they appear in both request and
+/// response lines.
+fn write_query_fields(w: &mut JsonWriter<'_>, query: &Query) {
+    w.key("op").str(query.kind().op());
     match query {
         Query::NkaEq { lhs, rhs } | Query::KaEq { lhs, rhs } => {
-            fields.push(("lhs".to_owned(), Json::Str(lhs.to_string())));
-            fields.push(("rhs".to_owned(), Json::Str(rhs.to_string())));
+            w.key("lhs").display(lhs);
+            w.key("rhs").display(rhs);
         }
         Query::Series { expr, max_len } => {
-            fields.push(("expr".to_owned(), Json::Str(expr.to_string())));
-            fields.push((
-                "max_len".to_owned(),
-                Json::Int(i64::try_from(*max_len).unwrap_or(i64::MAX)),
-            ));
+            w.key("expr").display(expr);
+            w.key("max_len").uint(*max_len);
         }
         Query::Prove { lhs, rhs, hyps } => {
-            fields.push(("lhs".to_owned(), Json::Str(lhs.to_string())));
-            fields.push(("rhs".to_owned(), Json::Str(rhs.to_string())));
-            fields.push((
-                "hyps".to_owned(),
-                Json::Arr(
-                    hyps.iter()
-                        .map(|(l, r)| Json::Str(format!("{l} = {r}")))
-                        .collect(),
-                ),
-            ));
+            w.key("lhs").display(lhs);
+            w.key("rhs").display(rhs);
+            w.key("hyps").begin_arr();
+            for (l, r) in hyps {
+                w.display(&format_args!("{l} = {r}"));
+            }
+            w.end_arr();
         }
         Query::ProgEq { p, q } => {
-            fields.push(("p".to_owned(), Json::Str(p.source().to_owned())));
-            fields.push(("q".to_owned(), Json::Str(q.source().to_owned())));
+            w.key("p").str(p.source());
+            w.key("q").str(q.source());
         }
         Query::Hoare { pre, prog, post } => {
-            fields.push(("pre".to_owned(), Json::Str(pre.source().to_owned())));
-            fields.push(("prog".to_owned(), Json::Str(prog.source().to_owned())));
-            fields.push(("post".to_owned(), Json::Str(post.source().to_owned())));
+            w.key("pre").str(pre.source());
+            w.key("prog").str(prog.source());
+            w.key("post").str(post.source());
         }
         Query::Analyze { prog, passes } => {
-            fields.push(("prog".to_owned(), Json::Str(prog.source().to_owned())));
-            fields.push((
-                "passes".to_owned(),
-                Json::Arr(passes.iter().map(|p| Json::Str(p.clone())).collect()),
-            ));
+            w.key("prog").str(prog.source());
+            write_strs(w.key("passes"), passes);
         }
         Query::Optimize {
             prog,
@@ -306,22 +323,26 @@ fn query_fields(query: &Query) -> Vec<(String, Json)> {
             max_steps,
             beam,
         } => {
-            fields.push(("prog".to_owned(), Json::Str(prog.source().to_owned())));
-            fields.push((
-                "rules".to_owned(),
-                Json::Arr(rules.iter().map(|r| Json::Str(r.clone())).collect()),
-            ));
-            fields.push((
-                "max_steps".to_owned(),
-                Json::Int(i64::try_from(*max_steps).unwrap_or(i64::MAX)),
-            ));
-            fields.push((
-                "beam".to_owned(),
-                Json::Int(i64::try_from(*beam).unwrap_or(i64::MAX)),
-            ));
+            w.key("prog").str(prog.source());
+            write_strs(w.key("rules"), rules);
+            w.key("max_steps").uint(*max_steps);
+            w.key("beam").uint(*beam);
         }
     }
-    fields
+}
+
+/// Writes an array of strings.
+fn write_strs(w: &mut JsonWriter<'_>, items: &[String]) {
+    w.begin_arr();
+    for item in items {
+        w.str(item);
+    }
+    w.end_arr();
+}
+
+/// Writes a byte span as a two-integer array.
+fn write_span(w: &mut JsonWriter<'_>, (start, end): (usize, usize)) {
+    w.begin_arr().uint(start).uint(end).end_arr();
 }
 
 /// Encodes a query as one JSONL request line (no trailing newline).
@@ -329,58 +350,48 @@ fn query_fields(query: &Query) -> Vec<(String, Json)> {
 /// precedence-aware, so expressions reparse to equal [`Query`] values.
 #[must_use]
 pub fn encode_request(query: &Query) -> String {
-    Json::Obj(query_fields(query)).to_string()
+    let mut line = String::with_capacity(LINE_BASE_BYTES + source_bytes(query));
+    let mut w = JsonWriter::new(&mut line);
+    w.begin_obj();
+    write_query_fields(&mut w, query);
+    w.end_obj();
+    line
 }
 
-/// One analysis finding as a JSON object: `pass`, `severity`,
+/// Writes one analysis finding as a JSON object: `pass`, `severity`,
 /// `span` (byte pair), `message`, and — Tier B only — the replayable
 /// `certificate` (`p`/`q`/`expect`/`rule`/`stats`); decoding
 /// `{"op":"prog_eq","p":cert.p,"q":cert.q}` replays it.
-fn finding_json(f: &nka_qprog::Finding) -> Json {
-    let mut fields = vec![
-        ("pass".to_owned(), Json::Str(f.pass.to_owned())),
-        (
-            "severity".to_owned(),
-            Json::Str(f.severity.name().to_owned()),
-        ),
-        (
-            "span".to_owned(),
-            Json::Arr(vec![
-                Json::Int(i64::try_from(f.span.0).unwrap_or(i64::MAX)),
-                Json::Int(i64::try_from(f.span.1).unwrap_or(i64::MAX)),
-            ]),
-        ),
-        ("message".to_owned(), Json::Str(f.message.clone())),
-    ];
+fn write_finding(w: &mut JsonWriter<'_>, f: &nka_qprog::Finding) {
+    w.begin_obj();
+    w.key("pass").str(f.pass);
+    w.key("severity").str(f.severity.name());
+    write_span(w.key("span"), f.span);
+    w.key("message").str(&f.message);
     if let Some(cert) = &f.certificate {
-        fields.push(("certificate".to_owned(), certificate_json(cert)));
+        write_certificate(w.key("certificate"), cert);
     }
-    Json::Obj(fields)
+    w.end_obj();
 }
 
-/// One replayable certificate as a JSON object
+/// Writes one replayable certificate as a JSON object
 /// (`p`/`q`/`expect`/`rule`/`stats`) — shared between analysis
 /// findings and the optimizer's final verdict; decoding
 /// `{"op":"prog_eq","p":cert.p,"q":cert.q}` replays it.
-fn certificate_json(cert: &nka_qprog::Certificate) -> Json {
-    Json::Obj(vec![
-        ("p".to_owned(), Json::Str(cert.p.clone())),
-        ("q".to_owned(), Json::Str(cert.q.clone())),
-        ("expect".to_owned(), Json::Str(cert.expect.to_owned())),
-        (
-            "rule".to_owned(),
-            match cert.rule {
-                Some(rule) => Json::Str(rule.to_owned()),
-                None => Json::Null,
-            },
-        ),
-        (
-            "stats".to_owned(),
-            Json::Obj(counter_entries(&cert.stats.fields())),
-        ),
-    ])
+fn write_certificate(w: &mut JsonWriter<'_>, cert: &nka_qprog::Certificate) {
+    w.begin_obj();
+    w.key("p").str(&cert.p);
+    w.key("q").str(&cert.q);
+    w.key("expect").str(cert.expect);
+    match cert.rule {
+        Some(rule) => w.key("rule").str(rule),
+        None => w.key("rule").null(),
+    };
+    w.key("stats").counters(&cert.stats.fields());
+    w.end_obj();
 }
 
+/// A word as space-separated symbol names (`""` for ε).
 fn word_string(word: &Word) -> String {
     word.symbols()
         .iter()
@@ -389,64 +400,67 @@ fn word_string(word: &Word) -> String {
         .join(" ")
 }
 
-/// Encodes one response as a JSONL line (no trailing newline). The
-/// line repeats the query fields, so it is itself decodable as the
-/// originating request — see the [module docs](self).
+/// The payload strings of a verdict, in bytes: the rest of a response
+/// line's length known before writing it.
+fn payload_bytes(verdict: &Verdict) -> usize {
+    match verdict {
+        Verdict::ProgEq { enc_p, enc_q, .. } => enc_p.len() + enc_q.len(),
+        Verdict::Hoare { encoded, .. } => encoded.len(),
+        Verdict::Optimized { optimized, .. } => optimized.len(),
+        Verdict::BudgetExhausted { detail } => detail.len(),
+        _ => 0,
+    }
+}
+
+/// Encodes one response as a JSONL line (no trailing newline), written
+/// in place into one buffer sized for it. The line repeats the query
+/// fields, so it is itself decodable as the originating request — see
+/// the [module docs](self).
 #[must_use]
 pub fn encode_response(query: &Query, resp: &Response) -> String {
-    let mut fields = vec![("v".to_owned(), Json::Int(WIRE_VERSION))];
-    fields.extend(query_fields(query));
-    fields.push((
-        "verdict".to_owned(),
-        Json::Str(resp.verdict.name().to_owned()),
-    ));
+    let mut line =
+        String::with_capacity(LINE_BASE_BYTES + source_bytes(query) + payload_bytes(&resp.verdict));
+    let mut w = JsonWriter::new(&mut line);
+    w.begin_obj();
+    w.key("v").int(WIRE_VERSION);
+    write_query_fields(&mut w, query);
+    w.key("verdict").str(resp.verdict.name());
     match &resp.verdict {
         Verdict::Holds | Verdict::Refuted => {}
         Verdict::Proved { proof_size } => {
-            fields.push((
-                "proof_size".to_owned(),
-                Json::Int(i64::try_from(*proof_size).unwrap_or(i64::MAX)),
-            ));
+            w.key("proof_size").uint(*proof_size);
         }
         Verdict::Exhausted { holds_by_decision } => {
-            fields.push((
-                "holds_by_decision".to_owned(),
-                match holds_by_decision {
-                    Some(b) => Json::Bool(*b),
-                    None => Json::Null,
-                },
-            ));
+            match holds_by_decision {
+                Some(b) => w.key("holds_by_decision").bool(*b),
+                None => w.key("holds_by_decision").null(),
+            };
         }
         Verdict::Series { terms, .. } => {
-            fields.push((
-                "terms".to_owned(),
-                Json::Arr(
-                    terms
-                        .iter()
-                        .map(|(w, c)| {
-                            Json::Obj(vec![
-                                ("word".to_owned(), Json::Str(word_string(w))),
-                                ("coeff".to_owned(), Json::Str(c.to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+            w.key("terms").begin_arr();
+            for (word, coeff) in terms {
+                w.begin_obj();
+                w.key("word").str(&word_string(word));
+                w.key("coeff").display(coeff);
+                w.end_obj();
+            }
+            w.end_arr();
         }
         Verdict::ProgEq { enc_p, enc_q, .. } => {
             // `verdict` already says holds/refuted; the payload is the
             // shared-setting encodings the decision was made on.
-            fields.push(("enc_p".to_owned(), Json::Str(enc_p.clone())));
-            fields.push(("enc_q".to_owned(), Json::Str(enc_q.clone())));
+            w.key("enc_p").str(enc_p);
+            w.key("enc_q").str(enc_q);
         }
         Verdict::Hoare { encoded, .. } => {
-            fields.push(("encoded".to_owned(), Json::Str(encoded.clone())));
+            w.key("encoded").str(encoded);
         }
         Verdict::Analysis { findings } => {
-            fields.push((
-                "findings".to_owned(),
-                Json::Arr(findings.iter().map(finding_json).collect()),
-            ));
+            w.key("findings").begin_arr();
+            for finding in findings {
+                write_finding(&mut w, finding);
+            }
+            w.end_arr();
         }
         Verdict::Optimized {
             optimized,
@@ -455,56 +469,33 @@ pub fn encode_response(query: &Query, resp: &Response) -> String {
             fixpoint,
             note,
         } => {
-            fields.push(("optimized".to_owned(), Json::Str(optimized.clone())));
-            fields.push((
-                "steps".to_owned(),
-                Json::Arr(
-                    steps
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("rule".to_owned(), Json::Str(s.rule.to_owned())),
-                                (
-                                    "span".to_owned(),
-                                    Json::Arr(vec![
-                                        Json::Int(i64::try_from(s.span.0).unwrap_or(i64::MAX)),
-                                        Json::Int(i64::try_from(s.span.1).unwrap_or(i64::MAX)),
-                                    ]),
-                                ),
-                                ("note".to_owned(), Json::Str(s.note.clone())),
-                                ("citation".to_owned(), Json::Str(s.citation().to_owned())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            fields.push(("fixpoint".to_owned(), Json::Bool(*fixpoint)));
-            if let Some(note) = note {
-                fields.push(("note".to_owned(), Json::Str(note.clone())));
+            w.key("optimized").str(optimized);
+            w.key("steps").begin_arr();
+            for step in steps {
+                w.begin_obj();
+                w.key("rule").str(step.rule);
+                write_span(w.key("span"), step.span);
+                w.key("note").str(&step.note);
+                w.key("citation").str(step.citation());
+                w.end_obj();
             }
-            fields.push(("certificate".to_owned(), certificate_json(certificate)));
+            w.end_arr();
+            w.key("fixpoint").bool(*fixpoint);
+            if let Some(note) = note {
+                w.key("note").str(note);
+            }
+            write_certificate(w.key("certificate"), certificate);
         }
         Verdict::BudgetExhausted { detail } => {
-            fields.push(("detail".to_owned(), Json::Str(detail.clone())));
+            w.key("detail").str(detail);
         }
     }
-    fields.push((
-        "expr_nodes".to_owned(),
-        Json::Int(i64::try_from(resp.expr_nodes).unwrap_or(i64::MAX)),
-    ));
-    fields.push((
-        "expr_subterms".to_owned(),
-        Json::Int(i64::try_from(resp.expr_subterms).unwrap_or(i64::MAX)),
-    ));
-    fields.push((
-        "stats".to_owned(),
-        Json::Obj(counter_entries(&resp.stats_delta.fields())),
-    ));
-    fields.push((
-        "micros".to_owned(),
-        Json::Int(i64::try_from(resp.elapsed.as_micros()).unwrap_or(i64::MAX)),
-    ));
-    Json::Obj(fields).to_string()
+    w.key("expr_nodes").uint(resp.expr_nodes);
+    w.key("expr_subterms").uint(resp.expr_subterms);
+    w.key("stats").counters(&resp.stats_delta.fields());
+    w.key("micros").uint(resp.elapsed.as_micros());
+    w.end_obj();
+    line
 }
 
 /// Encodes a request-level failure as a JSONL line: `verdict` is
@@ -512,31 +503,27 @@ pub fn encode_response(query: &Query, resp: &Response) -> String {
 /// caret rendering stays on the human surface).
 #[must_use]
 pub fn encode_error(err: &ApiError) -> String {
-    let mut fields = error_fields(err.to_string());
+    let mut line = String::with_capacity(LINE_BASE_BYTES);
+    let mut w = JsonWriter::new(&mut line);
+    write_error_head(&mut w, err);
     let field = match err {
         ApiError::Parse { field, .. } | ApiError::ParseProgram { field, .. } => Some(*field),
         ApiError::Malformed(_) | ApiError::Internal(_) => None,
     };
-    if let (Some(field), Some((start, end))) = (field, err.span()) {
-        fields.push(("field".to_owned(), Json::Str(field.to_owned())));
-        fields.push((
-            "span".to_owned(),
-            Json::Arr(vec![
-                Json::Int(i64::try_from(start).unwrap_or(i64::MAX)),
-                Json::Int(i64::try_from(end).unwrap_or(i64::MAX)),
-            ]),
-        ));
+    if let (Some(field), Some(span)) = (field, err.span()) {
+        w.key("field").str(field);
+        write_span(w.key("span"), span);
     }
-    Json::Obj(fields).to_string()
+    w.end_obj();
+    line
 }
 
-/// The leading fields of every error line.
-fn error_fields(msg: String) -> Vec<(String, Json)> {
-    vec![
-        ("v".to_owned(), Json::Int(WIRE_VERSION)),
-        ("verdict".to_owned(), Json::Str("error".to_owned())),
-        ("error".to_owned(), Json::Str(msg)),
-    ]
+/// Opens an error line and writes its leading fields.
+fn write_error_head(w: &mut JsonWriter<'_>, msg: &impl fmt::Display) {
+    w.begin_obj();
+    w.key("v").int(WIRE_VERSION);
+    w.key("verdict").str("error");
+    w.key("error").display(msg);
 }
 
 /// The response line of a request-level failure: [`encode_error`] in
@@ -556,7 +543,11 @@ pub fn render_error(err: &ApiError, json: bool) -> String {
 #[must_use]
 pub fn encode_shed(msg: String, json: bool) -> String {
     if json {
-        Json::Obj(error_fields(msg)).to_string()
+        let mut line = String::with_capacity(LINE_BASE_BYTES);
+        let mut w = JsonWriter::new(&mut line);
+        write_error_head(&mut w, &msg);
+        w.end_obj();
+        line
     } else {
         format!("error: {msg}")
     }
@@ -582,11 +573,17 @@ pub fn stable_response_projection(line: &str) -> String {
     let Ok(Json::Obj(fields)) = Json::parse(trimmed) else {
         return trimmed.to_owned();
     };
-    let kept: Vec<(String, Json)> = fields
-        .into_iter()
+    let mut kept = String::with_capacity(trimmed.len());
+    let mut w = JsonWriter::new(&mut kept);
+    w.begin_obj();
+    for (key, value) in fields
+        .iter()
         .filter(|(key, _)| key != "stats" && key != "micros")
-        .collect();
-    Json::Obj(kept).to_string()
+    {
+        w.key(key).value(value);
+    }
+    w.end_obj();
+    kept
 }
 
 /// Human-readable one-line rendering of a response, used by `nka batch`

@@ -270,16 +270,16 @@ struct Conn {
 }
 
 impl Conn {
-    /// Writes one response line; on failure marks the connection dead.
-    fn write_line(&self, line: &str, shared: &Shared) {
+    /// Writes one response line, its newline pushed onto the owned line
+    /// so it leaves in one `write_all` (one segment under `TCP_NODELAY`);
+    /// on failure marks the connection dead.
+    fn write_line(&self, mut line: String, shared: &Shared) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
+        line.push('\n');
         let mut out = self.out.lock().unwrap();
-        let mut payload = String::with_capacity(line.len() + 1);
-        payload.push_str(line);
-        payload.push('\n');
-        let result = out.write_all(payload.as_bytes()).and_then(|()| out.flush());
+        let result = out.write_all(line.as_bytes()).and_then(|()| out.flush());
         if result.is_err() {
             // EPIPE / timeout: this client is gone or wedged. Only its
             // own connection dies — the PR 1 stdout contract, per-socket.
@@ -565,7 +565,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                             counters.wire_errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    conn.write_line(&answered.line, shared);
+                    conn.write_line(answered.line, shared);
                     if answered.class != LineClass::Malformed {
                         publish(&session);
                     }
@@ -579,10 +579,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     RejectReason::LineTooLong { .. } => &shared.counters.rejected_line_bytes,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                conn.write_line(
-                    &wire::encode_shed(reason.message(), shared.cfg.json),
-                    shared,
-                );
+                conn.write_line(wire::encode_shed(reason.message(), shared.cfg.json), shared);
                 shared.pending_total.fetch_sub(1, Ordering::SeqCst);
                 conn.window.release();
             }

@@ -77,8 +77,8 @@ pub enum Program {
     /// `abort` — halts without a result (the zero superoperator).
     Abort(usize),
     /// An elementary statement (`q := |0⟩` or `q̄ := U[q̄]`) with its
-    /// encoder name.
-    Elementary(String, Arc<Superoperator>),
+    /// encoder name (shared, so cloning a statement copies no text).
+    Elementary(Arc<str>, Arc<Superoperator>),
     /// `P₁; P₂`.
     Seq(Arc<Program>, Arc<Program>),
     /// `case M[q̄] →ᵢ Pᵢ end`.
@@ -105,7 +105,7 @@ impl Program {
     /// Panics if `u` is not unitary within `1e-8`.
     pub fn unitary(name: &str, u: &CMatrix) -> Program {
         assert!(u.is_unitary(1e-8), "Program::unitary needs a unitary");
-        Program::Elementary(name.to_owned(), Arc::new(Superoperator::from_unitary(u)))
+        Program::Elementary(Arc::from(name), Arc::new(Superoperator::from_unitary(u)))
     }
 
     /// An elementary statement from an arbitrary superoperator — used for
@@ -121,7 +121,7 @@ impl Program {
             op.is_trace_nonincreasing(1e-7),
             "elementary superoperators must be trace-non-increasing"
         );
-        Program::Elementary(name.to_owned(), Arc::new(op))
+        Program::Elementary(Arc::from(name), Arc::new(op))
     }
 
     /// The initialization `q := |0⟩` on a register of dimension `reg_dim`
@@ -136,7 +136,7 @@ impl Program {
             })
             .collect();
         Program::Elementary(
-            name.to_owned(),
+            Arc::from(name),
             Arc::new(Superoperator::from_kraus(dim, dim, kraus)),
         )
     }

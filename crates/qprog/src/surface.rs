@@ -393,11 +393,12 @@ impl SurfaceEffect {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+/// A token; identifiers and numbers borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'src> {
+    Ident(&'src str),
     /// A number, raw text preserved (`ket(010)` needs the leading zero).
-    Num(String),
+    Num(&'src str),
     Semi,
     LBrace,
     RBrace,
@@ -409,14 +410,15 @@ enum Token {
 }
 
 /// A token plus its half-open byte span in the source.
-type Spanned = (Token, usize, usize);
+type Spanned<'src> = (Token<'src>, usize, usize);
 
 /// What `parse_program` yields: the qubit count, the `qubits N`
 /// header's byte span, and the span-carrying statement AST.
 type ParsedProgram = (usize, (usize, usize), Vec<Stmt>);
 
-fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseProgError> {
-    let mut tokens = Vec::new();
+fn tokenize(input: &str) -> Result<Vec<Spanned<'_>>, ParseProgError> {
+    // About one token per two bytes: a token and the space after it.
+    let mut tokens = Vec::with_capacity(input.len() / 2 + 2);
     let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -467,14 +469,14 @@ fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseProgError> {
                         i += 1;
                     }
                 }
-                tokens.push((Token::Num(input[start..i].to_owned()), start, i));
+                tokens.push((Token::Num(&input[start..i]), start, i));
             }
             _ if b.is_ascii_alphabetic() || b == b'_' => {
                 let start = i;
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                tokens.push((Token::Ident(input[start..i].to_owned()), start, i));
+                tokens.push((Token::Ident(&input[start..i]), start, i));
             }
             _ => {
                 let ch = input[i..].chars().next().expect("non-empty remainder");
@@ -514,8 +516,8 @@ fn gate_index(name: &str) -> Option<usize> {
     GATES.iter().position(|&(n, _, _)| n == name)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'src> {
+    tokens: Vec<Spanned<'src>>,
     pos: usize,
     input_len: usize,
     /// Blocks currently open, and how many may be.
@@ -523,8 +525,8 @@ struct Parser {
     max_depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Spanned>, input_len: usize) -> Parser {
+impl<'src> Parser<'src> {
+    fn new(tokens: Vec<Spanned<'src>>, input_len: usize) -> Parser<'src> {
         Parser {
             tokens,
             pos: 0,
@@ -534,7 +536,7 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'src>> {
         self.tokens.get(self.pos).map(|(t, _, _)| t)
     }
 
@@ -545,8 +547,8 @@ impl Parser {
             .map_or((self.input_len, self.input_len), |&(_, s, e)| (s, e))
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _, _)| t.clone());
+    fn bump(&mut self) -> Option<Token<'src>> {
+        let t = self.tokens.get(self.pos).map(|&(t, _, _)| t);
         if t.is_some() {
             self.pos += 1;
         }
@@ -558,7 +560,7 @@ impl Parser {
         ParseProgError::new(msg, s, e)
     }
 
-    fn expect(&mut self, want: &Token, what: &str) -> Result<(), ParseProgError> {
+    fn expect(&mut self, want: &Token<'_>, what: &str) -> Result<(), ParseProgError> {
         if self.peek() == Some(want) {
             self.bump();
             Ok(())
@@ -609,7 +611,7 @@ impl Parser {
     fn parse_program(&mut self) -> Result<ParsedProgram, ParseProgError> {
         let (s, e) = self.here();
         match self.bump() {
-            Some(Token::Ident(kw)) if kw == "qubits" => {}
+            Some(Token::Ident("qubits")) => {}
             _ => {
                 return Err(ParseProgError::new(
                     "a program starts with 'qubits N;'",
@@ -686,14 +688,14 @@ impl Parser {
         let Some(Token::Ident(head)) = self.bump() else {
             return Err(ParseProgError::new("expected a statement", s, e));
         };
-        let kind = match head.as_str() {
+        let kind = match head {
             "skip" => StmtKind::Skip,
             "abort" => StmtKind::Abort,
             "init" => StmtKind::Init(self.parse_qubit(qubits)?),
             "if" => {
                 let q = self.parse_qubit(qubits)?;
                 let then_branch = self.parse_block(qubits)?;
-                let has_else = matches!(self.peek(), Some(Token::Ident(k)) if k == "else");
+                let has_else = matches!(self.peek(), Some(Token::Ident("else")));
                 let else_branch = if has_else {
                     self.bump();
                     self.parse_block(qubits)?
@@ -782,11 +784,11 @@ impl Parser {
                         .map_err(|_| ParseProgError::new(format!("bad number {raw:?}"), s, e))?;
                     scalar *= v;
                 }
-                Some(Token::Ident(name)) if name == "I" => {
+                Some(Token::Ident("I")) => {
                     let m = CMatrix::identity(dim);
                     matrix = Some(matrix.map_or(m.clone(), |prev| &prev * &m));
                 }
-                Some(Token::Ident(name)) if name == "ket" => {
+                Some(Token::Ident("ket")) => {
                     self.expect(&Token::LParen, "'(' after ket")?;
                     let (bs, be) = self.here();
                     let bits = match self.bump() {
@@ -819,8 +821,8 @@ impl Parser {
                     self.expect(&Token::Eq, "'=' after the qubit")?;
                     let (vs, ve) = self.here();
                     let bit = match self.bump() {
-                        Some(Token::Num(raw)) if raw == "0" => 0usize,
-                        Some(Token::Num(raw)) if raw == "1" => 1usize,
+                        Some(Token::Num("0")) => 0usize,
+                        Some(Token::Num("1")) => 1usize,
                         _ => {
                             return Err(ParseProgError::new(
                                 format!("expected 0 or 1 after {name}="),

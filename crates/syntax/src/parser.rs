@@ -116,22 +116,24 @@ impl fmt::Display for ParseExprError {
 
 impl std::error::Error for ParseExprError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
+/// A token; an identifier borrows its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'src> {
     Plus,
     Star,
     LParen,
     RParen,
     Zero,
     One,
-    Ident(String),
+    Ident(&'src str),
 }
 
 /// A token plus its half-open byte span in the source.
-type Spanned = (Token, usize, usize);
+type Spanned<'src> = (Token<'src>, usize, usize);
 
-fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseExprError> {
-    let mut tokens = Vec::new();
+fn tokenize(input: &str) -> Result<Vec<Spanned<'_>>, ParseExprError> {
+    // About one token per two bytes: a token and the space after it.
+    let mut tokens = Vec::with_capacity(input.len() / 2 + 2);
     let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -171,7 +173,7 @@ fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseExprError> {
                 {
                     i += 1;
                 }
-                tokens.push((Token::Ident(input[start..i].to_owned()), start, i));
+                tokens.push((Token::Ident(&input[start..i]), start, i));
             }
             _ => {
                 // Span the whole character, not just its first byte.
@@ -187,16 +189,16 @@ fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseExprError> {
     Ok(tokens)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'src> {
+    tokens: Vec<Spanned<'src>>,
     pos: usize,
     input_len: usize,
     /// Parentheses currently open.
     open_parens: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Option<&Token<'src>> {
         self.tokens.get(self.pos).map(|(t, _, _)| t)
     }
 
@@ -207,8 +209,8 @@ impl Parser {
             .map_or((self.input_len, self.input_len), |&(_, s, e)| (s, e))
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _, _)| t.clone());
+    fn bump(&mut self) -> Option<Token<'src>> {
+        let t = self.tokens.get(self.pos).map(|&(t, _, _)| t);
         if t.is_some() {
             self.pos += 1;
         }
@@ -261,7 +263,7 @@ impl Parser {
         match self.bump() {
             Some(Token::Zero) => Ok((Expr::zero(), 0)),
             Some(Token::One) => Ok((Expr::one(), 0)),
-            Some(Token::Ident(name)) => Ok((Expr::atom(Symbol::intern(&name)), 0)),
+            Some(Token::Ident(name)) => Ok((Expr::atom(Symbol::intern(name)), 0)),
             Some(Token::LParen) => {
                 if self.open_parens >= MAX_NESTING_DEPTH {
                     return Err(ParseExprError::new(nesting_too_deep(), at, at_end));

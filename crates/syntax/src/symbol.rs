@@ -91,8 +91,10 @@ impl Symbol {
 }
 
 impl fmt::Display for Symbol {
+    /// Writes the name straight from the interner, without copying it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        let table = interner().lock().expect("symbol interner poisoned");
+        f.write_str(&table.names[self.0 as usize])
     }
 }
 

@@ -30,12 +30,21 @@
 //! (about 0.07 ms in release on a 2-core x86-64 container; rebuilding
 //! every occurrence's matrices took about 5 ms).
 //!
+//! The wire decoder has a gate of its own: a request line of exactly the
+//! default `--max-line-bytes` (1 MiB), mostly an ignored annotation
+//! string full of escapes and multibyte characters, must decode in under
+//! 50 ms (about 3 ms in release on a 2-core x86-64 container; the JSON
+//! string parser that re-validated the rest of the line at every
+//! character took about 39 s).
+//!
 //! Scratch eviction has a ratio gate: with 100,000 persistent verdicts
 //! restored, scratch-scoped star-free decides must take under 2 times
 //! (3 in debug) as long as on a fresh engine. Removing only the logged
 //! scratch keys gives about 1.0; scanning every cache entry on each
 //! purge gave about 30.
 
+use nka_quantum::api::wire;
+use nka_quantum::serve::ServeConfig;
 use nka_quantum::syntax::{Expr, ScratchScope, Symbol};
 use nka_quantum::wfa::Decider;
 use nka_quantum::{Query, Session, Verdict};
@@ -468,5 +477,50 @@ fn scratch_purges_on_a_loaded_engine_cost_what_they_evict() {
         ratio < bound,
         "with {PERSISTENT} persistent verdicts, scratch-scoped decides took {ratio:.2} times \
          as long as on a fresh engine (bound {bound})"
+    );
+}
+
+/// `a = a` as a JSON request padded to exactly `bytes` bytes with an
+/// ignored `"expect"` annotation of escapes (`\n`, `\"`, `\\`, `\u00e9`)
+/// and multibyte characters.
+fn huge_annotation_line(bytes: usize) -> String {
+    const HEAD: &str = r#"{"op":"nka_eq","lhs":"a","rhs":"a","expect":""#;
+    const TAIL: &str = r#""}"#;
+    const CHUNK: &str = r#"holds\n \"∞\" ε·ψ \\ \u00e9 ⟨0|"#;
+    let mut line = String::with_capacity(bytes);
+    line.push_str(HEAD);
+    while line.len() + CHUNK.len() + TAIL.len() <= bytes {
+        line.push_str(CHUNK);
+    }
+    while line.len() + TAIL.len() < bytes {
+        line.push('x');
+    }
+    line.push_str(TAIL);
+    line
+}
+
+/// The linear-decode gate: a line at the `--max-line-bytes` cap decodes
+/// in milliseconds, not the tens of seconds of a parser quadratic in the
+/// line length.
+#[test]
+fn a_line_at_the_line_byte_cap_decodes_in_milliseconds() {
+    let line = huge_annotation_line(ServeConfig::default().max_line_bytes);
+    assert_eq!(line.len(), 1 << 20);
+    let start = Instant::now();
+    let query = wire::decode_request(&line)
+        .expect("the annotation is ignored")
+        .expect("a query");
+    let elapsed = start.elapsed();
+    assert_eq!(query, Query::nka_eq("a", "a").unwrap());
+    println!("decoding a {} byte line took {elapsed:?}", line.len());
+    let bound = if cfg!(debug_assertions) {
+        Duration::from_millis(1000)
+    } else {
+        Duration::from_millis(50)
+    };
+    assert!(
+        elapsed < bound,
+        "decoding a {} byte line took {elapsed:?} (bound {bound:?})",
+        line.len()
     );
 }

@@ -1,7 +1,8 @@
 //! Every surface answers a line through the one handler, so every
 //! surface must answer alike: the four golden corpora plus a file of
 //! hostile lines (invalid UTF-8, over-deep nesting in each request
-//! parser, a 300 KB line, an unknown key, blank and comment lines,
+//! parser, a 300 KB line, a 1 MiB line at the `--max-line-bytes` cap,
+//! an unknown key, blank and comment lines,
 //! queries whose restriction product or ε-closure used to exhaust
 //! memory, whose path counts overflow `u64`, whose 50,000-atom chains
 //! overflowed a worker's stack, or whose restriction to an empty
@@ -59,6 +60,24 @@ fn doubled(count: usize) -> String {
     vec!["(1 + 1)"; count].join(" ")
 }
 
+/// `a = a` as a JSON request padded to exactly `bytes` bytes with an
+/// ignored `"expect"` annotation of escapes and multibyte characters.
+fn huge_annotation_line(bytes: usize) -> String {
+    const HEAD: &str = r#"{"op":"nka_eq","lhs":"a","rhs":"a","expect":""#;
+    const TAIL: &str = r#""}"#;
+    const CHUNK: &str = r#"holds\n \"∞\" ε·ψ \\ \u00e9 ⟨0|"#;
+    let mut line = String::with_capacity(bytes);
+    line.push_str(HEAD);
+    while line.len() + CHUNK.len() + TAIL.len() <= bytes {
+        line.push_str(CHUNK);
+    }
+    while line.len() + TAIL.len() < bytes {
+        line.push('x');
+    }
+    line.push_str(TAIL);
+    line
+}
+
 /// The hostile stream: every crash the request parsers and the decision
 /// kernel used to have, each followed by lines that must still be
 /// answered.
@@ -86,6 +105,9 @@ fn hostile_lines() -> Vec<u8> {
     line(nested_ifs(1600).as_bytes());
     line(nested_ifs(MAX_NESTING_DEPTH + 1).as_bytes());
     line(format!("{{\"op\":\"nope\",\"pad\":\"{}\"}}", "x".repeat(300_000)).as_bytes());
+    // Exactly the default `--max-line-bytes`: the JSON string parser
+    // was quadratic in the line length and took ~39 s on it.
+    line(huge_annotation_line(1 << 20).as_bytes());
     line(br#"{"op":"nka_eq","lhs":"a","rhs":"a","lsh":"b"}"#);
     line(b"   ");
     // Within the nesting limit, but the dense restriction product asked
@@ -313,6 +335,15 @@ fn every_surface_answers_every_line_alike() {
                         .to_owned()
                 })
                 .collect();
+            assert!(
+                batch.stdout.lines().any(|line| {
+                    let json = Json::parse(line).expect("a JSON response");
+                    let field = |key| json.get(key).and_then(Json::as_str);
+                    (field("lhs"), field("rhs"), field("verdict"))
+                        == (Some("a"), Some("a"), Some("holds"))
+                }),
+                "the 1 MiB line is answered `holds`"
+            );
             let kernel = &verdicts[verdicts.len() - 11..verdicts.len() - 1];
             assert_eq!(
                 kernel,
