@@ -11,7 +11,7 @@
 //! control byte), so a line of the default `--max-line-bytes` (1 MiB)
 //! parses in milliseconds.
 //!
-//! There is one serializer, [`JsonWriter`]: it appends keys, escaped
+//! There is one serializer, `JsonWriter`: it appends keys, escaped
 //! strings and integers to one `String`. `Json`'s `Display` drives it
 //! over a tree, and the [`crate::api::wire`] encoders drive it directly,
 //! writing each response line in place into one pre-sized buffer.
@@ -281,23 +281,8 @@ fn parse_object(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String
 /// Values written after a [`JsonWriter::key`] are that key's value;
 /// values written directly inside an array are its elements. The
 /// writer inserts every `,` itself.
-///
-/// ```
-/// use nka_core::api::json::{Json, JsonWriter};
-///
-/// let mut line = String::new();
-/// let mut w = JsonWriter::new(&mut line);
-/// w.begin_obj();
-/// w.key("op").str("nka_eq");
-/// w.key("span").begin_arr().uint(3).uint(5).end_arr();
-/// w.key("expr").display(&"a \"b\"");
-/// w.end_obj();
-/// assert_eq!(line, r#"{"op":"nka_eq","span":[3,5],"expr":"a \"b\""}"#);
-/// assert_eq!(Json::parse(&line)?.to_string(), line);
-/// # Ok::<(), String>(())
-/// ```
 #[derive(Debug)]
-pub struct JsonWriter<'a> {
+pub(crate) struct JsonWriter<'a> {
     out: &'a mut String,
     /// Whether the next key or element needs a `,` before it.
     comma: bool,
@@ -560,6 +545,28 @@ mod tests {
             .expect("parser thread survives")
             .unwrap_err();
         assert!(err.starts_with("nesting too deep"), "{err}");
+    }
+
+    #[test]
+    fn the_writer_separates_and_escapes() {
+        let mut line = String::new();
+        let mut w = JsonWriter::new(&mut line);
+        w.begin_obj();
+        w.key("op").str("nka_eq");
+        w.key("span")
+            .begin_arr()
+            .uint(3u64)
+            .uint(usize::MAX)
+            .end_arr();
+        w.key("expr").display(&"a \"b\"\u{1}");
+        w.key("n").int(i64::MIN).key("none").null();
+        w.key("empty").begin_obj().end_obj();
+        w.end_obj();
+        assert_eq!(
+            line,
+            r#"{"op":"nka_eq","span":[3,9223372036854775807],"expr":"a \"b\"\u0001","n":-9223372036854775808,"none":null,"empty":{}}"#
+        );
+        assert_eq!(Json::parse(&line).unwrap().to_string(), line);
     }
 
     #[test]

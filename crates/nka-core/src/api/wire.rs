@@ -43,7 +43,7 @@
 //!
 //! Decoding is linear in the line ([`Json::parse`] copies string runs
 //! whole), and every encoder writes its line in place through the one
-//! [`JsonWriter`] into a single buffer sized for the line, with no
+//! `JsonWriter` into a single buffer sized for the line, with no
 //! intermediate `Json` tree: a warm `nka_eq` line costs a dozen heap
 //! allocations end to end (`tests/alloc_budget.rs`).
 

@@ -29,7 +29,6 @@ fn count_one() {
 
 // SAFETY: every call forwards to `System` unchanged; the counter is a
 // const-initialised thread-local `Cell` that never allocates.
-#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();

@@ -50,6 +50,10 @@ use nka_quantum::wfa::Decider;
 use nka_quantum::{Query, Session, Verdict};
 use std::time::{Duration, Instant};
 
+#[path = "support/long_line.rs"]
+mod long_line;
+use long_line::huge_annotation_line;
+
 /// The analyzer's acceptance bound: a full default-pass `analyze` of
 /// the same 14-gate loop-free program completes in well under 5 ms on
 /// a warm session. The warm-up query is a *different* program, so the
@@ -478,25 +482,6 @@ fn scratch_purges_on_a_loaded_engine_cost_what_they_evict() {
         "with {PERSISTENT} persistent verdicts, scratch-scoped decides took {ratio:.2} times \
          as long as on a fresh engine (bound {bound})"
     );
-}
-
-/// `a = a` as a JSON request padded to exactly `bytes` bytes with an
-/// ignored `"expect"` annotation of escapes (`\n`, `\"`, `\\`, `\u00e9`)
-/// and multibyte characters.
-fn huge_annotation_line(bytes: usize) -> String {
-    const HEAD: &str = r#"{"op":"nka_eq","lhs":"a","rhs":"a","expect":""#;
-    const TAIL: &str = r#""}"#;
-    const CHUNK: &str = r#"holds\n \"∞\" ε·ψ \\ \u00e9 ⟨0|"#;
-    let mut line = String::with_capacity(bytes);
-    line.push_str(HEAD);
-    while line.len() + CHUNK.len() + TAIL.len() <= bytes {
-        line.push_str(CHUNK);
-    }
-    while line.len() + TAIL.len() < bytes {
-        line.push('x');
-    }
-    line.push_str(TAIL);
-    line
 }
 
 /// The linear-decode gate: a line at the `--max-line-bytes` cap decodes

@@ -22,6 +22,10 @@ use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
+#[path = "support/long_line.rs"]
+mod long_line;
+use long_line::huge_annotation_line;
+
 const CORPORA: [&str; 4] = ["batch_50", "qprog_25", "analyze_20", "optimize_20"];
 
 fn corpus(name: &str) -> PathBuf {
@@ -58,24 +62,6 @@ fn nested_whiles(depth: usize) -> String {
 /// `count` factors of `(1 + 1)`: 2^count ε-paths, past `u64` from 64 on.
 fn doubled(count: usize) -> String {
     vec!["(1 + 1)"; count].join(" ")
-}
-
-/// `a = a` as a JSON request padded to exactly `bytes` bytes with an
-/// ignored `"expect"` annotation of escapes and multibyte characters.
-fn huge_annotation_line(bytes: usize) -> String {
-    const HEAD: &str = r#"{"op":"nka_eq","lhs":"a","rhs":"a","expect":""#;
-    const TAIL: &str = r#""}"#;
-    const CHUNK: &str = r#"holds\n \"∞\" ε·ψ \\ \u00e9 ⟨0|"#;
-    let mut line = String::with_capacity(bytes);
-    line.push_str(HEAD);
-    while line.len() + CHUNK.len() + TAIL.len() <= bytes {
-        line.push_str(CHUNK);
-    }
-    while line.len() + TAIL.len() < bytes {
-        line.push('x');
-    }
-    line.push_str(TAIL);
-    line
 }
 
 /// The hostile stream: every crash the request parsers and the decision
