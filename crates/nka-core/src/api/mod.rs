@@ -99,7 +99,7 @@ pub use stream::{answer_line, run_ordered, Answered, LineClass};
 use crate::judgment::Judgment;
 use crate::proof::Proof;
 use crate::prover::{ProveOutcome, Prover};
-use crate::snapshot::{self, ConfigGuard, LoadedSnapshot, SnapshotBuilder, SnapshotError};
+use crate::snapshot::{ConfigGuard, LoadedSnapshot, SnapshotBuilder, SnapshotError};
 use nka_qprog::optimize::{self, OptimizeStep, RuleSet};
 use nka_qprog::{
     analysis, hoare::HoareTriple, Certificate, CertificateStats, EncoderSetting, Finding,
@@ -113,7 +113,6 @@ use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A typed request against the NKA theory. See the [module docs](self)
@@ -841,8 +840,9 @@ pub struct SessionOptions {
     /// Warm-state snapshot file ([`crate::snapshot`]): when set, the
     /// session re-dumps its exportable caches here every time the
     /// recycling backstop retires an engine, so the warm state survives
-    /// the recycle-and-restart lifecycle. Loading is explicit
-    /// ([`Session::load_snapshot_file`]) — a session never trusts a
+    /// the recycle-and-restart lifecycle. Loading is explicit (the
+    /// caller reads the file once with [`snapshot::load`] and restores
+    /// it through [`Session::load_snapshot`]) — a session never trusts a
     /// file it was not asked to read. `None` (the default) never dumps.
     pub snapshot_path: Option<PathBuf>,
 }
@@ -1100,7 +1100,7 @@ nka_syntax::counter_table! {
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SnapshotStats {
         /// Cache entries restored into this session from loaded snapshots
-        /// (verdicts + multisets + certificates).
+        /// (verdicts + certificates).
         pub restored_entries: u64 => nka_syntax::counters::max,
         /// Engine verdict-cache hits served by a restored entry.
         pub snapshot_hits: u64,
@@ -1385,7 +1385,7 @@ impl Session {
     }
 
     /// Restores an instantiated snapshot into this session's caches:
-    /// verdicts and multisets into the engine, certificates into the
+    /// verdicts into the engine, certificates into the
     /// Tier B cache. Entries whose cache-relevant options differ from
     /// this session's are refused wholesale (counted as a load
     /// warning) — a mismatched snapshot degrades to cold, never to a
@@ -1404,10 +1404,6 @@ impl Session {
             self.engine.restore_ka_verdict(l, r, *v);
             restored += 1;
         }
-        for (e, ms) in &snap.multisets {
-            self.engine.restore_multiset(e, Arc::clone(ms));
-            restored += 1;
-        }
         for cert in &snap.certs {
             self.cert_cache.insert(
                 (cert.p.clone(), cert.q.clone()),
@@ -1420,30 +1416,8 @@ impl Session {
         restored
     }
 
-    /// Reads, validates, and restores the snapshot at `path` — the
-    /// boot-time warm-start entry point for a single embedded session
-    /// (pools load once and call [`Session::load_snapshot`] per
-    /// worker). On any failure the
-    /// session stays cold, the load-warning counter moves, and the
-    /// typed error is returned for logging. Returns the number of
-    /// entries restored.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]; the session is unchanged (cold) when one
-    /// is returned.
-    pub fn load_snapshot_file(&mut self, path: &Path) -> Result<usize, SnapshotError> {
-        match snapshot::load(path, &ConfigGuard::from_options(&self.opts.decide)) {
-            Ok(snap) => Ok(self.load_snapshot(&snap)),
-            Err(err) => {
-                self.snapshot.load_warnings += 1;
-                Err(err)
-            }
-        }
-    }
-
     /// Stages this session's exportable warm state into `builder`:
-    /// persistent-keyed engine verdicts and multisets plus the Tier B
+    /// persistent-keyed engine verdicts plus the Tier B
     /// certificate cache (in sorted key order, so dumps are
     /// deterministic). Used directly by the serve worker pool to merge
     /// every worker's caches into one snapshot at drain.
@@ -1456,11 +1430,6 @@ impl Session {
         for (a, b, v) in self.engine.export_ka_verdicts() {
             if let (Some(l), Some(r)) = (Expr::from_id(a), Expr::from_id(b)) {
                 builder.add_ka_verdict(&l, &r, v);
-            }
-        }
-        for (id, ms) in self.engine.export_multisets() {
-            if let Some(e) = Expr::from_id(id) {
-                builder.add_multiset(&e, &ms);
             }
         }
         let mut certs: Vec<_> = self.cert_cache.iter().collect();
@@ -2075,6 +2044,7 @@ pub fn run_batch_parallel(queries: &[Query], opts: &SessionOptions, jobs: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot;
 
     /// Set in the child process [`in_own_process`] starts.
     const OWN_PROCESS: &str = "NKA_CORE_TEST_IN_OWN_PROCESS";
@@ -2487,8 +2457,10 @@ mod tests {
         // A fresh session restores it and answers every query from the
         // snapshot tier: verdicts identical, zero new compiles, and the
         // tiered counters attribute the hits to the snapshot.
+        let guard = ConfigGuard::from_options(&DecideOptions::default());
+        let loaded = snapshot::load(&path, &guard).unwrap();
         let mut restored = Session::new();
-        let n = restored.load_snapshot_file(&path).unwrap();
+        let n = restored.load_snapshot(&loaded);
         assert_eq!(n as u64, restored.totals().snapshot.restored_entries);
         assert!(n > 0);
         assert_eq!(restored.run(&nka_q).verdict, cold_nka);
@@ -2509,8 +2481,9 @@ mod tests {
             )
         );
 
-        // A session whose cache-relevant options differ refuses the
-        // snapshot wholesale — cold, one warning, no wrong answers.
+        // Under cache-relevant options that differ, the loader refuses
+        // the file, and a session refuses an already loaded snapshot
+        // wholesale — cold, one warning, no wrong answers.
         let mismatched_opts = SessionOptions::builder()
             .decide(DecideOptions {
                 starfree_max_words: DecideOptions::default().starfree_max_words + 1,
@@ -2518,9 +2491,11 @@ mod tests {
             })
             .build()
             .unwrap();
-        let mut mismatched = Session::with_options(mismatched_opts);
-        let err = mismatched.load_snapshot_file(&path).unwrap_err();
+        let err =
+            snapshot::load(&path, &ConfigGuard::from_options(&mismatched_opts.decide)).unwrap_err();
         assert!(matches!(err, SnapshotError::ConfigMismatch), "{err:?}");
+        let mut mismatched = Session::with_options(mismatched_opts);
+        assert_eq!(mismatched.load_snapshot(&loaded), 0);
         let stats = mismatched.totals().snapshot;
         assert_eq!(stats.restored_entries, 0, "{stats:?}");
         assert_eq!(stats.load_warnings, 1, "{stats:?}");

@@ -368,6 +368,10 @@ struct Shared {
     snapshot: Option<Arc<LoadedSnapshot>>,
     /// Load failures at bind (corrupt / mismatched / unreadable file).
     snapshot_load_warnings: AtomicU64,
+    /// Drain-time dumps written by [`Server::join`], and those that
+    /// failed.
+    snapshot_dumps: AtomicU64,
+    snapshot_dump_failures: AtomicU64,
     /// Drain-time merge target: each exiting worker folds its caches in
     /// here; [`Server::join`] writes the result to `snapshot_path`.
     snapshot_merge: Mutex<Option<SnapshotBuilder>>,
@@ -730,6 +734,8 @@ impl ServerHandle {
             .iter()
             .fold(SessionTotals::default(), |acc, w| acc.merged(w));
         totals.snapshot.load_warnings += shared.snapshot_load_warnings.load(Ordering::Relaxed);
+        totals.snapshot.dumps += shared.snapshot_dumps.load(Ordering::Relaxed);
+        totals.snapshot.dump_failures += shared.snapshot_dump_failures.load(Ordering::Relaxed);
         let c = &shared.counters;
         let serve = ServeCounters {
             connections_opened: c.connections_opened.load(Ordering::Relaxed),
@@ -823,6 +829,8 @@ impl Server {
             counters: Counters::default(),
             snapshot: loaded,
             snapshot_load_warnings: AtomicU64::new(load_warnings),
+            snapshot_dumps: AtomicU64::new(0),
+            snapshot_dump_failures: AtomicU64::new(0),
             snapshot_merge: Mutex::new(merge),
             cfg,
         });
@@ -910,12 +918,18 @@ impl Server {
         }
         // Every worker has folded its caches into the merge builder by
         // now; re-dump so the next boot (supervisor restart loop) warm
-        // starts. A failed write only warns — the drain still succeeds.
+        // starts. A failed write only warns and is counted — the drain
+        // still succeeds.
         if let Some(path) = &self.shared.cfg.snapshot_path {
             if let Some(builder) = self.shared.snapshot_merge.lock().unwrap().take() {
-                if let Err(err) = builder.write_to(path) {
-                    eprintln!("warning: snapshot dump to {} failed: {err}", path.display());
-                }
+                let counter = match builder.write_to(path) {
+                    Ok(()) => &self.shared.snapshot_dumps,
+                    Err(err) => {
+                        eprintln!("warning: snapshot dump to {} failed: {err}", path.display());
+                        &self.shared.snapshot_dump_failures
+                    }
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
         }
         for path in &self.unix_paths {

@@ -5,9 +5,11 @@
 //! ~millisecond cold path. This module makes that warm state a durable
 //! artifact: a snapshot captures the promoted arena expressions reachable
 //! from the [`Decider`](nka_wfa::Decider) caches (in a canonical,
-//! process-independent post-order encoding), the NKA/KA verdict caches,
-//! the star-free word-multiset memo, and the analyzer certificate cache —
-//! and restores them into a fresh process.
+//! process-independent post-order encoding), the NKA/KA verdict caches and
+//! the analyzer certificate cache — and restores them into a fresh
+//! process. The star-free tiers keep no state of their own to persist:
+//! their word multisets live for one query, and the verdict cache holds
+//! the answer.
 //!
 //! # Format
 //!
@@ -21,7 +23,6 @@
 //! | symbols   | count + length-prefixed UTF-8 names                            |
 //! | exprs     | count + tagged nodes in post-order (children precede parents; child indices must be smaller than the node's own index) |
 //! | verdicts  | NKA then KA: count + `(lhs idx, rhs idx, verdict)` triples     |
-//! | multisets | count + per-expression word multisets (symbol-index words)     |
 //! | certs     | count + `(p, q, holds, certificate counters)` entries          |
 //!
 //! Expression identity is *structural*: [`nka_syntax::ExprId`]s
@@ -41,15 +42,13 @@
 //! same cache-relevant options.
 
 use nka_qprog::analysis::CertificateStats;
-use nka_syntax::{Expr, ExprId, Folded, Symbol, Word};
-use nka_wfa::starfree::WordMultiset;
+use nka_syntax::{Expr, ExprId, Folded, Symbol};
 use nka_wfa::DecideOptions;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Numbers [`SnapshotBuilder::write_to`]'s temp files within this process.
@@ -60,14 +59,18 @@ pub const MAGIC: [u8; 8] = *b"NKASNAP.";
 
 /// The current snapshot format version. Bump on any layout change; a
 /// reader seeing an unknown version degrades to cold start. Version 2
-/// dropped the header's zeroness-arithmetic flag byte.
-pub const VERSION: u32 = 2;
+/// dropped the header's zeroness-arithmetic flag byte; version 3 dropped
+/// the star-free word-multiset section.
+pub const VERSION: u32 = 3;
 
 /// The subset of [`DecideOptions`] that affects what cached entries
-/// *mean*. A snapshot written under one guard must not be restored into
-/// an engine running under a different one: `starfree_max_words`
-/// changes which multisets were admissible. (`max_dfa_states` is a
-/// resource budget only — it can differ freely, so it is deliberately
+/// *carry*. A snapshot written under one guard must not be restored into
+/// an engine running under a different one: analyzer certificates carry
+/// the tier counters of their decision on the wire (`starfree_hits`,
+/// `prefix_hits`, `fastpath_fallbacks`), and `starfree_max_words`
+/// decides which tier answers a star-free query. Verdicts do not depend
+/// on it. (`max_dfa_states` is
+/// a resource budget only — it can differ freely, so it is deliberately
 /// not part of the guard.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigGuard {
@@ -171,10 +174,6 @@ enum Node {
     Star(u32),
 }
 
-/// One serialized word multiset: `(word as symbol-table indices,
-/// multiplicity)` pairs for a single star-free expression.
-type WordCounts = Vec<(Vec<u32>, u64)>;
-
 /// Accumulates warm state for a dump: remaps process-local [`ExprId`]s
 /// to dense table indices, dedups entries contributed by multiple
 /// workers, and serializes to the binary format. Scratch-keyed
@@ -192,8 +191,6 @@ pub struct SnapshotBuilder {
     nka_seen: HashMap<(u32, u32), ()>,
     ka: Vec<(u32, u32, bool)>,
     ka_seen: HashMap<(u32, u32), ()>,
-    multisets: Vec<(u32, WordCounts)>,
-    multiset_seen: HashMap<u32, ()>,
     certs: Vec<CertEntry>,
     cert_seen: HashMap<(String, String), ()>,
 }
@@ -212,17 +209,15 @@ impl SnapshotBuilder {
             nka_seen: HashMap::new(),
             ka: Vec::new(),
             ka_seen: HashMap::new(),
-            multisets: Vec::new(),
-            multiset_seen: HashMap::new(),
             certs: Vec::new(),
             cert_seen: HashMap::new(),
         }
     }
 
-    /// Total entries (verdicts + multisets + certificates) staged so far.
+    /// Total entries (verdicts + certificates) staged so far.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.nka.len() + self.ka.len() + self.multisets.len() + self.certs.len()
+        self.nka.len() + self.ka.len() + self.certs.len()
     }
 
     fn intern_symbol(&mut self, sym: Symbol) -> u32 {
@@ -278,29 +273,6 @@ impl SnapshotBuilder {
         if self.ka_seen.insert(key, ()).is_none() {
             self.ka.push((key.0, key.1, verdict));
         }
-    }
-
-    /// Stages a star-free word-multiset memo entry.
-    pub fn add_multiset(&mut self, e: &Expr, multiset: &WordMultiset) {
-        if e.id().is_scratch() {
-            return;
-        }
-        let ix = self.intern_expr(e);
-        if self.multiset_seen.insert(ix, ()).is_some() {
-            return;
-        }
-        let words: Vec<(Vec<u32>, u64)> = multiset
-            .iter()
-            .map(|(word, &mult)| {
-                let syms = word
-                    .symbols()
-                    .iter()
-                    .map(|&s| self.intern_symbol(s))
-                    .collect();
-                (syms, mult)
-            })
-            .collect();
-        self.multisets.push((ix, words));
     }
 
     /// Stages an analyzer certificate-cache entry.
@@ -359,18 +331,6 @@ impl SnapshotBuilder {
                 push_u32(&mut body, l);
                 push_u32(&mut body, r);
                 body.push(u8::from(v));
-            }
-        }
-        push_u32(&mut body, self.multisets.len() as u32);
-        for (ix, words) in &self.multisets {
-            push_u32(&mut body, *ix);
-            push_u32(&mut body, words.len() as u32);
-            for (syms, mult) in words {
-                push_u32(&mut body, syms.len() as u32);
-                for &s in syms {
-                    push_u32(&mut body, s);
-                }
-                push_u64(&mut body, *mult);
             }
         }
         push_u32(&mut body, self.certs.len() as u32);
@@ -440,17 +400,15 @@ pub struct SnapshotSummary {
     pub nka_verdicts: usize,
     /// KA verdict-cache entries.
     pub ka_verdicts: usize,
-    /// Star-free word-multiset memo entries.
-    pub multisets: usize,
     /// Analyzer certificate-cache entries.
     pub certs: usize,
 }
 
 impl SnapshotSummary {
-    /// Total restorable cache entries (verdicts + multisets + certs).
+    /// Total restorable cache entries (verdicts + certs).
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.nka_verdicts + self.ka_verdicts + self.multisets + self.certs
+        self.nka_verdicts + self.ka_verdicts + self.certs
     }
 }
 
@@ -466,7 +424,6 @@ pub struct Snapshot {
     nodes: Vec<Node>,
     nka: Vec<(u32, u32, bool)>,
     ka: Vec<(u32, u32, bool)>,
-    multisets: Vec<(u32, WordCounts)>,
     certs: Vec<CertEntry>,
 }
 
@@ -561,30 +518,6 @@ impl Snapshot {
         };
         let nka = read_verdicts(&mut cur)?;
         let ka = read_verdicts(&mut cur)?;
-        let multiset_count = cur.u32()? as usize;
-        let mut multisets = Vec::new();
-        for _ in 0..multiset_count {
-            let ix = cur.u32()?;
-            if ix as usize >= nodes.len() {
-                return Err(SnapshotError::Malformed("multiset expr index out of range"));
-            }
-            let word_count = cur.u32()? as usize;
-            let mut words = Vec::new();
-            for _ in 0..word_count {
-                let len = cur.u32()? as usize;
-                let mut syms = Vec::new();
-                for _ in 0..len {
-                    let s = cur.u32()?;
-                    if s as usize >= symbols.len() {
-                        return Err(SnapshotError::Malformed("word symbol index out of range"));
-                    }
-                    syms.push(s);
-                }
-                let mult = cur.u64()?;
-                words.push((syms, mult));
-            }
-            multisets.push((ix, words));
-        }
         let cert_count = cur.u32()? as usize;
         let mut certs = Vec::new();
         for _ in 0..cert_count {
@@ -618,7 +551,6 @@ impl Snapshot {
             nodes,
             nka,
             ka,
-            multisets,
             certs,
         })
     }
@@ -645,7 +577,6 @@ impl Snapshot {
             exprs: self.nodes.len(),
             nka_verdicts: self.nka.len(),
             ka_verdicts: self.ka.len(),
-            multisets: self.multisets.len(),
             certs: self.certs.len(),
         }
     }
@@ -679,24 +610,11 @@ impl Snapshot {
                 .map(|&(l, r, v)| (exprs[l as usize], exprs[r as usize], v))
                 .collect()
         };
-        let multisets = self
-            .multisets
-            .iter()
-            .map(|(ix, words)| {
-                let mut ms = WordMultiset::new();
-                for (word_syms, mult) in words {
-                    let word = Word::from_symbols(word_syms.iter().map(|&s| syms[s as usize]));
-                    ms.insert(word, *mult);
-                }
-                (exprs[*ix as usize], Arc::new(ms))
-            })
-            .collect();
         LoadedSnapshot {
             created_unix_secs: self.created_unix_secs,
             config: self.config,
             nka: resolve(&self.nka),
             ka: resolve(&self.ka),
-            multisets,
             certs: self.certs.clone(),
         }
     }
@@ -716,8 +634,6 @@ pub struct LoadedSnapshot {
     pub nka: Vec<(Expr, Expr, bool)>,
     /// KA verdict-cache entries.
     pub ka: Vec<(Expr, Expr, bool)>,
-    /// Star-free word-multiset memo entries.
-    pub multisets: Vec<(Expr, Arc<WordMultiset>)>,
     /// Analyzer certificate-cache entries.
     pub certs: Vec<CertEntry>,
 }
@@ -726,7 +642,7 @@ impl LoadedSnapshot {
     /// Total restorable cache entries.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.nka.len() + self.ka.len() + self.multisets.len() + self.certs.len()
+        self.nka.len() + self.ka.len() + self.certs.len()
     }
 
     /// The snapshot's age relative to `now_unix_secs`, saturating at
@@ -858,16 +774,6 @@ mod tests {
         let r: Expr = "p (q p)*".parse().unwrap();
         b.add_nka_verdict(&l, &r, true);
         b.add_ka_verdict(&l, &r, true);
-        let sf: Expr = "a (b + c)".parse().unwrap();
-        let mut ms = WordMultiset::new();
-        let (a, bb, c) = (
-            Symbol::intern("a"),
-            Symbol::intern("b"),
-            Symbol::intern("c"),
-        );
-        ms.insert(Word::from_symbols([a, bb]), 1);
-        ms.insert(Word::from_symbols([a, c]), 1);
-        b.add_multiset(&sf, &ms);
         b.add_cert(
             "x := 0",
             "x := 0;; skip",
@@ -891,9 +797,8 @@ mod tests {
         assert_eq!(summary.created_unix_secs, 1_700_000_000);
         assert_eq!(summary.nka_verdicts, 1);
         assert_eq!(summary.ka_verdicts, 1);
-        assert_eq!(summary.multisets, 1);
         assert_eq!(summary.certs, 1);
-        assert_eq!(summary.entry_count(), 4);
+        assert_eq!(summary.entry_count(), 3);
         let loaded = snap.instantiate();
         // Hash-consing makes the restored handles canonical: they are
         // *identical* to freshly parsed terms, not merely equal.
@@ -906,7 +811,6 @@ mod tests {
         restored.sort();
         fresh.sort();
         assert_eq!(restored, fresh);
-        assert_eq!(loaded.multisets[0].1.len(), 2);
         assert_eq!(loaded.certs[0].p, "x := 0");
         assert!(loaded.certs[0].holds);
     }
@@ -918,7 +822,7 @@ mod tests {
         let r: Expr = "p (q p)*".parse().unwrap();
         b.add_nka_verdict(&l, &r, true);
         b.add_cert("x := 0", "x := 0;; skip", true, CertificateStats::default());
-        assert_eq!(b.entry_count(), 4);
+        assert_eq!(b.entry_count(), 3);
     }
 
     #[test]
@@ -930,7 +834,7 @@ mod tests {
             let s = p.star().star();
             assert!(s.id().is_scratch());
             b.add_nka_verdict(&s, &s, true);
-            b.add_multiset(&s, &WordMultiset::new());
+            b.add_ka_verdict(&s, &p, true);
         }
         assert_eq!(b.entry_count(), 0);
     }
@@ -1006,7 +910,7 @@ mod tests {
         let path = dir.join("warm.snap");
         sample_builder().write_to(&path).unwrap();
         let snap = Snapshot::read(&path).unwrap();
-        assert_eq!(snap.summary().entry_count(), 4);
+        assert_eq!(snap.summary().entry_count(), 3);
         // No temp droppings left behind.
         let others = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(others, 1);

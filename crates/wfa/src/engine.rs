@@ -12,6 +12,10 @@
 //! * determinized ∞-support and support DFAs per (expression, alphabet);
 //! * final verdicts per unordered query pair.
 //!
+//! The star-free tiers ([`crate::starfree`]) keep nothing else: a
+//! star-free query evaluates its word multisets with a memo that lives
+//! for that call only, and the verdict cache remembers the answer.
+//!
 //! Deciding `e = f` and then `e = g` therefore compiles `e` once; deciding
 //! the same pair twice is a hash lookup. All entry points return
 //! `Result` — the engine never panics on budget exhaustion, it reports
@@ -56,7 +60,7 @@ use crate::decide::{DecideError, DecideOptions};
 use crate::ka::support_nfa;
 use crate::nfa::Dfa;
 use crate::position::position_automaton;
-use crate::starfree::{self, PrefixOutcome, WordMultiset};
+use crate::starfree::{self, PrefixOutcome};
 use crate::zeroness::{is_zero_integer, restrict_within};
 use nka_semiring::ExtNat;
 use nka_syntax::{Expr, ExprId, ScratchLog, Symbol};
@@ -140,11 +144,7 @@ pub struct Decider {
     /// observable.
     nka_verdicts: HashMap<(ExprId, ExprId), (bool, bool)>,
     ka_verdicts: HashMap<(ExprId, ExprId), (bool, bool)>,
-    /// Word multisets of star-free (sub)expressions — the tier-1 memo
-    /// of the star-free fast path (see [`crate::starfree`]), shared
-    /// across queries like the automaton caches.
-    multisets: HashMap<ExprId, Arc<WordMultiset>>,
-    /// Cache entries (verdicts + multisets) restored from a snapshot.
+    /// Verdict-cache entries restored from a snapshot.
     restored_entries: u64,
     /// Verdict-cache hits whose entry came from a snapshot.
     snapshot_hits: u64,
@@ -166,7 +166,6 @@ enum ScratchKey {
     SupportDfa((ExprId, AlphabetId)),
     NkaVerdict((ExprId, ExprId)),
     KaVerdict((ExprId, ExprId)),
-    Multiset(ExprId),
 }
 
 /// Compile-time proof that whole engines (caches included) move and
@@ -251,9 +250,6 @@ impl Decider {
                 ScratchKey::KaVerdict(key) => {
                     self.ka_verdicts.remove(&key);
                 }
-                ScratchKey::Multiset(id) => {
-                    self.multisets.remove(&id);
-                }
             }
         }
         self.scratch_purges += 1;
@@ -314,14 +310,13 @@ impl Decider {
             }
             PrefixOutcome::Residual(re, rf) => (re, rf),
         };
-        // Tier 1: compare the residual products' word multisets.
-        let log = &mut self.scratch_log;
-        let mut record = |id| log.record(ScratchKey::Multiset(id));
-        let left = starfree::eval_product_logged(&re, &mut self.multisets, max_words, &mut record);
+        // Tier 1: compare the residual products' word multisets, with a
+        // memo that lives for this query only (shared subterms of both
+        // sides still evaluate once).
+        let mut memo = HashMap::new();
+        let left = starfree::eval_product(&re, &mut memo, max_words, &mut 0);
         let right = match left {
-            Some(_) => {
-                starfree::eval_product_logged(&rf, &mut self.multisets, max_words, &mut record)
-            }
+            Some(_) => starfree::eval_product(&rf, &mut memo, max_words, &mut 0),
             None => None,
         };
         match (left, right) {
@@ -432,19 +427,6 @@ impl Decider {
         export_verdicts(&self.ka_verdicts)
     }
 
-    /// The persistent-keyed star-free word-multiset memo, sorted by key.
-    #[must_use]
-    pub fn export_multisets(&self) -> Vec<(ExprId, Arc<WordMultiset>)> {
-        let mut out: Vec<(ExprId, Arc<WordMultiset>)> = self
-            .multisets
-            .iter()
-            .filter(|(id, _)| !id.is_scratch())
-            .map(|(&id, ms)| (id, Arc::clone(ms)))
-            .collect();
-        out.sort_by_key(|&(id, _)| id);
-        out
-    }
-
     /// Seeds an NKA verdict computed in this process under persistent
     /// ids — e.g. re-caching a scratch-decided `prog_eq` verdict under
     /// its promoted encodings so it survives scope retirement and is
@@ -483,15 +465,6 @@ impl Decider {
         self.restored_entries += 1;
     }
 
-    /// Restores a snapshot-loaded star-free word multiset.
-    pub fn restore_multiset(&mut self, e: &Expr, multiset: Arc<WordMultiset>) {
-        if e.id().is_scratch() {
-            return;
-        }
-        self.multisets.insert(e.id(), multiset);
-        self.restored_entries += 1;
-    }
-
     /// Verdict-cache hits whose entry was restored from a snapshot —
     /// the "snapshot hit" tier of the tiered lookup (every such hit is
     /// also an `answer_hit`).
@@ -500,8 +473,7 @@ impl Decider {
         self.snapshot_hits
     }
 
-    /// Cache entries (verdicts + multisets) restored into this engine
-    /// from a snapshot.
+    /// Verdict-cache entries restored into this engine from a snapshot.
     #[must_use]
     pub fn restored_entries(&self) -> u64 {
         self.restored_entries
@@ -900,21 +872,19 @@ mod tests {
     }
 
     #[test]
-    fn scratch_keyed_multisets_are_evicted_on_epoch_advance() {
+    fn a_starfree_decide_on_scratch_terms_logs_only_its_verdict() {
         let mut engine = Decider::new();
-        {
-            let _scope = nka_syntax::ScratchScope::enter();
-            let l = e("msA").mul(&e("msB")).mul(&e("msA + msB"));
-            let r = e("msA").mul(&e("msB")).mul(&e("msB + msA"));
-            assert!(l.id().is_scratch());
-            assert!(engine.decide(&l, &r).unwrap());
-            assert_eq!(engine.stats().starfree_hits, 1);
-        }
-        // The scope retired: the next entry point must purge the
-        // scratch-keyed multisets along with every other cache.
-        assert!(!engine.decide(&e("msA"), &e("msB")).unwrap());
-        assert_eq!(engine.scratch_purges(), 1);
-        assert!(engine.multisets.keys().all(|id| !id.is_scratch()));
+        let _scope = nka_syntax::ScratchScope::enter();
+        let l = e("msA").mul(&e("msB")).mul(&e("msA + msB"));
+        let r = e("msA").mul(&e("msB")).mul(&e("msB + msA"));
+        assert!(l.id().is_scratch() && r.id().is_scratch());
+        assert!(engine.decide(&l, &r).unwrap());
+        assert_eq!(engine.stats().starfree_hits, 1);
+        // Tier 1's memo died with the query: no subterm was logged.
+        assert_eq!(
+            engine.scratch_log.keys(),
+            [ScratchKey::NkaVerdict(pair_key(&l, &r))]
+        );
     }
 
     #[test]
@@ -1012,15 +982,13 @@ mod tests {
         assert_eq!(engine.scratch_purges(), 1);
     }
 
-    /// Every entry of the six caches whose key involves a scratch id.
+    /// Every entry of the five caches whose key involves a scratch id.
     fn scratch_keyed_entries(engine: &Decider) -> HashSet<ScratchKey> {
         let pair = |&(a, b): &(ExprId, ExprId)| a.is_scratch() || b.is_scratch();
         let dfa = |&(id, _): &(ExprId, AlphabetId)| id.is_scratch();
         let exprs = engine.exprs.keys().filter(|id| id.is_scratch());
-        let multisets = engine.multisets.keys().filter(|id| id.is_scratch());
         exprs
             .map(|&id| ScratchKey::Expr(id))
-            .chain(multisets.map(|&id| ScratchKey::Multiset(id)))
             .chain(
                 engine
                     .infinity_dfas
@@ -1052,15 +1020,14 @@ mod tests {
             .collect()
     }
 
-    /// The sizes of the six caches.
-    fn cache_sizes(engine: &Decider) -> [usize; 6] {
+    /// The sizes of the five caches.
+    fn cache_sizes(engine: &Decider) -> [usize; 5] {
         [
             engine.exprs.len(),
             engine.infinity_dfas.len(),
             engine.support_dfas.len(),
             engine.nka_verdicts.len(),
             engine.ka_verdicts.len(),
-            engine.multisets.len(),
         ]
     }
 
@@ -1070,7 +1037,7 @@ mod tests {
         // A scope retiring on another test's thread advances the epoch
         // and purges mid-workload; rerun until a workload runs whole.
         let mut engine = Decider::new();
-        let mut persistent_sizes = [0; 6];
+        let mut persistent_sizes = [0; 5];
         for _ in 0..100 {
             engine = Decider::new();
             // Persistent entries in every cache, restored verdicts too.
@@ -1124,7 +1091,7 @@ mod tests {
         let kinds: HashSet<_> = logged.iter().map(std::mem::discriminant).collect();
         assert_eq!(
             kinds.len(),
-            6,
+            5,
             "every cache holds a scratch key: {logged:?}"
         );
         // The scope retired: one advance evicts every logged entry and

@@ -23,9 +23,14 @@
 //!   sequential compositions cost one id-comparison per gate.
 //! * **Tier 1 — multiset evaluation** ([`eval_product`]): expand the
 //!   residual factors into their `Word → u64` multiplicity maps
-//!   (DAG-memoized over [`ExprId`]) and compare maps. A size budget and
-//!   checked arithmetic make the evaluator total: exceeding either
-//!   reports `None` and the caller falls back to the generic pipeline.
+//!   (DAG-memoized over [`ExprId`] in a memo the caller owns) and compare
+//!   maps. A size budget and checked arithmetic make the evaluator total:
+//!   exceeding either reports `None` and the caller falls back to the
+//!   generic pipeline.
+//!
+//! Both tiers are pure functions of the two terms. The engine passes a
+//! fresh memo per query, so shared subterms evaluate once per query and
+//! nothing outlives it; the verdict cache memoizes the answer per pair.
 //!
 //! # Why stripping a common prefix is sound
 //!
@@ -200,29 +205,16 @@ fn cauchy(a: &WordMultiset, b: &WordMultiset, max_words: usize) -> Option<WordMu
 }
 
 /// The word multiset of star-free `e`, memoized in `memo` per interned
-/// id (so shared subterms — and repeated queries through a long-lived
-/// engine — evaluate once). `None` if any intermediate exceeds
-/// `max_words` entries, any coefficient overflows `u64`, or a star is
-/// encountered; partial memo entries remain valid either way.
-/// `scratch_inserts` counts memo insertions under scratch ids, so an
-/// engine owning `memo` can keep its epoch-eviction accounting exact.
+/// id (so shared subterms evaluate once per memo). `None` if any
+/// intermediate exceeds `max_words` entries, any coefficient overflows
+/// `u64`, or a star is encountered; partial memo entries remain valid
+/// either way. `scratch_inserts` counts memo insertions under scratch
+/// ids.
 pub fn eval_multiset(
     e: &Expr,
     memo: &mut HashMap<ExprId, Arc<WordMultiset>>,
     max_words: usize,
     scratch_inserts: &mut usize,
-) -> Option<Arc<WordMultiset>> {
-    eval_multiset_logged(e, memo, max_words, &mut |_| *scratch_inserts += 1)
-}
-
-/// [`eval_multiset`], calling `on_scratch_insert` with the id of each
-/// memo insertion under a scratch id — the engine logs them so a purge
-/// evicts exactly those entries.
-pub(crate) fn eval_multiset_logged(
-    e: &Expr,
-    memo: &mut HashMap<ExprId, Arc<WordMultiset>>,
-    max_words: usize,
-    on_scratch_insert: &mut impl FnMut(ExprId),
 ) -> Option<Arc<WordMultiset>> {
     e.fold(memo, |e, node| {
         let m = match node {
@@ -240,7 +232,7 @@ pub(crate) fn eval_multiset_logged(
             Folded::Star(_) => return Err(()),
         };
         if e.id().is_scratch() {
-            on_scratch_insert(e.id());
+            *scratch_inserts += 1;
         }
         Ok(Arc::new(m))
     })
@@ -257,19 +249,9 @@ pub fn eval_product(
     max_words: usize,
     scratch_inserts: &mut usize,
 ) -> Option<WordMultiset> {
-    eval_product_logged(factors, memo, max_words, &mut |_| *scratch_inserts += 1)
-}
-
-/// [`eval_product`] with [`eval_multiset_logged`]'s scratch callback.
-pub(crate) fn eval_product_logged(
-    factors: &[Expr],
-    memo: &mut HashMap<ExprId, Arc<WordMultiset>>,
-    max_words: usize,
-    on_scratch_insert: &mut impl FnMut(ExprId),
-) -> Option<WordMultiset> {
     let mut acc = one_multiset();
     for factor in factors {
-        let m = eval_multiset_logged(factor, memo, max_words, on_scratch_insert)?;
+        let m = eval_multiset(factor, memo, max_words, scratch_inserts)?;
         acc = cauchy(&acc, &m, max_words)?;
     }
     Some(acc)

@@ -19,6 +19,13 @@ use std::process::{Command, Stdio};
 const QPROG: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/qprog_25.jsonl");
 const ANALYZE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/analyze_20.jsonl");
 const OPTIMIZE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/optimize_20.jsonl");
+/// A real version-2 file, written by `nka snapshot dump` over
+/// `batch_50.jsonl` before version 3 dropped the word-multiset section
+/// (it holds 11 multisets next to 30 verdicts).
+const VERSION2: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/data/snapshot_v2_batch_50.nkasnap"
+);
 
 /// A fresh per-test scratch directory (pid-scoped so parallel test
 /// binaries cannot collide).
@@ -247,11 +254,13 @@ fn corrupt_snapshots_degrade_to_cold_starts_not_wrong_answers() {
     version1.extend_from_slice(&1u32.to_le_bytes());
     version1.extend_from_slice(&snapshot::fnv1a64(&v1_body).to_le_bytes());
     version1.extend_from_slice(&v1_body);
-    let cases: [(&str, Vec<u8>); 5] = [
+    let version2 = std::fs::read(VERSION2).expect("version-2 fixture readable");
+    let cases: [(&str, Vec<u8>); 6] = [
         ("truncated", truncated),
         ("bit-flipped", flipped),
         ("version-bumped", future),
         ("version-1", version1),
+        ("version-2", version2),
         ("zero-length", Vec::new()),
     ];
 
@@ -458,9 +467,26 @@ fn restored_entries_count_the_file_once_on_every_pool_shape() {
     let handle = server.handle();
     handle.begin_drain(0, "counted");
     assert_eq!(server.join(), 0);
-    assert_eq!(
-        handle.stats_block().totals.snapshot.restored_entries,
-        u64::try_from(entries).unwrap()
-    );
+    let stats = handle.stats_block().totals.snapshot;
+    assert_eq!(stats.restored_entries, u64::try_from(entries).unwrap());
+    // The drain dump is counted like a batch run's exit dump.
+    assert_eq!((stats.dumps, stats.dump_failures), (1, 0), "{stats:?}");
+
+    // A dump into a directory that does not exist fails, and is counted.
+    let server = Server::bind(
+        ServeConfig {
+            workers: 2,
+            snapshot_path: Some(dir.join("missing").join("warm.nkasnap")),
+            ..ServeConfig::default()
+        },
+        &[ListenAddr::Tcp("127.0.0.1:0".to_owned())],
+    )
+    .expect("bind");
+    let handle = server.handle();
+    handle.begin_drain(0, "unwritable");
+    assert_eq!(server.join(), 0);
+    let stats = handle.stats_block().totals.snapshot;
+    assert_eq!((stats.dumps, stats.dump_failures), (0, 1), "{stats:?}");
+    assert_eq!(stats.load_warnings, 0, "a missing file is a first boot");
     let _ = std::fs::remove_dir_all(&dir);
 }
