@@ -841,9 +841,10 @@ pub struct SessionOptions {
     /// session re-dumps its exportable caches here every time the
     /// recycling backstop retires an engine, so the warm state survives
     /// the recycle-and-restart lifecycle. Loading is explicit (the
-    /// caller reads the file once with [`snapshot::load`] and restores
-    /// it through [`Session::load_snapshot`]) — a session never trusts a
-    /// file it was not asked to read. `None` (the default) never dumps.
+    /// caller reads the file once with [`crate::snapshot::load`] and
+    /// restores it through [`Session::load_snapshot`]) — a session never
+    /// trusts a file it was not asked to read. `None` (the default) never
+    /// dumps.
     pub snapshot_path: Option<PathBuf>,
 }
 

@@ -312,7 +312,7 @@ impl Decider {
         };
         // Tier 1: compare the residual products' word multisets, with a
         // memo that lives for this query only (shared subterms of both
-        // sides still evaluate once).
+        // sides evaluate once).
         let mut memo = HashMap::new();
         let left = starfree::eval_product(&re, &mut memo, max_words, &mut 0);
         let right = match left {
