@@ -99,7 +99,7 @@ pub use stream::{answer_line, run_ordered, Answered, LineClass};
 use crate::judgment::Judgment;
 use crate::proof::Proof;
 use crate::prover::{ProveOutcome, Prover};
-use crate::snapshot::{ConfigGuard, LoadedSnapshot, SnapshotBuilder, SnapshotError};
+use crate::snapshot::{LoadedSnapshot, SnapshotBuilder, WarmStart};
 use nka_qprog::optimize::{self, OptimizeStep, RuleSet};
 use nka_qprog::{
     analysis, hoare::HoareTriple, Certificate, CertificateStats, EncoderSetting, Finding,
@@ -112,7 +112,7 @@ use qsim_linalg::CMatrix;
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A typed request against the NKA theory. See the [module docs](self)
@@ -837,15 +837,6 @@ pub struct SessionOptions {
     /// `None` (the default) never recycles. Surfaced as
     /// `nka serve|batch --max-queries-per-worker N`.
     pub recycle_after_queries: Option<u64>,
-    /// Warm-state snapshot file ([`crate::snapshot`]): when set, the
-    /// session re-dumps its exportable caches here every time the
-    /// recycling backstop retires an engine, so the warm state survives
-    /// the recycle-and-restart lifecycle. Loading is explicit (the
-    /// caller reads the file once with [`crate::snapshot::load`] and
-    /// restores it through [`Session::load_snapshot`]) — a session never
-    /// trusts a file it was not asked to read. `None` (the default) never
-    /// dumps.
-    pub snapshot_path: Option<PathBuf>,
 }
 
 impl Default for SessionOptions {
@@ -856,7 +847,6 @@ impl Default for SessionOptions {
             prove_max_term_size: 120,
             series_max_words: 1_000_000,
             recycle_after_queries: None,
-            snapshot_path: None,
         }
     }
 }
@@ -937,14 +927,6 @@ impl SessionOptionsBuilder {
     #[must_use]
     pub fn recycle_after_queries(mut self, recycle_after_queries: Option<u64>) -> Self {
         self.opts.recycle_after_queries = recycle_after_queries;
-        self
-    }
-
-    /// Warm-state snapshot file to re-dump on engine recycle
-    /// ([`SessionOptions::snapshot_path`]).
-    #[must_use]
-    pub fn snapshot_path(mut self, snapshot_path: Option<PathBuf>) -> Self {
-        self.opts.snapshot_path = snapshot_path;
         self
     }
 
@@ -1093,16 +1075,14 @@ nka_syntax::counter_table! {
     /// an in-process hit is an `answer_hit` that is *not* a
     /// `snapshot_hit`; a snapshot hit is both; everything else recomputes.
     ///
-    /// Two fields are facts about the loaded file rather than counts: a
-    /// pool restores one snapshot into every worker, so merging takes
-    /// the maximum of `restored_entries` (the entries loaded from the
-    /// file, not that times the pool size) and keeps the first present
-    /// `loaded_created_unix_secs`.
+    /// A session counts only its hits. The file's facts — entries
+    /// restored, load warnings, dumps — are counted once for the whole
+    /// pool by the [`WarmStart`] that owns the file
+    /// ([`WarmStart::stats`]).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SnapshotStats {
-        /// Cache entries restored into this session from loaded snapshots
-        /// (verdicts + certificates).
-        pub restored_entries: u64 => nka_syntax::counters::max,
+        /// Cache entries (verdicts + certificates) in the loaded file.
+        pub restored_entries: u64,
         /// Engine verdict-cache hits served by a restored entry.
         pub snapshot_hits: u64,
         /// Analyzer certificate-cache hits served by a restored entry.
@@ -1110,13 +1090,10 @@ nka_syntax::counter_table! {
         /// Snapshot loads that degraded to cold start (corrupt, stale,
         /// version-mismatched, or config-mismatched files).
         pub load_warnings: u64,
-        /// Successful snapshot dumps performed by this session.
+        /// Successful snapshot dumps.
         pub dumps: u64,
-        /// Snapshot dumps that failed (I/O); the session keeps serving.
+        /// Snapshot dumps that failed (I/O); serving goes on.
         pub dump_failures: u64,
-        /// Creation time (unix seconds) of the most recently loaded
-        /// snapshot, for age reporting; `None` if nothing was restored.
-        pub loaded_created_unix_secs: Option<u64>,
     }
 }
 
@@ -1220,11 +1197,14 @@ pub struct Session {
     /// `cert_snapshot_hit`). Verdict memoization only — cleared on
     /// recycle and past [`CERT_CACHE_CAP`] without affecting answers.
     cert_cache: HashMap<(String, String), (bool, CertificateStats, bool)>,
-    /// Warm-start counters (the `snapshot` of [`Session::totals`]);
+    /// Warm-start hit counters (the `snapshot` of [`Session::totals`]);
     /// cumulative, surviving engine recycling. Its `snapshot_hits` holds
     /// the hits of recycled engines only (mirroring `retired_stats`);
     /// [`Session::totals`] adds the live engine's.
     snapshot: SnapshotStats,
+    /// The snapshot file this session was warmed from and dumps to on
+    /// every engine recycle ([`WarmStart::session`]).
+    warm: Option<Arc<WarmStart>>,
 }
 
 /// The root-id key of [`Session::run`]'s term-stats memo. Equality /
@@ -1385,44 +1365,39 @@ impl Session {
         }
     }
 
-    /// Restores an instantiated snapshot into this session's caches:
-    /// verdicts into the engine, certificates into the
-    /// Tier B cache. Entries whose cache-relevant options differ from
-    /// this session's are refused wholesale (counted as a load
-    /// warning) — a mismatched snapshot degrades to cold, never to a
-    /// wrong answer. Returns the number of entries restored.
-    pub fn load_snapshot(&mut self, snap: &LoadedSnapshot) -> usize {
-        if snap.config != ConfigGuard::from_options(&self.opts.decide) {
-            self.snapshot.load_warnings += 1;
-            return 0;
+    /// A session under `opts` holding `loaded`'s entries — verdicts in
+    /// the engine, certificates in the Tier B cache — that absorbs into
+    /// and dumps through `warm` on every engine recycle. `loaded` was
+    /// config-checked against `opts` by [`WarmStart::open`].
+    pub(crate) fn warm_started(
+        warm: Arc<WarmStart>,
+        opts: &SessionOptions,
+        loaded: Option<&LoadedSnapshot>,
+    ) -> Session {
+        let mut session = Session::with_options(opts.clone());
+        if let Some(snap) = loaded {
+            for (l, r, v) in &snap.nka {
+                session.engine.restore_nka_verdict(l, r, *v);
+            }
+            for (l, r, v) in &snap.ka {
+                session.engine.restore_ka_verdict(l, r, *v);
+            }
+            for cert in &snap.certs {
+                session.cert_cache.insert(
+                    (cert.p.clone(), cert.q.clone()),
+                    (cert.holds, cert.stats, true),
+                );
+            }
         }
-        let mut restored = 0usize;
-        for (l, r, v) in &snap.nka {
-            self.engine.restore_nka_verdict(l, r, *v);
-            restored += 1;
-        }
-        for (l, r, v) in &snap.ka {
-            self.engine.restore_ka_verdict(l, r, *v);
-            restored += 1;
-        }
-        for cert in &snap.certs {
-            self.cert_cache.insert(
-                (cert.p.clone(), cert.q.clone()),
-                (cert.holds, cert.stats, true),
-            );
-            restored += 1;
-        }
-        self.snapshot.restored_entries += restored as u64;
-        self.snapshot.loaded_created_unix_secs = Some(snap.created_unix_secs);
-        restored
+        session.warm = Some(warm);
+        session
     }
 
     /// Stages this session's exportable warm state into `builder`:
     /// persistent-keyed engine verdicts plus the Tier B
     /// certificate cache (in sorted key order, so dumps are
-    /// deterministic). Used directly by the serve worker pool to merge
-    /// every worker's caches into one snapshot at drain.
-    pub fn export_snapshot_into(&self, builder: &mut SnapshotBuilder) {
+    /// deterministic). [`WarmStart::absorb`] is the one caller.
+    pub(crate) fn export_snapshot_into(&self, builder: &mut SnapshotBuilder) {
         for (a, b, v) in self.engine.export_nka_verdicts() {
             if let (Some(l), Some(r)) = (Expr::from_id(a), Expr::from_id(b)) {
                 builder.add_nka_verdict(&l, &r, v);
@@ -1437,29 +1412,6 @@ impl Session {
         certs.sort_by(|a, b| a.0.cmp(b.0));
         for ((p, q), (holds, stats, _)) in certs {
             builder.add_cert(p, q, *holds, *stats);
-        }
-    }
-
-    /// Dumps this session's exportable warm state to `path` (atomic
-    /// temp-file + rename). Returns the number of entries written.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] if the file cannot be written; the
-    /// dump-failure counter moves and the session keeps serving.
-    pub fn save_snapshot(&mut self, path: &Path) -> Result<usize, SnapshotError> {
-        let mut builder = SnapshotBuilder::new(ConfigGuard::from_options(&self.opts.decide));
-        self.export_snapshot_into(&mut builder);
-        let entries = builder.entry_count();
-        match builder.write_to(path) {
-            Ok(()) => {
-                self.snapshot.dumps += 1;
-                Ok(entries)
-            }
-            Err(err) => {
-                self.snapshot.dump_failures += 1;
-                Err(err)
-            }
         }
     }
 
@@ -1506,11 +1458,13 @@ impl Session {
         if limit == 0 || self.queries_since_recycle < limit {
             return;
         }
-        // Dump the warm state about to be discarded, so a restart (or
-        // the next `--snapshot` boot) can restore it. Failures only
-        // move a counter: recycling proceeds regardless.
-        if let Some(path) = self.opts.snapshot_path.clone() {
-            let _ = self.save_snapshot(&path);
+        // Fold the warm state about to be discarded into the snapshot's
+        // union and dump it, so a restart (or the next `--snapshot` boot)
+        // can restore it. A failed dump only warns and is counted:
+        // recycling proceeds regardless.
+        if let Some(warm) = &self.warm {
+            warm.absorb(self);
+            let _ = warm.dump();
         }
         self.retire_engine();
     }
@@ -2405,7 +2359,6 @@ mod tests {
         assert_eq!(built.prove_max_expansions, dflt.prove_max_expansions);
         assert_eq!(built.series_max_words, dflt.series_max_words);
         assert_eq!(built.recycle_after_queries, dflt.recycle_after_queries);
-        assert_eq!(built.snapshot_path, None);
         // Zero budgets that would wedge or no-op the session are
         // rejected with a typed error, not accepted silently. (A zero
         // *expansion* budget stays legal: it only disables the proof
@@ -2428,12 +2381,10 @@ mod tests {
         let opts = SessionOptions::builder()
             .max_dfa_states(7)
             .recycle_after_queries(Some(3))
-            .snapshot_path(Some(PathBuf::from("/tmp/warm.nkasnap")))
             .build()
             .unwrap();
         assert_eq!(opts.decide.max_dfa_states, 7);
         assert_eq!(opts.recycle_after_queries, Some(3));
-        assert!(opts.snapshot_path.is_some());
     }
 
     #[test]
@@ -2441,39 +2392,39 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nka-session-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("warm.nkasnap");
+        let opts = SessionOptions::default();
 
         // Warm a session: an NKA refutation, a KA equality, and an
         // analyze pass (certificate cache), then dump.
         let nka_q = Query::nka_eq("p + p", "p").unwrap();
         let ka_q = Query::ka_eq("p + p", "p").unwrap();
         let analyze_q = Query::analyze("qubits 1; h q0; x q0", &["redundant_fragment"]).unwrap();
-        let mut warm = Session::new();
+        let first_boot = WarmStart::open(&path, &opts);
+        assert_eq!(first_boot.stats(), SnapshotStats::default());
+        let mut warm = first_boot.session();
         let cold_nka = warm.run(&nka_q).verdict;
         let cold_ka = warm.run(&ka_q).verdict;
         let cold_analysis = warm.run(&analyze_q).verdict;
-        let exported = warm.save_snapshot(&path).unwrap();
+        first_boot.absorb(&warm);
+        let exported = first_boot.dump().unwrap();
         assert!(exported > 0, "warm session must export entries");
-        assert_eq!(warm.totals().snapshot.dumps, 1);
+        assert_eq!(first_boot.stats().dumps, 1);
 
         // A fresh session restores it and answers every query from the
         // snapshot tier: verdicts identical, zero new compiles, and the
         // tiered counters attribute the hits to the snapshot.
-        let guard = ConfigGuard::from_options(&DecideOptions::default());
-        let loaded = snapshot::load(&path, &guard).unwrap();
-        let mut restored = Session::new();
-        let n = restored.load_snapshot(&loaded);
-        assert_eq!(n as u64, restored.totals().snapshot.restored_entries);
-        assert!(n > 0);
+        let reopened = WarmStart::open(&path, &opts);
+        assert_eq!(reopened.stats().restored_entries, exported as u64);
+        let mut restored = reopened.session();
         assert_eq!(restored.run(&nka_q).verdict, cold_nka);
         assert_eq!(restored.run(&ka_q).verdict, cold_ka);
         assert_eq!(restored.run(&analyze_q).verdict, cold_analysis);
         let stats = restored.totals().snapshot;
         assert!(stats.snapshot_hits >= 2, "{stats:?}");
         assert!(stats.cert_snapshot_hits >= 1, "{stats:?}");
-        assert_eq!(stats.load_warnings, 0, "{stats:?}");
         assert_eq!(restored.stats().compile_misses, 0);
         assert_eq!(
-            stats.loaded_created_unix_secs,
+            reopened.created_unix_secs(),
             Some(
                 snapshot::Snapshot::read(&path)
                     .unwrap()
@@ -2482,8 +2433,7 @@ mod tests {
             )
         );
 
-        // Under cache-relevant options that differ, the loader refuses
-        // the file, and a session refuses an already loaded snapshot
+        // Under cache-relevant options that differ, the file is refused
         // wholesale — cold, one warning, no wrong answers.
         let mismatched_opts = SessionOptions::builder()
             .decide(DecideOptions {
@@ -2492,39 +2442,50 @@ mod tests {
             })
             .build()
             .unwrap();
-        let err =
-            snapshot::load(&path, &ConfigGuard::from_options(&mismatched_opts.decide)).unwrap_err();
-        assert!(matches!(err, SnapshotError::ConfigMismatch), "{err:?}");
-        let mut mismatched = Session::with_options(mismatched_opts);
-        assert_eq!(mismatched.load_snapshot(&loaded), 0);
-        let stats = mismatched.totals().snapshot;
-        assert_eq!(stats.restored_entries, 0, "{stats:?}");
-        assert_eq!(stats.load_warnings, 1, "{stats:?}");
+        let mismatched = WarmStart::open(&path, &mismatched_opts);
+        let stats = mismatched.stats();
+        assert_eq!((stats.restored_entries, stats.load_warnings), (0, 1));
+        let mut cold = mismatched.session();
+        assert_eq!(cold.run(&nka_q).verdict, cold_nka);
+        assert_eq!(cold.totals().snapshot.snapshot_hits, 0);
 
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A recycle folds the retiring engine into the snapshot's union, so
+    /// the final dump holds what every engine decided, not only what
+    /// the live one still caches.
     #[test]
-    fn recycle_with_snapshot_path_dumps_before_discarding() {
+    fn a_recycled_engines_verdicts_reach_the_final_dump() {
         let dir = std::env::temp_dir().join(format!("nka-recycle-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("recycle.nkasnap");
         let opts = SessionOptions::builder()
-            .recycle_after_queries(Some(2))
-            .snapshot_path(Some(path.clone()))
+            .recycle_after_queries(Some(1))
             .build()
             .unwrap();
-        let mut session = Session::with_options(opts);
-        let q = Query::nka_eq("p + p", "p").unwrap();
-        // Three queries with a limit of two: the third triggers a
-        // recycle, which dumps the retiring engine's caches first.
-        for _ in 0..3 {
-            let _ = session.run(&q);
-        }
+        let warm = WarmStart::open(&path, &opts);
+        let mut session = warm.session();
+        let first = Query::nka_eq("p + p", "p").unwrap();
+        let second = Query::nka_eq("(p q)* p", "p (q p)*").unwrap();
+        let _ = session.run(&first);
+        // The second query recycles the engine that decided the first:
+        // it is absorbed and dumped before it is discarded.
+        let _ = session.run(&second);
         assert_eq!(session.totals().engine_recycles, 1);
-        assert_eq!(session.totals().snapshot.dumps, 1);
-        let snap = snapshot::Snapshot::read(&path).unwrap();
-        assert!(snap.summary().entry_count() > 0);
+        assert_eq!(warm.stats().dumps, 1);
+        let recycle_dump = snapshot::Snapshot::read(&path).unwrap().summary();
+        assert_eq!(recycle_dump.nka_verdicts, 1);
+        // The live engine caches only the second verdict; the final
+        // dump holds both.
+        warm.absorb(&session);
+        assert_eq!(warm.dump().unwrap(), 2);
+        let reopened = WarmStart::open(&path, &SessionOptions::default());
+        assert_eq!(reopened.stats().restored_entries, 2);
+        let mut restored = reopened.session();
+        assert_eq!(restored.run(&first).stats_delta.answer_hits, 1);
+        assert_eq!(restored.run(&second).stats_delta.answer_hits, 1);
+        assert_eq!(restored.totals().snapshot.snapshot_hits, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2770,12 +2731,18 @@ mod tests {
     #[test]
     fn a_recomputed_certificate_is_not_a_snapshot_hit() {
         let (p, q) = ("qubits 1; h q0; h q0", "qubits 1; skip");
-        let mut builder =
-            SnapshotBuilder::new(ConfigGuard::from_options(&DecideOptions::default()));
+        let mut builder = SnapshotBuilder::new(snapshot::ConfigGuard::from_options(
+            &DecideOptions::default(),
+        ));
         builder.add_cert(p, q, false, CertificateStats::default());
-        let snap = snapshot::Snapshot::decode(&builder.encode(0)).unwrap();
-        let mut session = Session::new();
-        assert_eq!(session.load_snapshot(&snap.instantiate()), 1);
+        let dir = std::env::temp_dir().join(format!("nka-cert-snap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cert.nkasnap");
+        std::fs::write(&path, builder.encode(0)).unwrap();
+        let warm = WarmStart::open(&path, &SessionOptions::default());
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(warm.stats().restored_entries, 1);
+        let mut session = warm.session();
         assert!(session.cached_cert_decide(p, q).2);
         assert_eq!(session.snapshot.cert_snapshot_hits, 1);
         for i in 0..CERT_CACHE_CAP - 1 {

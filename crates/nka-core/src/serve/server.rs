@@ -59,7 +59,7 @@
 use super::stats::{OpHistograms, ServeCounters, StatsBlock};
 use crate::api::stream::WORKER_STACK_BYTES;
 use crate::api::{answer_line, wire, LineClass, Session, SessionOptions, SessionTotals};
-use crate::snapshot::{self, ConfigGuard, LoadedSnapshot, SnapshotBuilder};
+use crate::snapshot::WarmStart;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -141,11 +141,12 @@ pub struct ServeConfig {
     /// the connection is declared dead. Bounds drain time under
     /// pathological readers.
     pub write_timeout: Option<Duration>,
-    /// Warm-start snapshot file: loaded once at bind and shared by the
-    /// whole worker pool; every worker's caches are merged and re-dumped
-    /// here when the server drains (SIGTERM or the arena cap). A
-    /// missing, corrupt, or mismatched file degrades to a cold start
-    /// (with a warning counted) — never to a wrong answer.
+    /// Warm-start snapshot file, owned by one [`WarmStart`]: loaded once
+    /// at bind and restored into every worker; each worker's recycled
+    /// and final caches are merged into its union, which is re-dumped
+    /// here on every recycle and when the server drains (SIGTERM or the
+    /// arena cap). A missing, corrupt, or mismatched file degrades to a
+    /// cold start (with a warning counted) — never to a wrong answer.
     pub snapshot_path: Option<PathBuf>,
 }
 
@@ -364,17 +365,8 @@ struct Shared {
     published: Vec<Mutex<SessionTotals>>,
     hists: OpHistograms,
     counters: Counters,
-    /// The boot-time snapshot every worker restores from, if one loaded.
-    snapshot: Option<Arc<LoadedSnapshot>>,
-    /// Load failures at bind (corrupt / mismatched / unreadable file).
-    snapshot_load_warnings: AtomicU64,
-    /// Drain-time dumps written by [`Server::join`], and those that
-    /// failed.
-    snapshot_dumps: AtomicU64,
-    snapshot_dump_failures: AtomicU64,
-    /// Drain-time merge target: each exiting worker folds its caches in
-    /// here; [`Server::join`] writes the result to `snapshot_path`.
-    snapshot_merge: Mutex<Option<SnapshotBuilder>>,
+    /// The `--snapshot` file's owner, opened at bind.
+    warm: Option<Arc<WarmStart>>,
 }
 
 impl Shared {
@@ -530,11 +522,10 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     let publish = |session: &Session| {
         *shared.published[index].lock().unwrap() = session.totals();
     };
-    let mut session = Session::with_options(shared.cfg.session.clone());
-    if let Some(snap) = &shared.snapshot {
-        session.load_snapshot(snap);
-        publish(&session);
-    }
+    let mut session = shared.warm.as_ref().map_or_else(
+        || Session::with_options(shared.cfg.session.clone()),
+        WarmStart::session,
+    );
     loop {
         let job = {
             let queue = &shared.queues[index];
@@ -603,10 +594,10 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             }
         }
     }
-    // Drain: fold this worker's caches into the shared re-dump builder
-    // (deduplication across workers happens in the builder).
-    if let Some(builder) = shared.snapshot_merge.lock().unwrap().as_mut() {
-        session.export_snapshot_into(builder);
+    // Drain: fold this worker's caches into the snapshot's union
+    // (deduplication across workers happens there).
+    if let Some(warm) = &shared.warm {
+        warm.absorb(&session);
     }
     publish(&session);
 }
@@ -730,12 +721,9 @@ impl ServerHandle {
             .iter()
             .map(|slot| slot.lock().unwrap().clone())
             .collect();
-        let mut totals = workers
+        let totals = workers
             .iter()
             .fold(SessionTotals::default(), |acc, w| acc.merged(w));
-        totals.snapshot.load_warnings += shared.snapshot_load_warnings.load(Ordering::Relaxed);
-        totals.snapshot.dumps += shared.snapshot_dumps.load(Ordering::Relaxed);
-        totals.snapshot.dump_failures += shared.snapshot_dump_failures.load(Ordering::Relaxed);
         let c = &shared.counters;
         let serve = ServeCounters {
             connections_opened: c.connections_opened.load(Ordering::Relaxed),
@@ -755,6 +743,7 @@ impl ServerHandle {
             shared.started.elapsed(),
             Some(serve),
         )
+        .with_warm_start(shared.warm.as_deref())
     }
 }
 
@@ -789,30 +778,12 @@ impl Server {
                 "no listen addresses",
             ));
         }
-        // Load the warm-start snapshot once; the pool shares it. A file
-        // that is missing is a normal first boot; one that fails to
-        // load degrades to cold with a warning — serving always starts.
-        let guard = ConfigGuard::from_options(&cfg.session.decide);
-        let mut loaded = None;
-        let mut load_warnings = 0u64;
-        if let Some(path) = &cfg.snapshot_path {
-            if path.exists() {
-                match snapshot::load(path, &guard) {
-                    Ok(snap) => loaded = Some(Arc::new(snap)),
-                    Err(err) => {
-                        load_warnings = 1;
-                        eprintln!(
-                            "warning: snapshot {} not restored ({err}); starting cold",
-                            path.display()
-                        );
-                    }
-                }
-            }
-        }
-        let merge = cfg
+        // Open the warm-start snapshot once; the pool shares it. A file
+        // that fails to load degrades to cold — serving always starts.
+        let warm = cfg
             .snapshot_path
-            .as_ref()
-            .map(|_| SnapshotBuilder::new(guard));
+            .as_deref()
+            .map(|path| WarmStart::open(path, &cfg.session));
         let shared = Arc::new(Shared {
             started: Instant::now(),
             draining: AtomicBool::new(false),
@@ -827,11 +798,7 @@ impl Server {
                 .collect(),
             hists: OpHistograms::new(),
             counters: Counters::default(),
-            snapshot: loaded,
-            snapshot_load_warnings: AtomicU64::new(load_warnings),
-            snapshot_dumps: AtomicU64::new(0),
-            snapshot_dump_failures: AtomicU64::new(0),
-            snapshot_merge: Mutex::new(merge),
+            warm,
             cfg,
         });
 
@@ -916,21 +883,12 @@ impl Server {
         for handle in self.worker_threads {
             let _ = handle.join();
         }
-        // Every worker has folded its caches into the merge builder by
-        // now; re-dump so the next boot (supervisor restart loop) warm
+        // Every worker has folded its caches into the snapshot's union
+        // by now; re-dump so the next boot (supervisor restart loop) warm
         // starts. A failed write only warns and is counted — the drain
         // still succeeds.
-        if let Some(path) = &self.shared.cfg.snapshot_path {
-            if let Some(builder) = self.shared.snapshot_merge.lock().unwrap().take() {
-                let counter = match builder.write_to(path) {
-                    Ok(()) => &self.shared.snapshot_dumps,
-                    Err(err) => {
-                        eprintln!("warning: snapshot dump to {} failed: {err}", path.display());
-                        &self.shared.snapshot_dump_failures
-                    }
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(warm) = &self.shared.warm {
+            let _ = warm.dump();
         }
         for path in &self.unix_paths {
             let _ = std::fs::remove_file(path);

@@ -21,6 +21,7 @@ use super::histogram::{fmt_ns, HistogramSnapshot, LatencyHistogram};
 use crate::api::json::Json;
 use crate::api::wire::WIRE_VERSION;
 use crate::api::{MemoryStats, QueryKind, SessionTotals};
+use crate::snapshot::WarmStart;
 use nka_qprog::analysis::{PASS_NAMES, RULE_METADATA};
 use std::time::Duration;
 
@@ -172,6 +173,9 @@ pub struct StatsBlock {
     pub ops: OpSnapshots,
     /// Socket-server section, if the stream was served over sockets.
     pub serve: Option<ServeCounters>,
+    /// When the loaded snapshot was written (unix seconds), for the
+    /// reported age; `None` if none was loaded.
+    pub snapshot_created_unix_secs: Option<u64>,
 }
 
 impl StatsBlock {
@@ -191,7 +195,20 @@ impl StatsBlock {
             elapsed,
             ops,
             serve,
+            snapshot_created_unix_secs: None,
         }
+    }
+
+    /// Adds the facts of the snapshot file the stream's sessions were
+    /// warmed from (entries restored, load warnings, dumps, age), counted
+    /// once for the whole pool.
+    #[must_use]
+    pub fn with_warm_start(mut self, warm: Option<&WarmStart>) -> StatsBlock {
+        if let Some(warm) = warm {
+            self.totals.snapshot = self.totals.snapshot.merged(&warm.stats());
+            self.snapshot_created_unix_secs = warm.created_unix_secs();
+        }
+        self
     }
 
     /// Queries per second over the report's wall-clock window.
@@ -300,9 +317,9 @@ impl StatsBlock {
                 t.optimize.cert_cache_hits,
             ));
         }
-        if !t.snapshot.is_zero() {
+        if !t.snapshot.is_zero() || self.snapshot_created_unix_secs.is_some() {
             let sn = &t.snapshot;
-            let age = sn.loaded_created_unix_secs.map_or_else(
+            let age = self.snapshot_created_unix_secs.map_or_else(
                 || "-".to_owned(),
                 |created| {
                     format!(
@@ -462,9 +479,10 @@ impl StatsBlock {
         let mut snapshot = counter_entries(&sn.fields());
         snapshot.push((
             "age_secs".to_owned(),
-            sn.loaded_created_unix_secs.map_or(Json::Null, |created| {
-                int(crate::snapshot::now_unix_secs().saturating_sub(created))
-            }),
+            self.snapshot_created_unix_secs
+                .map_or(Json::Null, |created| {
+                    int(crate::snapshot::now_unix_secs().saturating_sub(created))
+                }),
         ));
         fields.push(("snapshot".to_owned(), Json::Obj(snapshot)));
 
@@ -611,7 +629,7 @@ mod tests {
         warm.totals.snapshot.snapshot_hits = 4;
         warm.totals.snapshot.cert_snapshot_hits = 2;
         warm.totals.snapshot.dumps = 1;
-        warm.totals.snapshot.loaded_created_unix_secs = Some(crate::snapshot::now_unix_secs());
+        warm.snapshot_created_unix_secs = Some(crate::snapshot::now_unix_secs());
         let text = warm.render_human();
         assert!(
             text.contains("snapshot stats: 9 entries restored"),

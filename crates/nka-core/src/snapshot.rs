@@ -11,6 +11,18 @@
 //! their word multisets live for one query, and the verdict cache holds
 //! the answer.
 //!
+//! # Lifecycle
+//!
+//! One [`WarmStart`] owns a snapshot file for every surface (`batch`,
+//! with or without `--jobs`, the stdin `serve` loop and the socket
+//! server): it reads the file once, restores the loaded entries into
+//! each session it creates, folds each session's caches into one union
+//! seeded with the loaded entries — on every engine recycle and at the
+//! end — and writes that union back. A dump never holds fewer entries
+//! than the file booted with, and a verdict decided on an engine since
+//! recycled reaches the last dump. `nka snapshot dump FILE` uses a
+//! [`WarmStart::create`] that does not read FILE.
+//!
 //! # Format
 //!
 //! A snapshot file is `MAGIC ("NKASNAP.") · version (u32) · checksum
@@ -41,14 +53,16 @@
 //! by construction: it was decided by the same exact pipeline under the
 //! same cache-relevant options.
 
+use crate::api::{Session, SessionOptions, SnapshotStats};
 use nka_qprog::analysis::CertificateStats;
 use nka_syntax::{Expr, ExprId, Folded, Symbol};
 use nka_wfa::DecideOptions;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Numbers [`SnapshotBuilder::write_to`]'s temp files within this process.
@@ -252,15 +266,17 @@ impl SnapshotBuilder {
         ix
     }
 
-    /// Stages an NKA verdict-cache entry. Duplicate pairs (e.g. from
-    /// several workers) collapse to the first occurrence.
+    /// Stages an NKA verdict-cache entry. Duplicate pairs (from several
+    /// workers, or from a loaded file and a session that restored it)
+    /// collapse to the first occurrence in either orientation: `e = f`
+    /// and `f = e` have one verdict.
     pub fn add_nka_verdict(&mut self, lhs: &Expr, rhs: &Expr, verdict: bool) {
         if lhs.id().is_scratch() || rhs.id().is_scratch() {
             return;
         }
-        let key = (self.intern_expr(lhs), self.intern_expr(rhs));
-        if self.nka_seen.insert(key, ()).is_none() {
-            self.nka.push((key.0, key.1, verdict));
+        let (l, r) = (self.intern_expr(lhs), self.intern_expr(rhs));
+        if self.nka_seen.insert((l.min(r), l.max(r)), ()).is_none() {
+            self.nka.push((l, r, verdict));
         }
     }
 
@@ -269,9 +285,9 @@ impl SnapshotBuilder {
         if lhs.id().is_scratch() || rhs.id().is_scratch() {
             return;
         }
-        let key = (self.intern_expr(lhs), self.intern_expr(rhs));
-        if self.ka_seen.insert(key, ()).is_none() {
-            self.ka.push((key.0, key.1, verdict));
+        let (l, r) = (self.intern_expr(lhs), self.intern_expr(rhs));
+        if self.ka_seen.insert((l.min(r), l.max(r)), ()).is_none() {
+            self.ka.push((l, r, verdict));
         }
     }
 
@@ -361,7 +377,7 @@ impl SnapshotBuilder {
     ///
     /// Returns [`SnapshotError::Io`] if the temp file cannot be written
     /// or renamed into place.
-    pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
+    fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
         let created = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -612,7 +628,6 @@ impl Snapshot {
         };
         LoadedSnapshot {
             created_unix_secs: self.created_unix_secs,
-            config: self.config,
             nka: resolve(&self.nka),
             ka: resolve(&self.ka),
             certs: self.certs.clone(),
@@ -628,8 +643,6 @@ impl Snapshot {
 pub struct LoadedSnapshot {
     /// When the snapshot was written (unix seconds).
     pub created_unix_secs: u64,
-    /// The engine options the entries were computed under.
-    pub config: ConfigGuard,
     /// NKA verdict-cache entries.
     pub nka: Vec<(Expr, Expr, bool)>,
     /// KA verdict-cache entries.
@@ -644,38 +657,160 @@ impl LoadedSnapshot {
     pub fn entry_count(&self) -> usize {
         self.nka.len() + self.ka.len() + self.certs.len()
     }
+}
 
-    /// The snapshot's age relative to `now_unix_secs`, saturating at
-    /// zero for clock skew.
+/// The `expect` message of a poisoned union lock.
+const UNION_POISONED: &str = "a thread panicked while folding into the snapshot union";
+
+/// The one owner of a `--snapshot FILE` (see the [module docs](self)):
+/// it reads the file once, restores the loaded entries into every
+/// session it creates, folds sessions into one union seeded with those
+/// entries, writes that union back, and counts the file's facts once
+/// for the whole pool ([`WarmStart::stats`]). Every cached verdict is
+/// an exact decision made under the options the file's [`ConfigGuard`]
+/// pins, so the union is as sound as each part.
+#[derive(Debug)]
+pub struct WarmStart {
+    path: PathBuf,
+    opts: SessionOptions,
+    loaded: Option<LoadedSnapshot>,
+    load_warnings: u64,
+    union: Mutex<SnapshotBuilder>,
+    dumps: AtomicU64,
+    dump_failures: AtomicU64,
+}
+
+impl WarmStart {
+    /// Opens `path` for sessions under `opts`: reads, config-checks and
+    /// instantiates it once. A missing file is a first boot; a file that
+    /// fails to load prints one warning line, counts one load warning
+    /// and starts cold — never a wrong answer. Call it outside any
+    /// `nka_syntax::ScratchScope` ([`Snapshot::instantiate`]).
     #[must_use]
-    pub fn age_secs(&self, now_unix_secs: u64) -> u64 {
-        now_unix_secs.saturating_sub(self.created_unix_secs)
+    pub fn open(path: &Path, opts: &SessionOptions) -> Arc<WarmStart> {
+        if !path.exists() {
+            return WarmStart::create(path, opts);
+        }
+        let guard = ConfigGuard::from_options(&opts.decide);
+        let read = Snapshot::read(path).and_then(|snap| {
+            (snap.config == guard)
+                .then(|| snap.instantiate())
+                .ok_or(SnapshotError::ConfigMismatch)
+        });
+        match read {
+            Ok(snap) => {
+                eprintln!(
+                    "snapshot: restored {} entries from {}",
+                    snap.entry_count(),
+                    path.display()
+                );
+                WarmStart::new(path, opts, Some(snap), 0)
+            }
+            Err(err) => {
+                eprintln!(
+                    "warning: snapshot {} not restored ({err}); starting cold",
+                    path.display()
+                );
+                WarmStart::new(path, opts, None, 1)
+            }
+        }
     }
-}
 
-/// Compile-time proof that a loaded snapshot can be shared across the
-/// serve worker pool behind an `Arc`.
-#[allow(dead_code)]
-fn _static_assert_send_sync() {
-    fn check<T: Send + Sync>() {}
-    check::<LoadedSnapshot>();
-}
-
-/// Reads, validates, config-checks, and instantiates the snapshot at
-/// `path` in one step — the boot-time entry point used by the CLI and
-/// the serve worker pool.
-///
-/// # Errors
-///
-/// Any [`SnapshotError`]; in particular [`SnapshotError::ConfigMismatch`]
-/// if the snapshot was written under different cache-relevant options
-/// than `expected`. Callers treat every error as "start cold".
-pub fn load(path: &Path, expected: &ConfigGuard) -> Result<LoadedSnapshot, SnapshotError> {
-    let snapshot = Snapshot::read(path)?;
-    if snapshot.config != *expected {
-        return Err(SnapshotError::ConfigMismatch);
+    /// A warm start for `path` that does not read it: its dumps hold
+    /// only what its sessions decide (`nka snapshot dump`).
+    #[must_use]
+    pub fn create(path: &Path, opts: &SessionOptions) -> Arc<WarmStart> {
+        WarmStart::new(path, opts, None, 0)
     }
-    Ok(snapshot.instantiate())
+
+    fn new(
+        path: &Path,
+        opts: &SessionOptions,
+        loaded: Option<LoadedSnapshot>,
+        load_warnings: u64,
+    ) -> Arc<WarmStart> {
+        let mut union = SnapshotBuilder::new(ConfigGuard::from_options(&opts.decide));
+        if let Some(snap) = &loaded {
+            for (l, r, v) in &snap.nka {
+                union.add_nka_verdict(l, r, *v);
+            }
+            for (l, r, v) in &snap.ka {
+                union.add_ka_verdict(l, r, *v);
+            }
+            for cert in &snap.certs {
+                union.add_cert(&cert.p, &cert.q, cert.holds, cert.stats);
+            }
+        }
+        Arc::new(WarmStart {
+            path: path.to_owned(),
+            opts: opts.clone(),
+            loaded,
+            load_warnings,
+            union: Mutex::new(union),
+            dumps: AtomicU64::new(0),
+            dump_failures: AtomicU64::new(0),
+        })
+    }
+
+    /// A session under the options this warm start was opened with,
+    /// holding the loaded entries. On every engine recycle the session
+    /// [absorbs](WarmStart::absorb) the retiring engine and
+    /// [dumps](WarmStart::dump).
+    #[must_use]
+    pub fn session(self: &Arc<WarmStart>) -> Session {
+        Session::warm_started(Arc::clone(self), &self.opts, self.loaded.as_ref())
+    }
+
+    /// Folds `session`'s exportable state (persistent-keyed verdicts and
+    /// analyzer certificates) into the union.
+    pub fn absorb(&self, session: &Session) {
+        session.export_snapshot_into(&mut self.union.lock().expect(UNION_POISONED));
+    }
+
+    /// Writes the union to the file and counts the dump. The lock is
+    /// held through the write, so an older union never replaces a newer
+    /// one. A failure prints one warning line and is counted; serving
+    /// goes on. Returns the number of entries written.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Io`] if the file cannot be written.
+    pub fn dump(&self) -> Result<usize, SnapshotError> {
+        let union = self.union.lock().expect(UNION_POISONED);
+        let written = union.write_to(&self.path).map(|()| union.entry_count());
+        let counter = match &written {
+            Ok(_) => &self.dumps,
+            Err(err) => {
+                eprintln!(
+                    "warning: snapshot dump to {} failed: {err}",
+                    self.path.display()
+                );
+                &self.dump_failures
+            }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        written
+    }
+
+    /// The file's facts: entries restored, load warnings, dumps and
+    /// failed dumps.
+    #[must_use]
+    pub fn stats(&self) -> SnapshotStats {
+        SnapshotStats {
+            restored_entries: self.loaded.as_ref().map_or(0, |s| s.entry_count() as u64),
+            load_warnings: self.load_warnings,
+            dumps: self.dumps.load(Ordering::Relaxed),
+            dump_failures: self.dump_failures.load(Ordering::Relaxed),
+            ..SnapshotStats::default()
+        }
+    }
+
+    /// When the loaded file was written (unix seconds); `None` if
+    /// nothing was loaded.
+    #[must_use]
+    pub fn created_unix_secs(&self) -> Option<u64> {
+        self.loaded.as_ref().map(|s| s.created_unix_secs)
+    }
 }
 
 /// The current wall-clock time in unix seconds (0 if the clock is
@@ -890,16 +1025,22 @@ mod tests {
         let other = ConfigGuard {
             starfree_max_words: guard().starfree_max_words + 1,
         };
-        // Via the one-step loader.
+        // A warm start under other options refuses the file wholesale.
         let dir = std::env::temp_dir().join(format!("nka-snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("config.snap");
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load(&path, &other),
-            Err(SnapshotError::ConfigMismatch)
-        ));
-        assert!(load(&path, &guard()).is_ok());
+        let opts = |starfree_max_words| SessionOptions {
+            decide: DecideOptions {
+                starfree_max_words,
+                ..DecideOptions::default()
+            },
+            ..SessionOptions::default()
+        };
+        let refused = WarmStart::open(&path, &opts(other.starfree_max_words as usize)).stats();
+        assert_eq!((refused.restored_entries, refused.load_warnings), (0, 1));
+        let loaded = WarmStart::open(&path, &opts(guard().starfree_max_words as usize)).stats();
+        assert_eq!((loaded.restored_entries, loaded.load_warnings), (3, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -945,6 +1086,67 @@ mod tests {
             .filter(|name| name.contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Counts that promise more than the body holds are a typed error,
+    /// and no allocation is sized by them (`u32::MAX` symbol names would
+    /// not fit in memory).
+    #[test]
+    fn absurd_section_counts_are_truncation_not_allocation() {
+        let header = |body: &mut Vec<u8>| {
+            push_u64(body, 0);
+            push_u64(body, guard().starfree_max_words);
+        };
+        let file = |body: &[u8]| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&VERSION.to_le_bytes());
+            bytes.extend_from_slice(&fnv1a64(body).to_le_bytes());
+            bytes.extend_from_slice(body);
+            bytes
+        };
+        let mut symbols = Vec::new();
+        header(&mut symbols);
+        push_u32(&mut symbols, u32::MAX);
+        let mut verdicts = Vec::new();
+        header(&mut verdicts);
+        push_u32(&mut verdicts, 0); // symbols
+        push_u32(&mut verdicts, 0); // exprs
+        push_u32(&mut verdicts, 1_000_000); // NKA verdicts, none present
+        for body in [symbols, verdicts] {
+            assert!(matches!(
+                Snapshot::decode(&file(&body)),
+                Err(SnapshotError::Truncated)
+            ));
+        }
+    }
+
+    /// The union a warm start dumps is seeded with the file it loaded:
+    /// entries no session re-exports survive, and a restored verdict a
+    /// session exports again (in either orientation) is not doubled.
+    #[test]
+    fn a_warm_start_dumps_the_loaded_entries_and_what_sessions_add() {
+        let dir = std::env::temp_dir().join(format!("nka-snap-union-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("union.snap");
+        std::fs::write(&path, sample_builder().encode(7)).unwrap();
+        let opts = SessionOptions::default();
+        let warm = WarmStart::open(&path, &opts);
+        assert_eq!(warm.stats().restored_entries, 3);
+        assert_eq!(warm.created_unix_secs(), Some(7));
+        // A session holding the loaded entries, and one that decided
+        // something new on its own.
+        warm.absorb(&warm.session());
+        let mut other = Session::new();
+        let _ = other.run(&crate::api::Query::nka_eq("unionA", "unionB").unwrap());
+        warm.absorb(&other);
+        assert_eq!(warm.dump().unwrap(), 4);
+        assert_eq!(warm.stats().dumps, 1);
+        assert_eq!(WarmStart::open(&path, &opts).stats().restored_entries, 4);
+        // Dumping to a missing directory fails and is counted.
+        let lost = WarmStart::create(&dir.join("missing").join("x.snap"), &opts);
+        assert!(lost.dump().is_err());
+        assert_eq!((lost.stats().dumps, lost.stats().dump_failures), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

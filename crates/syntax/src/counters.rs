@@ -6,7 +6,7 @@
 //! exactly as written and derives its counter surface:
 //!
 //! * `merged` — the field-wise combination of two workers' counters
-//!   (saturating add, unless a field names its own rule);
+//!   (saturating add);
 //! * `delta_since` — the field-wise activity since an earlier snapshot
 //!   (saturating subtract);
 //! * `is_zero` — whether nothing was counted;
@@ -16,9 +16,8 @@
 //!
 //! Each field type says how it combines through [`Counter`]: `u64` is a
 //! plain counter, `[u64; N]` and `Vec<u64>` are counted element-wise,
-//! `Option<u64>` is a fact that keeps the first present value, and every
-//! table struct is itself a [`Counter`], so tables nest. Adding a counter
-//! is one line in its table.
+//! and every table struct is itself a [`Counter`], so tables nest.
+//! Adding a counter is one line in its table.
 //!
 //! # Examples
 //!
@@ -31,16 +30,14 @@
 //!         pub hits: u64,
 //!         /// Lookups that had to compute.
 //!         pub misses: u64,
-//!         /// Entries loaded at start-up: workers share one load.
-//!         pub loaded: u64 => nka_syntax::counters::max,
 //!     }
 //! }
 //!
-//! let a = CacheStats { hits: 3, misses: 1, loaded: 5 };
-//! let b = CacheStats { hits: 2, misses: 0, loaded: 5 };
-//! assert_eq!(a.merged(&b), CacheStats { hits: 5, misses: 1, loaded: 5 });
+//! let a = CacheStats { hits: 3, misses: 1 };
+//! let b = CacheStats { hits: 2, misses: 0 };
+//! assert_eq!(a.merged(&b), CacheStats { hits: 5, misses: 1 });
 //! assert_eq!(a.delta_since(&b).hits, 1);
-//! assert_eq!(a.fields(), [("hits", 3), ("misses", 1), ("loaded", 5)]);
+//! assert_eq!(a.fields(), [("hits", 3), ("misses", 1)]);
 //! assert!(CacheStats::default().is_zero());
 //! ```
 
@@ -129,39 +126,11 @@ impl Counter for Vec<u64> {
     }
 }
 
-/// A fact rather than a count (say, when a loaded file was written):
-/// merging keeps the first present value, and a delta is the current
-/// value.
-impl Counter for Option<u64> {
-    fn merged(&self, other: &Self) -> Self {
-        self.or(*other)
-    }
-
-    fn delta_since(&self, _earlier: &Self) -> Self {
-        *self
-    }
-
-    fn is_zero(&self) -> bool {
-        self.is_none()
-    }
-}
-
-/// The merge rule of a count that every worker holds a copy of rather
-/// than a share of (entries restored from one file into every worker of
-/// a pool): the combination is the larger value, not the sum. Name it
-/// after a field's type in a [`counter_table!`](crate::counter_table!)
-/// as `=> max`.
-#[must_use]
-pub fn max(a: &u64, b: &u64) -> u64 {
-    *a.max(b)
-}
-
 /// Declares a stats struct once and derives its counter surface; see
 /// the [module docs](crate::counters).
 ///
-/// Every field is `$(#[doc])* pub name: Type $(=> merge_fn)?,` where
-/// `Type` is a [`Counter`] and the optional `merge_fn(&a, &b)` replaces
-/// [`Counter::merged`] for that field only. The struct gets inherent
+/// Every field is `$(#[doc])* pub name: Type,` where `Type` is a
+/// [`Counter`]. The struct gets inherent
 /// `merged`, `delta_since`, `is_zero` and `fields`, a `FIELDS` constant
 /// (the length of `fields()`), and a [`Counter`] impl so it can nest in
 /// another table.
@@ -172,7 +141,7 @@ macro_rules! counter_table {
         $vis:vis struct $name:ident {
             $(
                 $(#[$field_meta:meta])*
-                $field_vis:vis $field:ident : $ty:ty $(=> $merge:path)?
+                $field_vis:vis $field:ident : $ty:ty
             ),* $(,)?
         }
     ) => {
@@ -195,7 +164,7 @@ macro_rules! counter_table {
             #[must_use]
             pub fn merged(&self, other: &$name) -> $name {
                 $name {
-                    $($field: $crate::__counter_merge!(self.$field, other.$field $(, $merge)?),)*
+                    $($field: $crate::counters::Counter::merged(&self.$field, &other.$field),)*
                 }
             }
 
@@ -250,19 +219,6 @@ macro_rules! counter_table {
     };
 }
 
-/// One field of a generated `merged`: the field's own rule if the table
-/// names one, else [`Counter::merged`].
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __counter_merge {
-    ($a:expr, $b:expr) => {
-        $crate::counters::Counter::merged(&$a, &$b)
-    };
-    ($a:expr, $b:expr, $merge:path) => {
-        $merge(&$a, &$b)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::Counter;
@@ -280,8 +236,7 @@ mod tests {
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
         struct Outer {
             inner: Inner,
-            shared: u64 => super::max,
-            created: Option<u64>,
+            shared: u64,
             per_worker: Vec<u64>,
             c: u64,
         }
@@ -314,7 +269,6 @@ mod tests {
                 b: 5,
             },
             shared: 9,
-            created: None,
             per_worker: vec![1],
             c: 1,
         };
@@ -325,7 +279,6 @@ mod tests {
                 b: 7,
             },
             shared: 6,
-            created: Some(42),
             per_worker: vec![2, 5],
             c: 2,
         };
@@ -333,8 +286,7 @@ mod tests {
         assert_eq!(m.inner.a, u64::MAX, "saturating add");
         assert_eq!(m.inner.buckets, [4, 6]);
         assert_eq!(m.inner.b, 12);
-        assert_eq!(m.shared, 9, "the field's own rule: max");
-        assert_eq!(m.created, Some(42), "first present value");
+        assert_eq!(m.shared, 15);
         assert_eq!(m.per_worker, vec![3, 5]);
         assert_eq!(m.c, 3);
         let d = x.delta_since(&y);

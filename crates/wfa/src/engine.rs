@@ -144,8 +144,6 @@ pub struct Decider {
     /// observable.
     nka_verdicts: HashMap<(ExprId, ExprId), (bool, bool)>,
     ka_verdicts: HashMap<(ExprId, ExprId), (bool, bool)>,
-    /// Verdict-cache entries restored from a snapshot.
-    restored_entries: u64,
     /// Verdict-cache hits whose entry came from a snapshot.
     snapshot_hits: u64,
     /// Every live cache entry keyed (partly) on a scratch id, and the
@@ -451,7 +449,6 @@ impl Decider {
             return;
         }
         self.nka_verdicts.insert(key, (verdict, true));
-        self.restored_entries += 1;
     }
 
     /// Restores a snapshot-loaded KA verdict; see
@@ -462,7 +459,6 @@ impl Decider {
             return;
         }
         self.ka_verdicts.insert(key, (verdict, true));
-        self.restored_entries += 1;
     }
 
     /// Verdict-cache hits whose entry was restored from a snapshot —
@@ -471,12 +467,6 @@ impl Decider {
     #[must_use]
     pub fn snapshot_hits(&self) -> u64 {
         self.snapshot_hits
-    }
-
-    /// Verdict-cache entries restored into this engine from a snapshot.
-    #[must_use]
-    pub fn restored_entries(&self) -> u64 {
-        self.restored_entries
     }
 
     /// The position automaton of `e`, memoized.
@@ -1103,7 +1093,10 @@ mod tests {
         assert!(engine.scratch_log.is_empty());
         assert!(scratch_keyed_entries(&engine).is_empty());
         assert_eq!(cache_sizes(&engine), persistent_sizes);
-        assert_eq!(engine.restored_entries(), 50);
+        // The restored verdicts survived the purge with their mark.
+        let snapshot_hits = engine.snapshot_hits();
+        assert!(!engine.decide(&e("logRestored7"), &l).unwrap());
+        assert_eq!(engine.snapshot_hits(), snapshot_hits + 1);
     }
 
     #[test]
@@ -1129,7 +1122,6 @@ mod tests {
             let (a, b) = (Expr::from_id(*a).unwrap(), Expr::from_id(*b).unwrap());
             fresh.restore_nka_verdict(&a, &b, *v);
         }
-        assert_eq!(fresh.restored_entries(), 1);
         assert!(fresh.decide(&l, &r).unwrap());
         assert_eq!(fresh.snapshot_hits(), 1);
         assert_eq!(fresh.stats().answer_hits, 1);
@@ -1153,7 +1145,6 @@ mod tests {
         }
         assert_eq!(engine.export_nka_verdicts().len(), 1);
         assert_eq!(engine.export_ka_verdicts().len(), 0);
-        assert_eq!(engine.restored_entries(), 0);
         // Seeding a restored key keeps its snapshot mark.
         let (rl, rr) = (e("seedRestoredL"), e("seedRestoredR"));
         engine.restore_nka_verdict(&rl, &rr, false);

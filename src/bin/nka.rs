@@ -113,7 +113,7 @@ use nka_core::api::{
     SessionTotals, Verdict, DEFAULT_OPTIMIZE_BEAM, DEFAULT_OPTIMIZE_MAX_STEPS,
 };
 use nka_core::serve::{ListenAddr, OpHistograms, ServeConfig, Server, StatsBlock};
-use nka_core::snapshot::{self, ConfigGuard, Snapshot, SnapshotBuilder, SnapshotError};
+use nka_core::snapshot::{Snapshot, WarmStart};
 use nka_core::Judgment;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -142,7 +142,7 @@ const EXIT_NO: u8 = 1;
 const EXIT_USAGE: u8 = 2;
 const EXIT_BUDGET: u8 = 3;
 
-const USAGE: &str = "usage:\n  nka [--budget N] [--stats] [--json] decide '<expr>' '<expr>'\n  nka [--budget N] [--stats] [--json] ka '<expr>' '<expr>'\n  nka [--json] series '<expr>' [max-len]\n  nka [--budget N] [--json] prove '<lhs>' '<rhs>' ['l = r'…]\n  nka [--budget N] [--stats] [--json] prog-eq '<prog>' '<prog>'\n  nka [--stats] [--json] hoare '<effect>' '<prog>' '<effect>'\n  nka [--budget N] [--stats] [--json] analyze '<prog>' [pass…]\n  nka [--budget N] [--stats] [--json] [--max-steps N] [--beam N]\n      optimize '<prog>' [rule…]\n  nka [--budget N] [--stats] [--json] [--jobs N] [--max-queries-per-worker N]\n      [--snapshot FILE] batch [FILE]   (FILE or '-' = stdin)\n  nka [--budget N] [--stats] [--json] [--max-queries-per-worker N]\n      [--max-arena-nodes N] [--snapshot FILE] serve\n  nka … serve --listen ADDR [--listen ADDR…] [--workers N] [--queue-depth N]\n      [--max-pending N] [--max-line-bytes N] [--stats-interval SECS]\n  nka snapshot dump FILE [CORPUS]   (run CORPUS or stdin, dump warm caches)\n  nka [--json] snapshot inspect FILE\n  nka snapshot verify FILE\n  nka encode-demo\n\nprog-eq decides Enc(p) = Enc(q) for two quantum while-programs (one\nshared encoder setting, Definition 4.4); hoare checks the triple\n{pre} prog {post} via wlp and reports the Theorem 7.8 encoding.\nanalyze lints a program: Tier A passes (unused_qubit, unreachable_code,\nself_inverse_pair, constant_guard, metrics) are purely syntactic;\nTier B passes (dead_branch, redundant_fragment, peephole) are decided\nby the engine and every finding carries a replayable prog-eq\ncertificate. Naming passes after the program restricts the run.\noptimize applies what analyze reports, then re-analyzes to fixpoint:\ngreedy rule application over the catalog (dead-branch, branch-fusion,\ngate-fusion, dead-loop, loop-peeling, double-reset, double-measure,\nabort-sink, uncompute) — every applied step is certified prog-eq by\nthe engine before it lands (refuted candidates are counted, never\napplied), and the result carries the step trace plus a final\nreplayable certificate. Naming rules after the program restricts the\ncatalog (and arms the growing peel direction for 'loop-peeling');\n--max-steps caps the fixpoint iteration (default 32), --beam bounds\nhow many certified candidates are weighed per step (default 1).\nPrograms: 'qubits N; h q0; cnot q0 q1; if q0 {…} else {…}; while q0 {…}'\n(gates: h x y z s t cnot cz swap; also init qK, skip, abort).\nEffects: sums of scaled projectors, e.g. 'I', '0.5 I', 'ket(01)', 'q0=1'.\n\nbatch/serve read one request per line: either JSONL\n  {\"op\":\"nka_eq\",\"lhs\":\"(p q)* p\",\"rhs\":\"p (q p)*\"}\n  (ops: nka_eq, ka_eq, series [expr, max_len], prove [lhs, rhs, hyps],\n   prog_eq [p, q], hoare [pre, prog, post], analyze [prog, passes],\n   optimize [prog, rules, max_steps, beam])\nor the shorthand 'e = f'; '#' comments and blank lines are skipped;\na line that is not valid UTF-8 gets a structured error like any\nmalformed line, and nesting deeper than 256 levels (parentheses,\nstacked stars, blocks, JSON arrays) is a 'nesting too deep' error.\n--jobs N answers a batch on N warm worker sessions, streaming (output\nin input order as it is ready); verdicts, output order, and exit codes\nare identical to --jobs 1. --max-queries-per-worker N recycles a\nsession's engine caches every N queries (memory backstop; verdicts\nunchanged); serve --max-arena-nodes N exits 3 once the\nprocess-wide resident expression arena exceeds N nodes, so a\nsupervisor can restart it.\n\n--snapshot FILE warm-starts batch/serve from a verdict-cache snapshot\nand re-dumps it on exit (and on every engine recycle): decided\nverdicts and analyzer certificates survive restarts. A missing file\nis a cold first boot; a corrupt, truncated, or config-mismatched file\ndegrades to a cold start with a warning — never to a wrong answer.\nWith batch --jobs N every worker warm-starts from the loaded entries\nand the dump is their deduplicated union. 'nka snapshot\ndump|inspect|verify' create and examine snapshot files offline.\n\nserve --listen ADDR starts the concurrent socket server instead of the\nstdin loop: ADDR is 'host:port' (TCP; repeatable) or 'unix:/path'.\n--workers N sizes the pool of warm sessions (default: CPU count, max 8);\n--queue-depth N bounds each connection's in-flight window (backpressure:\nthe server stops reading a connection whose window is full, default 64);\n--max-pending N is the server-wide hard cap past which requests are\nanswered with a structured 'overloaded' error (default 1024);\n--max-line-bytes N rejects longer request lines (default 1 MiB);\n--stats-interval SECS prints a --stats snapshot to stderr periodically.\nSIGTERM/SIGINT (and --max-arena-nodes) drain gracefully: stop accepting,\nanswer every request already read, then exit (0 for signals, 3 for the\narena cap). nka-loadgen replays corpora against the server and diffs\nevery response against a sequential in-process session.\n\nexit codes: 0 holds/proved, 1 does not hold/no proof, 2 usage or parse\nerror, 3 budget exceeded; analyze: 0 clean or info-only findings,\n1 any warning-severity finding; optimize: 0 (the result is always\ncertified — rewritten or returned unchanged), 3 only on setup failure;\nbatch: 0 all answered, 2 any malformed\nline, else 3 any budget-exhausted query; serve: 0 at end of input or\nafter a signal-initiated drain, 3 if --max-arena-nodes tripped";
+const USAGE: &str = "usage:\n  nka [--budget N] [--stats] [--json] decide '<expr>' '<expr>'\n  nka [--budget N] [--stats] [--json] ka '<expr>' '<expr>'\n  nka [--json] series '<expr>' [max-len]\n  nka [--budget N] [--json] prove '<lhs>' '<rhs>' ['l = r'…]\n  nka [--budget N] [--stats] [--json] prog-eq '<prog>' '<prog>'\n  nka [--stats] [--json] hoare '<effect>' '<prog>' '<effect>'\n  nka [--budget N] [--stats] [--json] analyze '<prog>' [pass…]\n  nka [--budget N] [--stats] [--json] [--max-steps N] [--beam N]\n      optimize '<prog>' [rule…]\n  nka [--budget N] [--stats] [--json] [--jobs N] [--max-queries-per-worker N]\n      [--snapshot FILE] batch [FILE]   (FILE or '-' = stdin)\n  nka [--budget N] [--stats] [--json] [--max-queries-per-worker N]\n      [--max-arena-nodes N] [--snapshot FILE] serve\n  nka … serve --listen ADDR [--listen ADDR…] [--workers N] [--queue-depth N]\n      [--max-pending N] [--max-line-bytes N] [--stats-interval SECS]\n  nka snapshot dump FILE [CORPUS]   (run CORPUS or stdin, dump warm caches)\n  nka [--json] snapshot inspect FILE\n  nka snapshot verify FILE\n  nka encode-demo\n\nprog-eq decides Enc(p) = Enc(q) for two quantum while-programs (one\nshared encoder setting, Definition 4.4); hoare checks the triple\n{pre} prog {post} via wlp and reports the Theorem 7.8 encoding.\nanalyze lints a program: Tier A passes (unused_qubit, unreachable_code,\nself_inverse_pair, constant_guard, metrics) are purely syntactic;\nTier B passes (dead_branch, redundant_fragment, peephole) are decided\nby the engine and every finding carries a replayable prog-eq\ncertificate. Naming passes after the program restricts the run.\noptimize applies what analyze reports, then re-analyzes to fixpoint:\ngreedy rule application over the catalog (dead-branch, branch-fusion,\ngate-fusion, dead-loop, loop-peeling, double-reset, double-measure,\nabort-sink, uncompute) — every applied step is certified prog-eq by\nthe engine before it lands (refuted candidates are counted, never\napplied), and the result carries the step trace plus a final\nreplayable certificate. Naming rules after the program restricts the\ncatalog (and arms the growing peel direction for 'loop-peeling');\n--max-steps caps the fixpoint iteration (default 32), --beam bounds\nhow many certified candidates are weighed per step (default 1).\nPrograms: 'qubits N; h q0; cnot q0 q1; if q0 {…} else {…}; while q0 {…}'\n(gates: h x y z s t cnot cz swap; also init qK, skip, abort).\nEffects: sums of scaled projectors, e.g. 'I', '0.5 I', 'ket(01)', 'q0=1'.\n\nbatch/serve read one request per line: either JSONL\n  {\"op\":\"nka_eq\",\"lhs\":\"(p q)* p\",\"rhs\":\"p (q p)*\"}\n  (ops: nka_eq, ka_eq, series [expr, max_len], prove [lhs, rhs, hyps],\n   prog_eq [p, q], hoare [pre, prog, post], analyze [prog, passes],\n   optimize [prog, rules, max_steps, beam])\nor the shorthand 'e = f'; '#' comments and blank lines are skipped;\na line that is not valid UTF-8 gets a structured error like any\nmalformed line, and nesting deeper than 256 levels (parentheses,\nstacked stars, blocks, JSON arrays) is a 'nesting too deep' error.\n--jobs N answers a batch on N warm worker sessions, streaming (output\nin input order as it is ready); verdicts, output order, and exit codes\nare identical to --jobs 1. --max-queries-per-worker N recycles a\nsession's engine caches every N queries (memory backstop; verdicts\nunchanged); serve --max-arena-nodes N exits 3 once the\nprocess-wide resident expression arena exceeds N nodes, so a\nsupervisor can restart it.\n\n--snapshot FILE warm-starts batch/serve from a verdict-cache snapshot\nand re-dumps it on exit and on every engine recycle: decided verdicts\nand analyzer certificates survive restarts. A missing file is a cold\nfirst boot; a corrupt, truncated, or config-mismatched file degrades\nto a cold start with a warning — never to a wrong answer. Every worker\n(batch --jobs N, serve --listen) warm-starts from the loaded entries,\nand each dump is the deduplicated union of the loaded entries and\nwhat every engine, recycled ones included, has decided. 'nka snapshot\ndump|inspect|verify' create and examine snapshot files offline.\n\nserve --listen ADDR starts the concurrent socket server instead of the\nstdin loop: ADDR is 'host:port' (TCP; repeatable) or 'unix:/path'.\n--workers N sizes the pool of warm sessions (default: CPU count, max 8);\n--queue-depth N bounds each connection's in-flight window (backpressure:\nthe server stops reading a connection whose window is full, default 64);\n--max-pending N is the server-wide hard cap past which requests are\nanswered with a structured 'overloaded' error (default 1024);\n--max-line-bytes N rejects longer request lines (default 1 MiB);\n--stats-interval SECS prints a --stats snapshot to stderr periodically.\nSIGTERM/SIGINT (and --max-arena-nodes) drain gracefully: stop accepting,\nanswer every request already read, then exit (0 for signals, 3 for the\narena cap). nka-loadgen replays corpora against the server and diffs\nevery response against a sequential in-process session.\n\nexit codes: 0 holds/proved, 1 does not hold/no proof, 2 usage or parse\nerror, 3 budget exceeded; analyze: 0 clean or info-only findings,\n1 any warning-severity finding; optimize: 0 (the result is always\ncertified — rewritten or returned unchanged), 3 only on setup failure;\nbatch: 0 all answered, 2 any malformed\nline, else 3 any budget-exhausted query; serve: 0 at end of input or\nafter a signal-initiated drain, 3 if --max-arena-nodes tripped";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -303,7 +303,6 @@ fn main() -> ExitCode {
     let opts = match SessionOptions::builder()
         .max_dfa_states(cli.budget.unwrap_or(100_000))
         .recycle_after_queries(cli.max_queries_per_worker)
-        .snapshot_path(cli.snapshot_path.clone())
         .build()
     {
         Ok(opts) => opts,
@@ -349,16 +348,37 @@ fn main() -> ExitCode {
                 arena_cap: cli.max_arena_nodes,
                 ..Sink::new(json, &hists)
             };
-            let jobs = cli.jobs.unwrap_or(1);
-            let (code, totals) =
-                stream_with_snapshot(&opts, jobs, cli.snapshot_path.as_deref(), reader, &mut sink);
-            block = Some(StatsBlock::new(
-                totals,
-                hists.snapshot(),
-                started.elapsed(),
-                None,
-            ));
-            code
+            let warm = cli
+                .snapshot_path
+                .as_deref()
+                .map(|path| WarmStart::open(path, &opts));
+            let mut sessions: Vec<Session> = (0..cli.jobs.unwrap_or(1))
+                .map(|_| {
+                    warm.as_ref()
+                        .map_or_else(|| Session::with_options(opts.clone()), WarmStart::session)
+                })
+                .collect();
+            stream(&mut sessions, reader, &mut sink);
+            if let (Some(warm), Some(path)) = (&warm, &cli.snapshot_path) {
+                sessions.iter().for_each(|session| warm.absorb(session));
+                if let Ok(n) = warm.dump() {
+                    eprintln!("snapshot: dumped {n} entries to {}", path.display());
+                }
+            }
+            let totals = sessions
+                .iter()
+                .fold(SessionTotals::default(), |acc, s| acc.merged(&s.totals()));
+            block = Some(
+                StatsBlock::new(totals, hists.snapshot(), started.elapsed(), None)
+                    .with_warm_start(warm.as_deref()),
+            );
+            ExitCode::from(if sink.arena_tripped {
+                EXIT_BUDGET
+            } else if sink.live {
+                EXIT_OK
+            } else {
+                sink.code
+            })
         }
         Some("snapshot") => return snapshot_cmd(&rest[1..], &opts, json),
         Some("encode-demo") => encode_demo(),
@@ -687,93 +707,13 @@ fn stream(sessions: &mut [Session], reader: Box<dyn BufRead>, sink: &mut Sink<'_
     }
 }
 
-/// `batch` / stdin `serve` on `jobs` warm sessions, with the
-/// `--snapshot FILE` round trip: the file is loaded once and restored
-/// into every session (a missing file is a normal first boot; a bad one
-/// degrades to cold with a counted warning), and the sessions' merged
-/// caches are dumped back at end of stream. Returns the exit code and
-/// the stream's accounting.
-fn stream_with_snapshot(
-    opts: &SessionOptions,
-    jobs: usize,
-    snapshot_path: Option<&Path>,
-    reader: Box<dyn BufRead>,
-    sink: &mut Sink<'_>,
-) -> (ExitCode, SessionTotals) {
-    let mut sessions: Vec<Session> = (0..jobs)
-        .map(|_| Session::with_options(opts.clone()))
-        .collect();
-    let mut load_warnings = 0;
-    if let Some(path) = snapshot_path.filter(|path| path.exists()) {
-        match snapshot::load(path, &ConfigGuard::from_options(&opts.decide)) {
-            Ok(snap) => {
-                for session in &mut sessions {
-                    session.load_snapshot(&snap);
-                }
-                eprintln!(
-                    "snapshot: restored {} entries from {}",
-                    snap.entry_count(),
-                    path.display()
-                );
-            }
-            Err(err) => {
-                load_warnings = 1;
-                eprintln!(
-                    "warning: snapshot {} not restored ({err}); starting cold",
-                    path.display()
-                );
-            }
-        }
-    }
-    stream(&mut sessions, reader, sink);
-    let mut totals = sessions
-        .iter()
-        .fold(SessionTotals::default(), |acc, s| acc.merged(&s.totals()));
-    totals.snapshot.load_warnings += load_warnings;
-    if let Some(path) = snapshot_path {
-        match dump_sessions(&sessions, opts, path) {
-            Ok(n) => {
-                totals.snapshot.dumps += 1;
-                eprintln!("snapshot: dumped {n} entries to {}", path.display());
-            }
-            Err(err) => {
-                totals.snapshot.dump_failures += 1;
-                eprintln!("warning: snapshot dump to {} failed: {err}", path.display());
-            }
-        }
-    }
-    let code = if sink.arena_tripped {
-        EXIT_BUDGET
-    } else if sink.live {
-        EXIT_OK
-    } else {
-        sink.code
-    };
-    (ExitCode::from(code), totals)
-}
-
-/// Writes the merged warm caches of `sessions` to `path` (deduplicated
-/// across sessions; atomic temp-file + rename). Returns the number of
-/// entries written.
-fn dump_sessions(
-    sessions: &[Session],
-    opts: &SessionOptions,
-    path: &Path,
-) -> Result<usize, SnapshotError> {
-    let mut builder = SnapshotBuilder::new(ConfigGuard::from_options(&opts.decide));
-    for session in sessions {
-        session.export_snapshot_into(&mut builder);
-    }
-    builder.write_to(path)?;
-    Ok(builder.entry_count())
-}
-
 /// `nka snapshot dump|inspect|verify`: the offline surface of the
 /// snapshot format ([`nka_core::snapshot`]).
 ///
 /// * `dump FILE [CORPUS]` — run CORPUS (JSONL / `e = f` lines; `-` or
 ///   absent = stdin) on a warm session through the batch stream loop,
-///   discard the responses, and write the resulting caches to FILE.
+///   discard the responses, and write the resulting caches to FILE
+///   (through a [`WarmStart::create`], which never reads FILE).
 ///   Exits like `batch` (`2` if any line was malformed), or `2` if the
 ///   file cannot be written.
 /// * `inspect FILE` — print the header and entry counts (one JSON
@@ -791,17 +731,16 @@ fn snapshot_cmd(args: &[String], opts: &SessionOptions, json: bool) -> ExitCode 
                 print: false,
                 ..Sink::new(json, &hists)
             };
-            let mut sessions = [Session::with_options(opts.clone())];
+            let warm = WarmStart::create(Path::new(file), opts);
+            let mut sessions = [warm.session()];
             stream(&mut sessions, reader, &mut sink);
-            match dump_sessions(&sessions, opts, Path::new(file)) {
+            warm.absorb(&sessions[0]);
+            match warm.dump() {
                 Ok(n) => {
                     out!("snapshot: dumped {n} entries to {file}");
                     ExitCode::from(sink.code)
                 }
-                Err(err) => {
-                    eprintln!("snapshot dump to {file} failed: {err}");
-                    ExitCode::from(EXIT_USAGE)
-                }
+                Err(_) => ExitCode::from(EXIT_USAGE),
             }
         }
         [cmd, file] if cmd == "inspect" => match Snapshot::read(PathBuf::from(file).as_path()) {

@@ -447,7 +447,8 @@ fn scratch_purges_on_a_loaded_engine_cost_what_they_evict() {
     for pair in atoms.windows(2) {
         loaded.restore_nka_verdict(&pair[0], &pair[1], false);
     }
-    assert_eq!(loaded.restored_entries(), PERSISTENT as u64);
+    assert!(!loaded.decide(&atoms[0], &atoms[1]).expect("restored"));
+    assert_eq!(loaded.snapshot_hits(), 1);
     let mut fresh = Decider::new();
 
     // `(a + b)² = a a + a b + b a + b b`, star-free and built in its own

@@ -9,14 +9,16 @@
 //! in-session round-trip tests in `nka-core::api`.
 
 use nka_quantum::api::json::Json;
-use nka_quantum::api::wire;
+use nka_quantum::api::{wire, SessionOptions};
 use nka_quantum::nka::snapshot;
 use nka_quantum::serve::{ListenAddr, ServeConfig, Server};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 const QPROG: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/qprog_25.jsonl");
+const BATCH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/batch_50.jsonl");
 const ANALYZE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/analyze_20.jsonl");
 const OPTIMIZE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/optimize_20.jsonl");
 /// A real version-2 file, written by `nka snapshot dump` over
@@ -100,6 +102,129 @@ fn run_batch(corpus: &str, snapshot: Option<&Path>) -> Run {
 /// bytes, a little-endian u32 version, a little-endian u64 checksum,
 /// then the body.
 const HEADER_LEN: usize = 8 + 4 + 8;
+
+/// A current-version file around `body`, with a valid checksum.
+fn with_header(body: &[u8]) -> Vec<u8> {
+    let mut bytes = snapshot::MAGIC.to_vec();
+    bytes.extend_from_slice(&snapshot::VERSION.to_le_bytes());
+    bytes.extend_from_slice(&snapshot::fnv1a64(body).to_le_bytes());
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// `(nka_verdicts, ka_verdicts, certs)` of the snapshot at `path`.
+fn sections(path: &Path) -> (usize, usize, usize) {
+    let s = snapshot::Snapshot::read(path)
+        .unwrap_or_else(|err| panic!("{}: {err}", path.display()))
+        .summary();
+    (s.nka_verdicts, s.ka_verdicts, s.certs)
+}
+
+/// The sections `nka [args…] --snapshot FILE batch CORPUS` dumps,
+/// starting from no file.
+fn dumped_sections(dir: &Path, corpus: &str, args: &[&str]) -> (usize, usize, usize) {
+    let snap = dir.join(format!("{}.nkasnap", args.join("_")));
+    let _ = std::fs::remove_file(&snap);
+    let output = Command::new(env!("CARGO_BIN_EXE_nka"))
+        .args(args)
+        .arg("--snapshot")
+        .arg(&snap)
+        .arg("batch")
+        .arg(corpus)
+        .output()
+        .expect("nka binary runs");
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    sections(&snap)
+}
+
+/// Every engine recycle folds the retiring engine into the snapshot's
+/// union, so a recycled run dumps every verdict an unrecycled run
+/// dumps — sequentially and on a worker pool. (When the exit dump held
+/// only the live engines, these runs dumped 0, 0 and 8 entries.)
+#[test]
+fn recycled_batches_dump_what_unrecycled_batches_dump() {
+    let dir = temp_dir("recycled");
+    for (corpus, recycle, entries) in [(QPROG, "5", 8), (BATCH, "10", 30)] {
+        let whole = dumped_sections(&dir, corpus, &[]);
+        assert_eq!(whole.0 + whole.1 + whole.2, entries, "{corpus}");
+        for jobs in ["1", "2"] {
+            let recycled = ["--max-queries-per-worker", recycle, "--jobs", jobs];
+            assert_eq!(
+                dumped_sections(&dir, corpus, &recycled),
+                whole,
+                "{corpus} {recycled:?}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The socket server's recycling workers feed the same union: a pool
+/// of two workers recycling every 5 queries, drained after the corpus,
+/// dumps what an unrecycled batch dumps.
+#[test]
+fn a_drained_recycling_server_dumps_what_an_unrecycled_batch_dumps() {
+    let dir = temp_dir("serve-recycled");
+    let whole = dumped_sections(&dir, QPROG, &[]);
+    let snap = dir.join("served.nkasnap");
+    let server = Server::bind(
+        ServeConfig {
+            session: SessionOptions::builder()
+                .recycle_after_queries(Some(5))
+                .build()
+                .expect("valid options"),
+            workers: 2,
+            json: true,
+            snapshot_path: Some(snap.clone()),
+            ..ServeConfig::default()
+        },
+        &[ListenAddr::Tcp("127.0.0.1:0".to_owned())],
+    )
+    .expect("bind");
+    let handle = server.handle();
+    let corpus = std::fs::read_to_string(QPROG).expect("corpus readable");
+    let requests = corpus
+        .lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .count();
+    // Two connections, one per worker (round-robin), each sending the
+    // whole corpus.
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.tcp_addrs()[0]).expect("connect");
+            stream.write_all(corpus.as_bytes()).expect("send corpus");
+            stream
+        })
+        .collect();
+    for stream in clients {
+        let mut reader = BufReader::new(stream);
+        for _ in 0..requests {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read response");
+            assert!(line.contains("\"verdict\":"), "{line}");
+        }
+    }
+    handle.begin_drain(0, "corpus answered");
+    assert_eq!(server.join(), 0);
+    let stats = handle.stats_block();
+    assert!(
+        stats
+            .serve
+            .expect("serve section")
+            .worker_recycles
+            .iter()
+            .all(|&n| n > 0),
+        "both workers recycled"
+    );
+    assert_eq!(sections(&snap), whole);
+    assert!(stats.totals.snapshot.dumps > 1, "recycles dump too");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 #[test]
 fn warm_restart_replays_qprog_corpus_identically_with_restored_hits() {
@@ -255,13 +380,27 @@ fn corrupt_snapshots_degrade_to_cold_starts_not_wrong_answers() {
     version1.extend_from_slice(&snapshot::fnv1a64(&v1_body).to_le_bytes());
     version1.extend_from_slice(&v1_body);
     let version2 = std::fs::read(VERSION2).expect("version-2 fixture readable");
-    let cases: [(&str, Vec<u8>); 6] = [
+    // Hostile files with a valid checksum whose section counts promise
+    // far more than the body holds: `u32::MAX` symbols, and a verdict
+    // section running past the end. The reader must not size any
+    // allocation by these counts.
+    let mut header = 0u64.to_le_bytes().to_vec(); // creation time
+    header.extend_from_slice(&8192u64.to_le_bytes()); // starfree_max_words
+    let mut symbols = header.clone();
+    symbols.extend_from_slice(&u32::MAX.to_le_bytes());
+    let mut verdicts = header;
+    verdicts.extend_from_slice(&0u32.to_le_bytes()); // no symbols
+    verdicts.extend_from_slice(&0u32.to_le_bytes()); // no exprs
+    verdicts.extend_from_slice(&1_000_000u32.to_le_bytes()); // NKA verdicts
+    let cases: [(&str, Vec<u8>); 8] = [
         ("truncated", truncated),
         ("bit-flipped", flipped),
         ("version-bumped", future),
         ("version-1", version1),
         ("version-2", version2),
         ("zero-length", Vec::new()),
+        ("u32-max-symbols", with_header(&symbols)),
+        ("verdicts-past-the-end", with_header(&verdicts)),
     ];
 
     for (name, bytes) in cases {
