@@ -694,8 +694,6 @@ pub struct Response {
     /// Engine-counter activity attributable to this query
     /// ([`DeciderStats::delta_since`] across the call).
     pub stats_delta: DeciderStats,
-    /// Cumulative engine counters over the session's life.
-    pub stats_total: DeciderStats,
     /// Total tree-node count of the query's expressions
     /// ([`Query::term_stats`]).
     pub expr_nodes: u64,
@@ -828,13 +826,15 @@ pub struct SessionOptions {
     /// a wire client cannot OOM the process with a huge `max_len`.
     pub series_max_words: u64,
     /// Engine-recycling backstop: after this many queries the session
-    /// drops its `Decider` (and term-stats memo) and starts a fresh one,
-    /// bounding cache growth under unbounded *distinct* traffic. The
-    /// expression arena itself is governed separately (prover scratch is
-    /// scope-reclaimed; the persistent region grows only with distinct
-    /// persistent terms). Cumulative [`Session::stats`] survive
-    /// recycling; verdicts are unaffected (caches are pure memoization).
-    /// `None` (the default) never recycles. Surfaced as
+    /// empties its `Decider`'s caches, its term-stats memo and its
+    /// certificate cache, bounding cache growth under unbounded
+    /// *distinct* traffic; entries loaded from a snapshot stay, exact
+    /// for the life of the process. The expression arena itself is
+    /// governed separately (prover scratch is scope-reclaimed; the
+    /// persistent region grows only with distinct persistent terms).
+    /// Cumulative [`Session::stats`] keep counting; verdicts are
+    /// unaffected (caches are pure memoization). `None` (the default)
+    /// never recycles. Surfaced as
     /// `nka serve|batch --max-queries-per-worker N`.
     pub recycle_after_queries: Option<u64>,
 }
@@ -1075,10 +1075,11 @@ nka_syntax::counter_table! {
     /// an in-process hit is an `answer_hit` that is *not* a
     /// `snapshot_hit`; a snapshot hit is both; everything else recomputes.
     ///
-    /// A session counts only its hits. The file's facts — entries
-    /// restored, load warnings, dumps — are counted once for the whole
-    /// pool by the [`WarmStart`] that owns the file
-    /// ([`WarmStart::stats`]).
+    /// A session counts only its hits, over its whole life: restored
+    /// entries survive every engine recycle, so they go on hitting. The
+    /// file's facts — entries restored, load warnings, dumps — are
+    /// counted once for the whole pool by the [`WarmStart`] that owns
+    /// the file ([`WarmStart::stats`]).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SnapshotStats {
         /// Cache entries (verdicts + certificates) in the loaded file.
@@ -1104,7 +1105,7 @@ nka_syntax::counter_table! {
     /// `merged`, which merges each section by its own table.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct SessionTotals {
-        /// Engine counters, including engines since recycled.
+        /// Engine counters over the session's life, across recycles.
         pub engine: DeciderStats,
         /// Queries answered ([`Session::queries_run`]).
         pub queries: u64,
@@ -1178,30 +1179,25 @@ pub struct Session {
     /// later scopes). Empty on the wire paths, which only ever query
     /// persistent terms.
     term_stats_scratch: ScratchLog<TermKey>,
-    /// Engine counters accumulated by engines retired through
-    /// [`SessionOptions::recycle_after_queries`]; [`Session::stats`]
-    /// reports `retired_stats + engine.stats()` so recycling never
-    /// loses observability.
-    retired_stats: DeciderStats,
     engine_recycles: u64,
     queries_since_recycle: u64,
     /// Analyzer counters ([`Session::analysis_stats`]); cumulative,
-    /// surviving engine recycling like `retired_stats`.
+    /// surviving engine recycling.
     analysis_stats: AnalysisStats,
     /// Optimizer counters ([`Session::optimize_stats`]); cumulative,
-    /// surviving engine recycling like `retired_stats`.
+    /// surviving engine recycling.
     optimize_stats: OptimizeStats,
     /// Tier B certificate cache: `(p, q) → (holds, stats, restored)`
     /// keyed on the check's program sources, where `restored` marks an
     /// entry loaded from a snapshot (a hit on one is a
-    /// `cert_snapshot_hit`). Verdict memoization only — cleared on
-    /// recycle and past [`CERT_CACHE_CAP`] without affecting answers.
+    /// `cert_snapshot_hit`). Verdict memoization only — a recycle keeps
+    /// just the restored entries, and the map is cleared past
+    /// [`CERT_CACHE_CAP`], without affecting answers.
     cert_cache: HashMap<(String, String), (bool, CertificateStats, bool)>,
-    /// Warm-start hit counters (the `snapshot` of [`Session::totals`]);
-    /// cumulative, surviving engine recycling. Its `snapshot_hits` holds
-    /// the hits of recycled engines only (mirroring `retired_stats`);
-    /// [`Session::totals`] adds the live engine's.
-    snapshot: SnapshotStats,
+    /// Certificate-cache hits served by a restored entry (the
+    /// `cert_snapshot_hits` of [`Session::totals`]); the engine counts
+    /// its own `snapshot_hits`.
+    cert_snapshot_hits: u64,
     /// The snapshot file this session was warmed from and dumps to on
     /// every engine recycle ([`WarmStart::session`]).
     warm: Option<Arc<WarmStart>>,
@@ -1300,12 +1296,12 @@ impl Session {
         &self.opts
     }
 
-    /// Cumulative engine counters over the session's life — including
-    /// activity on engines since retired by
-    /// [`SessionOptions::recycle_after_queries`].
+    /// Cumulative engine counters over the session's life; they keep
+    /// counting across [`SessionOptions::recycle_after_queries`]
+    /// recycles.
     #[must_use]
     pub fn stats(&self) -> DeciderStats {
-        self.retired_stats.merged(&self.engine.stats())
+        self.engine.stats()
     }
 
     /// Cumulative static-analyzer counters over the session's life
@@ -1359,8 +1355,9 @@ impl Session {
             analysis: self.analysis_stats,
             optimize: self.optimize_stats,
             snapshot: SnapshotStats {
-                snapshot_hits: self.snapshot.snapshot_hits + self.engine.snapshot_hits(),
-                ..self.snapshot
+                snapshot_hits: self.engine.snapshot_hits(),
+                cert_snapshot_hits: self.cert_snapshot_hits,
+                ..SnapshotStats::default()
             },
         }
     }
@@ -1447,10 +1444,9 @@ impl Session {
     }
 
     /// Applies [`SessionOptions::recycle_after_queries`]: once the
-    /// current engine has answered that many queries, retire it (caches
-    /// and all) and start fresh, folding its counters into the
-    /// session-cumulative stats. Runs between queries only, so verdicts
-    /// and per-query deltas are unaffected.
+    /// current engine has answered that many queries, recycle it
+    /// ([`Session::retire_engine`]). Runs between queries only, so
+    /// verdicts and per-query deltas are unaffected.
     fn maybe_recycle(&mut self) {
         let Some(limit) = self.opts.recycle_after_queries else {
             return;
@@ -1469,18 +1465,18 @@ impl Session {
         self.retire_engine();
     }
 
-    /// Replaces the engine with a fresh one and clears every cache,
-    /// folding the old engine's counters into the retired totals and
-    /// counting an engine recycle. Options and cumulative accounting
-    /// survive. Besides recycling, [`answer_line`] calls this after a
-    /// query panicked, since the caches may then be mid-update.
+    /// Recycles the engine in place ([`Decider::recycle`]) and drops
+    /// every memo this process filled, keeping only the entries restored
+    /// from a snapshot, and counts an engine recycle. Options and
+    /// cumulative counters survive. Besides recycling, [`answer_line`]
+    /// calls this after a query panicked, since the caches may then be
+    /// mid-update; restored entries are exact verdicts no query
+    /// changes, so they stay.
     pub(crate) fn retire_engine(&mut self) {
-        self.retired_stats = self.retired_stats.merged(&self.engine.stats());
-        self.snapshot.snapshot_hits += self.engine.snapshot_hits();
-        self.engine = Decider::with_options(self.opts.decide.clone());
-        self.term_stats_cache.clear();
+        self.engine.recycle();
+        self.term_stats_cache = HashMap::new();
         self.term_stats_scratch.clear();
-        self.cert_cache.clear();
+        self.cert_cache.retain(|_, &mut (_, _, restored)| restored);
         self.engine_recycles += 1;
         self.queries_since_recycle = 0;
     }
@@ -1505,24 +1501,15 @@ impl Session {
         let start = Instant::now();
         let (verdict, proof) = self.dispatch(query);
         let elapsed = start.elapsed();
-        let total = self.engine.stats();
         self.queries_run += 1;
         self.queries_since_recycle += 1;
         self.expr_nodes_seen += expr_nodes;
         self.expr_subterms_seen += expr_subterms;
-        // Merging the retired-engine counters is off the warm path: a
-        // never-recycled session (`retired_stats` all zero) skips it.
-        let stats_total = if self.engine_recycles == 0 {
-            total
-        } else {
-            self.retired_stats.merged(&total)
-        };
         Response {
             kind: query.kind(),
             verdict,
             proof,
-            stats_delta: total.delta_since(&before),
-            stats_total,
+            stats_delta: self.engine.stats().delta_since(&before),
             expr_nodes,
             expr_subterms,
             elapsed,
@@ -1715,7 +1702,7 @@ impl Session {
     fn cached_cert_decide(&mut self, p: &str, q: &str) -> (bool, CertificateStats, bool) {
         if let Some(&(holds, stats, restored)) = self.cert_cache.get(&(p.to_owned(), q.to_owned()))
         {
-            self.snapshot.cert_snapshot_hits += u64::from(restored);
+            self.cert_snapshot_hits += u64::from(restored);
             return (holds, stats, true);
         }
         let (holds, stats) = self.decide_cert_pair(p, q);
@@ -2168,12 +2155,12 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(session.run(&q).verdict, Verdict::Holds);
         }
-        // Limit 2: engines retire before queries 3 and 5.
+        // Limit 2: the engine recycles before queries 3 and 5.
         assert_eq!(session.queries_run(), 5);
         assert_eq!(session.totals().engine_recycles, 2);
-        // Cumulative stats span all engine generations…
+        // Cumulative stats span every recycle…
         assert_eq!(session.stats().nka_queries, 5);
-        // …and each fresh engine recompiled the pair (2 sides × 3 gens).
+        // …and each emptied engine recompiled the pair (2 sides × 3).
         assert_eq!(session.stats().compile_misses, 6);
         let mem = session.memory_stats();
         assert_eq!(mem.engine_recycles, 2);
@@ -2744,7 +2731,7 @@ mod tests {
         assert_eq!(warm.stats().restored_entries, 1);
         let mut session = warm.session();
         assert!(session.cached_cert_decide(p, q).2);
-        assert_eq!(session.snapshot.cert_snapshot_hits, 1);
+        assert_eq!(session.totals().snapshot.cert_snapshot_hits, 1);
         for i in 0..CERT_CACHE_CAP - 1 {
             let key = (format!("filler {i}"), String::new());
             session
@@ -2759,6 +2746,55 @@ mod tests {
         );
         assert!(!session.cached_cert_decide(p, q).2);
         assert!(session.cached_cert_decide(p, q).2);
-        assert_eq!(session.snapshot.cert_snapshot_hits, 1);
+        assert_eq!(session.totals().snapshot.cert_snapshot_hits, 1);
+    }
+
+    /// A recycle, like the rebuild after a panic, keeps what was loaded
+    /// from the snapshot and drops what this process decided, while
+    /// every counter keeps counting.
+    #[test]
+    fn a_recycle_keeps_the_restored_entries() {
+        let (p, q) = ("qubits 1; h q0; h q0", "qubits 1; skip");
+        let loaded = Query::nka_eq("p + p", "p").unwrap();
+        let decided = Query::nka_eq("(p q)* p", "p (q p)*").unwrap();
+        let Query::NkaEq { lhs, rhs } = &loaded else {
+            unreachable!()
+        };
+        let mut builder = SnapshotBuilder::new(snapshot::ConfigGuard::from_options(
+            &DecideOptions::default(),
+        ));
+        builder.add_nka_verdict(lhs, rhs, false);
+        builder.add_cert(p, q, false, CertificateStats::default());
+        let dir = std::env::temp_dir().join(format!("nka-recycle-keep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("keep.nkasnap");
+        std::fs::write(&path, builder.encode(0)).unwrap();
+        let warm = WarmStart::open(&path, &SessionOptions::default());
+        std::fs::remove_dir_all(&dir).ok();
+        let mut session = warm.session();
+        assert_eq!(session.run(&decided).verdict, Verdict::Holds);
+        assert!(
+            !session
+                .cached_cert_decide("qubits 1; x q0", "qubits 1; x q0")
+                .2
+        );
+        session.retire_engine();
+        assert_eq!(session.run(&loaded).verdict, Verdict::Refuted);
+        assert!(session.cached_cert_decide(p, q).2);
+        assert!(
+            !session
+                .cached_cert_decide("qubits 1; x q0", "qubits 1; x q0")
+                .2
+        );
+        let misses = session.stats().compile_misses;
+        assert_eq!(session.run(&decided).stats_delta.answer_hits, 0);
+        assert!(session.stats().compile_misses > misses);
+        let totals = session.totals();
+        assert_eq!(totals.engine_recycles, 1);
+        // Three queries and two certificate decides.
+        assert_eq!(totals.engine.nka_queries, 5);
+        assert_eq!(totals.engine.answer_hits, 1);
+        assert_eq!(totals.snapshot.snapshot_hits, 1);
+        assert_eq!(totals.snapshot.cert_snapshot_hits, 1);
     }
 }

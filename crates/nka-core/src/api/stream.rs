@@ -79,8 +79,7 @@ pub struct Answered {
 /// A panic while running or rendering the query costs only that line:
 /// it is answered with a structured `internal error`
 /// ([`ApiError::Internal`], [`LineClass::Internal`]), and the session,
-/// whose caches may be mid-update, is rebuilt with a fresh engine, as
-/// on recycling.
+/// whose caches may be mid-update, drops them as on recycling.
 pub fn answer_line(session: &mut Session, line: &str, json: bool) -> Option<Answered> {
     let start = Instant::now();
     let (line, class, outcome) = match wire::decode_request(line) {

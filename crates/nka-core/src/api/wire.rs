@@ -173,13 +173,7 @@ pub fn decode_request(line: &str) -> Result<Option<Query>, ApiError> {
         "nka_eq" => Query::nka_eq(str_key(&value, "lhs")?, str_key(&value, "rhs")?)?,
         "ka_eq" => Query::ka_eq(str_key(&value, "lhs")?, str_key(&value, "rhs")?)?,
         "series" => {
-            let max_len = match value.get("max_len") {
-                None => DEFAULT_SERIES_MAX_LEN,
-                Some(v) => usize::try_from(v.as_i64().ok_or_else(|| {
-                    ApiError::Malformed("\"max_len\" must be an integer".to_owned())
-                })?)
-                .map_err(|_| ApiError::Malformed("\"max_len\" must be ≥ 0".to_owned()))?,
-            };
+            let max_len = usize_key(&value, "max_len", DEFAULT_SERIES_MAX_LEN)?;
             Query::series(str_key(&value, "expr")?, max_len)?
         }
         "prog_eq" => Query::prog_eq(str_key(&value, "p")?, str_key(&value, "q")?)?,
@@ -189,62 +183,17 @@ pub fn decode_request(line: &str) -> Result<Option<Query>, ApiError> {
             str_key(&value, "post")?,
         )?,
         "analyze" => {
-            let passes: Vec<&str> = match value.get("passes") {
-                None => Vec::new(),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| ApiError::Malformed("\"passes\" must be an array".to_owned()))?
-                    .iter()
-                    .map(|p| {
-                        p.as_str().ok_or_else(|| {
-                            ApiError::Malformed("\"passes\" entries must be strings".to_owned())
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
+            let passes = str_array(&value, "passes")?;
             Query::analyze(str_key(&value, "prog")?, &passes)?
         }
         "optimize" => {
-            let rules: Vec<&str> = match value.get("rules") {
-                None => Vec::new(),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| ApiError::Malformed("\"rules\" must be an array".to_owned()))?
-                    .iter()
-                    .map(|r| {
-                        r.as_str().ok_or_else(|| {
-                            ApiError::Malformed("\"rules\" entries must be strings".to_owned())
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-            let int_key = |key: &str, default: usize| -> Result<usize, ApiError> {
-                match value.get(key) {
-                    None => Ok(default),
-                    Some(v) => usize::try_from(v.as_i64().ok_or_else(|| {
-                        ApiError::Malformed(format!("{key:?} must be an integer"))
-                    })?)
-                    .map_err(|_| ApiError::Malformed(format!("{key:?} must be ≥ 0"))),
-                }
-            };
-            let max_steps = int_key("max_steps", DEFAULT_OPTIMIZE_MAX_STEPS)?;
-            let beam = int_key("beam", DEFAULT_OPTIMIZE_BEAM)?;
+            let rules = str_array(&value, "rules")?;
+            let max_steps = usize_key(&value, "max_steps", DEFAULT_OPTIMIZE_MAX_STEPS)?;
+            let beam = usize_key(&value, "beam", DEFAULT_OPTIMIZE_BEAM)?;
             Query::optimize(str_key(&value, "prog")?, &rules, max_steps, beam)?
         }
         "prove" => {
-            let hyps: Vec<&str> = match value.get("hyps") {
-                None => Vec::new(),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| ApiError::Malformed("\"hyps\" must be an array".to_owned()))?
-                    .iter()
-                    .map(|h| {
-                        h.as_str().ok_or_else(|| {
-                            ApiError::Malformed("\"hyps\" entries must be strings".to_owned())
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
+            let hyps = str_array(&value, "hyps")?;
             Query::prove(str_key(&value, "lhs")?, str_key(&value, "rhs")?, &hyps)?
         }
         other => {
@@ -262,6 +211,32 @@ fn str_key<'a>(value: &'a Json, key: &str) -> Result<&'a str, ApiError> {
         .get(key)
         .and_then(Json::as_str)
         .ok_or_else(|| ApiError::Malformed(format!("missing string key {key:?}")))
+}
+
+/// An optional non-negative integer; absent means `default`.
+fn usize_key(value: &Json, key: &str, default: usize) -> Result<usize, ApiError> {
+    let Some(v) = value.get(key) else {
+        return Ok(default);
+    };
+    let n = v
+        .as_i64()
+        .ok_or_else(|| ApiError::Malformed(format!("{key:?} must be an integer")))?;
+    usize::try_from(n).map_err(|_| ApiError::Malformed(format!("{key:?} must be ≥ 0")))
+}
+
+/// An optional array of strings; absent means empty.
+fn str_array<'a>(value: &'a Json, key: &str) -> Result<Vec<&'a str>, ApiError> {
+    let Some(v) = value.get(key) else {
+        return Ok(Vec::new());
+    };
+    v.as_array()
+        .ok_or_else(|| ApiError::Malformed(format!("{key:?} must be an array")))?
+        .iter()
+        .map(|s| {
+            s.as_str()
+                .ok_or_else(|| ApiError::Malformed(format!("{key:?} entries must be strings")))
+        })
+        .collect()
 }
 
 /// Initial capacity of a written line beyond its own source strings:
@@ -876,6 +851,45 @@ mod tests {
         assert!(!stable_response_projection(&warm_line).contains("\"micros\""));
         // Text lines pass through (minus the trailing newline).
         assert_eq!(stable_response_projection("⊢NKA a = a\n"), "⊢NKA a = a");
+    }
+
+    #[test]
+    fn optional_fields_name_their_key_in_errors() {
+        for (op, key) in [
+            (r#""op":"analyze","prog":"qubits 1; skip""#, "passes"),
+            (r#""op":"optimize","prog":"qubits 1; skip""#, "rules"),
+            (r#""op":"prove","lhs":"p","rhs":"p""#, "hyps"),
+        ] {
+            let not_array = decode_request(&format!(r#"{{{op},"{key}":"x"}}"#)).unwrap_err();
+            assert_eq!(
+                not_array,
+                ApiError::Malformed(format!("\"{key}\" must be an array"))
+            );
+            let not_strings = decode_request(&format!(r#"{{{op},"{key}":["x",1]}}"#)).unwrap_err();
+            assert_eq!(
+                not_strings,
+                ApiError::Malformed(format!("\"{key}\" entries must be strings"))
+            );
+            assert!(decode_request(&format!(r#"{{{op},"{key}":[]}}"#))
+                .unwrap()
+                .is_some());
+        }
+        for (op, key) in [
+            (r#""op":"series","expr":"p""#, "max_len"),
+            (r#""op":"optimize","prog":"qubits 1; skip""#, "max_steps"),
+            (r#""op":"optimize","prog":"qubits 1; skip""#, "beam"),
+        ] {
+            let not_int = decode_request(&format!(r#"{{{op},"{key}":"3"}}"#)).unwrap_err();
+            assert_eq!(
+                not_int,
+                ApiError::Malformed(format!("\"{key}\" must be an integer"))
+            );
+            let negative = decode_request(&format!(r#"{{{op},"{key}":-1}}"#)).unwrap_err();
+            assert_eq!(
+                negative,
+                ApiError::Malformed(format!("\"{key}\" must be ≥ 0"))
+            );
+        }
     }
 
     #[test]

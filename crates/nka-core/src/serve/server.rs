@@ -72,7 +72,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How often blocked connection reads re-check the drain flag (the
-/// reader's `set_read_timeout`). Idle workers and window waiters no
+/// reader's read timeout). Idle workers and window waiters no
 /// longer tick on this: they park on their condvars and are woken by a
 /// targeted `notify_one` on enqueue/slot-free (plus `notify_all` at
 /// drain transitions), so an idle pool stays asleep instead of waking
@@ -81,6 +81,10 @@ const POLL_TICK: Duration = Duration::from_millis(100);
 /// Accept-loop poll interval (listeners are non-blocking so they can
 /// observe drain).
 const ACCEPT_TICK: Duration = Duration::from_millis(20);
+/// How long a response write to a stalled client may block before the
+/// connection is declared dead. Bounds drain time under pathological
+/// readers.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Where the server listens. Parsed from `--listen`:
 /// `unix:/path/to.sock` for a Unix-domain socket, anything else
@@ -137,10 +141,6 @@ pub struct ServeConfig {
     pub max_arena_nodes: Option<usize>,
     /// Respond in JSONL (`true`, the `--json` flag) or human text.
     pub json: bool,
-    /// How long a response write to a stalled client may block before
-    /// the connection is declared dead. Bounds drain time under
-    /// pathological readers.
-    pub write_timeout: Option<Duration>,
     /// Warm-start snapshot file, owned by one [`WarmStart`]: loaded once
     /// at bind and restored into every worker; each worker's recycled
     /// and final caches are merged into its union, which is re-dumped
@@ -163,7 +163,6 @@ impl Default for ServeConfig {
             max_line_bytes: 1 << 20,
             max_arena_nodes: None,
             json: false,
-            write_timeout: Some(Duration::from_secs(30)),
             snapshot_path: None,
         }
     }
@@ -186,19 +185,14 @@ impl Socket {
         }
     }
 
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+    /// Bounds reads by [`POLL_TICK`] and writes by [`WRITE_TIMEOUT`];
+    /// the halves [`Socket::try_clone`] splits off share both.
+    fn set_timeouts(&self) -> io::Result<()> {
+        let (read, write) = (Some(POLL_TICK), Some(WRITE_TIMEOUT));
         match self {
-            Socket::Tcp(s) => s.set_read_timeout(t),
+            Socket::Tcp(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
             #[cfg(unix)]
-            Socket::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
-    fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Socket::Tcp(s) => s.set_write_timeout(t),
-            #[cfg(unix)]
-            Socket::Unix(s) => s.set_write_timeout(t),
+            Socket::Unix(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
         }
     }
 }
@@ -466,7 +460,6 @@ fn read_line_capped<R: BufRead>(
 /// and enqueues them (through the backpressure window) onto the
 /// connection's worker.
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, sock: Socket, worker: usize) {
-    let _ = sock.set_read_timeout(Some(POLL_TICK));
     let mut reader = BufReader::new(sock);
     let mut acc = Vec::new();
     let mut discarding = false;
@@ -602,44 +595,60 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     publish(&session);
 }
 
-/// The accept loop of one TCP listener.
-fn accept_tcp(shared: &Arc<Shared>, listener: &TcpListener) {
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking");
-    loop {
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                start_connection(shared, Socket::Tcp(stream));
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
-        }
-    }
+/// A bound listener, before its accept loop starts.
+#[derive(Debug)]
+enum Listener {
+    Tcp(TcpListener),
+    #[cfg(unix)]
+    Unix(UnixListener),
 }
 
-/// The accept loop of one Unix-domain listener.
-#[cfg(unix)]
-fn accept_unix(shared: &Arc<Shared>, listener: &UnixListener) {
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking");
-    loop {
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => start_connection(shared, Socket::Unix(stream)),
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
+impl Listener {
+    /// Binds one `--listen` address. A stale Unix socket file from a
+    /// previous run is replaced; a live server would have to be stopped
+    /// first anyway (the supervisor contract).
+    fn bind(addr: &ListenAddr) -> io::Result<Listener> {
+        match addr {
+            ListenAddr::Tcp(spec) => TcpListener::bind(spec.as_str()).map(Listener::Tcp),
+            #[cfg(unix)]
+            ListenAddr::Unix(path) => {
+                let _ = std::fs::remove_file(path);
+                UnixListener::bind(path).map(Listener::Unix)
             }
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
+            #[cfg(not(unix))]
+            ListenAddr::Unix(path) => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!(
+                    "unix sockets unsupported on this platform: {}",
+                    path.display()
+                ),
+            )),
+        }
+    }
+
+    /// Accepts connections until the server drains.
+    fn accept_loop(&self, shared: &Arc<Shared>) {
+        let nonblocking = match self {
+            Listener::Tcp(listener) => listener.set_nonblocking(true),
+            #[cfg(unix)]
+            Listener::Unix(listener) => listener.set_nonblocking(true),
+        };
+        nonblocking.expect("listener nonblocking");
+        while !shared.draining() {
+            let accepted = match self {
+                Listener::Tcp(listener) => listener.accept().map(|(stream, _)| {
+                    let _ = stream.set_nodelay(true);
+                    Socket::Tcp(stream)
+                }),
+                #[cfg(unix)]
+                Listener::Unix(listener) => {
+                    listener.accept().map(|(stream, _)| Socket::Unix(stream))
+                }
+            };
+            match accepted {
+                Ok(sock) => start_connection(shared, sock),
+                Err(_) => std::thread::sleep(ACCEPT_TICK),
+            }
         }
     }
 }
@@ -647,10 +656,10 @@ fn accept_unix(shared: &Arc<Shared>, listener: &UnixListener) {
 /// Registers an accepted stream: assigns it a worker, splits it into a
 /// reader half and a shared writer half, and spawns the reader thread.
 fn start_connection(shared: &Arc<Shared>, sock: Socket) {
+    let _ = sock.set_timeouts();
     let Ok(read_half) = sock.try_clone() else {
         return; // the fd went away between accept and clone
     };
-    let _ = sock.set_write_timeout(shared.cfg.write_timeout);
     shared
         .counters
         .connections_opened
@@ -755,7 +764,7 @@ pub struct Server {
     accept_threads: Vec<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
     tcp_addrs: Vec<SocketAddr>,
-    unix_paths: Vec<PathBuf>,
+    addrs: Vec<ListenAddr>,
 }
 
 impl Server {
@@ -764,8 +773,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Any bind failure (bad address, permission, …); nothing keeps
-    /// running on error.
+    /// Any bind failure (bad address, permission, …) or thread spawn
+    /// failure. Nothing keeps running on error, and the Unix socket
+    /// files this call created are removed.
     pub fn bind(cfg: ServeConfig, addrs: &[ListenAddr]) -> io::Result<Server> {
         assert!(cfg.workers > 0, "a server needs at least one worker");
         assert!(
@@ -777,6 +787,25 @@ impl Server {
                 io::ErrorKind::InvalidInput,
                 "no listen addresses",
             ));
+        }
+        // Bind every listener before starting any thread, so a failed
+        // bind has nothing to stop.
+        let mut listeners = Vec::with_capacity(addrs.len());
+        let mut tcp_addrs = Vec::new();
+        for addr in addrs {
+            let bound = Listener::bind(addr).and_then(|listener| {
+                if let Listener::Tcp(tcp) = &listener {
+                    tcp_addrs.push(tcp.local_addr()?);
+                }
+                Ok(listener)
+            });
+            match bound {
+                Ok(listener) => listeners.push(listener),
+                Err(err) => {
+                    remove_socket_files(&addrs[..listeners.len()]);
+                    return Err(err);
+                }
+            }
         }
         // Open the warm-start snapshot once; the pool shares it. A file
         // that fails to load degrades to cold — serving always starts.
@@ -801,59 +830,51 @@ impl Server {
             warm,
             cfg,
         });
-
-        let mut tcp_addrs = Vec::new();
-        let mut unix_paths = Vec::new();
-        let mut accept_threads = Vec::new();
-        for addr in addrs {
-            match addr {
-                ListenAddr::Tcp(spec) => {
-                    let listener = TcpListener::bind(spec.as_str())?;
-                    tcp_addrs.push(listener.local_addr()?);
-                    let shared = Arc::clone(&shared);
-                    accept_threads.push(std::thread::spawn(move || accept_tcp(&shared, &listener)));
-                }
-                #[cfg(unix)]
-                ListenAddr::Unix(path) => {
-                    // Replace a stale socket file from a previous run;
-                    // a live server would have to be stopped first
-                    // anyway (the supervisor contract).
-                    let _ = std::fs::remove_file(path);
-                    let listener = UnixListener::bind(path)?;
-                    unix_paths.push(path.clone());
-                    let shared = Arc::clone(&shared);
-                    accept_threads
-                        .push(std::thread::spawn(move || accept_unix(&shared, &listener)));
-                }
-                #[cfg(not(unix))]
-                ListenAddr::Unix(path) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        format!(
-                            "unix sockets unsupported on this platform: {}",
-                            path.display()
-                        ),
-                    ));
-                }
-            }
+        let mut server = Server {
+            shared,
+            accept_threads: Vec::new(),
+            worker_threads: Vec::new(),
+            tcp_addrs,
+            addrs: addrs.to_vec(),
+        };
+        if let Err(err) = server.spawn_threads(listeners) {
+            // Drain the threads already running; no request was read,
+            // so they exit at once.
+            server.shared.begin_drain(0, "server failed to start");
+            server.join_threads();
+            remove_socket_files(&server.addrs);
+            return Err(err);
         }
+        Ok(server)
+    }
 
-        let worker_threads = (0..shared.cfg.workers)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
+    /// Spawns the worker pool, then one accept thread per listener.
+    fn spawn_threads(&mut self, listeners: Vec<Listener>) -> io::Result<()> {
+        for index in 0..self.shared.cfg.workers {
+            let shared = Arc::clone(&self.shared);
+            self.worker_threads.push(
                 std::thread::Builder::new()
                     .stack_size(WORKER_STACK_BYTES)
-                    .spawn(move || worker_loop(&shared, index))
-            })
-            .collect::<io::Result<_>>()?;
+                    .spawn(move || worker_loop(&shared, index))?,
+            );
+        }
+        for listener in listeners {
+            let shared = Arc::clone(&self.shared);
+            self.accept_threads
+                .push(std::thread::Builder::new().spawn(move || listener.accept_loop(&shared))?);
+        }
+        Ok(())
+    }
 
-        Ok(Server {
-            shared,
-            accept_threads,
-            worker_threads,
-            tcp_addrs,
-            unix_paths,
-        })
+    /// Waits for every accept loop and worker to exit.
+    fn join_threads(&mut self) {
+        for handle in self
+            .accept_threads
+            .drain(..)
+            .chain(self.worker_threads.drain(..))
+        {
+            let _ = handle.join();
+        }
     }
 
     /// The bound TCP addresses (with real ports for `:0` binds), in
@@ -876,13 +897,8 @@ impl Server {
     /// returns the exit code: `0` for a requested shutdown, `3` for
     /// `--max-arena-nodes`.
     #[must_use]
-    pub fn join(self) -> u8 {
-        for handle in self.accept_threads {
-            let _ = handle.join();
-        }
-        for handle in self.worker_threads {
-            let _ = handle.join();
-        }
+    pub fn join(mut self) -> u8 {
+        self.join_threads();
         // Every worker has folded its caches into the snapshot's union
         // by now; re-dump so the next boot (supervisor restart loop) warm
         // starts. A failed write only warns and is counted — the drain
@@ -890,10 +906,17 @@ impl Server {
         if let Some(warm) = &self.shared.warm {
             let _ = warm.dump();
         }
-        for path in &self.unix_paths {
+        remove_socket_files(&self.addrs);
+        self.shared.exit_code.load(Ordering::SeqCst)
+    }
+}
+
+/// Removes the socket files of the Unix addresses among `addrs`.
+fn remove_socket_files(addrs: &[ListenAddr]) {
+    for addr in addrs {
+        if let ListenAddr::Unix(path) = addr {
             let _ = std::fs::remove_file(path);
         }
-        self.shared.exit_code.load(Ordering::SeqCst)
     }
 }
 
@@ -1057,6 +1080,31 @@ mod tests {
         assert_eq!(block.totals.optimize.queries, 1);
         assert_eq!(block.totals.optimize.steps_applied, 1);
         assert_eq!(block.ops.op(QueryKind::Optimize).count(), 1);
+    }
+
+    /// A later listener failing to bind leaves nothing behind: no
+    /// accept loop serves the Unix socket bound before it, and its file
+    /// is gone.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_bind_leaves_no_listener_running() {
+        let probe = TcpListener::bind("127.0.0.1:0").expect("probe");
+        let taken = probe.local_addr().unwrap().to_string();
+        let dir = std::env::temp_dir().join(format!("nka-bind-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("first.sock");
+        let bound = Server::bind(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            &[ListenAddr::Unix(path.clone()), ListenAddr::Tcp(taken)],
+        );
+        assert!(bound.is_err(), "the second address is in use");
+        let connected = UnixStream::connect(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(connected.is_err(), "a listener outlived the failed bind");
+        drop(probe);
     }
 
     #[test]

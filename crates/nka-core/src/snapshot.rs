@@ -753,9 +753,9 @@ impl WarmStart {
     }
 
     /// A session under the options this warm start was opened with,
-    /// holding the loaded entries. On every engine recycle the session
-    /// [absorbs](WarmStart::absorb) the retiring engine and
-    /// [dumps](WarmStart::dump).
+    /// holding the loaded entries, which it keeps across every engine
+    /// recycle. On each recycle the session [absorbs](WarmStart::absorb)
+    /// the engine's caches into the union and [dumps](WarmStart::dump).
     #[must_use]
     pub fn session(self: &Arc<WarmStart>) -> Session {
         Session::warm_started(Arc::clone(self), &self.opts, self.loaded.as_ref())

@@ -222,6 +222,20 @@ impl Decider {
         self.scratch_purges
     }
 
+    /// Drops every cache entry this process compiled or decided, the
+    /// memory backstop of a long-lived session. Verdicts restored from a
+    /// snapshot stay (an exact verdict is valid for the life of the
+    /// process), and the counters keep counting across the call.
+    pub fn recycle(&mut self) {
+        self.exprs = HashMap::new();
+        self.alphabets = HashMap::new();
+        self.infinity_dfas = HashMap::new();
+        self.support_dfas = HashMap::new();
+        self.scratch_log.clear();
+        self.nka_verdicts.retain(|_, &mut (_, restored)| restored);
+        self.ka_verdicts.retain(|_, &mut (_, restored)| restored);
+    }
+
     /// Brings the caches in line with the current scratch epoch: if any
     /// scope retired since the first scratch-keyed entry was logged,
     /// exactly the logged entries are evicted (their ids may since name
@@ -1151,6 +1165,33 @@ mod tests {
         engine.seed_nka_verdict(&rl, &rr, false);
         assert!(!engine.decide(&rl, &rr).unwrap());
         assert_eq!(engine.snapshot_hits(), 1);
+    }
+
+    #[test]
+    fn recycle_keeps_restored_verdicts_and_counters() {
+        let mut engine = Decider::new();
+        let (l, r) = (e("(p q)* p"), e("p (q p)*"));
+        let (rl, rr) = (e("recycleL"), e("recycleR"));
+        engine.restore_nka_verdict(&rl, &rr, false);
+        engine.restore_ka_verdict(&rl, &rr, false);
+        assert!(engine.decide(&l, &r).unwrap());
+        assert!(engine.ka_equiv(&l, &r).unwrap());
+        assert!(!engine.decide(&rl, &rr).unwrap());
+        let before = engine.stats();
+        engine.recycle();
+        assert_eq!(cache_sizes(&engine), [0, 0, 0, 1, 1]);
+        assert!(engine.alphabets.is_empty() && engine.scratch_log.is_empty());
+        assert_eq!(engine.stats(), before);
+        // Restored verdicts still hit, as snapshot hits; decided ones
+        // are recomputed.
+        assert!(!engine.decide(&rl, &rr).unwrap());
+        assert!(!engine.ka_equiv(&rl, &rr).unwrap());
+        assert_eq!(engine.snapshot_hits(), 3);
+        assert!(engine.decide(&l, &r).unwrap());
+        let after = engine.stats().delta_since(&before);
+        assert_eq!((after.nka_queries, after.ka_queries), (2, 1));
+        assert_eq!(after.answer_hits, 2);
+        assert_eq!(after.compile_misses, 2);
     }
 
     proptest! {

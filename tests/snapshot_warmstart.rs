@@ -45,6 +45,16 @@ struct Run {
 }
 
 impl Run {
+    /// Runs `cmd` to completion.
+    fn of(cmd: &mut Command) -> Run {
+        let output = cmd.output().expect("nka binary runs");
+        Run {
+            code: output.status.code(),
+            stdout: String::from_utf8(output.stdout).expect("stdout is UTF-8"),
+            stderr: String::from_utf8(output.stderr).expect("stderr is UTF-8"),
+        }
+    }
+
     /// Response lines with `stats`/`micros` stripped — the
     /// byte-comparable projection (`wire::stable_response_projection`).
     fn projected(&self) -> Vec<String> {
@@ -84,13 +94,7 @@ fn run_batch_jobs(corpus: &str, snapshot: Option<&Path>, jobs: Option<usize>) ->
     if let Some(n) = jobs {
         cmd.arg("--jobs").arg(n.to_string());
     }
-    cmd.arg("batch").arg(corpus);
-    let output = cmd.output().expect("nka binary runs");
-    Run {
-        code: output.status.code(),
-        stdout: String::from_utf8(output.stdout).expect("stdout is UTF-8"),
-        stderr: String::from_utf8(output.stderr).expect("stderr is UTF-8"),
-    }
+    Run::of(cmd.arg("batch").arg(corpus))
 }
 
 /// `nka --stats --json [--snapshot FILE] batch CORPUS`.
@@ -159,6 +163,61 @@ fn recycled_batches_dump_what_unrecycled_batches_dump() {
                 whole,
                 "{corpus} {recycled:?}"
             );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recycle keeps the entries loaded from `--snapshot`, so a recycled
+/// replay of a dump hits it exactly as often as an unrecycled one and
+/// decides nothing more. (When a recycle dropped them, the recycled
+/// replays read 5 verdict hits on `qprog_25`, and 7 or 12 certificate
+/// hits with 20 or 15 Tier B decides on `analyze_20`.)
+#[test]
+fn recycled_replays_keep_hitting_the_loaded_snapshot() {
+    let dir = temp_dir("recycled-replay");
+    let dump = dir.join("dump.nkasnap");
+    for corpus in [QPROG, ANALYZE] {
+        let status = Command::new(env!("CARGO_BIN_EXE_nka"))
+            .args(["snapshot", "dump"])
+            .arg(&dump)
+            .arg(corpus)
+            .stdout(Stdio::null())
+            .status()
+            .expect("nka binary runs");
+        assert!(status.success(), "{corpus}: snapshot dump failed");
+        // Each replay warm-starts from its own copy of the dump, since
+        // the exit dump rewrites the file.
+        let replay = |args: &[&str]| -> [i64; 3] {
+            let snap = dir.join("replay.nkasnap");
+            std::fs::copy(&dump, &snap).expect("copy the dump");
+            let run = Run::of(
+                Command::new(env!("CARGO_BIN_EXE_nka"))
+                    .args(["--stats", "--json"])
+                    .args(args)
+                    .arg("--snapshot")
+                    .arg(&snap)
+                    .arg("batch")
+                    .arg(corpus),
+            );
+            assert_eq!(run.code, Some(0), "{corpus} {args:?}: {}", run.stderr);
+            let tier_b_decides = run
+                .stats()
+                .get("analysis")
+                .and_then(|a| a.get("tier_b_decides"))
+                .and_then(Json::as_i64)
+                .expect("analysis.tier_b_decides counter");
+            [
+                run.snapshot_stat("snapshot_hits"),
+                run.snapshot_stat("cert_snapshot_hits"),
+                tier_b_decides,
+            ]
+        };
+        let whole = replay(&[]);
+        assert!(whole[0] + whole[1] > 0, "{corpus}: no snapshot hit");
+        for jobs in ["1", "2"] {
+            let recycled = ["--max-queries-per-worker", "5", "--jobs", jobs];
+            assert_eq!(replay(&recycled), whole, "{corpus} {recycled:?}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
