@@ -838,8 +838,8 @@ impl Server {
             addrs: addrs.to_vec(),
         };
         if let Err(err) = server.spawn_threads(listeners) {
-            // Drain the threads already running; no request was read,
-            // so they exit at once.
+            // Drain the threads already running: they answer whatever
+            // was read and exit.
             server.shared.begin_drain(0, "server failed to start");
             server.join_threads();
             remove_socket_files(&server.addrs);

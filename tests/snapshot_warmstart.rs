@@ -170,9 +170,7 @@ fn recycled_batches_dump_what_unrecycled_batches_dump() {
 
 /// A recycle keeps the entries loaded from `--snapshot`, so a recycled
 /// replay of a dump hits it exactly as often as an unrecycled one and
-/// decides nothing more. (When a recycle dropped them, the recycled
-/// replays read 5 verdict hits on `qprog_25`, and 7 or 12 certificate
-/// hits with 20 or 15 Tier B decides on `analyze_20`.)
+/// decides nothing more.
 #[test]
 fn recycled_replays_keep_hitting_the_loaded_snapshot() {
     let dir = temp_dir("recycled-replay");
