@@ -40,12 +40,13 @@
 //! Programs and effects arrive as source text in the surface language
 //! of [`nka_qprog::surface`]; parse failures carry the same byte-span
 //! caret diagnostics as expression queries
-//! ([`ApiError::ParseProgram`]). Program encodings are interned through
-//! a [`nka_syntax::ScratchScope`] per query and retired when the query
-//! answers — only decided-*equal* `ProgEq` encodings are promoted into
-//! the persistent arena (they are the ones worth keeping warm), so
-//! adversarially distinct program traffic cannot grow a long-lived
-//! serving process. The caches keyed on a retired query's encodings —
+//! ([`ApiError::ParseProgram`]). `prog_eq` queries, Tier B checks and
+//! optimizer certifications share one session memo keyed on the
+//! `(p, q)` source text. Program encodings are interned through a
+//! [`nka_syntax::ScratchScope`] and retired when the query answers —
+//! none is promoted, so distinct program traffic cannot grow a
+//! long-lived serving process. The caches keyed on a retired query's
+//! encodings —
 //! the engine's and the session's term-stats memo — log each key they
 //! insert under a scratch id, and the next query removes exactly those
 //! entries: a purge costs O(entries it evicts), however many persistent
@@ -183,9 +184,8 @@ pub enum Query {
     /// program: Tier A syntactic/dataflow passes plus Tier B semantic
     /// checks decided on the warm engine (dead code ⇔ zeroness,
     /// Definition 4.4). Every Tier B finding carries a replayable
-    /// [`Certificate`]. The Tier B encodings live in a scratch scope
-    /// and are never promoted, so analysis traffic cannot grow the
-    /// persistent arena.
+    /// [`Certificate`]. The Tier B encodings live in a scratch scope,
+    /// so analysis traffic cannot grow the persistent arena.
     Analyze {
         /// The program to analyze.
         prog: SurfaceProgram,
@@ -573,8 +573,7 @@ pub enum Verdict {
     },
     /// The outcome of a [`Query::ProgEq`]: the algebraic decision plus
     /// the shared-setting encodings it was made on (rendered, because
-    /// the underlying terms are scratch-scoped; only decided-equal
-    /// encodings are promoted to the persistent arena).
+    /// the underlying terms are scratch-scoped).
     ProgEq {
         /// Whether `⊢NKA Enc(p) = Enc(q)` — by Theorem 4.5 this implies
         /// `⟦p⟧ = ⟦q⟧`.
@@ -827,7 +826,7 @@ pub struct SessionOptions {
     pub series_max_words: u64,
     /// Engine-recycling backstop: after this many queries the session
     /// empties its `Decider`'s caches, its term-stats memo and its
-    /// certificate cache, bounding cache growth under unbounded
+    /// program-pair memo, bounding cache growth under unbounded
     /// *distinct* traffic; entries loaded from a snapshot stay, exact
     /// for the life of the process. The expression arena itself is
     /// governed separately (prover scratch is scope-reclaimed; the
@@ -1018,9 +1017,9 @@ nka_syntax::counter_table! {
         /// Findings emitted, bucketed by [`analysis::PASS_NAMES`] index.
         pub findings_by_pass: [u64; analysis::PASS_NAMES.len()],
         /// Tier B `prog_eq`/zeroness decisions actually run on the engine
-        /// (certificate-cache misses).
+        /// (program-pair memo misses).
         pub tier_b_decides: u64,
-        /// Tier B checks answered from the session's certificate cache
+        /// Tier B checks answered from the session's program-pair memo
         /// without touching the engine.
         pub cert_cache_hits: u64,
     }
@@ -1060,9 +1059,9 @@ nka_syntax::counter_table! {
         /// this run — the seen-set that keeps cycling rule pairs finite.
         pub cycle_breaks: u64,
         /// Candidate/final certifications actually run on the engine
-        /// (certificate-cache misses).
+        /// (program-pair memo misses).
         pub engine_decides: u64,
-        /// Certifications answered from the session's certificate cache
+        /// Certifications answered from the session's program-pair memo
         /// without touching the engine.
         pub cert_cache_hits: u64,
     }
@@ -1082,11 +1081,11 @@ nka_syntax::counter_table! {
     /// the file ([`WarmStart::stats`]).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SnapshotStats {
-        /// Cache entries (verdicts + certificates) in the loaded file.
+        /// Cache entries (verdicts + program pairs) in the loaded file.
         pub restored_entries: u64,
         /// Engine verdict-cache hits served by a restored entry.
         pub snapshot_hits: u64,
-        /// Analyzer certificate-cache hits served by a restored entry.
+        /// Program-pair memo hits served by a restored entry.
         pub cert_snapshot_hits: u64,
         /// Snapshot loads that degraded to cold start (corrupt, stale,
         /// version-mismatched, or config-mismatched files).
@@ -1128,10 +1127,82 @@ nka_syntax::counter_table! {
     }
 }
 
-/// Certificate-cache size ceiling: the map is cleared (not evicted
-/// entry-wise) past this many distinct Tier B checks, bounding memory
-/// under unbounded distinct analyze traffic.
-const CERT_CACHE_CAP: usize = 4096;
+/// Key bytes past which [`PairMemo`] is cleared, bounding its memory
+/// whatever the traffic: about 4,096 pairs of loop-free programs of
+/// ~190 bytes a pair.
+const PAIR_MEMO_KEY_BYTES: usize = 768 * 1024;
+
+/// A memoized program pair: `(holds, certificate stats, restored)`,
+/// where `restored` marks an entry loaded from a snapshot.
+type PairEntry = (bool, CertificateStats, bool);
+
+/// A borrowed `(p, q)` memo key, so a probe hashes the two sources
+/// without building the owned key.
+trait PairKey {
+    fn pair(&self) -> (&str, &str);
+}
+
+impl<P: AsRef<str>, Q: AsRef<str>> PairKey for (P, Q) {
+    fn pair(&self) -> (&str, &str) {
+        (self.0.as_ref(), self.1.as_ref())
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn PairKey + 'a> for (String, String) {
+    fn borrow(&self) -> &(dyn PairKey + 'a) {
+        self
+    }
+}
+
+// Hashes as `(String, String)` does, as `Borrow` requires.
+impl std::hash::Hash for dyn PairKey + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.pair().hash(state);
+    }
+}
+
+impl PartialEq for dyn PairKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.pair() == other.pair()
+    }
+}
+
+impl Eq for dyn PairKey + '_ {}
+
+/// The program-pair verdicts of [`Session::decide_program_pair`].
+#[derive(Debug, Default)]
+struct PairMemo {
+    entries: HashMap<(String, String), PairEntry>,
+    /// Bytes of every key's `p` and `q`, at most [`PAIR_MEMO_KEY_BYTES`].
+    key_bytes: usize,
+}
+
+impl PairMemo {
+    fn get(&self, p: &str, q: &str) -> Option<PairEntry> {
+        self.entries.get(&(p, q) as &dyn PairKey).copied()
+    }
+
+    /// Stores a new pair's `entry`, first clearing the memo if the key
+    /// would take it past [`PAIR_MEMO_KEY_BYTES`]; a key larger than
+    /// that is not kept.
+    fn insert(&mut self, p: &str, q: &str, entry: PairEntry) {
+        let bytes = p.len() + q.len();
+        if self.key_bytes + bytes > PAIR_MEMO_KEY_BYTES {
+            self.entries.clear();
+            self.key_bytes = 0;
+        }
+        if bytes <= PAIR_MEMO_KEY_BYTES {
+            self.key_bytes += bytes;
+            self.entries.insert((p.to_owned(), q.to_owned()), entry);
+        }
+    }
+
+    /// Drops every entry this process decided, keeping the restored ones.
+    fn keep_restored(&mut self) {
+        self.entries.retain(|_, &mut (_, _, restored)| restored);
+        self.key_bytes = self.entries.keys().map(|k| k.0.len() + k.1.len()).sum();
+    }
+}
 
 /// `min(|Σ^{≤max_len}|, cap + 1)` where `|Σ^{≤max_len}| = Σ_{i=0..=max_len} k^i`
 /// — the word count, computed only far enough to compare against `cap`
@@ -1187,14 +1258,9 @@ pub struct Session {
     /// Optimizer counters ([`Session::optimize_stats`]); cumulative,
     /// surviving engine recycling.
     optimize_stats: OptimizeStats,
-    /// Tier B certificate cache: `(p, q) → (holds, stats, restored)`
-    /// keyed on the check's program sources, where `restored` marks an
-    /// entry loaded from a snapshot (a hit on one is a
-    /// `cert_snapshot_hit`). Verdict memoization only — a recycle keeps
-    /// just the restored entries, and the map is cleared past
-    /// [`CERT_CACHE_CAP`], without affecting answers.
-    cert_cache: HashMap<(String, String), (bool, CertificateStats, bool)>,
-    /// Certificate-cache hits served by a restored entry (the
+    /// Every decided program pair; a recycle keeps the restored ones.
+    pair_memo: PairMemo,
+    /// Program-pair memo hits served by a restored entry (the
     /// `cert_snapshot_hits` of [`Session::totals`]); the engine counts
     /// its own `snapshot_hits`.
     cert_snapshot_hits: u64,
@@ -1305,7 +1371,7 @@ impl Session {
     }
 
     /// Cumulative static-analyzer counters over the session's life
-    /// (findings per pass, Tier B decide calls, certificate cache
+    /// (findings per pass, Tier B decide calls, program-pair memo
     /// hits). Zero until the first [`Query::Analyze`].
     #[must_use]
     pub fn analysis_stats(&self) -> AnalysisStats {
@@ -1363,7 +1429,7 @@ impl Session {
     }
 
     /// A session under `opts` holding `loaded`'s entries — verdicts in
-    /// the engine, certificates in the Tier B cache — that absorbs into
+    /// the engine, program pairs in the pair memo — that absorbs into
     /// and dumps through `warm` on every engine recycle. `loaded` was
     /// config-checked against `opts` by [`WarmStart::open`].
     pub(crate) fn warm_started(
@@ -1380,10 +1446,9 @@ impl Session {
                 session.engine.restore_ka_verdict(l, r, *v);
             }
             for cert in &snap.certs {
-                session.cert_cache.insert(
-                    (cert.p.clone(), cert.q.clone()),
-                    (cert.holds, cert.stats, true),
-                );
+                session
+                    .pair_memo
+                    .insert(&cert.p, &cert.q, (cert.holds, cert.stats, true));
             }
         }
         session.warm = Some(warm);
@@ -1391,9 +1456,8 @@ impl Session {
     }
 
     /// Stages this session's exportable warm state into `builder`:
-    /// persistent-keyed engine verdicts plus the Tier B
-    /// certificate cache (in sorted key order, so dumps are
-    /// deterministic). [`WarmStart::absorb`] is the one caller.
+    /// persistent-keyed engine verdicts plus the program-pair memo.
+    /// [`WarmStart::absorb`] is the one caller.
     pub(crate) fn export_snapshot_into(&self, builder: &mut SnapshotBuilder) {
         for (a, b, v) in self.engine.export_nka_verdicts() {
             if let (Some(l), Some(r)) = (Expr::from_id(a), Expr::from_id(b)) {
@@ -1405,9 +1469,7 @@ impl Session {
                 builder.add_ka_verdict(&l, &r, v);
             }
         }
-        let mut certs: Vec<_> = self.cert_cache.iter().collect();
-        certs.sort_by(|a, b| a.0.cmp(b.0));
-        for ((p, q), (holds, stats, _)) in certs {
+        for ((p, q), (holds, stats, _)) in &self.pair_memo.entries {
             builder.add_cert(p, q, *holds, *stats);
         }
     }
@@ -1455,12 +1517,13 @@ impl Session {
             return;
         }
         // Fold the warm state about to be discarded into the snapshot's
-        // union and dump it, so a restart (or the next `--snapshot` boot)
-        // can restore it. A failed dump only warns and is counted:
-        // recycling proceeds regardless.
+        // union and, if that added an entry, dump it, so a restart (or
+        // the next `--snapshot` boot) can restore it. A failed dump only
+        // warns and is counted: recycling proceeds regardless.
         if let Some(warm) = &self.warm {
-            warm.absorb(self);
-            let _ = warm.dump();
+            if warm.absorb(self) {
+                let _ = warm.dump();
+            }
         }
         self.retire_engine();
     }
@@ -1476,7 +1539,7 @@ impl Session {
         self.engine.recycle();
         self.term_stats_cache = HashMap::new();
         self.term_stats_scratch.clear();
-        self.cert_cache.retain(|_, &mut (_, _, restored)| restored);
+        self.pair_memo.keep_restored();
         self.engine_recycles += 1;
         self.queries_since_recycle = 0;
     }
@@ -1580,7 +1643,25 @@ impl Session {
                     ),
                 }
             }
-            Query::ProgEq { p, q } => (self.dispatch_prog_eq(p, q), None),
+            Query::ProgEq { p, q } => {
+                // On a memo hit the pair is still encoded, to render it.
+                let scope = ScratchScope::enter();
+                let verdict = encode_pair(p, q).and_then(|(ep, eq)| {
+                    let (decided, ..) =
+                        self.decide_program_pair(p.source(), q.source(), || Ok((ep, eq)));
+                    let (enc_p, enc_q) = (ep.to_string(), eq.to_string());
+                    decided.map(|holds| Verdict::ProgEq {
+                        holds,
+                        enc_p,
+                        enc_q,
+                    })
+                });
+                drop(scope);
+                (
+                    verdict.unwrap_or_else(|detail| Verdict::BudgetExhausted { detail }),
+                    None,
+                )
+            }
             Query::Hoare { pre, prog, post } => (hoare_verdict(pre, prog, post), None),
             Query::Analyze { prog, passes } => (self.dispatch_analyze(prog, passes), None),
             Query::Optimize {
@@ -1592,76 +1673,18 @@ impl Session {
         }
     }
 
-    /// `⊢NKA Enc(p) = Enc(q)` on the warm engine. The shared-setting
-    /// encodings are interned through a [`ScratchScope`] and retired
-    /// with the query; **only decided-equal encodings are promoted**
-    /// into the persistent arena (a repeat of the same equal pair then
-    /// resolves to persistent ids and hits the verdict cache), so
-    /// distinct refuted traffic leaves no footprint — the program half
-    /// of the PR 4 memory model, gated by the arena soak.
-    fn dispatch_prog_eq(&mut self, p: &SurfaceProgram, q: &SurfaceProgram) -> Verdict {
-        let scope = ScratchScope::enter();
-        let mut setting = EncoderSetting::new(p.dim());
-        let encoded = setting
-            .encode(p.program())
-            .and_then(|ep| setting.encode(q.program()).map(|eq| (ep, eq)));
-        let (ep, eq) = match encoded {
-            Ok(pair) => pair,
-            // Unreachable for surface programs (encoder names derive
-            // injectively from gate × qubit); answer rather than panic
-            // if a future front end reaches here with colliding names.
-            Err(err) => {
-                return Verdict::BudgetExhausted {
-                    detail: format!("encoding failed: {err}"),
-                }
-            }
-        };
-        let enc_p = ep.to_string();
-        let enc_q = eq.to_string();
-        let verdict = match self.engine.decide(&ep, &eq) {
-            Ok(holds) => {
-                if holds {
-                    let mut memo = HashMap::new();
-                    let pp = nka_syntax::promote_memoized(&ep, &mut memo);
-                    let pq = nka_syntax::promote_memoized(&eq, &mut memo);
-                    // Seed the verdict under the persistent ids so a
-                    // repeat of the pair is an in-process hit and the
-                    // verdict is exportable into a snapshot (scratch
-                    // keys never are).
-                    self.engine.seed_nka_verdict(&pp, &pq, true);
-                }
-                Verdict::ProgEq {
-                    holds,
-                    enc_p,
-                    enc_q,
-                }
-            }
-            Err(err) => Verdict::BudgetExhausted {
-                detail: err.to_string(),
-            },
-        };
-        drop(scope);
-        verdict
-    }
-
     /// Runs the static analyzer: Tier A passes are pure AST walks
     /// ([`analysis::syntactic_findings`]); each Tier B check
-    /// ([`analysis::semantic_checks`]) is a `prog_eq` decided on the
-    /// warm engine through the certificate cache. A check that holds
-    /// becomes a [`Finding`] with a replayable [`Certificate`]; a
-    /// refuted check emits nothing. Unlike `prog_eq`, *nothing* is ever
-    /// promoted — analysis encodings are scratch-transient even when a
-    /// check holds, so unbounded analyze traffic adds zero persistent
-    /// arena nodes (gated by the arena soak).
+    /// ([`analysis::semantic_checks`]) is a program pair
+    /// ([`Session::certify`]). A check that holds becomes a [`Finding`]
+    /// with a replayable [`Certificate`]; a refuted check emits
+    /// nothing.
     fn dispatch_analyze(&mut self, prog: &SurfaceProgram, passes: &[String]) -> Verdict {
         let mut findings = analysis::syntactic_findings(prog, passes);
         for check in analysis::semantic_checks(prog, passes) {
-            let (holds, stats, was_hit) = self.cached_cert_decide(&check.p, &check.q);
-            if was_hit {
-                self.analysis_stats.cert_cache_hits += 1;
-            } else {
-                self.analysis_stats.tier_b_decides += 1;
-            }
+            let (holds, stats, was_hit) = self.certify(&check.p, &check.q);
+            self.analysis_stats.cert_cache_hits += u64::from(was_hit);
+            self.analysis_stats.tier_b_decides += u64::from(!was_hit);
             if holds {
                 findings.push(Finding {
                     pass: check.pass,
@@ -1690,61 +1713,53 @@ impl Session {
         Verdict::Analysis { findings }
     }
 
-    /// One certified `prog_eq(p, q)` through the session's certificate
-    /// cache — the shared engine-access path of the analyzer's Tier B
-    /// checks and every optimizer certification. Returns `(holds,
-    /// engine-delta stats, answered-from-cache)`; callers attribute the
-    /// hit/miss to their own counter block. A hit on a
-    /// snapshot-restored key also moves the `cert_snapshot_hits`
-    /// warm-start counter, and a miss is inserted (behind the
-    /// [`CERT_CACHE_CAP`] clear), so optimizer certifications ride the
-    /// same snapshot export path as analyzer certificates.
-    fn cached_cert_decide(&mut self, p: &str, q: &str) -> (bool, CertificateStats, bool) {
-        if let Some(&(holds, stats, restored)) = self.cert_cache.get(&(p.to_owned(), q.to_owned()))
-        {
+    /// `⊢NKA Enc(p) = Enc(q)` (Theorem 4.5) for every program pair. A memo
+    /// hit makes no engine call; a miss calls `encode` and decides in a
+    /// [`ScratchScope`], storing only a decided verdict, never an `Err`
+    /// (failed encoding, exhausted budget). Returns `(verdict, tier
+    /// stats of the decide, memo hit)`.
+    fn decide_program_pair(
+        &mut self,
+        p: &str,
+        q: &str,
+        encode: impl FnOnce() -> Result<(Expr, Expr), String>,
+    ) -> (Result<bool, String>, CertificateStats, bool) {
+        if let Some((holds, stats, restored)) = self.pair_memo.get(p, q) {
             self.cert_snapshot_hits += u64::from(restored);
-            return (holds, stats, true);
+            return (Ok(holds), stats, true);
         }
-        let (holds, stats) = self.decide_cert_pair(p, q);
-        if self.cert_cache.len() >= CERT_CACHE_CAP {
-            self.cert_cache.clear();
-        }
-        self.cert_cache
-            .insert((p.to_owned(), q.to_owned()), (holds, stats, false));
-        (holds, stats, false)
-    }
-
-    /// Decides one certification pair inside a [`ScratchScope`]: parse
-    /// both program sources, encode under one shared setting, decide,
-    /// and retire every scratch node — *nothing* is promoted, so
-    /// unbounded analyze/optimize traffic adds zero persistent arena
-    /// nodes. Budget overflow or (unreachable for generated sources)
-    /// parse/encode failure conservatively answers *not certified* —
-    /// the analyzer stays silent and the optimizer declines the step
-    /// rather than acting on an unproven equality.
-    fn decide_cert_pair(&mut self, p: &str, q: &str) -> (bool, CertificateStats) {
         let scope = ScratchScope::enter();
         let before = self.engine.stats();
-        let mut holds = false;
-        if let (Ok(p), Ok(q)) = (
-            SurfaceProgram::parse_generated(p),
-            SurfaceProgram::parse_generated(q),
-        ) {
-            let mut setting = EncoderSetting::new(p.dim());
-            if let (Ok(ep), Ok(eq)) = (setting.encode(p.program()), setting.encode(q.program())) {
-                holds = self.engine.decide(&ep, &eq).unwrap_or(false);
-            }
-        }
+        let decided = encode()
+            .and_then(|(ep, eq)| self.engine.decide(&ep, &eq).map_err(|err| err.to_string()));
         drop(scope);
         let delta = self.engine.stats().delta_since(&before);
-        (
-            holds,
-            CertificateStats {
-                starfree_hits: delta.starfree_hits,
-                prefix_hits: delta.prefix_hits,
-                fastpath_fallbacks: delta.fastpath_fallbacks,
-            },
-        )
+        let stats = CertificateStats {
+            starfree_hits: delta.starfree_hits,
+            prefix_hits: delta.prefix_hits,
+            fastpath_fallbacks: delta.fastpath_fallbacks,
+        };
+        if let Ok(holds) = decided {
+            self.pair_memo.insert(p, q, (holds, stats, false));
+        }
+        (decided, stats, false)
+    }
+
+    /// A certification of generated sources: `holds` only if the pair is
+    /// decided equal, so a refutation, an exhausted budget or a parse
+    /// failure leaves the analyzer silent and the optimizer declining
+    /// the step. Returns `(holds, stats, memo hit)`.
+    fn certify(&mut self, p: &str, q: &str) -> (bool, CertificateStats, bool) {
+        let (decided, stats, hit) = self.decide_program_pair(p, q, || {
+            match (
+                SurfaceProgram::parse_generated(p),
+                SurfaceProgram::parse_generated(q),
+            ) {
+                (Ok(p), Ok(q)) => encode_pair(&p, &q),
+                (Err(err), _) | (_, Err(err)) => Err(err.to_string()),
+            }
+        });
+        (decided == Ok(true), stats, hit)
     }
 
     /// Runs the optimizer: candidate generation is the engine-free
@@ -1755,15 +1770,14 @@ impl Session {
     /// one shared [`EncoderSetting`], interned in one outer
     /// [`ScratchScope`]) was already visited this run — equal encodings
     /// are provably equal programs, so revisiting one can only cycle —
-    /// and certifies the rest with [`Session::cached_cert_decide`]
-    /// until `beam` candidates pass; the smallest certified rewrite is
-    /// applied. The run ends at a fixpoint (no certified candidate), or
-    /// bails with a structured note when `max_steps` is exhausted.
-    /// Finally the output is certified against the input on the same
-    /// cache — for a greedy single-step run that is the very pair the
-    /// step validation just decided, a cache hit. Nothing is promoted:
-    /// the certificate cache (exportable into snapshots) is the only
-    /// state that outlives the query.
+    /// and certifies the rest with [`Session::certify`] until `beam`
+    /// candidates pass; the smallest certified rewrite is applied. The
+    /// run ends at a fixpoint (no certified candidate), or bails with a
+    /// structured note when `max_steps` is exhausted. Finally the output
+    /// is certified against the input on the same memo — for a greedy
+    /// single-step run that is the very pair the step validation just
+    /// decided, a memo hit. The pair memo (exportable into snapshots) is
+    /// the only state that outlives the query.
     fn dispatch_optimize(
         &mut self,
         prog: &SurfaceProgram,
@@ -1784,7 +1798,7 @@ impl Session {
         match setting.encode(prog.program()) {
             Ok(enc) => seen.insert(enc.id()),
             // Unreachable for surface programs (encoder names derive
-            // injectively from gate × qubit); see `dispatch_prog_eq`.
+            // injectively from gate × qubit); answer rather than panic.
             Err(err) => {
                 drop(scope);
                 return Verdict::BudgetExhausted {
@@ -1823,13 +1837,9 @@ impl Session {
                     self.optimize_stats.cycle_breaks += 1;
                     continue;
                 }
-                let (holds, _, was_hit) =
-                    self.cached_cert_decide(current.source(), &cand.rewritten);
-                if was_hit {
-                    self.optimize_stats.cert_cache_hits += 1;
-                } else {
-                    self.optimize_stats.engine_decides += 1;
-                }
+                let (holds, _, was_hit) = self.certify(current.source(), &cand.rewritten);
+                self.optimize_stats.cert_cache_hits += u64::from(was_hit);
+                self.optimize_stats.engine_decides += u64::from(!was_hit);
                 if holds {
                     certified.push((cand, parsed, enc.id()));
                 } else {
@@ -1858,17 +1868,14 @@ impl Session {
         }
         drop(scope);
         // Final certificate: prog_eq(input, output) on the shared
-        // certificate cache. It holds by transitivity of the per-step
+        // pair memo. It holds by transitivity of the per-step
         // certifications; if the single decision still exceeds the
         // budget, degrade to the identity rewrite (trivially certified)
         // rather than returning a program the engine did not confirm.
         let mut optimized = current.source().to_owned();
-        let (mut holds, mut stats, was_hit) = self.cached_cert_decide(prog.source(), &optimized);
-        if was_hit {
-            self.optimize_stats.cert_cache_hits += 1;
-        } else {
-            self.optimize_stats.engine_decides += 1;
-        }
+        let (mut holds, mut stats, was_hit) = self.certify(prog.source(), &optimized);
+        self.optimize_stats.cert_cache_hits += u64::from(was_hit);
+        self.optimize_stats.engine_decides += u64::from(!was_hit);
         if !holds {
             note = Some(format!(
                 "final certification of the {}-step rewrite exceeded the \
@@ -1878,12 +1885,9 @@ impl Session {
             steps.clear();
             fixpoint = false;
             optimized = prog.source().to_owned();
-            let (h, s, hit) = self.cached_cert_decide(prog.source(), &optimized);
-            if hit {
-                self.optimize_stats.cert_cache_hits += 1;
-            } else {
-                self.optimize_stats.engine_decides += 1;
-            }
+            let (h, s, hit) = self.certify(prog.source(), &optimized);
+            self.optimize_stats.cert_cache_hits += u64::from(hit);
+            self.optimize_stats.engine_decides += u64::from(!hit);
             (holds, stats) = (h, s);
         }
         debug_assert!(holds, "reflexive certification cannot fail");
@@ -1901,6 +1905,15 @@ impl Session {
             note,
         }
     }
+}
+
+/// `(Enc(p), Enc(q))` under one shared [`EncoderSetting`] (Def. 4.4).
+fn encode_pair(p: &SurfaceProgram, q: &SurfaceProgram) -> Result<(Expr, Expr), String> {
+    let mut setting = EncoderSetting::new(p.dim());
+    setting
+        .encode(p.program())
+        .and_then(|ep| setting.encode(q.program()).map(|eq| (ep, eq)))
+        .map_err(|err| format!("encoding failed: {err}"))
 }
 
 /// Checks `{pre} prog {post}` through the wlp characterization and
@@ -2232,62 +2245,40 @@ mod tests {
     }
 
     #[test]
-    fn prog_eq_scratch_is_reclaimed_and_equal_encodings_promote() {
-        if !in_own_process("prog_eq_scratch_is_reclaimed_and_equal_encodings_promote") {
+    fn repeated_prog_eq_pairs_answer_from_the_memo_and_never_promote() {
+        if !in_own_process("repeated_prog_eq_pairs_answer_from_the_memo_and_never_promote") {
             return;
         }
         let mut session = Session::new();
-        // Distinct refuted comparisons leave no persistent footprint.
         let refuted = Query::prog_eq(
             "qubits 2; h q0; cnot q0 q1; z q1",
             "qubits 2; h q1; cnot q1 q0; s q0",
         )
         .unwrap();
-        let resp = session.run(&refuted);
-        assert!(matches!(resp.verdict, Verdict::ProgEq { holds: false, .. }));
+        let equal = Query::prog_eq("qubits 2; cz q0 q1; skip", "qubits 2; cz q0 q1").unwrap();
+        // Interns the constants program encodings use, once per process.
+        session.run(&Query::prog_eq("qubits 2; skip", "qubits 2; abort").unwrap());
         let before = nka_syntax::interned_expr_count();
-        for _ in 0..20 {
-            let resp = session.run(&refuted);
-            assert!(matches!(resp.verdict, Verdict::ProgEq { holds: false, .. }));
+        for (query, holds) in [(&refuted, false), (&equal, true)] {
+            let first = session.run(query);
+            assert!(first.stats_delta.nka_queries > 0, "{:?}", first.stats_delta);
+            // Every repeat answers from the pair memo: same verdict and
+            // encodings, not one engine call.
+            for _ in 0..20 {
+                let repeat = session.run(query);
+                assert_eq!(repeat.verdict, first.verdict);
+                assert!(matches!(repeat.verdict, Verdict::ProgEq { holds: h, .. } if h == holds));
+                assert_eq!(repeat.stats_delta, DeciderStats::default());
+                // Program queries report AST nodes, no arena subterms.
+                assert!(repeat.expr_nodes > 0);
+                assert_eq!(repeat.expr_subterms, 0);
+            }
         }
         assert_eq!(
             nka_syntax::interned_expr_count(),
             before,
-            "refuted ProgEq queries must not grow the persistent arena"
+            "ProgEq queries, refuted or equal, must not grow the persistent arena"
         );
-        // An equal pair promotes its encodings once; repeats hit the
-        // verdict cache on the persistent ids.
-        let equal = Query::prog_eq("qubits 2; cz q0 q1; skip", "qubits 2; cz q0 q1").unwrap();
-        let first = session.run(&equal);
-        assert!(matches!(first.verdict, Verdict::ProgEq { holds: true, .. }));
-        let promoted = nka_syntax::interned_expr_count();
-        // Run 2 re-encodes onto the *promoted* (persistent) ids. The
-        // scratch-keyed verdict from run 1 was purged with its scope,
-        // but promotion seeded the verdict under the persistent ids,
-        // so the repeat is already a cache hit…
-        let second = session.run(&equal);
-        assert!(matches!(
-            second.verdict,
-            Verdict::ProgEq { holds: true, .. }
-        ));
-        assert_eq!(
-            second.stats_delta.answer_hits, 1,
-            "{:?}",
-            second.stats_delta
-        );
-        // …and every later run of the pair stays a pure hit.
-        let warm = session.run(&equal);
-        assert!(matches!(warm.verdict, Verdict::ProgEq { holds: true, .. }));
-        assert_eq!(
-            nka_syntax::interned_expr_count(),
-            promoted,
-            "a repeated equal pair must re-resolve to its promoted encodings"
-        );
-        assert_eq!(warm.stats_delta.answer_hits, 1, "{:?}", warm.stats_delta);
-        assert_eq!(warm.stats_delta.compile_misses, 0, "{:?}", warm.stats_delta);
-        // Program queries report AST nodes, no arena subterms.
-        assert!(warm.expr_nodes > 0);
-        assert_eq!(warm.expr_subterms, 0);
     }
 
     #[test]
@@ -2713,10 +2704,11 @@ mod tests {
         ));
     }
 
-    /// The cache-cap clear drops a restored certificate's mark with the
-    /// entry: once recomputed, hits on its key are not snapshot hits.
+    /// The memo never holds more than [`PAIR_MEMO_KEY_BYTES`] of keys;
+    /// a key that would pass it clears the memo, so a pair probed after
+    /// the clear is decided again, and a restored mark goes with it.
     #[test]
-    fn a_recomputed_certificate_is_not_a_snapshot_hit() {
+    fn the_pair_memo_is_capped_in_key_bytes() {
         let (p, q) = ("qubits 1; h q0; h q0", "qubits 1; skip");
         let mut builder = SnapshotBuilder::new(snapshot::ConfigGuard::from_options(
             &DecideOptions::default(),
@@ -2730,23 +2722,59 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(warm.stats().restored_entries, 1);
         let mut session = warm.session();
-        assert!(session.cached_cert_decide(p, q).2);
+        assert!(session.certify(p, q).2);
         assert_eq!(session.totals().snapshot.cert_snapshot_hits, 1);
-        for i in 0..CERT_CACHE_CAP - 1 {
-            let key = (format!("filler {i}"), String::new());
-            session
-                .cert_cache
-                .insert(key, (false, CertificateStats::default(), false));
+        let filler = "f".repeat(4096);
+        let mut cleared = false;
+        for i in 0..2 * PAIR_MEMO_KEY_BYTES / filler.len() {
+            let before = session.pair_memo.entries.len();
+            session.pair_memo.insert(
+                &filler,
+                &i.to_string(),
+                (false, CertificateStats::default(), false),
+            );
+            cleared |= session.pair_memo.entries.len() <= before;
+            let memo = &session.pair_memo;
+            let bytes: usize = memo.entries.keys().map(|(p, q)| p.len() + q.len()).sum();
+            assert_eq!(bytes, memo.key_bytes);
+            assert!(bytes <= PAIR_MEMO_KEY_BYTES, "{bytes} key bytes");
         }
-        // This miss finds the cache full and clears it.
-        assert!(
-            !session
-                .cached_cert_decide("qubits 1; x q0", "qubits 1; x q0")
-                .2
-        );
-        assert!(!session.cached_cert_decide(p, q).2);
-        assert!(session.cached_cert_decide(p, q).2);
+        assert!(cleared, "filling past the cap clears the memo");
+        // A key larger than the cap is answered but never kept.
+        let huge = "g".repeat(PAIR_MEMO_KEY_BYTES);
+        session
+            .pair_memo
+            .insert(&huge, "x", (true, CertificateStats::default(), false));
+        assert!(session.pair_memo.get(&huge, "x").is_none());
+        // The restored entry went with a clear: decided again, then an
+        // ordinary (not a snapshot) hit.
+        assert!(!session.certify(p, q).2);
+        assert!(session.certify(p, q).2);
         assert_eq!(session.totals().snapshot.cert_snapshot_hits, 1);
+    }
+
+    /// A budget exhaustion is answered, never memoized: a repeated Tier
+    /// B check that exhausts the budget is decided again, and no dump
+    /// holds it (restored under a larger budget it would read refuted).
+    #[test]
+    fn an_exhausted_check_is_decided_again_and_never_dumped() {
+        let dir = std::env::temp_dir().join(format!("nka-exhausted-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("exhausted.nkasnap");
+        let opts = SessionOptions::builder().max_dfa_states(1).build().unwrap();
+        let warm = WarmStart::create(&path, &opts);
+        let mut session = warm.session();
+        let peel = Query::analyze("qubits 1; while q0 { h q0 }", &["peephole"]).unwrap();
+        for _ in 0..2 {
+            let resp = session.run(&peel);
+            assert_eq!(resp.verdict, Verdict::Analysis { findings: vec![] });
+        }
+        let stats = session.analysis_stats();
+        assert_eq!((stats.tier_b_decides, stats.cert_cache_hits), (2, 0));
+        assert!(!warm.absorb(&session), "nothing to dump");
+        assert_eq!(warm.dump().unwrap(), 0);
+        assert_eq!(snapshot::Snapshot::read(&path).unwrap().summary().certs, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A recycle, like the rebuild after a panic, keeps what was loaded
@@ -2773,19 +2801,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let mut session = warm.session();
         assert_eq!(session.run(&decided).verdict, Verdict::Holds);
-        assert!(
-            !session
-                .cached_cert_decide("qubits 1; x q0", "qubits 1; x q0")
-                .2
-        );
+        assert!(!session.certify("qubits 1; x q0", "qubits 1; x q0").2);
         session.retire_engine();
         assert_eq!(session.run(&loaded).verdict, Verdict::Refuted);
-        assert!(session.cached_cert_decide(p, q).2);
-        assert!(
-            !session
-                .cached_cert_decide("qubits 1; x q0", "qubits 1; x q0")
-                .2
-        );
+        assert!(session.certify(p, q).2);
+        assert!(!session.certify("qubits 1; x q0", "qubits 1; x q0").2);
         let misses = session.stats().compile_misses;
         assert_eq!(session.run(&decided).stats_delta.answer_hits, 0);
         assert!(session.stats().compile_misses > misses);

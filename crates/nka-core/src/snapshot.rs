@@ -6,7 +6,7 @@
 //! artifact: a snapshot captures the promoted arena expressions reachable
 //! from the [`Decider`](nka_wfa::Decider) caches (in a canonical,
 //! process-independent post-order encoding), the NKA/KA verdict caches and
-//! the analyzer certificate cache — and restores them into a fresh
+//! the session's program-pair memo — and restores them into a fresh
 //! process. The star-free tiers keep no state of their own to persist:
 //! their word multisets live for one query, and the verdict cache holds
 //! the answer.
@@ -37,6 +37,9 @@
 //! | verdicts  | NKA then KA: count + `(lhs idx, rhs idx, verdict)` triples     |
 //! | certs     | count + `(p, q, holds, certificate counters)` entries          |
 //!
+//! `certs` holds every decided program pair (`prog_eq`, Tier B check,
+//! optimizer certification); version 4 has version 3's layout.
+//!
 //! Expression identity is *structural*: [`nka_syntax::ExprId`]s
 //! are process-local (the arena shards by a per-process hash seed), so
 //! the dump remaps every id to a dense table index and the load re-interns
@@ -57,7 +60,7 @@ use crate::api::{Session, SessionOptions, SnapshotStats};
 use nka_qprog::analysis::CertificateStats;
 use nka_syntax::{Expr, ExprId, Folded, Symbol};
 use nka_wfa::DecideOptions;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -71,11 +74,13 @@ static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// The 8-byte file magic every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"NKASNAP.";
 
-/// The current snapshot format version. Bump on any layout change; a
-/// reader seeing an unknown version degrades to cold start. Version 2
-/// dropped the header's zeroness-arithmetic flag byte; version 3 dropped
-/// the star-free word-multiset section.
-pub const VERSION: u32 = 3;
+/// The current snapshot format version; a reader seeing another one
+/// degrades to cold start. Version 2 dropped the header's zeroness flag
+/// byte; version 3 the star-free word-multiset section. Version 4 keeps
+/// version 3's layout: a version-3 `certs` entry may hold a budget
+/// exhaustion stored as `false`, which restored under a larger
+/// `max_dfa_states` (not in the [`ConfigGuard`]) would read `refuted`.
+pub const VERSION: u32 = 4;
 
 /// The subset of [`DecideOptions`] that affects what cached entries
 /// *carry*. A snapshot written under one guard must not be restored into
@@ -162,8 +167,8 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// One analyzer certificate-cache entry: the certifying `prog_eq` query
-/// sources, its verdict, and the fast-path counters its decision cost.
+/// One program-pair entry: the `prog_eq` sources, its verdict, and the
+/// fast-path counters its decision cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertEntry {
     /// Left program source of the certifying query.
@@ -205,8 +210,8 @@ pub struct SnapshotBuilder {
     nka_seen: HashMap<(u32, u32), ()>,
     ka: Vec<(u32, u32, bool)>,
     ka_seen: HashMap<(u32, u32), ()>,
-    certs: Vec<CertEntry>,
-    cert_seen: HashMap<(String, String), ()>,
+    /// Program pairs in `(p, q)` order, so dumps are deterministic.
+    certs: BTreeMap<(String, String), (bool, CertificateStats)>,
 }
 
 impl SnapshotBuilder {
@@ -223,8 +228,7 @@ impl SnapshotBuilder {
             nka_seen: HashMap::new(),
             ka: Vec::new(),
             ka_seen: HashMap::new(),
-            certs: Vec::new(),
-            cert_seen: HashMap::new(),
+            certs: BTreeMap::new(),
         }
     }
 
@@ -291,18 +295,11 @@ impl SnapshotBuilder {
         }
     }
 
-    /// Stages an analyzer certificate-cache entry.
+    /// Stages a program-pair entry; as for verdicts, the first one of a
+    /// pair is kept.
     pub fn add_cert(&mut self, p: &str, q: &str, holds: bool, stats: CertificateStats) {
         let key = (p.to_owned(), q.to_owned());
-        if self.cert_seen.insert(key, ()).is_some() {
-            return;
-        }
-        self.certs.push(CertEntry {
-            p: p.to_owned(),
-            q: q.to_owned(),
-            holds,
-            stats,
-        });
+        self.certs.entry(key).or_insert((holds, stats));
     }
 
     /// Serializes the staged state to the binary format, stamped with
@@ -350,13 +347,13 @@ impl SnapshotBuilder {
             }
         }
         push_u32(&mut body, self.certs.len() as u32);
-        for cert in &self.certs {
-            push_bytes(&mut body, cert.p.as_bytes());
-            push_bytes(&mut body, cert.q.as_bytes());
-            body.push(u8::from(cert.holds));
-            push_u64(&mut body, cert.stats.starfree_hits);
-            push_u64(&mut body, cert.stats.prefix_hits);
-            push_u64(&mut body, cert.stats.fastpath_fallbacks);
+        for ((p, q), (holds, stats)) in &self.certs {
+            push_bytes(&mut body, p.as_bytes());
+            push_bytes(&mut body, q.as_bytes());
+            body.push(u8::from(*holds));
+            push_u64(&mut body, stats.starfree_hits);
+            push_u64(&mut body, stats.prefix_hits);
+            push_u64(&mut body, stats.fastpath_fallbacks);
         }
         let mut out = Vec::with_capacity(20 + body.len());
         out.extend_from_slice(&MAGIC);
@@ -416,7 +413,7 @@ pub struct SnapshotSummary {
     pub nka_verdicts: usize,
     /// KA verdict-cache entries.
     pub ka_verdicts: usize,
-    /// Analyzer certificate-cache entries.
+    /// Program-pair entries.
     pub certs: usize,
 }
 
@@ -647,7 +644,7 @@ pub struct LoadedSnapshot {
     pub nka: Vec<(Expr, Expr, bool)>,
     /// KA verdict-cache entries.
     pub ka: Vec<(Expr, Expr, bool)>,
-    /// Analyzer certificate-cache entries.
+    /// Program-pair entries.
     pub certs: Vec<CertEntry>,
 }
 
@@ -762,9 +759,12 @@ impl WarmStart {
     }
 
     /// Folds `session`'s exportable state (persistent-keyed verdicts and
-    /// analyzer certificates) into the union.
-    pub fn absorb(&self, session: &Session) {
-        session.export_snapshot_into(&mut self.union.lock().expect(UNION_POISONED));
+    /// program pairs) into the union; returns whether the union grew.
+    pub fn absorb(&self, session: &Session) -> bool {
+        let mut union = self.union.lock().expect(UNION_POISONED);
+        let before = union.entry_count();
+        session.export_snapshot_into(&mut union);
+        union.entry_count() > before
     }
 
     /// Writes the union to the file and counts the dump. The lock is

@@ -439,24 +439,10 @@ impl Decider {
         export_verdicts(&self.ka_verdicts)
     }
 
-    /// Seeds an NKA verdict computed in this process under persistent
-    /// ids — e.g. re-caching a scratch-decided `prog_eq` verdict under
-    /// its promoted encodings so it survives scope retirement and is
-    /// exportable. Scratch keys are refused (the entry would dangle
-    /// after the epoch advances). Counts as neither a query nor a hit;
-    /// an existing entry keeps its restored-from-snapshot mark.
-    pub fn seed_nka_verdict(&mut self, e: &Expr, f: &Expr, verdict: bool) {
-        let key = pair_key(e, f);
-        if key.0.is_scratch() || key.1.is_scratch() {
-            return;
-        }
-        self.nka_verdicts.entry(key).or_insert((verdict, false)).0 = verdict;
-    }
-
-    /// Restores a snapshot-loaded NKA verdict. Like
-    /// [`Decider::seed_nka_verdict`], but the entry is marked as
-    /// restored so later hits on it count in
-    /// [`Decider::snapshot_hits`].
+    /// Restores a snapshot-loaded NKA verdict, marked as restored so
+    /// later hits on it count in [`Decider::snapshot_hits`]. Scratch
+    /// keys are refused (the entry would dangle after the epoch
+    /// advances).
     pub fn restore_nka_verdict(&mut self, e: &Expr, f: &Expr, verdict: bool) {
         let key = pair_key(e, f);
         if key.0.is_scratch() || key.1.is_scratch() {
@@ -1140,31 +1126,15 @@ mod tests {
         assert_eq!(fresh.snapshot_hits(), 1);
         assert_eq!(fresh.stats().answer_hits, 1);
         assert_eq!(fresh.stats().compile_misses, 0);
-    }
-
-    #[test]
-    fn seeded_verdicts_hit_in_process_not_as_snapshot_hits() {
-        let mut engine = Decider::new();
-        let (l, r) = (e("seedL"), e("seedR"));
-        engine.seed_nka_verdict(&l, &r, false);
-        assert!(!engine.decide(&l, &r).unwrap());
-        assert_eq!(engine.stats().answer_hits, 1);
-        assert_eq!(engine.snapshot_hits(), 0);
-        // Scratch keys are refused outright.
+        // Restoring a scratch key is refused outright.
         {
             let _scope = nka_syntax::ScratchScope::enter();
             let s = l.star().star();
-            engine.seed_nka_verdict(&s, &s, true);
-            engine.restore_ka_verdict(&s, &s, true);
+            fresh.restore_nka_verdict(&s, &s, true);
+            fresh.restore_ka_verdict(&s, &s, true);
         }
-        assert_eq!(engine.export_nka_verdicts().len(), 1);
-        assert_eq!(engine.export_ka_verdicts().len(), 0);
-        // Seeding a restored key keeps its snapshot mark.
-        let (rl, rr) = (e("seedRestoredL"), e("seedRestoredR"));
-        engine.restore_nka_verdict(&rl, &rr, false);
-        engine.seed_nka_verdict(&rl, &rr, false);
-        assert!(!engine.decide(&rl, &rr).unwrap());
-        assert_eq!(engine.snapshot_hits(), 1);
+        assert_eq!(fresh.export_nka_verdicts().len(), 1);
+        assert_eq!(fresh.export_ka_verdicts().len(), 0);
     }
 
     #[test]

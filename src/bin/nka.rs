@@ -359,7 +359,7 @@ fn main() -> ExitCode {
                 .collect();
             stream(&mut sessions, reader, &mut sink);
             if let (Some(warm), Some(path)) = (&warm, &cli.snapshot_path) {
-                sessions.iter().for_each(|session| warm.absorb(session));
+                sessions.iter().for_each(|session| _ = warm.absorb(session));
                 if let Ok(n) = warm.dump() {
                     eprintln!("snapshot: dumped {n} entries to {}", path.display());
                 }

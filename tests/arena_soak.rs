@@ -212,16 +212,24 @@ fn prog_eq_soak_queries() -> usize {
 fn distinct_prog_eq_traffic_keeps_the_arena_bounded() {
     let _serial = soak_lock();
     let n = prog_eq_soak_queries();
-    // Refuted pairs: p vs p-with-a-z-appended — always algebraically
-    // distinct, so nothing is ever promoted. This is the quantum
-    // workload's half of the PR 4 memory model: program encodings are
-    // scratch-interned per query and retired when it answers, so 10k
+    // Refuted pairs (p vs p-with-a-z-appended — always algebraically
+    // distinct), then equal ones (p vs p with a `skip` inserted). This is
+    // the quantum workload's half of the PR 4 memory model: program
+    // encodings are scratch-interned per query and retired when it
+    // answers, and no verdict, equal or refuted, promotes them, so 2 × 10k
     // distinct ProgEq queries must add zero persistent arena nodes.
-    let queries: Vec<Query> = (0..n)
+    let queries: Vec<(Query, bool)> = (0..2 * n)
         .map(|i| {
-            let p = gate_word(i);
-            let q = format!("{p}; z q0");
-            Query::prog_eq(&p, &q).expect("well-formed")
+            let p = gate_word(i % n);
+            let (q, holds) = if i < n {
+                (format!("{p}; z q0"), false)
+            } else {
+                (
+                    format!("qubits 1; skip; {}", &p["qubits 1; ".len()..]),
+                    true,
+                )
+            };
+            (Query::prog_eq(&p, &q).expect("well-formed"), holds)
         })
         .collect();
 
@@ -231,11 +239,11 @@ fn distinct_prog_eq_traffic_keeps_the_arena_bounded() {
     let symbols_before = Symbol::interned_count();
 
     let mut session = Session::new();
-    for (i, query) in queries.iter().enumerate() {
+    for (i, (query, holds)) in queries.iter().enumerate() {
         let resp = session.run(query);
         assert!(
-            matches!(resp.verdict, Verdict::ProgEq { holds: false, .. }),
-            "query {i}: expected a refuted ProgEq, got {:?}",
+            matches!(resp.verdict, Verdict::ProgEq { holds: h, .. } if h == *holds),
+            "query {i}: expected holds = {holds}, got {:?}",
             resp.verdict
         );
     }
@@ -244,16 +252,17 @@ fn distinct_prog_eq_traffic_keeps_the_arena_bounded() {
     let retired = scratch_retired_total() - retired_before;
     let symbol_growth = Symbol::interned_count() - symbols_before;
     println!(
-        "prog_eq soak: {n} distinct refuted pairs; persistent +{persistent_growth} nodes, \
+        "prog_eq soak: {n} distinct refuted + {n} equal pairs; persistent +{persistent_growth} nodes, \
          resident {resident_before} -> {}, scratch retired {retired}, symbols +{symbol_growth}",
         arena_resident_nodes(),
     );
-    // The acceptance gate: zero persistent growth for refuted traffic
+    // The acceptance gate: zero persistent growth for program traffic
     // (a small slack for lazily interned constants, as in the Prove
     // soak above).
     assert!(
         persistent_growth <= 16,
-        "refuted ProgEq traffic leaked {persistent_growth} persistent arena nodes over {n} queries"
+        "ProgEq traffic leaked {persistent_growth} persistent arena nodes over {} queries",
+        2 * n
     );
     assert_eq!(
         arena_resident_nodes() - interned_expr_count(),
@@ -284,8 +293,7 @@ fn distinct_analyze_traffic_keeps_the_arena_bounded() {
     // Distinct abort-sealed branches: every program carries a genuinely
     // new dead arm, so each query runs a fresh Tier B zeroness decide
     // that *holds* and emits a certificate — the analyzer's memory
-    // contract is that even holding checks never promote (unlike
-    // `prog_eq`, whose equal pairs persist their encodings): Tier B
+    // contract is that even holding checks never promote: Tier B
     // analyses are scratch-scoped end to end, so 10k distinct analyzed
     // programs must add zero persistent arena nodes.
     let queries: Vec<Query> = (0..n)
@@ -446,48 +454,6 @@ fn distinct_optimize_traffic_keeps_the_arena_bounded() {
     assert!(
         symbol_growth <= 8,
         "optimize traffic grew the symbol table by {symbol_growth} names"
-    );
-}
-
-#[test]
-fn equal_prog_eq_pairs_persist_only_their_promoted_encodings() {
-    let _serial = soak_lock();
-    // Equal pairs (skip-padding): the decided-equal encodings are
-    // promoted — growth must be O(encoding), not O(scratch searched),
-    // and a repeat of the same pair must add nothing.
-    let n = if cfg!(debug_assertions) { 25 } else { 100 };
-    let queries: Vec<Query> = (0..n)
-        .map(|i| {
-            let p = gate_word(i);
-            let q = format!("qubits 1; skip; {}", &p["qubits 1; ".len()..]);
-            Query::prog_eq(&p, &q).expect("well-formed")
-        })
-        .collect();
-
-    let persistent_before = interned_expr_count();
-    let mut session = Session::new();
-    for query in &queries {
-        let resp = session.run(query);
-        assert!(matches!(resp.verdict, Verdict::ProgEq { holds: true, .. }));
-    }
-    let persistent_growth = interned_expr_count() - persistent_before;
-    // Each 14-gate pair promotes ≤ ~2×15 subterms (shared across the
-    // sides and across queries with common prefixes).
-    println!("prog_eq promotion: {n} equal pairs promoted +{persistent_growth} nodes");
-    assert!(
-        persistent_growth <= 64 * n,
-        "equal-pair promotion leaked {persistent_growth} nodes over {n} queries"
-    );
-    // Re-running the same queries must be pure cache traffic.
-    let promoted = interned_expr_count();
-    for query in &queries {
-        let resp = session.run(query);
-        assert!(matches!(resp.verdict, Verdict::ProgEq { holds: true, .. }));
-    }
-    assert_eq!(
-        interned_expr_count(),
-        promoted,
-        "repeated equal pairs re-promoted their encodings"
     );
 }
 

@@ -28,6 +28,14 @@ const VERSION2: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/data/snapshot_v2_batch_50.nkasnap"
 );
+/// A real version-3 file, written by `nka snapshot dump` over
+/// `qprog_25.jsonl` followed by `analyze_20.jsonl` (13 NKA verdicts, 27
+/// certificates). Version 4 has the same layout; a version-3
+/// certificate may hold a budget exhaustion stored as `false`.
+const VERSION3: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/data/snapshot_v3_qprog_25_analyze_20.nkasnap"
+);
 
 /// A fresh per-test scratch directory (pid-scoped so parallel test
 /// binaries cannot collide).
@@ -149,11 +157,12 @@ fn dumped_sections(dir: &Path, corpus: &str, args: &[&str]) -> (usize, usize, us
 /// Every engine recycle folds the retiring engine into the snapshot's
 /// union, so a recycled run dumps every verdict an unrecycled run
 /// dumps — sequentially and on a worker pool. (When the exit dump held
-/// only the live engines, these runs dumped 0, 0 and 8 entries.)
+/// only the live engines, these runs dumped a fraction of the entries.)
+/// `qprog_25` dumps one program pair per `prog_eq` line.
 #[test]
 fn recycled_batches_dump_what_unrecycled_batches_dump() {
     let dir = temp_dir("recycled");
-    for (corpus, recycle, entries) in [(QPROG, "5", 8), (BATCH, "10", 30)] {
+    for (corpus, recycle, entries) in [(QPROG, "5", 13), (BATCH, "10", 30)] {
         let whole = dumped_sections(&dir, corpus, &[]);
         assert_eq!(whole.0 + whole.1 + whole.2, entries, "{corpus}");
         for jobs in ["1", "2"] {
@@ -170,7 +179,8 @@ fn recycled_batches_dump_what_unrecycled_batches_dump() {
 
 /// A recycle keeps the entries loaded from `--snapshot`, so a recycled
 /// replay of a dump hits it exactly as often as an unrecycled one and
-/// decides nothing more.
+/// decides nothing more. Such a recycle adds nothing to the snapshot, so
+/// it does not dump: the replay dumps once, at exit.
 #[test]
 fn recycled_replays_keep_hitting_the_loaded_snapshot() {
     let dir = temp_dir("recycled-replay");
@@ -186,7 +196,7 @@ fn recycled_replays_keep_hitting_the_loaded_snapshot() {
         assert!(status.success(), "{corpus}: snapshot dump failed");
         // Each replay warm-starts from its own copy of the dump, since
         // the exit dump rewrites the file.
-        let replay = |args: &[&str]| -> [i64; 3] {
+        let replay = |args: &[&str]| -> [i64; 4] {
             let snap = dir.join("replay.nkasnap");
             std::fs::copy(&dump, &snap).expect("copy the dump");
             let run = Run::of(
@@ -209,10 +219,12 @@ fn recycled_replays_keep_hitting_the_loaded_snapshot() {
                 run.snapshot_stat("snapshot_hits"),
                 run.snapshot_stat("cert_snapshot_hits"),
                 tier_b_decides,
+                run.snapshot_stat("dumps"),
             ]
         };
         let whole = replay(&[]);
         assert!(whole[0] + whole[1] > 0, "{corpus}: no snapshot hit");
+        assert_eq!(whole[3], 1, "{corpus}: one exit dump");
         for jobs in ["1", "2"] {
             let recycled = ["--max-queries-per-worker", "5", "--jobs", jobs];
             assert_eq!(replay(&recycled), whole, "{corpus} {recycled:?}");
@@ -310,8 +322,8 @@ fn warm_restart_replays_qprog_corpus_identically_with_restored_hits() {
         warm.stderr
     );
     assert!(
-        warm.snapshot_stat("snapshot_hits") > 0,
-        "the replay must hit the restored verdict caches: {}",
+        warm.snapshot_stat("cert_snapshot_hits") > 0,
+        "the replay must hit the restored program pairs: {}",
         warm.stderr
     );
     assert!(
@@ -437,6 +449,7 @@ fn corrupt_snapshots_degrade_to_cold_starts_not_wrong_answers() {
     version1.extend_from_slice(&snapshot::fnv1a64(&v1_body).to_le_bytes());
     version1.extend_from_slice(&v1_body);
     let version2 = std::fs::read(VERSION2).expect("version-2 fixture readable");
+    let version3 = std::fs::read(VERSION3).expect("version-3 fixture readable");
     // Hostile files with a valid checksum whose section counts promise
     // far more than the body holds: `u32::MAX` symbols, and a verdict
     // section running past the end. The reader must not size any
@@ -449,12 +462,13 @@ fn corrupt_snapshots_degrade_to_cold_starts_not_wrong_answers() {
     verdicts.extend_from_slice(&0u32.to_le_bytes()); // no symbols
     verdicts.extend_from_slice(&0u32.to_le_bytes()); // no exprs
     verdicts.extend_from_slice(&1_000_000u32.to_le_bytes()); // NKA verdicts
-    let cases: [(&str, Vec<u8>); 8] = [
+    let cases: [(&str, Vec<u8>); 9] = [
         ("truncated", truncated),
         ("bit-flipped", flipped),
         ("version-bumped", future),
         ("version-1", version1),
         ("version-2", version2),
+        ("version-3", version3),
         ("zero-length", Vec::new()),
         ("u32-max-symbols", with_header(&symbols)),
         ("verdicts-past-the-end", with_header(&verdicts)),
@@ -593,7 +607,11 @@ fn serve_stdin_boots_warm_from_a_snapshot() {
     };
     assert_eq!(run.code, Some(0), "{}", run.stderr);
     assert_eq!(seeded.projected(), run.projected());
-    assert!(run.snapshot_stat("snapshot_hits") > 0, "{}", run.stderr);
+    assert!(
+        run.snapshot_stat("cert_snapshot_hits") > 0,
+        "{}",
+        run.stderr
+    );
     for line in run.stdout.lines() {
         assert!(
             line.starts_with("{\"v\":1,"),
