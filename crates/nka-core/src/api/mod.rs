@@ -112,7 +112,7 @@ use nka_wfa::{DecideOptions, Decider, DeciderStats};
 use qsim_linalg::CMatrix;
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1136,71 +1136,63 @@ const PAIR_MEMO_KEY_BYTES: usize = 768 * 1024;
 /// where `restored` marks an entry loaded from a snapshot.
 type PairEntry = (bool, CertificateStats, bool);
 
-/// A borrowed `(p, q)` memo key, so a probe hashes the two sources
-/// without building the owned key.
-trait PairKey {
-    fn pair(&self) -> (&str, &str);
-}
-
-impl<P: AsRef<str>, Q: AsRef<str>> PairKey for (P, Q) {
-    fn pair(&self) -> (&str, &str) {
-        (self.0.as_ref(), self.1.as_ref())
-    }
-}
-
-impl<'a> std::borrow::Borrow<dyn PairKey + 'a> for (String, String) {
-    fn borrow(&self) -> &(dyn PairKey + 'a) {
-        self
-    }
-}
-
-// Hashes as `(String, String)` does, as `Borrow` requires.
-impl std::hash::Hash for dyn PairKey + '_ {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.pair().hash(state);
-    }
-}
-
-impl PartialEq for dyn PairKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.pair() == other.pair()
-    }
-}
-
-impl Eq for dyn PairKey + '_ {}
-
-/// The program-pair verdicts of [`Session::decide_program_pair`].
+/// The program-pair verdicts of [`Session::decide_program_pair`]. The
+/// key of `(p, q)` is `"{p.len()}:{p}{q}"`, one allocation per entry; a
+/// probe writes it into `probe`, which keeps its capacity.
 #[derive(Debug, Default)]
 struct PairMemo {
-    entries: HashMap<(String, String), PairEntry>,
-    /// Bytes of every key's `p` and `q`, at most [`PAIR_MEMO_KEY_BYTES`].
+    entries: HashMap<Box<str>, PairEntry>,
+    /// Bytes of every key, at most [`PAIR_MEMO_KEY_BYTES`].
     key_bytes: usize,
+    probe: String,
 }
 
 impl PairMemo {
-    fn get(&self, p: &str, q: &str) -> Option<PairEntry> {
-        self.entries.get(&(p, q) as &dyn PairKey).copied()
+    fn write_key(&mut self, p: &str, q: &str) {
+        self.probe.clear();
+        // A probe of a long line must not keep its buffer for the session.
+        self.probe.shrink_to(4096);
+        write!(self.probe, "{}:{p}{q}", p.len()).expect("writing to a String cannot fail");
+    }
+
+    fn get(&mut self, p: &str, q: &str) -> Option<PairEntry> {
+        self.write_key(p, q);
+        self.entries.get(self.probe.as_str()).copied()
     }
 
     /// Stores a new pair's `entry`, first clearing the memo if the key
     /// would take it past [`PAIR_MEMO_KEY_BYTES`]; a key larger than
     /// that is not kept.
     fn insert(&mut self, p: &str, q: &str, entry: PairEntry) {
-        let bytes = p.len() + q.len();
+        self.write_key(p, q);
+        let bytes = self.probe.len();
         if self.key_bytes + bytes > PAIR_MEMO_KEY_BYTES {
             self.entries.clear();
             self.key_bytes = 0;
         }
-        if bytes <= PAIR_MEMO_KEY_BYTES {
+        if bytes <= PAIR_MEMO_KEY_BYTES
+            && self
+                .entries
+                .insert(self.probe.as_str().into(), entry)
+                .is_none()
+        {
             self.key_bytes += bytes;
-            self.entries.insert((p.to_owned(), q.to_owned()), entry);
         }
     }
 
     /// Drops every entry this process decided, keeping the restored ones.
     fn keep_restored(&mut self) {
         self.entries.retain(|_, &mut (_, _, restored)| restored);
-        self.key_bytes = self.entries.keys().map(|k| k.0.len() + k.1.len()).sum();
+        self.key_bytes = self.entries.keys().map(|k| k.len()).sum();
+    }
+
+    /// Every entry as `(p, q, entry)`.
+    fn iter(&self) -> impl Iterator<Item = (&str, &str, &PairEntry)> {
+        self.entries.iter().map(|(key, entry)| {
+            let (len, pq) = key.split_once(':').expect("a key starts with p's length");
+            let (p, q) = pq.split_at(len.parse().expect("a key starts with p's length"));
+            (p, q, entry)
+        })
     }
 }
 
@@ -1469,7 +1461,7 @@ impl Session {
                 builder.add_ka_verdict(&l, &r, v);
             }
         }
-        for ((p, q), (holds, stats, _)) in &self.pair_memo.entries {
+        for (p, q, (holds, stats, _)) in self.pair_memo.iter() {
             builder.add_cert(p, q, *holds, *stats);
         }
     }
@@ -2735,7 +2727,7 @@ mod tests {
             );
             cleared |= session.pair_memo.entries.len() <= before;
             let memo = &session.pair_memo;
-            let bytes: usize = memo.entries.keys().map(|(p, q)| p.len() + q.len()).sum();
+            let bytes: usize = memo.entries.keys().map(|k| k.len()).sum();
             assert_eq!(bytes, memo.key_bytes);
             assert!(bytes <= PAIR_MEMO_KEY_BYTES, "{bytes} key bytes");
         }
